@@ -111,18 +111,6 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
 # validation
 # ---------------------------------------------------------------------------
 
-def _extreme_rays(vectors: Sequence) -> tuple:
-    """(extreme ray set, lineality present?) of the cone the vectors
-    generate."""
-    if not vectors:
-        return set(), False
-    dim = len(vectors[0])
-    drays, dlin = rational.dual_cone(vectors, dim)
-    back = list(drays) + list(dlin) + [tuple(-x for x in l) for l in dlin]
-    crays, clin = rational.dual_cone(back, dim)
-    return set(crays), bool(clin)
-
-
 def _meet_in_common_face(a: frozenset, b: frozenset, vectors: dict,
                          dim: int) -> bool:
     """Whether two cones (with extreme listed rays) intersect exactly
@@ -213,11 +201,11 @@ def validate_fan(fan: Fan) -> None:
             faces = {frozenset(sub) for r in range(len(ids) + 1)
                      for sub in itertools.combinations(ids, r)}
         else:
-            extreme, has_lin = _extreme_rays(vecs)
-            if has_lin:
+            extreme, lineality = rational.extreme_rays(vecs, dim)
+            if lineality:
                 raise ConsistencyError(
                     f"cone {sorted(cone.ray_ids)} is not strongly convex")
-            if extreme != set(tuple(v) for v in vecs):
+            if set(extreme) != set(tuple(v) for v in vecs):
                 raise ConsistencyError(
                     f"cone {sorted(cone.ray_ids)} lists a non-extreme ray")
             faces = _cone_faces({i: vectors[i] for i in cone.ray_ids})

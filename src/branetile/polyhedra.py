@@ -66,20 +66,6 @@ class Polyhedron:
                 and all(rational.fdot(a, p) == b for a, b in self.equalities))
 
 
-def _normalize_constraints(constraints: Sequence) -> tuple:
-    """Scale each ``(normal, offset)`` to a primitive integer row,
-    keeping orientation and order; zero rows are dropped when trivial
-    and rejected when unsatisfiable."""
-    out = []
-    for a, b in constraints:
-        row = tuple(a) + (b,)
-        if not any(row):
-            continue
-        scaled = rational.integerize(row)
-        out.append((scaled[:-1], Fraction(scaled[-1])))
-    return tuple(out)
-
-
 def polyhedron_from_inequalities(inequalities: Sequence, ambient_dim: int,
                                  equalities: Sequence = ()) -> Polyhedron:
     """Build the polyhedron ``{x : a . x >= b, e . x == c}``.
@@ -147,17 +133,10 @@ def polyhedron_from_generators(vertices: Sequence, ambient_dim: int,
         row = (Fraction(0),) + rational.fvec(l)
         gens.append(row)
         gens.append(tuple(-x for x in row))
+    # the dual rays are primitive, so the constraints need no rescaling
     drays, dlin = rational.dual_cone(gens, ambient_dim + 1)
-    inequalities = []
-    equalities = []
-    for c, *a in drays:
-        if any(a):
-            inequalities.append((tuple(a), Fraction(-c)))
-    for c, *a in dlin:
-        if any(a):
-            equalities.append((tuple(a), Fraction(-c)))
-    inequalities = _normalize_constraints(inequalities)
-    equalities = _normalize_constraints(equalities)
+    inequalities = [(tuple(a), Fraction(-c)) for c, *a in drays if any(a)]
+    equalities = [(tuple(a), Fraction(-c)) for c, *a in dlin if any(a)]
     return polyhedron_from_inequalities(inequalities, ambient_dim,
                                         equalities=equalities)
 
@@ -376,10 +355,8 @@ def lift_slice_faces(tower, shifted: Polyhedron,
     k = tower.rank
     lifted = []
     for face in enumerate_faces(slice_poly):
-        ambient_normals = [
-            rational.fvec(shifted.inequalities[i][0]) for i in face.active]
-        restricted = [
-            rational.fvec(slice_poly.inequalities[i][0]) for i in face.active]
+        ambient_normals = [shifted.inequalities[i][0] for i in face.active]
+        restricted = [slice_poly.inequalities[i][0] for i in face.active]
         ra = rational.frank(ambient_normals, k)
         rr = rational.frank(restricted, 3)
         if 3 - rr != face.dim:
@@ -402,10 +379,15 @@ def _stable_faces_cached(tower, shifted: Polyhedron,
 def _face_extreme_rays(tower, shifted: Polyhedron,
                        slice_poly: Polyhedron) -> tuple:
     """Each transversal face with the extreme rays of its normal cone."""
-    return tuple(
-        (face, tuple(_extreme_rays_3d(
-            [slice_poly.inequalities[i][0] for i in face.active])))
-        for face in _stable_faces_cached(tower, shifted, slice_poly))
+    out = []
+    for face in _stable_faces_cached(tower, shifted, slice_poly):
+        rays, lineality = rational.extreme_rays(
+            [slice_poly.inequalities[i][0] for i in face.active], 3)
+        if lineality:
+            raise ConsistencyError(
+                "normal cone of a slice face is not pointed")
+        out.append((face, tuple(rays)))
+    return tuple(out)
 
 
 def m_stable_faces(tower, shifted: Polyhedron,
@@ -414,21 +396,6 @@ def m_stable_faces(tower, shifted: Polyhedron,
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
     return list(_stable_faces_cached(tower, shifted, slice_poly))
-
-
-def _extreme_rays_3d(gens: Sequence) -> list:
-    """Extreme rays of a pointed 3-dimensional cone given by (possibly
-    redundant) generators."""
-    if not all(any(g) for g in gens):
-        gens = [g for g in gens if any(g)]
-    if not gens:
-        return []
-    drays, dlin = rational.dual_cone(gens, 3)
-    back = list(drays) + list(dlin) + [tuple(-x for x in l) for l in dlin]
-    crays, clin = rational.dual_cone(back, 3)
-    if clin:
-        raise ConsistencyError("normal cone of a slice face is not pointed")
-    return crays
 
 
 def quotient_fan(tower, shifted: Polyhedron,

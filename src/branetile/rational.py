@@ -1,10 +1,20 @@
-"""Exact rational linear algebra and strict linear feasibility.
+"""Exact linear algebra, cone duality and strict linear feasibility.
 
-Everything here works over ``fractions.Fraction`` — no floating point
-anywhere in the package.  The feasibility routine decides homogeneous
-systems of *strict* inequalities (optionally restricted to a rational
-subspace) by Fourier–Motzkin elimination and, when feasible, returns an
-explicit interior witness by back-substitution.
+No floating point anywhere in the package.  Rank and nullspace come
+from fraction-free Gauss–Jordan elimination of primitive integer rows.
+
+Cone duality is the incremental double-description method (Motzkin et
+al. 1953; Fukuda and Prodon, "Double description method revisited",
+1996), in integers: the extreme rays of ``{y : g . y >= 0}`` start
+from a simplicial cone on independent generators and are updated one
+generator at a time, combining only adjacent pairs of rays; adjacency
+is decided on zero sets kept as bitmasks.  :func:`extreme_rays` is the
+dual of the dual.
+
+The feasibility routine decides homogeneous systems of *strict*
+inequalities (optionally restricted to a rational subspace) by
+Fourier–Motzkin elimination and, when feasible, returns an explicit
+interior witness by back-substitution.
 """
 
 from __future__ import annotations
@@ -25,70 +35,73 @@ def fdot(u: Sequence, v: Sequence) -> Fraction:
 
 def integerize(v: Sequence) -> tuple:
     """Primitive integer vector with the same direction as ``v``."""
-    fr = [Fraction(x) for x in v]
-    scale = lcm(*(x.denominator for x in fr)) if fr else 1
-    ints = [int(x * scale) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fr = [Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fr)) if fr else 1
+        ints = [int(x * scale) for x in fr]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 
-def rref(rows_in: Sequence, ncols: int) -> tuple:
-    """Reduced row echelon form.  Returns ``(rows, pivot_columns)``
-    with the zero rows dropped."""
-    rows = [[Fraction(x) for x in r] for r in rows_in]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+def _echelon(rows: Sequence) -> tuple:
+    """Fraction-free Gauss–Jordan elimination of integer rows, row by row.
+
+    Returns ``(chosen, basis)``: the indices of the first maximal
+    independent subset of the rows, and a dict from lead column to a
+    primitive row that is zero in the other lead columns — the reduced
+    row echelon form, up to one scale per row.
+    """
+    chosen, basis = [], {}
+    for i, g in enumerate(rows):
+        r = list(g)
+        for c, b in basis.items():
+            if r[c]:
+                r = [b[c] * x - r[c] * y for x, y in zip(r, b)]
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = integerize(r)
+        for c, b in basis.items():
+            if b[lead]:
+                basis[c] = integerize(
+                    [r[lead] * x - b[lead] * y for x, y in zip(b, r)])
+        basis[lead] = r
+        chosen.append(i)
+        if len(chosen) == len(r):
             break
-    return [tuple(row) for row in rows[:r]], pivots
+    return chosen, basis
+
+
+def _free_column_basis(basis: dict, ncols: int) -> list:
+    """The nullspace of an echelon ``basis``: per free column, the
+    primitive solution that is positive there and zero at the others."""
+    out = []
+    for fc in range(ncols):
+        if fc in basis:
+            continue
+        scale = lcm(*(abs(b[c]) for c, b in basis.items() if b[fc]))
+        v = [0] * ncols
+        v[fc] = scale
+        for c, b in basis.items():
+            v[c] = -b[fc] * (scale // b[c])
+        out.append(integerize(v))
+    return out
 
 
 def frank(rows: Sequence, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    """Rank of integer or rational rows."""
+    return len(_echelon([integerize(r) for r in rows if any(r)])[0])
 
 
 def nullspace(rows: Sequence, ncols: int) -> list:
-    """Deterministic rational basis of ``{x : rows @ x == 0}``."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(rows: Sequence, rhs: Sequence, ncols: int):
-    """One rational solution of ``rows @ x == rhs`` (free variables
-    zero), or None when inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return tuple(x)
+    """Deterministic primitive integer basis of ``{x : rows @ x == 0}``:
+    the reduced-row-echelon basis, one vector per free column."""
+    rows = [integerize(r) for r in rows if any(r)]
+    return _free_column_basis(_echelon(rows)[1], ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -136,54 +149,75 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
     """Extreme rays and lineality of ``{y : g . y >= 0 for all g}``.
 
     Returns ``(rays, lineality)`` as primitive integer vectors; the
-    rays are the extreme rays of the dual intersected with the span of
-    the generators, and the lineality is the generators' orthogonal
-    complement, so the dual is the sum of the two parts.  Extreme rays
-    vanish on a rank ``d - 1`` subset of generators (``d`` the rank of
-    the generators): each candidate subset, padded with the lineality
-    rows, is a ``(dim-1) x dim`` integer matrix whose kernel line is
-    its vector of signed maximal minors.
-    """
-    from itertools import combinations
+    rays (sorted) are the extreme rays of the dual intersected with the
+    span of the generators, and the lineality is the generators'
+    orthogonal complement (the integerized RREF nullspace basis), so
+    the dual is the sum of the two parts.
 
-    cleaned = []
-    for g in gens:
-        if any(Fraction(x) != 0 for x in g):
-            v = integerize(g)
-            if v not in cleaned:
-                cleaned.append(v)
-    lineality = [integerize(v) for v in nullspace(cleaned, dim)]
-    d = dim - len(lineality)
+    Double description: ``d`` independent generators, with the
+    lineality rows as equalities, cut out a simplicial cone whose rays
+    are signed minors.  Each remaining generator then keeps the rays
+    on its nonnegative side and adds one combination of every adjacent
+    positive/negative pair.  Zero sets are bitmasks over the generators
+    seen so far; two rays are adjacent when they share at least
+    ``d - 2`` zeros and no third ray vanishes on all of them.
+    """
+    cleaned = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
+    start, basis = _echelon(cleaned)
+    lineality = _free_column_basis(basis, dim)
+    d = len(start)
     if d == 0:
         return [], lineality
 
-    lin_rows = [list(l) for l in lineality]
-    rays = []
-    seen = set()
-    for subset in combinations(range(len(cleaned)), d - 1):
-        y = _kernel_ray([list(cleaned[i]) for i in subset] + lin_rows, dim)
-        if y is None:
+    rays = []  # (vector, zero-set bitmask)
+    for i in start:
+        y = _kernel_ray([cleaned[j] for j in start if j != i] + lineality, dim)
+        if sum(a * b for a, b in zip(cleaned[i], y)) < 0:
+            y = [-x for x in y]
+        rays.append((integerize(y),
+                     sum(1 << j for j in start if j != i)))
+
+    chosen = set(start)
+    for i, h in enumerate(cleaned):
+        if i in chosen:
             continue
-        dots = [sum(a * b for a, b in zip(g, y)) for g in cleaned]
-        if all(x >= 0 for x in dots):
-            ray = integerize(y)
-        elif all(x <= 0 for x in dots):
-            ray = integerize([-v for v in y])
-        else:
-            continue
-        if ray not in seen:
-            seen.add(ray)
-            rays.append(ray)
-    return sorted(rays), lineality
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for vec, zs in rays:
+            s = sum(a * b for a, b in zip(h, vec))
+            if s > 0:
+                pos.append((vec, zs, s))
+                kept.append((vec, zs))
+            elif s < 0:
+                neg.append((vec, zs, s))
+            else:
+                kept.append((vec, zs | bit))
+        if neg:
+            masks = [zs for _, zs in rays]
+            for pv, pz, ps in pos:
+                for nv, nz, ns in neg:
+                    common = pz & nz
+                    if common.bit_count() < d - 2 or any(
+                            z & common == common and z != pz and z != nz
+                            for z in masks):
+                        continue
+                    kept.append((integerize(
+                        [ps * b - ns * a for a, b in zip(pv, nv)]),
+                        common | bit))
+        rays = kept
+    return sorted(vec for vec, _ in rays), lineality
 
 
-def cone_contains(gens: Sequence, lin: Sequence, vec: Sequence,
-                  dim: int) -> bool:
-    """Whether ``vec`` lies in ``cone(gens) + span(lin)``."""
-    closed = list(gens) + list(lin) + [tuple(-x for x in l) for l in lin]
-    drays, dlin = dual_cone(closed, dim)
-    return (all(fdot(d, vec) >= 0 for d in drays)
-            and all(fdot(d, vec) == 0 for d in dlin))
+def extreme_rays(gens: Sequence, dim: int) -> tuple:
+    """Extreme rays and lineality of the cone the generators span.
+
+    Returns ``(rays, lineality)`` in the form of :func:`dual_cone`: the
+    cone is the dual of its dual, so the rays are its sorted primitive
+    extreme rays when it is pointed (when the lineality is empty).
+    """
+    drays, dlin = dual_cone(gens, dim)
+    return dual_cone(drays + dlin + [tuple(-x for x in l) for l in dlin],
+                     dim)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import functools
 from typing import Iterable, Sequence
 
 from . import rational
-from .errors import DegenerateInputError
+from .errors import ConsistencyError, DegenerateInputError
 from .tiling import QuiverOnTorus
 
 
@@ -286,7 +286,9 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     def descend(idx: int, constraints: list) -> None:
         if idx == len(functionals):
             point = rational.strict_feasible_point(constraints, [], t)
-            assert point is not None
+            if point is None:
+                raise ConsistencyError(
+                    "a feasible sign pattern has no interior point")
             theta = rational.integerize(
                 [-sum(point)] + list(point))
             chambers.append(theta)

@@ -165,7 +165,10 @@ def parse_tiling(text: str) -> QuiverOnTorus:
     enforced here; the torus axioms are checked separately by
     :func:`validate`.
     """
-    doc = _load_json(text)
+    return _tiling_from_doc(_load_json(text))
+
+
+def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
     for key in ("vertices", "arrows", "faces"):
         if key not in doc:
             raise _fail(f"missing key {key!r}")
@@ -263,7 +266,10 @@ class DimerGraph:
 
 
 def parse_dimer(text: str) -> DimerGraph:
-    doc = _load_json(text)
+    return _dimer_from_doc(_load_json(text))
+
+
+def _dimer_from_doc(doc: dict) -> DimerGraph:
     for key in ("white", "black", "edges", "rotation"):
         if key not in doc:
             raise _fail(f"missing key {key!r}")
@@ -536,8 +542,8 @@ def load_document(text: str) -> QuiverOnTorus:
     """Parse either document form; dimer documents are dualized."""
     doc = _load_json(text)
     if "vertices" in doc:
-        return parse_tiling(text)
+        return _tiling_from_doc(doc)
     if "white" in doc or "black" in doc:
-        return dualize_dimer(parse_dimer(text))
+        return dualize_dimer(_dimer_from_doc(doc))
     raise _fail("document is neither a quiver (no 'vertices' key) "
                 "nor a dimer graph (no 'white'/'black' keys)")

@@ -6,6 +6,7 @@ per session and shared between tests; tests must treat them as frozen.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,31 @@ def fixture_path(name: str) -> Path:
 
 def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
+
+
+def orbifold_text(n: int, m: int) -> str:
+    """Quiver document of the abelian orbifold C^3/(Z_n x Z_m).
+
+    The vertices are the cells (i, j) of an n x m torus grid; the
+    arrows x, y, z step a cell by (1, 0), (0, 1) and (-1, -1), and each
+    cell carries the faces x.y.z (positive) and y.x.z (negative).
+    """
+    def cell(i: int, j: int) -> str:
+        return f"v{i % n}.{j % m}"
+
+    steps = {"x": (1, 0), "y": (0, 1), "z": (-1, -1)}
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    arrows = [{"id": f"{name}{cell(i, j)}", "src": cell(i, j),
+               "tgt": cell(i + di, j + dj)}
+              for i, j in cells for name, (di, dj) in steps.items()]
+    faces = []
+    for i, j in cells:
+        faces.append({"sign": "+", "cycle": [
+            f"x{cell(i, j)}", f"y{cell(i + 1, j)}", f"z{cell(i + 1, j + 1)}"]})
+        faces.append({"sign": "-", "cycle": [
+            f"y{cell(i, j)}", f"x{cell(i, j + 1)}", f"z{cell(i + 1, j + 1)}"]})
+    return json.dumps({"vertices": [cell(i, j) for i, j in cells],
+                       "arrows": arrows, "faces": faces})
 
 
 @pytest.fixture(scope="session")

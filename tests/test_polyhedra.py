@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import branetile as bt
 from branetile import rational
 
-from conftest import QUIVER_FIXTURES
+from conftest import QUIVER_FIXTURES, orbifold_text
 
 UNIT_SQUARE_INEQS = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
 
@@ -276,3 +276,23 @@ def test_descend_rejects_wrong_length_weights(towers, chambers_by_name):
     shifted, _ = bt.shift_by_stability(tower, theta)
     with pytest.raises(ValueError):
         bt.descend_linear_functional(tower, shifted, (1, 2, 3))
+
+
+def test_five_vertex_orbifold_fan_routes_agree():
+    # C^3/Z_5: a 7-dimensional weight cone with 11 rays and 33 facets,
+    # too big to build by trying all C(34, 7) subsets of constraint rows
+    tiling = bt.load_document(orbifold_text(1, 5))
+    tower = bt.build_lattice_tower(tiling)
+    cone = bt.cone_of_arrow_weights(tower)
+    assert cone.dim == tower.rank == 7
+    assert len(cone.rays) == 11
+
+    theta = (1, 2, 4, 8, -15)
+    assert bt.is_generic(tiling, theta)
+    matchings = bt.enumerate_perfect_matchings(tiling, tower)
+    direct = bt.moduli_fan(tiling, theta, matchings)
+    labels = {ray.vector: ray.ray_id for ray in direct.rays}
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    quotient = bt.quotient_fan(tower, shifted, ray_labels=labels)
+    assert bt.fans_equal(quotient, direct)
+    assert sum(1 for c in direct.cones if c.dim == 3) == 5

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import branetile as bt
+from branetile import rational
 
 from conftest import QUIVER_FIXTURES
 
@@ -278,3 +279,23 @@ def test_chamber_sign_of_matches_the_representative(spp, chambers_by_name):
                 assert chamber.sign_of(subset) == (1 if total > 0 else -1)
         with pytest.raises(KeyError):
             chamber.sign_of(spp.vertices)  # not a proper subset
+
+
+def test_chamber_decomposition_raises_when_a_chamber_loses_its_witness(
+        monkeypatch, spp, matchings_by_name):
+    # every chamber's sign pattern is checked feasible once while it is
+    # being split; answering "infeasible" on the repeat for the witness
+    # breaks the invariant the decomposition relies on
+    real = rational.strict_feasible_point
+    seen = set()
+
+    def forgetful(strict, eqs, nvars):
+        key = tuple(map(tuple, strict))
+        if key in seen:
+            return None
+        seen.add(key)
+        return real(strict, eqs, nvars)
+
+    monkeypatch.setattr(rational, "strict_feasible_point", forgetful)
+    with pytest.raises(bt.ConsistencyError, match="no interior point"):
+        bt.chamber_decomposition(spp, matchings_by_name["spp"])

@@ -75,7 +75,22 @@ def test_load_document_rejects_unknown_shape():
         bt.load_document(json.dumps([1, 2, 3]))
 
 
-@pytest.mark.parametrize("bad", [
+def test_load_document_parses_the_text_once(monkeypatch):
+    calls = []
+    real = json.loads
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    for name in ALL_FIXTURES:
+        calls.clear()
+        bt.load_document(fixture_text(name))
+        assert len(calls) == 1
+
+
+MALFORMED_QUIVERS = [
     {"arrows": [], "faces": []},                       # no vertices
     {"vertices": ["1", "1"], "arrows": [], "faces": []},
     {"vertices": ["1"], "arrows": "x", "faces": []},
@@ -91,10 +106,23 @@ def test_load_document_rejects_unknown_shape():
      "faces": [{"sign": "+", "cycle": []}]},
     {"vertices": ["1"], "arrows": [],
      "faces": [{"sign": "+", "cycle": ["ghost"]}]},
-])
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_QUIVERS)
 def test_parse_tiling_rejects_malformed_documents(bad):
     with pytest.raises(bt.TilingFormatError):
         bt.parse_tiling(json.dumps(bad))
+
+
+@pytest.mark.parametrize("bad", MALFORMED_QUIVERS[1:])
+def test_load_document_reports_parse_tiling_errors(bad):
+    text = json.dumps(bad)
+    with pytest.raises(bt.TilingFormatError) as direct:
+        bt.parse_tiling(text)
+    with pytest.raises(bt.TilingFormatError) as loaded:
+        bt.load_document(text)
+    assert str(loaded.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +176,21 @@ def test_parse_dimer_rejects_malformed_rotations():
         doc = dict(base, rotation=rotation)
         with pytest.raises(bt.TilingFormatError):
             bt.parse_dimer(json.dumps(doc))
+
+
+def test_load_document_reports_parse_dimer_errors():
+    doc = {
+        "white": ["w"], "black": ["b"],
+        "edges": [{"id": "e1", "white": "w", "black": "b"}],
+        "rotation": {"w": ["e1"]},
+    }
+    text = json.dumps(doc)
+    with pytest.raises(bt.TilingFormatError) as direct:
+        bt.parse_dimer(text)
+    with pytest.raises(bt.TilingFormatError) as loaded:
+        bt.load_document(text)
+    assert str(loaded.value) == str(direct.value) \
+        == "rotation missing node 'b'"
 
 
 # ---------------------------------------------------------------------------
