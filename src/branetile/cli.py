@@ -29,7 +29,8 @@ from .errors import (BraneTileError, ConsistencyError, DegenerateInputError,
                      TilingFormatError)
 from .fan import check_smooth, git_equivalence_classes, moduli_fan, triangulation
 from .lattice import build_lattice_tower
-from .matchings import enumerate_perfect_matchings, toric_diagram
+from .matchings import (enumerate_perfect_matchings, matching_id_key,
+                        toric_diagram)
 from .stability import chamber_decomposition
 from .svg import render_diagram_svg
 from .tiling import load_document, make_weak_path, validate
@@ -71,7 +72,7 @@ def _vec(v) -> str:
 
 
 def _ids(ids) -> str:
-    ordered = sorted(ids, key=lambda i: (len(i), i))
+    ordered = sorted(ids, key=matching_id_key)
     return ",".join(ordered) if ordered else "-"
 
 

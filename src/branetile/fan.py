@@ -21,7 +21,8 @@ from typing import Sequence
 
 from . import lattice, rational
 from .errors import ConsistencyError, DegenerateInputError
-from .matchings import (ToricDiagram, doubled_area, lattice_points_in_hull)
+from .matchings import (ToricDiagram, doubled_area, lattice_points_in_hull,
+                        matching_id_key)
 from .stability import enumerate_stable_subsets
 from .tiling import QuiverOnTorus
 
@@ -61,10 +62,6 @@ class Fan:
         return {c.ray_ids for c in self.cones}
 
 
-def _sort_key(ray_id: str) -> tuple:
-    return (len(ray_id), ray_id)
-
-
 # ---------------------------------------------------------------------------
 # construction from a stability parameter
 # ---------------------------------------------------------------------------
@@ -78,11 +75,16 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
     share a point — violations raise ConsistencyError, as does any
     failure of the fan axioms.
     """
-    subsets = enumerate_stable_subsets(tiling, theta, matchings)
+    return _fan_of_subsets(enumerate_stable_subsets(tiling, theta, matchings),
+                           matchings)
+
+
+def _fan_of_subsets(subsets: Sequence, matchings: Sequence) -> Fan:
+    """The validated fan with one cone per stable subset."""
     by_id = {m.matching_id: m for m in matchings}
 
     stable_ids = sorted({mid for s in subsets for mid in s.matching_ids},
-                        key=_sort_key)
+                        key=matching_id_key)
     rays = []
     seen_vectors: dict = {}
     for mid in stable_ids:
@@ -119,17 +121,17 @@ def _meet_in_common_face(a: frozenset, b: frozenset, vectors: dict,
     first cone and negative on the rest of the second exists iff the
     intersection is that common face."""
     common = a & b
-    strict = [vectors[r] for r in sorted(a - common, key=_sort_key)]
+    strict = [vectors[r] for r in sorted(a - common, key=matching_id_key)]
     strict += [tuple(-x for x in vectors[r])
-               for r in sorted(b - common, key=_sort_key)]
-    eqs = [vectors[r] for r in sorted(common, key=_sort_key)]
+               for r in sorted(b - common, key=matching_id_key)]
+    eqs = [vectors[r] for r in sorted(common, key=matching_id_key)]
     return rational.strict_feasible_point(strict, eqs, dim) is not None
 
 
 def _cone_faces(vectors_by_id: dict) -> set:
     """Ray-id sets of all faces of the cone generated by the given
     rays (assumed extreme), via supporting-hyperplane incidence."""
-    ids = sorted(vectors_by_id, key=_sort_key)
+    ids = sorted(vectors_by_id, key=matching_id_key)
     if not ids:
         return {frozenset()}
     dim = len(next(iter(vectors_by_id.values())))
@@ -188,7 +190,8 @@ def validate_fan(fan: Fan) -> None:
         if unknown:
             raise ConsistencyError(
                 f"cone uses unlisted ray {sorted(unknown)[0]!r}")
-        vecs = [vectors[i] for i in sorted(cone.ray_ids, key=_sort_key)]
+        ids = sorted(cone.ray_ids, key=matching_id_key)
+        vecs = [vectors[i] for i in ids]
         rk = rational.frank(vecs, dim) if vecs else 0
         if rk != cone.dim:
             raise ConsistencyError(
@@ -197,7 +200,6 @@ def validate_fan(fan: Fan) -> None:
         if rk == len(vecs):
             # simplicial: independent rays are extreme, the cone is
             # strongly convex, and the faces are exactly the subsets
-            ids = sorted(cone.ray_ids, key=_sort_key)
             faces = {frozenset(sub) for r in range(len(ids) + 1)
                      for sub in itertools.combinations(ids, r)}
         else:
@@ -249,7 +251,8 @@ def check_smooth(fan: Fan) -> bool:
     rays extendable to a lattice basis)."""
     vectors = fan.vector_map()
     for cone in fan.max_cones():
-        vecs = [list(vectors[i]) for i in sorted(cone.ray_ids, key=_sort_key)]
+        vecs = [list(vectors[i])
+                for i in sorted(cone.ray_ids, key=matching_id_key)]
         if not vecs:
             continue
         if len(vecs) != cone.dim:
@@ -288,10 +291,10 @@ def triangulation(fan: Fan, diagram: ToricDiagram) -> Triangulation:
                 f"ray {rid} sits at {p}, which is not a diagram point")
 
     triangles = tuple(sorted(
-        tuple(sorted(c.ray_ids, key=_sort_key))
+        tuple(sorted(c.ray_ids, key=matching_id_key))
         for c in fan.cones if c.dim == 3))
     edges = tuple(sorted(
-        tuple(sorted(c.ray_ids, key=_sort_key))
+        tuple(sorted(c.ray_ids, key=matching_id_key))
         for c in fan.cones if c.dim == 2))
 
     area = doubled_area(list(diagram.hull))
@@ -306,7 +309,8 @@ def triangulation(fan: Fan, diagram: ToricDiagram) -> Triangulation:
                 f"hull lattice point {point} is not a triangle vertex")
     return Triangulation(
         triangles=triangles, edges=edges,
-        ray_points=tuple(sorted(pts.items(), key=lambda kv: _sort_key(kv[0]))))
+        ray_points=tuple(sorted(pts.items(),
+                                key=lambda kv: matching_id_key(kv[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +321,12 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
                             matchings: Sequence) -> list:
     """Group chambers whose moduli fans agree geometrically.
 
+    Each fan is built from the stable subsets the chamber carries.
     Returns a list of lists of chamber indices, sorted by first member.
     """
     signatures = []
     for chamber in chambers:
-        fan = moduli_fan(tiling, chamber.representative, matchings)
+        fan = _fan_of_subsets(chamber.stable_subsets, matchings)
         vm = fan.vector_map()
         signatures.append(
             frozenset(frozenset(vm[i] for i in c.ray_ids)

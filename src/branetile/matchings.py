@@ -42,8 +42,11 @@ class PerfectMatching:
         """The matching's point in the toric diagram."""
         return self.chi_kernel[:2]
 
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.arrows))
+
+def matching_id_key(matching_id: str) -> tuple:
+    """Sort key putting ``m2`` before ``m10``: the order in which
+    matching ids are minted, and the one every listing of ids uses."""
+    return (len(matching_id), matching_id)
 
 
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:

@@ -25,6 +25,7 @@ from weakref import WeakKeyDictionary
 from . import lattice, rational
 from .errors import ConsistencyError
 from .fan import Fan, FanCone, FanRay, validate_fan
+from .matchings import matching_id_key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,59 +369,23 @@ def lift_slice_faces(tower, shifted: Polyhedron,
     return lifted
 
 
-@functools.lru_cache(maxsize=None)
-def _stable_faces_cached(tower, shifted: Polyhedron,
-                         slice_poly: Polyhedron) -> tuple:
-    return tuple(f for f in lift_slice_faces(tower, shifted, slice_poly)
-                 if f.stable)
-
-
-@functools.lru_cache(maxsize=None)
-def _face_extreme_rays(tower, shifted: Polyhedron,
-                       slice_poly: Polyhedron) -> tuple:
-    """Each transversal face with the extreme rays of its normal cone."""
-    out = []
-    for face in _stable_faces_cached(tower, shifted, slice_poly):
-        rays, lineality = rational.extreme_rays(
-            [slice_poly.inequalities[i][0] for i in face.active], 3)
-        if lineality:
-            raise ConsistencyError(
-                "normal cone of a slice face is not pointed")
-        out.append((face, tuple(rays)))
-    return tuple(out)
-
-
 def m_stable_faces(tower, shifted: Polyhedron,
                    slice_poly: "Polyhedron | None" = None) -> list:
     """The lifted faces that meet the kernel slice transversally."""
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
-    return list(_stable_faces_cached(tower, shifted, slice_poly))
+    return [f for f in lift_slice_faces(tower, shifted, slice_poly)
+            if f.stable]
 
 
-def quotient_fan(tower, shifted: Polyhedron,
-                 slice_poly: "Polyhedron | None" = None,
-                 ray_labels: "dict | None" = None) -> Fan:
-    """Normal fan of the kernel slice, restricted to the transversal
-    faces; the result is validated before being returned.
-
-    ``ray_labels`` maps primitive ray vectors to names (matching ids);
-    unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
-    """
-    if slice_poly is None:
-        slice_poly = kernel_polytope(tower, shifted)
-    face_rays = _face_extreme_rays(tower, shifted, slice_poly)
-
-    cone_rays = []
-    all_vectors = set()
-    for _, rays in face_rays:
-        cone_rays.append(rays)
-        all_vectors.update(rays)
-
-    labels = dict(ray_labels or {})
+def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
+    """The fan of ``(dim, rays)`` cones; ``ray_labels`` maps ray
+    vectors to names and the other rays get ``r1``, ``r2``, ... in
+    lexicographic order."""
+    labels = ray_labels or {}
     names = {}
     counter = 0
-    for vec in sorted(all_vectors):
+    for vec in sorted({v for _, rays in cones for v in rays}):
         if vec in labels:
             names[vec] = labels[vec]
         else:
@@ -428,21 +393,72 @@ def quotient_fan(tower, shifted: Polyhedron,
             names[vec] = f"r{counter}"
     if len(set(names.values())) != len(names):
         raise ConsistencyError("ray labels collide")
+    return Fan(
+        rays=tuple(FanRay(ray_id=name, vector=vec)
+                   for vec, name in names.items()),
+        cones=tuple(FanCone(ray_ids=frozenset(names[v] for v in rays),
+                            dim=dim) for dim, rays in cones))
 
-    rays = tuple(FanRay(ray_id=names[v], vector=v)
-                 for v in sorted(all_vectors))
+
+# Callers pass one slice to quotient_fan and then to
+# descend_linear_functional once per weight, so remembering the last
+# slice is enough; a larger memo would only pin old towers.
+@functools.lru_cache(maxsize=1)
+def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
+    """The validated normal cones of the transversal faces of a slice.
+
+    Returns ``(cones, splitters)``.  ``cones`` lists, per transversal
+    face, its cone dimension and the extreme rays of its normal cone.
+    ``splitters`` has one entry per vertex lift, ``(mat, width, rays,
+    factors)``: the splitting matrix whose first ``width`` columns span
+    the lift and whose last three columns are the kernel basis, the
+    face's rays, and the matrix's invariant factors.  The fan these
+    cones form is validated here, once, under the default ray names;
+    labels only rename its rays.
+    """
+    k = tower.rank
+    basis = tower.kernel_basis
     cones = []
-    seen = set()
-    for (face, _), rvecs in zip(face_rays, cone_rays):
-        ids = frozenset(names[v] for v in rvecs)
-        if ids in seen:
+    splitters = []
+    for face in m_stable_faces(tower, shifted, slice_poly):
+        rays, lineality = rational.extreme_rays(
+            [slice_poly.inequalities[i][0] for i in face.active], 3)
+        if lineality:
             raise ConsistencyError(
-                "two transversal faces share one normal cone")
-        seen.add(ids)
-        cones.append(FanCone(ray_ids=ids, dim=3 - face.slice_face.dim))
-    fan = Fan(rays=rays, cones=tuple(cones))
-    validate_fan(fan)
-    return fan
+                "normal cone of a slice face is not pointed")
+        rays = tuple(rays)
+        cones.append((3 - face.slice_face.dim, rays))
+        if face.slice_face.dim != 0:
+            continue
+        normals = [list(shifted.inequalities[i][0]) for i in face.active]
+        columns = [list(col) for col in lattice.integer_kernel(normals)]
+        mat = tuple(
+            tuple(columns[j][i] for j in range(len(columns)))
+            + tuple(basis[i][j] for j in range(3))
+            for i in range(k))
+        factors = lattice.invariant_factors([list(r) for r in mat])
+        splitters.append((mat, len(columns), rays, factors))
+    if len({frozenset(rays) for _, rays in cones}) != len(cones):
+        raise ConsistencyError("two transversal faces share one normal cone")
+    validate_fan(_named_fan(cones, None))
+    return tuple(cones), tuple(splitters)
+
+
+def quotient_fan(tower, shifted: Polyhedron,
+                 slice_poly: "Polyhedron | None" = None,
+                 ray_labels: "dict | None" = None) -> Fan:
+    """Normal fan of the kernel slice, restricted to the transversal
+    faces.  The fan is validated once per slice: the cones of the last
+    slice are remembered, so ``descend_linear_functional`` on the same
+    slice does not validate again.
+
+    ``ray_labels`` maps primitive ray vectors to names (matching ids);
+    unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
+    """
+    if slice_poly is None:
+        slice_poly = kernel_polytope(tower, shifted)
+    cones, _ = _slice_cones(tower, shifted, slice_poly)
+    return _named_fan(cones, ray_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -469,39 +485,6 @@ class DescendedSupport:
         raise KeyError(ray_id)
 
 
-@functools.lru_cache(maxsize=None)
-def _descent_splitters(tower, shifted: Polyhedron,
-                       slice_poly: Polyhedron) -> tuple:
-    """Weight-independent descent data, one entry per vertex lift.
-
-    Each entry is ``(mat, width, rays)``: the splitting matrix whose
-    first ``width`` columns span the lift and whose last three columns
-    are the kernel basis, plus the extreme rays of the face's normal
-    cone.  The matrix is checked to be a lattice isomorphism once here.
-    """
-    k = tower.rank
-    basis = tower.kernel_basis
-    splitters = []
-    for face, rays in _face_extreme_rays(tower, shifted, slice_poly):
-        if face.slice_face.dim != 0:
-            continue
-        normals = [list(shifted.inequalities[i][0]) for i in face.active]
-        span_basis = lattice.integer_kernel(normals)  # basis of <F>
-        columns = [list(col) for col in span_basis]
-        mat = tuple(
-            tuple(columns[j][i] for j in range(len(columns)))
-            + tuple(basis[i][j] for j in range(3))
-            for i in range(k))
-        factors = lattice.invariant_factors([list(r) for r in mat])
-        if len(factors) != k or any(d != 1 for d in factors):
-            raise ConsistencyError(
-                "face span and kernel lattice do not complement each "
-                "other (the stratum action is not free); invariant "
-                f"factors {factors}")
-        splitters.append((mat, len(columns), rays))
-    return tuple(splitters)
-
-
 def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
                               slice_poly: "Polyhedron | None" = None,
                               ray_labels: "dict | None" = None) -> DescendedSupport:
@@ -515,7 +498,9 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     weight lattice as a direct summand (checked via invariant factors;
     failure means the torus action on that stratum is not free, and
     raises ConsistencyError).  Values on shared rays must agree across
-    cones and are returned per ray.
+    cones and are returned per ray.  The quotient fan comes from the
+    same validated slice cones as ``quotient_fan``'s, so descending
+    many weights along one slice validates the fan once.
     """
     if len(weight) != tower.rank:
         raise ValueError(
@@ -523,12 +508,19 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
             "lattice")
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
-    fan = quotient_fan(tower, shifted, slice_poly, ray_labels)
-    vector_to_id = {vec: rid for rid, vec in fan.vector_map().items()}
+    cones, splitters = _slice_cones(tower, shifted, slice_poly)
+    fan = _named_fan(cones, ray_labels)
+    vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
 
+    for _, _, _, factors in splitters:
+        if len(factors) != tower.rank or any(d != 1 for d in factors):
+            raise ConsistencyError(
+                "face span and kernel lattice do not complement each "
+                "other (the stratum action is not free); invariant "
+                f"factors {factors}")
     functionals = []
     values: dict = {}
-    for mat, width, rays in _descent_splitters(tower, shifted, slice_poly):
+    for mat, width, rays, _ in splitters:
         sol = lattice.solve_integer([list(row) for row in mat], list(weight))
         if sol is None:
             raise ConsistencyError(
@@ -546,6 +538,7 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
                     f"{values[rid]} vs {value}")
             values[rid] = value
 
-    ray_values = tuple(sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    ray_values = tuple(sorted(values.items(),
+                              key=lambda kv: matching_id_key(kv[0])))
     return DescendedSupport(fan=fan, cone_functionals=tuple(functionals),
                             ray_values=ray_values)

@@ -10,17 +10,20 @@ sets, every matching contained in a stable union is itself stable.
 Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
 the complement are enumerated here by recursive sign splitting with an
-exact Fourier–Motzkin feasibility check.
+exact Fourier–Motzkin feasibility check.  Genericity and the sign
+vector of a chamber both read one table of the parameter's sums over
+all vertex subsets, indexed by bitmask; supports are closed as
+bitmasks too.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable, Sequence
 
 from . import rational
 from .errors import ConsistencyError, DegenerateInputError
+from .matchings import matching_id_key
 from .tiling import QuiverOnTorus
 
 
@@ -34,19 +37,19 @@ def _theta_check(tiling: QuiverOnTorus, theta: Sequence) -> dict:
     return {v: int(t) for v, t in zip(tiling.vertices, theta)}
 
 
-def _proper_subsets(vertices: Sequence) -> list:
-    out = []
-    n = len(vertices)
-    for mask in range(1, (1 << n) - 1):
-        out.append(frozenset(vertices[i] for i in range(n) if mask >> i & 1))
-    return out
+def _subset_sums(values: Sequence) -> list:
+    """The sum over every vertex subset, indexed by bitmask (bit i is
+    vertex i): each vertex doubles the table."""
+    sums = [0]
+    for t in values:
+        sums += [x + t for x in sums]
+    return sums
 
 
 def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
     """Whether no proper nonempty vertex subset sums to zero."""
     by_vertex = _theta_check(tiling, theta)
-    return all(sum(by_vertex[v] for v in s) != 0
-               for s in _proper_subsets(tiling.vertices))
+    return all(_subset_sums(list(by_vertex.values()))[1:-1])
 
 
 def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
@@ -81,42 +84,31 @@ def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     arrows, and the closed sets form the union-closure of these.
     Sorted by (size, sorted vertex ids).
     """
-    return list(_supports_cached(tiling, frozenset(arrows)))
+    chosen = set(arrows)
+    bit = {v: 1 << i for i, v in enumerate(tiling.vertices)}
+    succ = {v: [] for v in tiling.vertices}
+    for a in tiling.arrows:
+        if a.arrow_id not in chosen:
+            succ[a.source].append(a.target)
 
-
-@functools.lru_cache(maxsize=None)
-def _supports_cached(tiling: QuiverOnTorus, arrows: frozenset) -> tuple:
-    outside = [a for a in tiling.arrows if a.arrow_id not in set(arrows)]
-    succ = {v: set() for v in tiling.vertices}
-    for a in outside:
-        succ[a.source].add(a.target)
-
-    def closure(v) -> frozenset:
-        seen = {v}
+    generators = set()
+    for v in tiling.vertices:
+        mask = bit[v]
         stack = [v]
         while stack:
             for w in succ[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+                if not mask & bit[w]:
+                    mask |= bit[w]
                     stack.append(w)
-        return frozenset(seen)
+        generators.add(mask)
+    closed = {0}
+    for g in generators:
+        closed |= {c | g for c in closed}
 
-    generators = {closure(v) for v in tiling.vertices}
-    closed = set(generators)
-    frontier = set(generators)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for g in generators:
-                u = s | g
-                if u not in closed:
-                    closed.add(u)
-                    fresh.add(u)
-        frontier = fresh
-
-    full = frozenset(tiling.vertices)
-    out = [s for s in closed if s and s != full]
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    full = (1 << len(tiling.vertices)) - 1
+    out = [frozenset(v for v in tiling.vertices if mask & bit[v])
+           for mask in closed if mask and mask != full]
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
@@ -150,10 +142,6 @@ class StableSubset:
     arrows: frozenset
     matching_ids: tuple
     dim: int
-
-
-def _id_num(mid: str) -> int:
-    return int(mid.lstrip("m"))
 
 
 def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
@@ -192,7 +180,7 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     for arrows in by_arrows:
         contained = tuple(sorted(
             (m.matching_id for m in matchings if m.arrows <= arrows),
-            key=_id_num))
+            key=matching_id_key))
         subsets.append(StableSubset(arrows=arrows, matching_ids=contained,
                                     dim=len(contained)))
     return sorted(subsets, key=lambda s: (s.dim, s.matching_ids))
@@ -241,13 +229,14 @@ class Chamber:
 
 
 def _sign_vector(tiling: QuiverOnTorus, theta: Sequence) -> tuple:
-    by_vertex = dict(zip(tiling.vertices, theta))
+    vertices = tiling.vertices
+    sums = _subset_sums(theta)
     out = []
-    for s in sorted(_proper_subsets(tiling.vertices),
-                    key=lambda s: (len(s), sorted(s))):
-        total = sum(by_vertex[v] for v in s)
-        out.append((tuple(sorted(s)), 1 if total > 0 else -1))
-    return tuple(out)
+    for mask in range(1, len(sums) - 1):
+        subset = tuple(sorted(v for i, v in enumerate(vertices)
+                              if mask >> i & 1))
+        out.append((subset, 1 if sums[mask] > 0 else -1))
+    return tuple(sorted(out, key=lambda entry: (len(entry[0]), entry[0])))
 
 
 def chamber_decomposition(tiling: QuiverOnTorus,

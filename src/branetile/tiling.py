@@ -56,12 +56,6 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.arrow_id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
     @property
     def arrow_map(self) -> dict:
         return {a.arrow_id: a for a in self.arrows}

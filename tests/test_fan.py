@@ -255,7 +255,7 @@ def test_git_equivalence_classes_are_frozen(name, tilings,
     assert classes == EXPECTED_GIT_CLASSES[name]
 
 
-@pytest.mark.parametrize("name", ("conifold", "spp"))
+@pytest.mark.parametrize("name", ("conifold", "spp", "z2z2"))
 def test_chambers_in_one_class_have_equal_fans(name, tilings,
                                                matchings_by_name,
                                                chambers_by_name):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import branetile as bt
-from branetile import rational
+from branetile import polyhedra, rational
 
-from conftest import QUIVER_FIXTURES, orbifold_text
+from conftest import QUIVER_FIXTURES, fixture_text, orbifold_text
 
 UNIT_SQUARE_INEQS = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
 
@@ -296,3 +298,68 @@ def test_five_vertex_orbifold_fan_routes_agree():
     quotient = bt.quotient_fan(tower, shifted, ray_labels=labels)
     assert bt.fans_equal(quotient, direct)
     assert sum(1 for c in direct.cones if c.dim == 3) == 5
+
+
+# ---------------------------------------------------------------------------
+# what the slice computations keep and repeat
+# ---------------------------------------------------------------------------
+
+def path_weights(tiling, tower) -> list:
+    return [bt.tilting.weak_path_weight(tower, path)
+            for path in bt.default_paths(tiling).values()]
+
+
+def run_every_route(n: int, m: int) -> tuple:
+    """Moduli fan, fan classes, quotient fan and descent on one
+    orbifold; returns weak references to its tiling and tower."""
+    tiling = bt.load_document(orbifold_text(n, m))
+    tower = bt.build_lattice_tower(tiling)
+    matchings = bt.enumerate_perfect_matchings(tiling, tower)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    bt.git_equivalence_classes(tiling, chambers, matchings)
+    theta = chambers[0].representative
+    direct = bt.moduli_fan(tiling, theta, matchings)
+    labels = {ray.vector: ray.ray_id for ray in direct.rays}
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    slice_poly = bt.kernel_polytope(tower, shifted)
+    assert bt.fans_equal(
+        bt.quotient_fan(tower, shifted, slice_poly, labels), direct)
+    for weight in path_weights(tiling, tower):
+        bt.descend_linear_functional(tower, shifted, weight, slice_poly,
+                                     labels)
+    return weakref.ref(tiling), weakref.ref(tower)
+
+
+def test_nothing_keeps_a_tiling_once_the_next_slice_is_processed():
+    tiling_ref, tower_ref = run_every_route(1, 3)
+    run_every_route(1, 2)
+    gc.collect()
+    assert tiling_ref() is None
+    assert tower_ref() is None
+
+
+def test_one_slice_is_validated_once(monkeypatch):
+    # a fresh tower, so no earlier test's slice can answer for this one
+    tiling = bt.load_document(fixture_text("z2z2"))
+    tower = bt.build_lattice_tower(tiling)
+    theta = bt.chamber_decomposition(
+        tiling, bt.enumerate_perfect_matchings(tiling, tower))[0].representative
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    slice_poly = bt.kernel_polytope(tower, shifted)
+    weights = path_weights(tiling, tower)
+    assert len(weights) == 4
+
+    calls = []
+    real = polyhedra.validate_fan
+
+    def counting(fan):
+        calls.append(fan)
+        return real(fan)
+
+    monkeypatch.setattr(polyhedra, "validate_fan", counting)
+    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    for weight in weights:
+        support = bt.descend_linear_functional(tower, shifted, weight,
+                                               slice_poly)
+        assert support.fan == fan
+    assert len(calls) == 1

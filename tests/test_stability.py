@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 import branetile as bt
 from branetile import rational
 
-from conftest import QUIVER_FIXTURES
+from conftest import QUIVER_FIXTURES, orbifold_text
 
 EXPECTED_CHAMBERS = {"honeycomb": 1, "conifold": 2, "spp": 6, "z2z2": 32}
 
@@ -158,6 +160,61 @@ def test_stability_rejects_wall_parameters(spp, matchings_by_name):
 def test_stability_rejects_wrong_parameter_length(spp):
     with pytest.raises(ValueError):
         bt.is_theta_stable(spp, frozenset(), (1, -1))
+
+
+@functools.cache
+def cyclic_orbifold(n: int) -> tuple:
+    """C^3/Z_n with its chambers up to 4 vertices (5 and 6 vertices
+    have 370 and 11 292)."""
+    tiling = bt.load_document(orbifold_text(1, n))
+    if n > 4:
+        return tiling, None
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    return tiling, bt.chamber_decomposition(tiling, matchings)
+
+
+def brute_force_signs(vertices, theta) -> tuple:
+    """Sign of the sum over every proper nonempty vertex subset, ordered
+    by (size, sorted ids); zero on a wall."""
+    by_vertex = dict(zip(vertices, theta))
+    signs = []
+    for r in range(1, len(vertices)):
+        for combo in itertools.combinations(vertices, r):
+            total = sum(by_vertex[v] for v in combo)
+            signs.append((tuple(sorted(combo)),
+                          (total > 0) - (total < 0)))
+    return tuple(sorted(signs, key=lambda entry: (len(entry[0]), entry[0])))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(data=st.data())
+def test_subset_sums_agree_with_brute_force_on_cyclic_orbifolds(n, data):
+    # small entries put many parameters on walls
+    bound = data.draw(st.sampled_from((2, 5, 40)))
+    head = data.draw(st.lists(st.integers(-bound, bound),
+                              min_size=n - 1, max_size=n - 1))
+    theta = tuple(head) + (-sum(head),)
+    tiling, chambers = cyclic_orbifold(n)
+    signs = brute_force_signs(tiling.vertices, theta)
+    generic = all(sign for _, sign in signs)
+    assert bt.is_generic(tiling, theta) == generic
+
+    arrows = data.draw(st.frozensets(
+        st.sampled_from([a.arrow_id for a in tiling.arrows])))
+    if not generic:
+        with pytest.raises(bt.DegenerateInputError):
+            bt.is_theta_stable(tiling, arrows, theta)
+        if chambers is not None:
+            with pytest.raises(bt.DegenerateInputError):
+                bt.find_chamber(tiling, chambers, theta)
+        return
+    positive = {s for s, sign in signs if sign > 0}
+    assert bt.is_theta_stable(tiling, arrows, theta) == all(
+        tuple(sorted(s)) in positive
+        for s in brute_force_supports(tiling, arrows))
+    if chambers is not None:
+        chamber = bt.find_chamber(tiling, chambers, theta)
+        assert chamber.sign_vector == signs
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
