@@ -139,7 +139,7 @@ def _cone_faces(vectors_by_id: dict) -> set:
     facets = []
     for d in drays:
         facets.append(frozenset(
-            i for i in ids if rational.fdot(d, vectors_by_id[i]) == 0))
+            i for i in ids if lattice.dot(d, vectors_by_id[i]) == 0))
     faces = {frozenset(ids)}
     frontier = {frozenset(ids)}
     while frontier:

@@ -43,33 +43,26 @@ def zeros(nrows: int, ncols: int) -> Matrix:
     return [[0] * ncols for _ in range(nrows)]
 
 
-def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> list[int]:
-    """Row vector times matrix."""
-    return [sum(x * y for x, y in zip(v, col)) for col in zip(*a)]
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    bt = list(zip(*b))
+    return [[dot(row, col) for col in bt] for row in a]
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [dot(row, v) for row in a]
+
+
+def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> list[int]:
+    """Row vector times matrix."""
+    return [dot(v, col) for col in zip(*a)]
+
+
 def vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

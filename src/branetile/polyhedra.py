@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 from math import ceil, floor
 from typing import Sequence
@@ -54,17 +55,25 @@ class Polyhedron:
     def dim(self) -> int:
         if self.is_empty:
             return -1
-        v0 = self.vertices[0]
-        spanning = [tuple(Fraction(a) - Fraction(b) for a, b in zip(v, v0))
-                    for v in self.vertices[1:]]
-        spanning += [rational.fvec(r) for r in self.rays]
-        spanning += [rational.fvec(l) for l in self.lineality]
-        return rational.frank(spanning, self.ambient_dim)
+        return _affine_rank(self, range(len(self.vertices)),
+                            range(len(self.rays)))
 
     def contains(self, point: Sequence) -> bool:
-        p = rational.fvec(point)
-        return (all(rational.fdot(a, p) >= b for a, b in self.inequalities)
-                and all(rational.fdot(a, p) == b for a, b in self.equalities))
+        return (all(lattice.dot(a, point) >= b for a, b in self.inequalities)
+                and all(lattice.dot(a, point) == b
+                        for a, b in self.equalities))
+
+
+def _affine_rank(poly: Polyhedron, vertex_ids: Sequence,
+                 ray_ids: Sequence) -> int:
+    """Dimension of the hull of some vertices, plus the cone of some
+    rays and the lineality space."""
+    v0 = poly.vertices[vertex_ids[0]]
+    spanning = [tuple(a - b for a, b in zip(poly.vertices[i], v0))
+                for i in vertex_ids[1:]]
+    spanning += [poly.rays[j] for j in ray_ids]
+    spanning += poly.lineality
+    return rational.frank(spanning, poly.ambient_dim)
 
 
 def polyhedron_from_inequalities(inequalities: Sequence, ambient_dim: int,
@@ -78,17 +87,17 @@ def polyhedron_from_inequalities(inequalities: Sequence, ambient_dim: int,
     ineqs = tuple((tuple(a), Fraction(b)) for a, b in inequalities)
     eqs = tuple((tuple(a), Fraction(b)) for a, b in equalities)
 
-    rows = [(-b,) + rational.fvec(a) for a, b in ineqs if any(a) or b != 0]
-    rows.append((Fraction(1),) + (Fraction(0),) * ambient_dim)
+    rows = [(-b,) + a for a, b in ineqs if any(a) or b != 0]
+    rows.append((1,) + (0,) * ambient_dim)
     for a, b in eqs:
-        row = (-b,) + rational.fvec(a)
+        row = (-b,) + a
         rows.append(row)
         rows.append(tuple(-x for x in row))
     # Unsatisfiable constant constraints (0 >= b with b > 0) poison the
     # homogenization unless handled: they force t <= 0.
     for a, b in ineqs:
         if not any(a) and b > 0:
-            rows.append((Fraction(-1),) + (Fraction(0),) * ambient_dim)
+            rows.append((-1,) + (0,) * ambient_dim)
             break
 
     krays, klin = rational.dual_cone(rows, ambient_dim + 1)
@@ -128,10 +137,10 @@ def polyhedron_from_generators(vertices: Sequence, ambient_dim: int,
     if not vertices:
         return Polyhedron(ambient_dim=ambient_dim, vertices=(), rays=(),
                           lineality=(), inequalities=(), equalities=())
-    gens = [(Fraction(1),) + rational.fvec(v) for v in vertices]
-    gens += [(Fraction(0),) + rational.fvec(r) for r in rays]
+    gens = [(1,) + tuple(v) for v in vertices]
+    gens += [(0,) + tuple(r) for r in rays]
     for l in lineality:
-        row = (Fraction(0),) + rational.fvec(l)
+        row = (0,) + tuple(l)
         gens.append(row)
         gens.append(tuple(-x for x in row))
     # the dual rays are primitive, so the constraints need no rescaling
@@ -171,11 +180,9 @@ def enumerate_faces(poly: Polyhedron) -> list:
     ray_inc = []
     for a, b in poly.inequalities:
         vert_inc.append(frozenset(
-            i for i, v in enumerate(poly.vertices)
-            if rational.fdot(a, v) == b))
+            i for i, v in enumerate(poly.vertices) if lattice.dot(a, v) == b))
         ray_inc.append(frozenset(
-            j for j, r in enumerate(poly.rays)
-            if rational.fdot(a, r) == 0))
+            j for j, r in enumerate(poly.rays) if lattice.dot(a, r) == 0))
 
     full = (frozenset(range(nv)), frozenset(range(nr)))
     closed = {full}
@@ -195,15 +202,9 @@ def enumerate_faces(poly: Polyhedron) -> list:
         active = tuple(sorted(
             i for i in range(len(poly.inequalities))
             if vs <= vert_inc[i] and rs <= ray_inc[i]))
-        v0 = poly.vertices[sorted(vs)[0]]
-        spanning = [tuple(Fraction(a) - Fraction(b)
-                          for a, b in zip(poly.vertices[i], v0))
-                    for i in sorted(vs)[1:]]
-        spanning += [rational.fvec(poly.rays[j]) for j in sorted(rs)]
-        spanning += [rational.fvec(l) for l in poly.lineality]
-        dim = rational.frank(spanning, poly.ambient_dim)
-        faces.append(PolyFace(active=active, vertex_ids=tuple(sorted(vs)),
-                              ray_ids=tuple(sorted(rs)), dim=dim))
+        vids, rids = tuple(sorted(vs)), tuple(sorted(rs))
+        faces.append(PolyFace(active=active, vertex_ids=vids, ray_ids=rids,
+                              dim=_affine_rank(poly, vids, rids)))
     return sorted(faces, key=lambda f: (f.dim, f.active))
 
 
@@ -223,14 +224,10 @@ def normal_cone_generators(poly: Polyhedron, face: PolyFace) -> tuple:
 def relint_point(poly: Polyhedron, face: PolyFace) -> tuple:
     """A relative-interior point: the vertex average plus the ray sum."""
     n = len(face.vertex_ids)
-    coords = []
-    for i in range(poly.ambient_dim):
-        total = sum((Fraction(poly.vertices[v][i]) for v in face.vertex_ids),
-                    start=Fraction(0)) / n
-        total += sum((Fraction(poly.rays[j][i]) for j in face.ray_ids),
-                     start=Fraction(0))
-        coords.append(total)
-    return tuple(coords)
+    return tuple(
+        sum((poly.vertices[v][i] for v in face.vertex_ids), Fraction(0)) / n
+        + sum(poly.rays[j][i] for j in face.ray_ids)
+        for i in range(poly.ambient_dim))
 
 
 def integer_points(poly: Polyhedron) -> list:
@@ -239,22 +236,9 @@ def integer_points(poly: Polyhedron) -> list:
         raise ValueError("polyhedron is unbounded")
     if poly.is_empty:
         return []
-    lo = [min(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    hi = [max(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]
-
-    points = []
-
-    def walk(i: int, partial: tuple) -> None:
-        if i == poly.ambient_dim:
-            if poly.contains(partial):
-                points.append(partial)
-            return
-        for x in ranges[i]:
-            walk(i + 1, partial + (x,))
-
-    walk(0, ())
-    return points
+    ranges = [range(ceil(min(c)), floor(max(c)) + 1)
+              for c in zip(*poly.vertices)]
+    return [p for p in itertools.product(*ranges) if poly.contains(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +289,7 @@ def shift_by_stability(tower, theta: Sequence) -> tuple:
         tuple(Fraction(c) + s for c, s in zip(v, shift))
         for v in cone.vertices)
     inequalities = tuple(
-        (a, b + rational.fdot(a, shift)) for a, b in cone.inequalities)
+        (a, b + lattice.dot(a, shift)) for a, b in cone.inequalities)
     shifted = Polyhedron(
         ambient_dim=cone.ambient_dim, vertices=vertices, rays=cone.rays,
         lineality=cone.lineality, inequalities=inequalities,

@@ -14,23 +14,18 @@ dual of the dual.
 The feasibility routine decides homogeneous systems of *strict*
 inequalities (optionally restricted to a rational subspace) by
 Fourier–Motzkin elimination and, when feasible, returns an explicit
-interior witness by back-substitution.
+interior witness by back-substitution.  Rows are primitive integer
+tuples throughout; Fractions appear only in rational points, such as
+the witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-def fvec(v: Iterable) -> tuple:
-    return tuple(Fraction(x) for x in v)
-
-
-def fdot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)),
-               start=Fraction(0))
+from .lattice import dot
 
 
 def integerize(v: Sequence) -> tuple:
@@ -172,7 +167,7 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
     rays = []  # (vector, zero-set bitmask)
     for i in start:
         y = _kernel_ray([cleaned[j] for j in start if j != i] + lineality, dim)
-        if sum(a * b for a, b in zip(cleaned[i], y)) < 0:
+        if dot(cleaned[i], y) < 0:
             y = [-x for x in y]
         rays.append((integerize(y),
                      sum(1 << j for j in start if j != i)))
@@ -184,7 +179,7 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
         bit = 1 << i
         pos, neg, kept = [], [], []
         for vec, zs in rays:
-            s = sum(a * b for a, b in zip(h, vec))
+            s = dot(h, vec)
             if s > 0:
                 pos.append((vec, zs, s))
                 kept.append((vec, zs))
@@ -227,28 +222,32 @@ def extreme_rays(gens: Sequence, dim: int) -> tuple:
 def _fm_strict(rows: list, nvars: int):
     """Interior point of ``{x : r . x > 0 for all r}``, or None.
 
-    Eliminates the last variable, recurses, then back-substitutes the
-    midpoint (or a unit offset) of the surviving bounds.
+    The rows are integer, and so is the point: it is returned as its
+    numerators over one positive common denominator.  Eliminates the
+    last variable, keeping every combined row primitive and each row
+    once, recurses, then back-substitutes the midpoint (or a unit
+    offset) of the surviving bounds.  Each bound is unchanged by a
+    positive scaling of its row, so the point is too.
     """
     if any(not any(row) for row in rows):
         return None  # a zero row means 0 > 0
     if nvars == 0:
-        return ()
+        return (), 1
     pos = [row for row in rows if row[-1] > 0]
     neg = [row for row in rows if row[-1] < 0]
-    zero = [row[:-1] for row in rows if row[-1] == 0]
-    reduced = list(zero)
+    reduced = [row[:-1] for row in rows if row[-1] == 0]
     for p in pos:
         for n in neg:
             combined = [p[-1] * gn - n[-1] * gp
                         for gp, gn in zip(p[:-1], n[:-1])]
-            reduced.append(tuple(integerize(combined)) if any(combined)
+            reduced.append(integerize(combined) if any(combined)
                            else tuple(combined))
-    inner = _fm_strict(reduced, nvars - 1)
+    inner = _fm_strict(list(dict.fromkeys(reduced)), nvars - 1)
     if inner is None:
         return None
-    lows = [-fdot(row[:-1], inner) / row[-1] for row in pos]
-    highs = [-fdot(row[:-1], inner) / row[-1] for row in neg]
+    nums, den = inner
+    lows = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in pos]
+    highs = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in neg]
     if lows and highs:
         t = (max(lows) + min(highs)) / 2
     elif lows:
@@ -257,30 +256,33 @@ def _fm_strict(rows: list, nvars: int):
         t = min(highs) - 1
     else:
         t = Fraction(0)
-    return inner + (t,)
+    common = lcm(den, t.denominator)
+    return (tuple(x * (common // den) for x in nums)
+            + (t.numerator * (common // t.denominator),)), common
 
 
 def strict_feasible_point(strict: Sequence, eqs: Sequence, nvars: int):
     """Witness of ``{x : s . x > 0, e . x == 0}`` or None.
 
-    The input rows are integer or rational; the witness is rational.
+    The input rows are integer or rational; each nonzero one is made a
+    primitive integer row once, which changes neither the set nor the
+    witness, and with equalities the rows are projected onto the
+    integer nullspace basis.  The witness is a tuple of Fractions.
     With no strict rows the zero vector is returned (it satisfies the
     equalities vacuously).
     """
-    strict = [fvec(r) for r in strict]
-    eqs = [fvec(r) for r in eqs]
+    strict = [integerize(r) if any(r) else tuple(r) for r in strict]
     if not strict:
         return tuple(Fraction(0) for _ in range(nvars))
-    if eqs:
-        basis = nullspace(eqs, nvars)
-        if not basis:
-            return None  # x = 0 satisfies no strict inequality
-        projected = [tuple(fdot(row, b) for b in basis) for row in strict]
-        y = _fm_strict(projected, len(basis))
-        if y is None:
-            return None
-        return tuple(
-            sum((c * b[i] for c, b in zip(y, basis)), start=Fraction(0))
-            for i in range(nvars)
-        )
-    return _fm_strict(strict, nvars)
+    if not eqs:
+        found = _fm_strict(strict, nvars)
+        return found and tuple(Fraction(x, found[1]) for x in found[0])
+    basis = nullspace(eqs, nvars)
+    if not basis:
+        return None  # x = 0 satisfies no strict inequality
+    found = _fm_strict(
+        [tuple(dot(row, b) for b in basis) for row in strict], len(basis))
+    if found is None:
+        return None
+    nums, den = found
+    return tuple(Fraction(dot(nums, column), den) for column in zip(*basis))

@@ -10,10 +10,11 @@ sets, every matching contained in a stable union is itself stable.
 Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
 the complement are enumerated here by recursive sign splitting with an
-exact Fourier–Motzkin feasibility check.  Genericity and the sign
-vector of a chamber both read one table of the parameter's sums over
-all vertex subsets, indexed by bitmask; supports are closed as
-bitmasks too.  Nothing is cached between calls.
+exact Fourier–Motzkin feasibility check, whose last witness is the
+chamber's representative.  Genericity, the stability of arrow sets and
+the sign vector of a chamber all read one table of the parameter's
+sums over all vertex subsets, indexed by bitmask; supports are closed
+as bitmasks too.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 from typing import Iterable, Sequence
 
 from . import rational
-from .errors import ConsistencyError, DegenerateInputError
+from .errors import DegenerateInputError
 from .matchings import matching_id_key
 from .tiling import QuiverOnTorus
 
@@ -75,40 +76,54 @@ def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
     return True
 
 
+def _support_masks(tiling: QuiverOnTorus):
+    """A function from an arrow set to the bitmasks (bit i is vertex i)
+    of its supports.  These are the unions of reachability closures:
+    each vertex generates the set of vertices reachable from it along
+    the arrows outside the set, and the supports are the proper
+    nonempty members of the union-closure of these."""
+    n = len(tiling.vertices)
+    index = {v: i for i, v in enumerate(tiling.vertices)}
+    edges = [(a.arrow_id, index[a.source], index[a.target])
+             for a in tiling.arrows]
+
+    def masks(arrows: Iterable) -> set:
+        chosen = set(arrows)
+        succ = [[] for _ in range(n)]
+        for aid, source, target in edges:
+            if aid not in chosen:
+                succ[source].append(target)
+        generators = set()
+        for v in range(n):
+            mask = 1 << v
+            stack = [v]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if not mask >> w & 1:
+                        mask |= 1 << w
+                        stack.append(w)
+            generators.add(mask)
+        closed = {0}
+        for g in generators:
+            closed |= {c | g for c in closed}
+        return closed - {0, (1 << n) - 1}
+
+    return masks
+
+
 def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     """Proper nonempty vertex subsets closed under the arrows *outside*
-    the given arrow set.
-
-    These are exactly the unions of reachability closures: each vertex
-    generates the set of vertices reachable from it along outside
-    arrows, and the closed sets form the union-closure of these.
-    Sorted by (size, sorted vertex ids).
-    """
-    chosen = set(arrows)
-    bit = {v: 1 << i for i, v in enumerate(tiling.vertices)}
-    succ = {v: [] for v in tiling.vertices}
-    for a in tiling.arrows:
-        if a.arrow_id not in chosen:
-            succ[a.source].append(a.target)
-
-    generators = set()
-    for v in tiling.vertices:
-        mask = bit[v]
-        stack = [v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if not mask & bit[w]:
-                    mask |= bit[w]
-                    stack.append(w)
-        generators.add(mask)
-    closed = {0}
-    for g in generators:
-        closed |= {c | g for c in closed}
-
-    full = (1 << len(tiling.vertices)) - 1
-    out = [frozenset(v for v in tiling.vertices if mask & bit[v])
-           for mask in closed if mask and mask != full]
+    the given arrow set, sorted by (size, sorted vertex ids)."""
+    out = [frozenset(v for i, v in enumerate(tiling.vertices) if mask >> i & 1)
+           for mask in _support_masks(tiling)(arrows)]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> None:
+    if not is_generic(tiling, theta):
+        raise DegenerateInputError(
+            "stability parameter lies on a wall (some proper vertex "
+            "subset sums to zero)")
 
 
 def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
@@ -118,12 +133,19 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
     Raises DegenerateInputError when the parameter lies on a wall.
     """
     by_vertex = _theta_check(tiling, theta)
-    if not is_generic(tiling, theta):
-        raise DegenerateInputError(
-            "stability parameter lies on a wall (some proper vertex "
-            "subset sums to zero)")
+    _require_generic(tiling, theta)
     return all(sum(by_vertex[v] for v in s) > 0
                for s in submodule_supports(tiling, arrows))
+
+
+def _stability_test(tiling: QuiverOnTorus, theta: Sequence):
+    """:func:`is_theta_stable` at one parameter, as a function of the
+    arrow set: the parameter is checked and its subset-sum table built
+    once, and each support mask is looked up in the table."""
+    _require_generic(tiling, theta)
+    sums = _subset_sums(list(_theta_check(tiling, theta).values()))
+    supports = _support_masks(tiling)
+    return lambda arrows: all(sums[mask] > 0 for mask in supports(arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +173,11 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
 
     Monotonicity of supports under inclusion means nothing is missed by
     only ever uniting stable matchings (and only extending stable
-    pairs).  Deduplication is by arrow set.
+    pairs).  Deduplication is by arrow set.  The parameter is checked
+    when there is a matching to test, as :func:`is_theta_stable` would.
     """
-    stable = [m for m in matchings
-              if is_theta_stable(tiling, m.arrows, theta)]
+    is_stable = _stability_test(tiling, theta) if matchings else None
+    stable = [m for m in matchings if is_stable(m.arrows)]
     by_arrows: dict = {frozenset(): ()}
     for m in stable:
         by_arrows.setdefault(m.arrows, None)
@@ -165,7 +188,7 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
             union = m1.arrows | m2.arrows
             if union in by_arrows:
                 continue
-            if is_theta_stable(tiling, union, theta):
+            if is_stable(union):
                 by_arrows.setdefault(union, None)
                 pairs.append(union)
     for union in pairs:
@@ -173,7 +196,7 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
             bigger = union | m3.arrows
             if bigger in by_arrows:
                 continue
-            if is_theta_stable(tiling, bigger, theta):
+            if is_stable(bigger):
                 by_arrows.setdefault(bigger, None)
 
     subsets = []
@@ -263,32 +286,22 @@ def chamber_decomposition(tiling: QuiverOnTorus,
         (tuple(i for i in range(t) if mask >> i & 1)
          for mask in range(1, 1 << t)),
         key=lambda s: (len(s), s))
-    functionals = []
-    for subset in reps:
-        row = [0] * t
-        for i in subset:
-            row[i] = 1
-        functionals.append(tuple(row))
+    functionals = [tuple(int(i in s) for i in range(t)) for s in reps]
 
     chambers = []
 
-    def descend(idx: int, constraints: list) -> None:
+    def descend(idx: int, constraints: list, point: tuple) -> None:
         if idx == len(functionals):
-            point = rational.strict_feasible_point(constraints, [], t)
-            if point is None:
-                raise ConsistencyError(
-                    "a feasible sign pattern has no interior point")
-            theta = rational.integerize(
-                [-sum(point)] + list(point))
-            chambers.append(theta)
+            chambers.append(rational.integerize([-sum(point)] + list(point)))
             return
         for sign in (1, -1):
             row = tuple(sign * c for c in functionals[idx])
             cs = constraints + [row]
-            if rational.strict_feasible_point(cs, [], t) is not None:
-                descend(idx + 1, cs)
+            witness = rational.strict_feasible_point(cs, [], t)
+            if witness is not None:
+                descend(idx + 1, cs, witness)
 
-    descend(0, [])
+    descend(0, [], ())
 
     out = []
     for i, theta in enumerate(chambers):
@@ -302,11 +315,7 @@ def chamber_decomposition(tiling: QuiverOnTorus,
 def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
     """The chamber containing a generic parameter."""
-    _theta_check(tiling, theta)
-    if not is_generic(tiling, theta):
-        raise DegenerateInputError(
-            "stability parameter lies on a wall (some proper vertex "
-            "subset sums to zero)")
+    _require_generic(tiling, theta)
     signs = _sign_vector(tiling, theta)
     for chamber in chambers:
         if chamber.sign_vector == signs:

@@ -19,6 +19,7 @@ read against it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import Iterable, Sequence
 
@@ -56,14 +57,22 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    @property
+    # Indexes built on first use; equality still compares the fields.
+    @functools.cached_property
     def arrow_map(self) -> dict:
         return {a.arrow_id: a for a in self.arrows}
 
+    @functools.cached_property
+    def _faces_by_arrow(self) -> dict:
+        index: dict = {}  # arrow id -> (positive faces, negative faces)
+        for f in self.faces:
+            for aid in set(f.arrows):
+                index.setdefault(aid, ([], []))[f.sign == -1].append(f)
+        return index
+
     def faces_of(self, arrow_id: str) -> tuple:
         """The faces containing an arrow, positive face first."""
-        plus = [f for f in self.faces if f.sign == 1 and arrow_id in f.arrows]
-        minus = [f for f in self.faces if f.sign == -1 and arrow_id in f.arrows]
+        plus, minus = self._faces_by_arrow.get(arrow_id, ((), ()))
         if len(plus) != 1 or len(minus) != 1:
             raise ConsistencyError(
                 f"arrow {arrow_id!r} is not in exactly one face of each sign")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import branetile as bt
-from branetile import polyhedra, rational
+from branetile import lattice, polyhedra, rational
 
 from conftest import QUIVER_FIXTURES, fixture_text, orbifold_text
 
@@ -113,8 +113,7 @@ def test_square_face_lattice():
         assert poly.contains(point)
         # an edge midpoint activates exactly its one inequality
         active = [i for i, (a, b) in enumerate(poly.inequalities)
-                  if rational.fdot(rational.fvec(a),
-                                   rational.fvec(point)) == b]
+                  if lattice.dot(a, point) == b]
         assert tuple(active) == edge.active
 
 
@@ -224,10 +223,8 @@ def test_transversal_faces_have_matching_ranks(name, towers,
     stable = [f for f in lifted if f.stable]
     assert bt.m_stable_faces(tower, shifted, slice_poly) == stable
     for f in lifted:
-        ambient = [rational.fvec(shifted.inequalities[i][0])
-                   for i in f.active]
-        restricted = [rational.fvec(slice_poly.inequalities[i][0])
-                      for i in f.active]
+        ambient = [shifted.inequalities[i][0] for i in f.active]
+        restricted = [slice_poly.inequalities[i][0] for i in f.active]
         ra = rational.frank(ambient, tower.rank)
         rr = rational.frank(restricted, 3)
         assert f.stable == (ra == rr)

@@ -223,3 +223,151 @@ def test_extreme_rays_drop_interior_generators():
 def test_extreme_rays_report_lineality():
     _, lineality = rational.extreme_rays([(1, 0), (-1, 0), (0, 1)], 2)
     assert lineality == [(1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# strict feasibility: integer Fourier-Motzkin against the Fraction one
+# ---------------------------------------------------------------------------
+
+# Reference implementation: Fourier-Motzkin on Fraction rows, with the
+# Fraction vector and dot product it was written with.
+
+def fvec(v) -> tuple:
+    return tuple(Fraction(x) for x in v)
+
+
+def fdot(u, v) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)),
+               start=Fraction(0))
+
+
+def fraction_fm_strict(rows: list, nvars: int):
+    """Interior point of ``{x : r . x > 0 for all r}``, or None.
+
+    Eliminates the last variable, recurses, then back-substitutes the
+    midpoint (or a unit offset) of the surviving bounds.
+    """
+    if any(not any(row) for row in rows):
+        return None  # a zero row means 0 > 0
+    if nvars == 0:
+        return ()
+    pos = [row for row in rows if row[-1] > 0]
+    neg = [row for row in rows if row[-1] < 0]
+    zero = [row[:-1] for row in rows if row[-1] == 0]
+    reduced = list(zero)
+    for p in pos:
+        for n in neg:
+            combined = [p[-1] * gn - n[-1] * gp
+                        for gp, gn in zip(p[:-1], n[:-1])]
+            reduced.append(tuple(integerize(combined)) if any(combined)
+                           else tuple(combined))
+    inner = fraction_fm_strict(reduced, nvars - 1)
+    if inner is None:
+        return None
+    lows = [-fdot(row[:-1], inner) / row[-1] for row in pos]
+    highs = [-fdot(row[:-1], inner) / row[-1] for row in neg]
+    if lows and highs:
+        t = (max(lows) + min(highs)) / 2
+    elif lows:
+        t = max(lows) + 1
+    elif highs:
+        t = min(highs) - 1
+    else:
+        t = Fraction(0)
+    return inner + (t,)
+
+
+def fraction_strict_feasible_point(strict, eqs, nvars: int):
+    """Witness of ``{x : s . x > 0, e . x == 0}`` or None.
+
+    The input rows are integer or rational; the witness is rational.
+    With no strict rows the zero vector is returned (it satisfies the
+    equalities vacuously).
+    """
+    strict = [fvec(r) for r in strict]
+    eqs = [fvec(r) for r in eqs]
+    if not strict:
+        return tuple(Fraction(0) for _ in range(nvars))
+    if eqs:
+        basis = rational.nullspace(eqs, nvars)
+        if not basis:
+            return None  # x = 0 satisfies no strict inequality
+        projected = [tuple(fdot(row, b) for b in basis) for row in strict]
+        y = fraction_fm_strict(projected, len(basis))
+        if y is None:
+            return None
+        return tuple(
+            sum((c * b[i] for c, b in zip(y, basis)), start=Fraction(0))
+            for i in range(nvars)
+        )
+    return fraction_fm_strict(strict, nvars)
+
+
+@st.composite
+def strict_systems(draw):
+    """Small strict systems with zero, duplicate (and rescaled) and
+    Fraction rows, with and without equalities.  Half of them have
+    their strict rows turned towards a planted point, which makes
+    feasible systems common; the planted point satisfies the
+    equalities."""
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    row = st.tuples(*[entry] * nvars)
+    eqs = draw(st.lists(row, max_size=2))
+    strict = draw(st.lists(row, max_size=6))
+    if strict and draw(st.booleans()):
+        basis = rational.nullspace(eqs, nvars)
+        coeffs = draw(st.lists(entry, min_size=len(basis),
+                               max_size=len(basis)))
+        point = [sum(c * b[i] for c, b in zip(coeffs, basis))
+                 for i in range(nvars)]
+        strict = [r if sum(a * x for a, x in zip(r, point)) >= 0
+                  else tuple(-a for a in r) for r in strict]
+    extras = draw(st.lists(st.sampled_from(
+        ("zero", "duplicate", "fraction", "fraction equality")), max_size=3))
+    for kind in extras:
+        if kind == "zero":
+            strict.append((0,) * nvars)
+        elif kind == "fraction equality" and eqs:
+            eqs[0] = tuple(Fraction(a, 2) for a in eqs[0])
+        elif strict:
+            i = draw(st.integers(min_value=0, max_value=len(strict) - 1))
+            if kind == "duplicate":
+                strict.append(tuple(draw(st.sampled_from((1, 2))) * a
+                                    for a in strict[i]))
+            else:
+                strict[i] = tuple(Fraction(a, 3) for a in strict[i])
+    order = draw(st.permutations(range(len(strict))))
+    return [strict[i] for i in order], eqs, nvars
+
+
+@settings(max_examples=300)
+@given(strict_systems())
+def test_strict_feasible_point_matches_fraction_elimination(case):
+    strict, eqs, nvars = case
+    want = fraction_strict_feasible_point(strict, eqs, nvars)
+    got = rational.strict_feasible_point(strict, eqs, nvars)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got == want
+    assert all(type(x) in (int, Fraction) for x in got)
+    assert all(fdot(r, got) > 0 for r in strict)
+    assert all(fdot(e, got) == 0 for e in eqs)
+
+
+@pytest.mark.parametrize("strict, eqs", [
+    ([(Fraction(1, 2), 1, 0), (1, Fraction(-1, 3), 2), (0, 0, 1)], []),
+    ([(Fraction(1, 2), 1, 0), (-1, 1, 1)], [(Fraction(1, 3), 0, -1)]),
+    ([(1, 1, 1), (0, 0, 0)], []),
+])
+def test_fourier_motzkin_eliminates_integer_rows(monkeypatch, strict, eqs):
+    real = rational._fm_strict
+
+    def checked(rows, nvars):
+        assert all(type(x) is int for row in rows for x in row)
+        return real(rows, nvars)
+
+    monkeypatch.setattr(rational, "_fm_strict", checked)
+    got = rational.strict_feasible_point(strict, eqs, 3)
+    assert got == fraction_strict_feasible_point(strict, eqs, 3)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import branetile as bt
-from branetile import rational
 
 from conftest import QUIVER_FIXTURES, orbifold_text
 
@@ -252,6 +251,15 @@ def test_stable_subsets_match_a_direct_union_search(name, tilings,
     assert {s.arrows for s in subsets} == expected
 
 
+def test_stable_subsets_check_the_parameter_once_there_is_a_matching(
+        spp, matchings_by_name):
+    wall = (0, 1, -1)
+    with pytest.raises(bt.DegenerateInputError):
+        bt.enumerate_stable_subsets(spp, wall, matchings_by_name["spp"])
+    assert [s.arrows for s in bt.enumerate_stable_subsets(spp, wall, [])] \
+        == [frozenset()]
+
+
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
 def test_stable_subsets_record_their_member_matchings(name, tilings,
                                                       matchings_by_name):
@@ -337,22 +345,3 @@ def test_chamber_sign_of_matches_the_representative(spp, chambers_by_name):
         with pytest.raises(KeyError):
             chamber.sign_of(spp.vertices)  # not a proper subset
 
-
-def test_chamber_decomposition_raises_when_a_chamber_loses_its_witness(
-        monkeypatch, spp, matchings_by_name):
-    # every chamber's sign pattern is checked feasible once while it is
-    # being split; answering "infeasible" on the repeat for the witness
-    # breaks the invariant the decomposition relies on
-    real = rational.strict_feasible_point
-    seen = set()
-
-    def forgetful(strict, eqs, nvars):
-        key = tuple(map(tuple, strict))
-        if key in seen:
-            return None
-        seen.add(key)
-        return real(strict, eqs, nvars)
-
-    monkeypatch.setattr(rational, "strict_feasible_point", forgetful)
-    with pytest.raises(bt.ConsistencyError, match="no interior point"):
-        bt.chamber_decomposition(spp, matchings_by_name["spp"])
