@@ -56,11 +56,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [dot(row, v) for row in a]
 
 
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> list[int]:
-    """Row vector times matrix."""
-    return [dot(v, col) for col in zip(*a)]
-
-
 def vec_gcd(v: Iterable[int]) -> int:
     return gcd(*v)
 

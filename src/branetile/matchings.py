@@ -52,49 +52,94 @@ def matching_id_key(matching_id: str) -> tuple:
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     """All perfect matchings as frozensets of arrow ids.
 
-    Backtracks face by face; a face already met once is skipped, and an
-    arrow is only added when every face containing it is still unmet.
-    Sorted by the tuple of sorted arrow ids.
+    An exact-cover search over the faces, without recursion.  An arrow
+    that a face cycle passes more than once can never be chosen; every
+    other arrow covers the faces containing it.  The search keeps, per
+    face, how many arrows could still meet it, always branches on the
+    unmet face with the fewest, and backtracks as soon as an unmet face
+    has none left.  Sorted by the tuple of sorted arrow ids.
     """
-    faces = list(tiling.faces)
-    # count[j] = how many chosen arrows face j currently contains,
-    # with multiplicity.
-    mult = [
-        {aid: face.arrows.count(aid) for aid in set(face.arrows)}
-        for face in faces
-    ]
-    faces_of = {a.arrow_id: [] for a in tiling.arrows}
-    for j, face in enumerate(faces):
+    faces_of: dict = {}  # arrow id -> indices of the faces containing it
+    banned = set()
+    for j, face in enumerate(tiling.faces):
         for aid in set(face.arrows):
-            faces_of[aid].append(j)
+            if face.arrows.count(aid) > 1:
+                banned.add(aid)
+            faces_of.setdefault(aid, []).append(j)
+    names = sorted(set(faces_of) - banned)
+    covers = [faces_of[aid] for aid in names]
+    members = [[] for _ in tiling.faces]  # face -> usable arrow indices
+    for i, js in enumerate(covers):
+        for j in js:
+            members[j].append(i)
 
-    count = [0] * len(faces)
-    chosen: set = set()
+    allowed = [len(m) for m in members]  # arrows that could still meet j
+    free = [True] * len(names)
+    unmet = set(range(len(members)))
+    chosen: list = []
     found = []
 
-    def extend(j: int) -> None:
-        if j == len(faces):
-            found.append(frozenset(chosen))
-            return
-        if count[j] == 1:
-            extend(j + 1)
-            return
-        for aid in sorted(mult[j]):
-            if aid in chosen:
-                continue
-            hits = faces_of[aid]
-            if any(count[i] + mult[i][aid] > 1 for i in hits):
-                continue
-            chosen.add(aid)
-            for i in hits:
-                count[i] += mult[i][aid]
-            extend(j + 1)
-            chosen.discard(aid)
-            for i in hits:
-                count[i] -= mult[i][aid]
+    def choose(i: int) -> tuple:
+        """Meet the faces of arrow ``i``; returns what to undo."""
+        blocked = []
+        for j in covers[i]:
+            unmet.discard(j)
+            for other in members[j]:
+                if free[other]:
+                    free[other] = False
+                    blocked.append(other)
+                    for k in covers[other]:
+                        allowed[k] -= 1
+        chosen.append(i)
+        return covers[i], blocked
 
-    extend(0)
-    return sorted(set(found), key=lambda s: tuple(sorted(s)))
+    def undo(met: list, blocked: list) -> None:
+        chosen.pop()
+        for other in blocked:
+            free[other] = True
+            for k in covers[other]:
+                allowed[k] += 1
+        unmet.update(met)
+
+    def branch():
+        """The arrows to try next, or None at a leaf (recording it
+        when every face is met)."""
+        if not unmet:
+            found.append(frozenset(names[i] for i in chosen))
+            return None
+        j = min(unmet, key=allowed.__getitem__)
+        if not allowed[j]:
+            return None
+        return iter([i for i in members[j] if free[i]])
+
+    first = branch()
+    frames = [first] if first is not None else []
+    undos: list = []  # one per frame whose current arrow is chosen
+    while frames:
+        if len(undos) == len(frames):
+            undo(*undos.pop())
+        i = next(frames[-1], None)
+        if i is None:
+            frames.pop()
+            continue
+        undos.append(choose(i))
+        nxt = branch()
+        if nxt is not None:
+            frames.append(nxt)
+    return sorted(found, key=lambda s: tuple(sorted(s)))
+
+
+def _functional_table(tower: "lattice.LatticeTower") -> list:
+    """One row per ambient generator — the face-cycle symbol, then the
+    arrows in tower order.  A row holds the generator's ``section`` row,
+    its value on every arrow weight and on the face-cycle weight, and
+    its kernel coordinates, so by linearity the column sums over a
+    matching's generators are its functional and everything checked
+    about it."""
+    columns = ([tower.weights[aid] for aid in tower.arrow_ids]
+               + [tower.face_cycle_weight] + list(zip(*tower.kernel_basis)))
+    return [tuple(row) + tuple(lattice.dot(row, c) for c in columns)
+            for row in tower.section]
 
 
 def enumerate_perfect_matchings(tiling: QuiverOnTorus,
@@ -104,28 +149,28 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
     k = tower.rank
-    section = [list(row) for row in tower.section]
+    n_arrows = len(tower.arrow_ids)
+    position = {aid: i for i, aid in enumerate(tower.arrow_ids)}
+    cycle_row, *arrow_rows = _functional_table(tower)
     result = []
     for n, arrows in enumerate(matching_arrow_sets(tiling)):
-        ambient = [1] + [1 if aid in arrows else 0 for aid in tower.arrow_ids]
-        chi = tuple(lattice.vec_mat(ambient, section))
-        for aid in tower.arrow_ids:
-            expect = 1 if aid in arrows else 0
-            if lattice.dot(chi, tower.weights[aid]) != expect:
-                raise ConsistencyError(
-                    "matching functional disagrees with arrow weights")
-        if lattice.dot(chi, tower.face_cycle_weight) != 1:
+        at = [position[aid] for aid in arrows]
+        sums = tuple(map(sum, zip(cycle_row, *(arrow_rows[i] for i in at))))
+        indicator = [0] * n_arrows
+        for i in at:
+            indicator[i] = 1
+        if list(sums[k:k + n_arrows]) != indicator:
+            raise ConsistencyError(
+                "matching functional disagrees with arrow weights")
+        if sums[k + n_arrows] != 1:
             raise ConsistencyError(
                 "matching functional is not 1 on the face-cycle weight")
-        chi_kernel = tuple(
-            sum(chi[i] * tower.kernel_basis[i][j] for i in range(k))
-            for j in range(3)
-        )
+        chi_kernel = sums[k + n_arrows + 1:]
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")
         result.append(PerfectMatching(matching_id=f"m{n + 1}",
-                                      arrows=arrows, chi=chi,
+                                      arrows=arrows, chi=sums[:k],
                                       chi_kernel=chi_kernel))
     return result
 
@@ -239,10 +284,16 @@ def _edge_frame_form(pts: list, v0: tuple, v1: tuple) -> tuple:
 
 
 def _xgcd(x: int, y: int) -> tuple:
-    if y == 0:
-        return (abs(x), 1 if x > 0 else -1, 0)
-    g, a, b = _xgcd(y, x % y)
-    return (g, b, a - (x // y) * b)
+    """``(g, a, b)`` with ``a * x + b * y == g``, the gcd: Euclid's
+    quotients, then the coefficients unwound from the last step."""
+    quotients = []
+    while y:
+        quotients.append(x // y)
+        x, y = y, x % y
+    a, b = (1 if x > 0 else -1), 0
+    for q in reversed(quotients):
+        a, b = b, a - q * b
+    return (abs(x), a, b)
 
 
 def canonical_point_multiset(points: Iterable) -> tuple:

@@ -225,40 +225,47 @@ def _fm_strict(rows: list, nvars: int):
     The rows are integer, and so is the point: it is returned as its
     numerators over one positive common denominator.  Eliminates the
     last variable, keeping every combined row primitive and each row
-    once, recurses, then back-substitutes the midpoint (or a unit
-    offset) of the surviving bounds.  Each bound is unchanged by a
-    positive scaling of its row, so the point is too.
+    once, until no variable is left; then back-substitutes, variable by
+    variable, the midpoint (or a unit offset) of the surviving bounds.
+    Each bound is unchanged by a positive scaling of its row, so the
+    point is too.
     """
-    if any(not any(row) for row in rows):
-        return None  # a zero row means 0 > 0
-    if nvars == 0:
-        return (), 1
-    pos = [row for row in rows if row[-1] > 0]
-    neg = [row for row in rows if row[-1] < 0]
-    reduced = [row[:-1] for row in rows if row[-1] == 0]
-    for p in pos:
-        for n in neg:
-            combined = [p[-1] * gn - n[-1] * gp
-                        for gp, gn in zip(p[:-1], n[:-1])]
-            reduced.append(integerize(combined) if any(combined)
-                           else tuple(combined))
-    inner = _fm_strict(list(dict.fromkeys(reduced)), nvars - 1)
-    if inner is None:
-        return None
-    nums, den = inner
-    lows = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in pos]
-    highs = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in neg]
-    if lows and highs:
-        t = (max(lows) + min(highs)) / 2
-    elif lows:
-        t = max(lows) + 1
-    elif highs:
-        t = min(highs) - 1
-    else:
-        t = Fraction(0)
-    common = lcm(den, t.denominator)
-    return (tuple(x * (common // den) for x in nums)
-            + (t.numerator * (common // t.denominator),)), common
+    levels = []  # per eliminated variable: its lower and upper rows
+    while True:
+        if any(not any(row) for row in rows):
+            return None  # a zero row means 0 > 0
+        if nvars == 0:
+            break
+        pos = [row for row in rows if row[-1] > 0]
+        neg = [row for row in rows if row[-1] < 0]
+        reduced = [row[:-1] for row in rows if row[-1] == 0]
+        for p in pos:
+            for n in neg:
+                combined = [p[-1] * gn - n[-1] * gp
+                            for gp, gn in zip(p[:-1], n[:-1])]
+                reduced.append(integerize(combined) if any(combined)
+                               else tuple(combined))
+        levels.append((pos, neg))
+        rows = list(dict.fromkeys(reduced))
+        nvars -= 1
+
+    nums, den = (), 1
+    for pos, neg in reversed(levels):
+        lows = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in pos]
+        highs = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in neg]
+        if lows and highs:
+            t = (max(lows) + min(highs)) / 2
+        elif lows:
+            t = max(lows) + 1
+        elif highs:
+            t = min(highs) - 1
+        else:
+            t = Fraction(0)
+        common = lcm(den, t.denominator)
+        nums = (tuple(x * (common // den) for x in nums)
+                + (t.numerator * (common // t.denominator),))
+        den = common
+    return nums, den
 
 
 def strict_feasible_point(strict: Sequence, eqs: Sequence, nvars: int):

@@ -1,11 +1,12 @@
 """Stability of arrow subsets and the chamber decomposition.
 
-A stability parameter assigns an integer to each quiver vertex, summing
-to zero.  An arrow subset is stable when every *support* — a proper
-nonempty vertex subset closed under the arrows outside the given set —
-has strictly positive total parameter.  Stable subsets are unions of
-perfect matchings; since supports only grow along inclusions of arrow
-sets, every matching contained in a stable union is itself stable.
+A stability parameter assigns an integer or a Fraction to each quiver
+vertex, summing to zero; it is used exactly as given.  An arrow subset
+is stable when every *support* — a proper nonempty vertex subset
+closed under the arrows outside the given set — has strictly positive
+total parameter.  Stable subsets are unions of perfect matchings;
+since supports only grow along inclusions of arrow sets, every
+matching contained in a stable union is itself stable.
 
 Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
@@ -20,6 +21,7 @@ as bitmasks too.  Nothing is cached between calls.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Iterable, Sequence
 
 from . import rational
@@ -33,9 +35,12 @@ def _theta_check(tiling: QuiverOnTorus, theta: Sequence) -> dict:
         raise ValueError(
             f"stability parameter has {len(theta)} entries for "
             f"{len(tiling.vertices)} vertices")
+    if not all(isinstance(t, numbers.Rational) for t in theta):
+        raise ValueError("stability parameter entries must be integers "
+                         "or Fractions")
     if sum(theta) != 0:
         raise ValueError("stability parameter entries must sum to zero")
-    return {v: int(t) for v, t in zip(tiling.vertices, theta)}
+    return dict(zip(tiling.vertices, theta))
 
 
 def _subset_sums(values: Sequence) -> list:

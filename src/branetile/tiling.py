@@ -468,7 +468,16 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
 
     ``nondegenerate`` reports whether every arrow lies in at least one
     perfect matching; it is only computed when the structural rules all
-    pass.  A passing report certifies these axioms and nothing more.
+    pass, and without enumerating the matchings.  Each arrow is then one
+    edge between its positive and its negative face, and a perfect
+    matching is a perfect matching of that bipartite graph.  One is
+    found by augmenting paths; an arrow outside it lies in some perfect
+    matching iff its two faces are in the same strongly connected
+    component of the graph orienting matched arrows from the positive
+    to the negative face and all other arrows back (Dulmage and
+    Mendelsohn).  With no perfect matching at all, only a tiling
+    without arrows counts as nondegenerate.  A passing report certifies
+    these axioms and nothing more.
     """
     violations = []
     amap = {a.arrow_id: a for a in tiling.arrows}
@@ -525,15 +534,116 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
 
     nondegenerate = False
     if not violations and check_nondegeneracy:
-        from .matchings import matching_arrow_sets
-
-        covered = set()
-        for arrows in matching_arrow_sets(tiling):
-            covered |= arrows
-        nondegenerate = covered == set(amap)
+        nondegenerate = _nondegenerate(tiling)
 
     return ValidationReport(ok=not violations, violations=tuple(violations),
                             nondegenerate=nondegenerate)
+
+
+def _nondegenerate(tiling: QuiverOnTorus) -> bool:
+    """Whether every arrow lies in some perfect matching, for a tiling
+    in which every arrow lies in one positive and one negative face.
+
+    Nodes are the faces, positive ones first; each arrow is an edge
+    ``(positive face, negative face)``.
+    """
+    plus = [j for j, f in enumerate(tiling.faces) if f.sign == 1]
+    minus = [j for j, f in enumerate(tiling.faces) if f.sign == -1]
+    node = {j: n for n, j in enumerate(plus + minus)}
+    ends: dict = {}
+    for j, face in enumerate(tiling.faces):
+        for aid in face.arrows:
+            ends.setdefault(aid, [None, None])[face.sign == -1] = node[j]
+    edges = [(aid, u, v) for aid, (u, v) in ends.items()]
+
+    mate = _perfect_matching(len(plus), len(minus), edges)
+    if mate is None:
+        return not tiling.arrows
+    matched = set(mate)
+    succ = [[] for _ in node]
+    for aid, u, v in edges:
+        if aid in matched:
+            succ[u].append(v)
+        else:
+            succ[v].append(u)
+    component = _strong_components(succ)
+    return all(component[u] == component[v]
+               for aid, u, v in edges if aid not in matched)
+
+
+def _perfect_matching(n_left: int, n_right: int, edges: list):
+    """The edge ids of a perfect matching of a bipartite multigraph, or
+    None.  ``edges`` are ``(id, left node, right node)`` with left nodes
+    ``0 .. n_left - 1`` and right nodes after them.  Each left node is
+    matched in turn along an augmenting path, found by an iterative
+    depth-first search."""
+    if n_left != n_right:
+        return None
+    out = [[] for _ in range(n_left)]
+    for eid, u, v in edges:
+        out[u].append((eid, v))
+    mate: dict = {}  # right node -> (left node, edge id)
+    for root in range(n_left):
+        seen = set()
+        stack = [(root, iter(out[root]))]
+        path = []  # path[i]: the edge taken from stack[i]
+        while stack:
+            for eid, v in stack[-1][1]:
+                if v not in seen:
+                    seen.add(v)
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append((eid, v))
+            if v not in mate:
+                for (u, _), (e, w) in zip(stack, path):
+                    mate[w] = (u, e)
+                break
+            u = mate[v][0]
+            stack.append((u, iter(out[u])))
+        else:
+            return None
+    return [eid for _, eid in mate.values()]
+
+
+def _strong_components(succ: list) -> list:
+    """A component label per node of a directed graph given by its
+    successor lists, by Kosaraju's two passes, without recursion."""
+    order, seen = [], [False] * len(succ)
+    for root in range(len(succ)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    pred = [[] for _ in succ]
+    for u, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(u)
+    label = [-1] * len(succ)
+    for root in reversed(order):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if label[w] < 0:
+                    label[w] = root
+                    stack.append(w)
+    return label
 
 
 # ---------------------------------------------------------------------------

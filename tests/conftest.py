@@ -6,7 +6,10 @@ per session and shared between tests; tests must treat them as frozen.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,35 @@ def orbifold_text(n: int, m: int) -> str:
             f"y{cell(i, j)}", f"x{cell(i, j + 1)}", f"z{cell(i + 1, j + 1)}"]})
     return json.dumps({"vertices": [cell(i, j) for i, j in cells],
                        "arrows": arrows, "faces": faces})
+
+
+def shuffled_orbifold_text(n: int, m: int, seed: int) -> str:
+    """:func:`orbifold_text` with its faces in a seeded random order and
+    each face cycle started at a seeded random arrow: the same tiling,
+    met by the program in a different order."""
+    rng = random.Random(seed)
+    doc = json.loads(orbifold_text(n, m))
+    rng.shuffle(doc["faces"])
+    for face in doc["faces"]:
+        k = rng.randrange(len(face["cycle"]))
+        face["cycle"] = face["cycle"][k:] + face["cycle"][:k]
+    return json.dumps(doc)
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Run the body with the recursion limit only ``frames`` above the
+    current stack depth, so that code whose recursion grows with its
+    input fails with RecursionError."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,15 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import branetile as bt
 from branetile import lattice
-from branetile.matchings import doubled_area, lattice_points_in_hull
+from branetile.matchings import _xgcd, doubled_area, lattice_points_in_hull
+from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
 
-from conftest import ALL_FIXTURES, QUIVER_FIXTURES
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
+                      recursion_headroom, shuffled_orbifold_text)
 
 EXPECTED_COUNT = {"honeycomb": 3, "conifold": 4, "spp": 6, "z2z2": 9,
                   "honeycomb_dimer": 3, "spp_dimer": 6, "square_dimer": 4}
@@ -39,6 +41,120 @@ def brute_force_matchings(tiling) -> set:
                for f in tiling.faces):
             found.add(frozenset(chosen))
     return found
+
+
+def recursive_matching_arrow_sets(tiling) -> list:
+    """The previous search, kept as a reference: backtracking face by
+    face in input order, recursing once per face."""
+    faces = list(tiling.faces)
+    # count[j] = how many chosen arrows face j currently contains,
+    # with multiplicity.
+    mult = [
+        {aid: face.arrows.count(aid) for aid in set(face.arrows)}
+        for face in faces
+    ]
+    faces_of = {a.arrow_id: [] for a in tiling.arrows}
+    for j, face in enumerate(faces):
+        for aid in set(face.arrows):
+            faces_of[aid].append(j)
+
+    count = [0] * len(faces)
+    chosen: set = set()
+    found = []
+
+    def extend(j: int) -> None:
+        if j == len(faces):
+            found.append(frozenset(chosen))
+            return
+        if count[j] == 1:
+            extend(j + 1)
+            return
+        for aid in sorted(mult[j]):
+            if aid in chosen:
+                continue
+            hits = faces_of[aid]
+            if any(count[i] + mult[i][aid] > 1 for i in hits):
+                continue
+            chosen.add(aid)
+            for i in hits:
+                count[i] += mult[i][aid]
+            extend(j + 1)
+            chosen.discard(aid)
+            for i in hits:
+                count[i] -= mult[i][aid]
+
+    extend(0)
+    return sorted(set(found), key=lambda s: tuple(sorted(s)))
+
+
+def union_nondegenerate(tiling) -> bool:
+    """The previous nondegeneracy check, kept as a reference: the union
+    of every enumerated matching is the whole arrow set."""
+    amap = {a.arrow_id: a for a in tiling.arrows}
+    covered = set()
+    for arrows in recursive_matching_arrow_sets(tiling):
+        covered |= arrows
+    return covered == set(amap)
+
+
+def vec_mat_functionals(tower, arrows) -> tuple:
+    """The previous route to a matching's functional: the ambient
+    indicator vector times the section matrix, then the kernel
+    restriction."""
+    def vec_mat(v, a):
+        return [lattice.dot(v, col) for col in zip(*a)]
+
+    ambient = [1] + [1 if aid in arrows else 0 for aid in tower.arrow_ids]
+    chi = tuple(vec_mat(ambient, [list(row) for row in tower.section]))
+    chi_kernel = tuple(
+        sum(chi[i] * tower.kernel_basis[i][j] for i in range(tower.rank))
+        for j in range(3))
+    return chi, chi_kernel
+
+
+def incidence_tiling(faces: list, n_arrows: int) -> QuiverOnTorus:
+    """A one-vertex quiver with the given ``(sign, arrow numbers)``
+    faces; only the incidence of arrows and faces matters to the
+    matching search."""
+    return QuiverOnTorus(
+        vertices=("v",),
+        arrows=tuple(Arrow(f"a{i}", "v", "v") for i in range(n_arrows)),
+        faces=tuple(Face(sign=sign, arrows=tuple(f"a{i}" for i in cycle))
+                    for sign, cycle in faces))
+
+
+@st.composite
+def bipartite_incidences(draw):
+    """Every arrow in one positive and one negative face, as after the
+    structural rules: parallel arrows, empty faces and unequal numbers
+    of positive and negative faces all occur; faces come in a random
+    order, positive and negative mixed."""
+    n_plus = draw(st.integers(0, 5))
+    n_minus = draw(st.integers(0, 5))
+    ends = []
+    if n_plus and n_minus:
+        ends = draw(st.lists(st.tuples(st.integers(0, n_plus - 1),
+                                       st.integers(0, n_minus - 1)),
+                             max_size=12))
+    faces = [(1, [i for i, (u, _) in enumerate(ends) if u == j])
+             for j in range(n_plus)]
+    faces += [(-1, [i for i, (_, v) in enumerate(ends) if v == j])
+              for j in range(n_minus)]
+    faces = [(sign, draw(st.permutations(cycle))) for sign, cycle in faces]
+    order = draw(st.permutations(range(len(faces))))
+    return incidence_tiling([faces[j] for j in order], len(ends))
+
+
+@st.composite
+def multiset_incidences(draw):
+    """Faces as arbitrary arrow lists: an arrow may be repeated in one
+    face, lie in any number of faces, or in none."""
+    n_arrows = draw(st.integers(0, 8))
+    cycle = st.lists(st.integers(0, n_arrows - 1), max_size=5) \
+        if n_arrows else st.just([])
+    faces = draw(st.lists(st.tuples(st.sampled_from((1, -1)), cycle),
+                          max_size=6))
+    return incidence_tiling(faces, n_arrows)
 
 
 def points_strategy():
@@ -87,6 +203,78 @@ def test_enumeration_order_and_ids_are_deterministic(name, tilings):
     assert keys == sorted(keys)
     assert [m.matching_id for m in first] \
         == [f"m{i + 1}" for i in range(len(first))]
+
+
+@settings(max_examples=300)
+@given(bipartite_incidences())
+def test_search_and_nondegeneracy_match_the_previous_routes(tiling):
+    assert bt.matching_arrow_sets(tiling) \
+        == recursive_matching_arrow_sets(tiling)
+    assert _nondegenerate(tiling) == union_nondegenerate(tiling)
+
+
+@settings(max_examples=200)
+@given(multiset_incidences())
+def test_search_keeps_the_multiplicity_rules(tiling):
+    assert bt.matching_arrow_sets(tiling) \
+        == recursive_matching_arrow_sets(tiling)
+
+
+def test_nondegeneracy_finds_an_arrow_outside_every_matching():
+    # Faces P1, P2 and N1, N2: P1 meets only N1, so the arrow P2-N1
+    # can never be completed to a perfect matching.
+    tiling = incidence_tiling([(1, [0]), (1, [1, 2]), (-1, [0, 1]),
+                               (-1, [2])], 3)
+    assert bt.matching_arrow_sets(tiling) == [frozenset({"a0", "a2"})]
+    assert not _nondegenerate(tiling)
+    # Without any perfect matching only an arrowless tiling counts.
+    assert not _nondegenerate(incidence_tiling([(1, [0]), (-1, [0]),
+                                                (-1, [])], 1))
+    assert _nondegenerate(incidence_tiling([], 0))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3)])
+def test_search_does_not_depend_on_face_order(n, m):
+    want = bt.matching_arrow_sets(bt.load_document(orbifold_text(n, m)))
+    for seed in range(3):
+        tiling = bt.load_document(shuffled_orbifold_text(n, m, seed))
+        assert bt.matching_arrow_sets(tiling) == want
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("3x3",))
+def test_functionals_match_the_section_product(name, tilings):
+    tiling = (bt.load_document(orbifold_text(3, 3)) if name == "3x3"
+              else tilings[name])
+    tower = bt.build_lattice_tower(tiling)
+    for m in bt.enumerate_perfect_matchings(tiling, tower):
+        assert (m.chi, m.chi_kernel) == vec_mat_functionals(tower, m.arrows)
+
+
+def recursive_xgcd(x: int, y: int) -> tuple:
+    """The previous extended Euclid, kept as a reference."""
+    if y == 0:
+        return (abs(x), 1 if x > 0 else -1, 0)
+    g, a, b = recursive_xgcd(y, x % y)
+    return (g, b, a - (x // y) * b)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_xgcd_matches_the_recursive_route(x, y):
+    assert _xgcd(x, y) == recursive_xgcd(x, y)
+
+
+def test_search_validation_and_xgcd_need_no_deep_recursion():
+    tiling = bt.load_document(orbifold_text(5, 5))
+    fib = [0, 1]
+    while len(fib) < 300:
+        fib.append(fib[-1] + fib[-2])
+    with recursion_headroom(30):
+        found = bt.matching_arrow_sets(tiling)
+        report = bt.validate(tiling)
+        g, a, b = _xgcd(fib[-1], fib[-2])  # as many steps as numbers
+    assert len(found) == 7623
+    assert report.ok and report.nondegenerate
+    assert (g, a * fib[-1] + b * fib[-2]) == (1, 1)
 
 
 def test_three_vertex_tiling_has_the_six_expected_matchings(

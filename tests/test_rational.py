@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from branetile import rational
 from branetile.rational import _kernel_ray, integerize
 
+from conftest import recursion_headroom
+
 
 def rref(rows_in, ncols: int) -> tuple:
     """Reduced row echelon form.  Returns ``(rows, pivot_columns)``
@@ -371,3 +373,19 @@ def test_fourier_motzkin_eliminates_integer_rows(monkeypatch, strict, eqs):
     monkeypatch.setattr(rational, "_fm_strict", checked)
     got = rational.strict_feasible_point(strict, eqs, 3)
     assert got == fraction_strict_feasible_point(strict, eqs, 3)
+
+
+def test_fourier_motzkin_needs_no_deep_recursion():
+    # x_1 > 0 and x_{i+1} > x_i: each elimination drops one row, and
+    # there are as many eliminations as variables.
+    nvars = 120
+    strict = [(1,) + (0,) * (nvars - 1)]
+    for i in range(nvars - 1):
+        row = [0] * nvars
+        row[i], row[i + 1] = -1, 1
+        strict.append(tuple(row))
+    want = fraction_strict_feasible_point(strict, [], nvars)
+    with recursion_headroom(30):
+        got = rational.strict_feasible_point(strict, [], nvars)
+    assert got == want
+    assert all(fdot(r, got) > 0 for r in strict)

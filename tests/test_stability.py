@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,6 +160,42 @@ def test_stability_rejects_wall_parameters(spp, matchings_by_name):
 def test_stability_rejects_wrong_parameter_length(spp):
     with pytest.raises(ValueError):
         bt.is_theta_stable(spp, frozenset(), (1, -1))
+
+
+def test_fraction_parameters_are_used_exactly(spp, matchings_by_name,
+                                              chambers_by_name):
+    chambers = chambers_by_name["spp"]
+    integral = (3, 2, -5)
+    for theta in [(Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
+                  (Fraction(3, 7), Fraction(2, 7), Fraction(-5, 7))]:
+        assert bt.is_generic(spp, theta) and bt.is_generic(spp, integral)
+        for m in matchings_by_name["spp"]:
+            assert bt.is_theta_stable(spp, m.arrows, theta) \
+                == bt.is_theta_stable(spp, m.arrows, integral)
+        assert bt.find_chamber(spp, chambers, theta).index \
+            == bt.find_chamber(spp, chambers, integral).index
+    # a Fraction parameter on a wall is not rounded off it
+    assert not bt.is_generic(spp, (Fraction(1, 2), Fraction(-1, 2), 0))
+    with pytest.raises(ValueError):
+        bt.is_generic(spp, (0.5, 0.5, -1.0))
+
+
+@pytest.mark.parametrize("name", QUIVER_FIXTURES)
+@given(data=st.data())
+def test_a_parameter_and_its_positive_multiples_agree(name, data, tilings,
+                                                      matchings_by_name,
+                                                      chambers_by_name):
+    tiling = tilings[name]
+    chambers = chambers_by_name[name]
+    chamber = data.draw(st.sampled_from(chambers))
+    divisor = data.draw(st.integers(1, 12))
+    theta = chamber.representative
+    scaled = tuple(Fraction(t, divisor) for t in theta)
+    assert bt.is_generic(tiling, scaled)
+    for m in matchings_by_name[name]:
+        assert bt.is_theta_stable(tiling, m.arrows, scaled) \
+            == bt.is_theta_stable(tiling, m.arrows, theta)
+    assert bt.find_chamber(tiling, chambers, scaled).index == chamber.index
 
 
 @functools.cache
