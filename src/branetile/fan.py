@@ -81,11 +81,19 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
 
 def _fan_of_subsets(subsets: Sequence, matchings: Sequence) -> Fan:
     """The validated fan with one cone per stable subset."""
-    by_id = {m.matching_id: m for m in matchings}
+    vectors = _ray_vectors(subsets, {m.matching_id: m for m in matchings})
+    fan = _unvalidated_fan(subsets, vectors)
+    validate_fan(fan)
+    return fan
 
+
+def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
+    """Ray id to vector, in matching-id order, for every matching the
+    subsets contain; raises ConsistencyError unless the vectors are
+    primitive, at height one and distinct."""
     stable_ids = sorted({mid for s in subsets for mid in s.matching_ids},
                         key=matching_id_key)
-    rays = []
+    vectors: dict = {}
     seen_vectors: dict = {}
     for mid in stable_ids:
         vec = by_id[mid].chi_kernel
@@ -100,13 +108,17 @@ def _fan_of_subsets(subsets: Sequence, matchings: Sequence) -> Fan:
                 f"stable matchings {seen_vectors[vec]} and {mid} share "
                 f"the ray {vec}")
         seen_vectors[vec] = mid
-        rays.append(FanRay(ray_id=mid, vector=vec))
+        vectors[mid] = vec
+    return vectors
 
+
+def _unvalidated_fan(subsets: Sequence, vectors: dict) -> Fan:
+    """The fan with one cone per stable subset on the given rays."""
+    rays = tuple(FanRay(ray_id=mid, vector=vec)
+                 for mid, vec in vectors.items())
     cones = tuple(FanCone(ray_ids=frozenset(s.matching_ids), dim=s.dim)
                   for s in subsets)
-    fan = Fan(rays=tuple(rays), cones=cones)
-    validate_fan(fan)
-    return fan
+    return Fan(rays=rays, cones=cones)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +333,38 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
                             matchings: Sequence) -> list:
     """Group chambers whose moduli fans agree geometrically.
 
-    Each fan is built from the stable subsets the chamber carries.
+    Each fan's rays are read from the stable subsets its chamber
+    carries, once per distinct stable structure (the subsets' matching
+    ids and dimensions), and each fan geometry is validated once.  The
+    geometry key is the sorted tuple of every cone's sorted ray vectors
+    and dimension: a tuple and not a set, so that a cone listed twice
+    still shows.  Skipping the later validations is exact.  Within a
+    fan, ray id to vector is injective (reading the rays raises
+    otherwise, as building the fan would), so every check of
+    :func:`validate_fan` — ranks, extreme rays, faces, maximal cones and
+    the separation of maximal cones — passes or fails with the key
+    alone; a fan whose key passed once passes again.  So the first
+    chamber to raise, and its message, are those of validating every
+    chamber's fan.  Fans that pass have no repeated cone, so equal keys
+    are equal sets of vector cones.
+
     Returns a list of lists of chamber indices, sorted by first member.
     """
-    signatures = []
+    by_id = {m.matching_id: m for m in matchings}
+    geometry_of: dict = {}  # stable structure -> geometry key
+    groups: dict = {}  # geometry key -> chamber indices
     for chamber in chambers:
-        fan = _fan_of_subsets(chamber.stable_subsets, matchings)
-        vm = fan.vector_map()
-        signatures.append(
-            frozenset(frozenset(vm[i] for i in c.ray_ids)
-                      for c in fan.cones))
-    groups: dict = {}
-    for chamber, sig in zip(chambers, signatures):
-        groups.setdefault(sig, []).append(chamber.index)
+        structure = tuple((s.matching_ids, s.dim)
+                          for s in chamber.stable_subsets)
+        key = geometry_of.get(structure)
+        if key is None:
+            vectors = _ray_vectors(chamber.stable_subsets, by_id)
+            key = tuple(sorted(
+                (tuple(sorted(vectors[i] for i in frozenset(s.matching_ids))),
+                 s.dim) for s in chamber.stable_subsets))
+            if key not in groups:
+                validate_fan(_unvalidated_fan(chamber.stable_subsets,
+                                              vectors))
+            geometry_of[structure] = key
+        groups.setdefault(key, []).append(chamber.index)
     return sorted(groups.values(), key=lambda g: g[0])

@@ -10,22 +10,27 @@ matching contained in a stable union is itself stable.
 
 Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
-the complement are enumerated here by recursive sign splitting with an
-exact Fourier–Motzkin feasibility check, whose last witness is the
-chamber's representative.  Genericity, the stability of arrow sets and
-the sign vector of a chamber all read one table of the parameter's
-sums over all vertex subsets, indexed by bitmask; supports are closed
-as bitmasks too.  Nothing is cached between calls.
+the complement are the leaves of a sign tree over the walls, walked
+with an explicit stack and pruned exactly (see
+:func:`chamber_decomposition`); the witness of an exact Fourier–Motzkin
+check at the last wall is the chamber's representative.  Genericity,
+the stability of arrow sets and the sign vector of a chamber all read
+one table of the parameter's sums over all vertex subsets, indexed by
+bitmask; supports are closed as bitmasks too, once per arrow set and
+call, since they do not depend on the parameter.  Nothing is cached
+between calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 from typing import Iterable, Sequence
 
 from . import rational
 from .errors import DegenerateInputError
+from .lattice import dot
 from .matchings import matching_id_key
 from .tiling import QuiverOnTorus
 
@@ -143,16 +148,6 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
                for s in submodule_supports(tiling, arrows))
 
 
-def _stability_test(tiling: QuiverOnTorus, theta: Sequence):
-    """:func:`is_theta_stable` at one parameter, as a function of the
-    arrow set: the parameter is checked and its subset-sum table built
-    once, and each support mask is looked up in the table."""
-    _require_generic(tiling, theta)
-    sums = _subset_sums(list(_theta_check(tiling, theta).values()))
-    supports = _support_masks(tiling)
-    return lambda arrows: all(sums[mask] > 0 for mask in supports(arrows))
-
-
 # ---------------------------------------------------------------------------
 # stable subsets
 # ---------------------------------------------------------------------------
@@ -181,37 +176,60 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     pairs).  Deduplication is by arrow set.  The parameter is checked
     when there is a matching to test, as :func:`is_theta_stable` would.
     """
-    is_stable = _stability_test(tiling, theta) if matchings else None
-    stable = [m for m in matchings if is_stable(m.arrows)]
-    by_arrows: dict = {frozenset(): ()}
-    for m in stable:
-        by_arrows.setdefault(m.arrows, None)
+    sums = ()
+    if matchings:
+        _require_generic(tiling, theta)
+        sums = _subset_sums(list(_theta_check(tiling, theta).values()))
+    return _stable_subsets_at(tiling, matchings)(sums)
 
-    pairs = []
-    for i, m1 in enumerate(stable):
-        for m2 in stable[i + 1:]:
-            union = m1.arrows | m2.arrows
-            if union in by_arrows:
-                continue
-            if is_stable(union):
-                by_arrows.setdefault(union, None)
-                pairs.append(union)
-    for union in pairs:
-        for m3 in stable:
-            bigger = union | m3.arrows
-            if bigger in by_arrows:
-                continue
-            if is_stable(bigger):
-                by_arrows.setdefault(bigger, None)
 
-    subsets = []
-    for arrows in by_arrows:
+def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
+    """:func:`enumerate_stable_subsets` as a function of the subset-sum
+    table (:func:`_subset_sums`) of a generic parameter.
+
+    Supports do not depend on the parameter, so the support masks of
+    each tested arrow set, and the subset each stable union makes, are
+    found once and kept by the returned function (and freed with it).
+    At each parameter an arrow set is stable iff none of its support
+    masks has a nonpositive sum.
+    """
+    supports = functools.cache(_support_masks(tiling))
+
+    @functools.cache
+    def subset_of(arrows: frozenset) -> StableSubset:
         contained = tuple(sorted(
             (m.matching_id for m in matchings if m.arrows <= arrows),
             key=matching_id_key))
-        subsets.append(StableSubset(arrows=arrows, matching_ids=contained,
-                                    dim=len(contained)))
-    return sorted(subsets, key=lambda s: (s.dim, s.matching_ids))
+        return StableSubset(arrows=arrows, matching_ids=contained,
+                            dim=len(contained))
+
+    def at(sums: Sequence) -> list:
+        unstable = {mask for mask, total in enumerate(sums) if total <= 0}
+        stable = [m for m in matchings
+                  if unstable.isdisjoint(supports(m.arrows))]
+        by_arrows: dict = {frozenset(): ()}
+        for m in stable:
+            by_arrows.setdefault(m.arrows, None)
+
+        pairs = []
+        for i, m1 in enumerate(stable):
+            for m2 in stable[i + 1:]:
+                union = m1.arrows | m2.arrows
+                if union not in by_arrows \
+                        and unstable.isdisjoint(supports(union)):
+                    by_arrows[union] = None
+                    pairs.append(union)
+        for union in pairs:
+            for m3 in stable:
+                bigger = union | m3.arrows
+                if bigger not in by_arrows \
+                        and unstable.isdisjoint(supports(bigger)):
+                    by_arrows[bigger] = None
+
+        return sorted(map(subset_of, by_arrows),
+                      key=lambda s: (s.dim, s.matching_ids))
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +274,18 @@ class Chamber:
         raise KeyError(key)
 
 
-def _sign_vector(tiling: QuiverOnTorus, theta: Sequence) -> tuple:
-    vertices = tiling.vertices
-    sums = _subset_sums(theta)
-    out = []
-    for mask in range(1, len(sums) - 1):
-        subset = tuple(sorted(v for i, v in enumerate(vertices)
-                              if mask >> i & 1))
-        out.append((subset, 1 if sums[mask] > 0 else -1))
-    return tuple(sorted(out, key=lambda entry: (len(entry[0]), entry[0])))
+def _proper_subsets(vertices: Sequence) -> list:
+    """Every proper nonempty vertex subset as (bitmask, sorted vertex
+    tuple), ordered by (size, sorted ids)."""
+    out = [(mask, tuple(sorted(v for i, v in enumerate(vertices)
+                               if mask >> i & 1)))
+           for mask in range(1, (1 << len(vertices)) - 1)]
+    return sorted(out, key=lambda entry: (len(entry[1]), entry[1]))
+
+
+def _sign_vector(subsets: Sequence, sums: Sequence) -> tuple:
+    return tuple((subset, 1 if sums[mask] > 0 else -1)
+                 for mask, subset in subsets)
 
 
 def chamber_decomposition(tiling: QuiverOnTorus,
@@ -275,6 +296,16 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     The parameter space is the sum-zero hyperplane; with a single
     vertex it is a point, every parameter is vacuously generic, and
     the zero parameter is the one chamber.
+
+    The chambers are the leaves of a depth-first sign tree over the
+    walls, walked with an explicit stack, each branch carrying a strict
+    witness of its signs.  A sign at a wall is infeasible, with no
+    Fourier–Motzkin call, when the wall is the disjoint union of two
+    earlier walls that both have the other sign; at an inner wall it is
+    feasible, with no call either, when the branch's witness already
+    has it strictly.  The last wall is always checked on the full
+    constraint list, whose witness is the representative.  Supports are
+    closed once per arrow set for all chambers.
     """
     n = len(tiling.vertices)
     t = n - 1
@@ -286,34 +317,52 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     # Coordinates: theta_i = x_{i-1} for i >= 1, theta_0 = -sum(x).
     # Each wall pairs a vertex subset with its complement; the member
     # not containing vertex 0 gives an indicator functional in x, so
-    # the walls are indexed by the nonempty subsets of range(t).
-    reps = sorted(
-        (tuple(i for i in range(t) if mask >> i & 1)
-         for mask in range(1, 1 << t)),
-        key=lambda s: (len(s), s))
-    functionals = [tuple(int(i in s) for i in range(t)) for s in reps]
+    # the walls are the nonempty subsets of range(t), as bitmasks
+    # ordered by (size, sorted members).
+    walls = sorted(range(1, 1 << t), key=lambda mask: (
+        mask.bit_count(), tuple(i for i in range(t) if mask >> i & 1)))
+    rows = [{sign: tuple(sign * (mask >> i & 1) for i in range(t))
+             for sign in (1, -1)} for mask in walls]
+    # Per wall, its splits into two disjoint earlier walls, each once.
+    position = {mask: k for k, mask in enumerate(walls)}
+    splits = [[(position[a], position[mask ^ a])
+               for a in range(1, mask) if a & mask == a and a < mask ^ a]
+              for mask in walls]
+    last = len(walls) - 1
 
     chambers = []
+    signs = [0] * len(walls)
+    # (wall, sign, integer witness of the walls before it, or None at
+    # the root); a positive multiple of a witness is one too
+    stack = [(0, -1, None), (0, 1, None)]
+    while stack:
+        k, sign, witness = stack.pop()
+        signs[k] = sign
+        if any(signs[a] == signs[b] == -sign for a, b in splits[k]):
+            continue
+        if k == last or witness is None \
+                or dot(rows[k][sign], witness) <= 0:
+            point = rational.strict_feasible_point(
+                [rows[i][signs[i]] for i in range(k + 1)], [], t)
+            if point is None:
+                continue
+            if k == last:
+                chambers.append(
+                    rational.integerize([-sum(point)] + list(point)))
+                continue
+            witness = rational.integerize(point)
+        stack += [(k + 1, -1, witness), (k + 1, 1, witness)]
 
-    def descend(idx: int, constraints: list, point: tuple) -> None:
-        if idx == len(functionals):
-            chambers.append(rational.integerize([-sum(point)] + list(point)))
-            return
-        for sign in (1, -1):
-            row = tuple(sign * c for c in functionals[idx])
-            cs = constraints + [row]
-            witness = rational.strict_feasible_point(cs, [], t)
-            if witness is not None:
-                descend(idx + 1, cs, witness)
-
-    descend(0, [], ())
-
+    # Each representative is generic: its witness is strict on every
+    # wall.
+    order = _proper_subsets(tiling.vertices)
+    stable_subsets = _stable_subsets_at(tiling, matchings)
     out = []
     for i, theta in enumerate(chambers):
-        subsets = enumerate_stable_subsets(tiling, theta, matchings)
+        sums = _subset_sums(theta)
         out.append(Chamber(index=i + 1, representative=theta,
-                           sign_vector=_sign_vector(tiling, theta),
-                           stable_subsets=tuple(subsets)))
+                           sign_vector=_sign_vector(order, sums),
+                           stable_subsets=tuple(stable_subsets(sums))))
     return out
 
 
@@ -321,7 +370,8 @@ def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
     """The chamber containing a generic parameter."""
     _require_generic(tiling, theta)
-    signs = _sign_vector(tiling, theta)
+    signs = _sign_vector(_proper_subsets(tiling.vertices),
+                         _subset_sums(theta))
     for chamber in chambers:
         if chamber.sign_vector == signs:
             return chamber

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import branetile as bt
+from branetile import fan as fan_module
 from branetile.fan import Fan, FanCone, FanRay
 
-from conftest import QUIVER_FIXTURES
+from conftest import QUIVER_FIXTURES, orbifold_text
 
 EXPECTED_GIT_CLASSES = {
     "honeycomb": [[1]],
@@ -271,3 +274,47 @@ def test_chambers_in_one_class_have_equal_fans(name, tilings,
             assert bt.fans_equal(fans[group[0]], fans[i])
     for first, second in zip(classes, classes[1:]):
         assert not bt.fans_equal(fans[first[0]], fans[second[0]])
+
+
+def counted_validations(monkeypatch) -> list:
+    """Record the fans passed to ``fan.validate_fan``."""
+    calls = []
+    original = fan_module.validate_fan
+
+    def counting(fan):
+        calls.append(fan)
+        return original(fan)
+
+    monkeypatch.setattr(fan_module, "validate_fan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, m, classes", [(2, 2, 4), (1, 5, 1)])
+def test_classes_validate_one_fan_per_geometry(n, m, classes, monkeypatch):
+    tiling = bt.load_document(orbifold_text(n, m))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    calls = counted_validations(monkeypatch)
+    assert len(bt.git_equivalence_classes(tiling, chambers, matchings)) \
+        == classes
+    assert len(calls) == classes
+
+
+def test_classes_validate_a_later_chamber_with_a_new_geometry(
+        tilings, matchings_by_name, chambers_by_name, monkeypatch):
+    # the last chamber's class is met first at chamber 1; without one
+    # of its edges, its fan is no fan and no earlier chamber has it
+    tiling, matchings = tilings["z2z2"], matchings_by_name["z2z2"]
+    chambers = list(chambers_by_name["z2z2"])
+    last = chambers[-1]
+    edge = next(s for s in last.stable_subsets if s.dim == 2)
+    chambers[-1] = dataclasses.replace(last, stable_subsets=tuple(
+        s for s in last.stable_subsets if s != edge))
+    with pytest.raises(bt.ConsistencyError) as direct:
+        fan_module._fan_of_subsets(chambers[-1].stable_subsets, matchings)
+    calls = counted_validations(monkeypatch)
+    with pytest.raises(bt.ConsistencyError) as grouped:
+        bt.git_equivalence_classes(tiling, chambers, matchings)
+    assert str(grouped.value) == str(direct.value)
+    assert "is not a cone of the fan" in str(direct.value)
+    assert len(calls) == 5

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import branetile as bt
+from branetile import rational
 
-from conftest import QUIVER_FIXTURES, orbifold_text
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
+                      recursion_headroom)
 
 EXPECTED_CHAMBERS = {"honeycomb": 1, "conifold": 2, "spp": 6, "z2z2": 32}
 
@@ -200,10 +202,10 @@ def test_a_parameter_and_its_positive_multiples_agree(name, data, tilings,
 
 @functools.cache
 def cyclic_orbifold(n: int) -> tuple:
-    """C^3/Z_n with its chambers up to 4 vertices (5 and 6 vertices
-    have 370 and 11 292)."""
+    """C^3/Z_n with its chambers up to 5 vertices (6 vertices have
+    11 292)."""
     tiling = bt.load_document(orbifold_text(1, n))
-    if n > 4:
+    if n > 5:
         return tiling, None
     matchings = bt.enumerate_perfect_matchings(tiling)
     return tiling, bt.chamber_decomposition(tiling, matchings)
@@ -382,3 +384,127 @@ def test_chamber_sign_of_matches_the_representative(spp, chambers_by_name):
         with pytest.raises(KeyError):
             chamber.sign_of(spp.vertices)  # not a proper subset
 
+
+
+def test_five_vertex_chamber_count_is_frozen():
+    # the resonance arrangement of 5 vertices has 370 chambers (OEIS
+    # A034997), and every one gives the same fan
+    tiling, chambers = cyclic_orbifold(5)
+    assert len(chambers) == 370
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    assert bt.git_equivalence_classes(tiling, chambers, matchings) \
+        == [list(range(1, 371))]
+
+
+def test_chamber_decomposition_needs_no_recursion():
+    # Below the decomposition, Fourier-Motzkin compares Fractions, and
+    # their comparisons and numbers-ABC checks take about 16 of these
+    # frames whatever the input.  A recursive walk of the 2^4 - 1 = 15
+    # walls of 5 vertices would need 15 more on top of that.
+    tiling = bt.load_document(orbifold_text(1, 5))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    with recursion_headroom(20):
+        chambers = bt.chamber_decomposition(tiling, matchings)
+    assert len(chambers) == 370
+
+
+# ---------------------------------------------------------------------------
+# the unpruned sign tree, as a reference
+# ---------------------------------------------------------------------------
+
+def reference_representatives(tiling) -> list:
+    """The chamber representatives of the unpruned recursive sign tree,
+    with one Fourier-Motzkin check per node: the reference for the
+    pruned tree of :func:`bt.chamber_decomposition`."""
+    n = len(tiling.vertices)
+    t = n - 1
+    if t == 0:
+        return [(0,)]
+
+    reps = sorted(
+        (tuple(i for i in range(t) if mask >> i & 1)
+         for mask in range(1, 1 << t)),
+        key=lambda s: (len(s), s))
+    functionals = [tuple(int(i in s) for i in range(t)) for s in reps]
+
+    chambers = []
+
+    def descend(idx: int, constraints: list, point: tuple) -> None:
+        if idx == len(functionals):
+            chambers.append(rational.integerize([-sum(point)] + list(point)))
+            return
+        for sign in (1, -1):
+            row = tuple(sign * c for c in functionals[idx])
+            cs = constraints + [row]
+            witness = rational.strict_feasible_point(cs, [], t)
+            if witness is not None:
+                descend(idx + 1, cs, witness)
+
+    descend(0, [], ())
+    return chambers
+
+
+def reference_chamber_decomposition(tiling, matchings) -> list:
+    """Chambers from :func:`reference_representatives`, each with its
+    brute-force sign vector and the stable subsets of a fresh
+    :func:`bt.enumerate_stable_subsets` call."""
+    if len(tiling.vertices) == 1:
+        return [bt.Chamber(
+            index=1, representative=(0,), sign_vector=(),
+            stable_subsets=tuple(bt.enumerate_stable_subsets(
+                tiling, (0,), matchings)))]
+    return [bt.Chamber(
+        index=i + 1, representative=theta,
+        sign_vector=brute_force_signs(tiling.vertices, theta),
+        stable_subsets=tuple(bt.enumerate_stable_subsets(
+            tiling, theta, matchings)))
+        for i, theta in enumerate(reference_representatives(tiling))]
+
+
+def counted_feasibility(monkeypatch) -> list:
+    """Count the calls of ``rational.strict_feasible_point``."""
+    calls = []
+    original = rational.strict_feasible_point
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(rational, "strict_feasible_point", counting)
+    return calls
+
+
+@pytest.mark.parametrize("document", ALL_FIXTURES + ("2x2", "1x4"))
+def test_pruned_sign_tree_matches_the_reference(document, tilings):
+    if document in tilings:
+        tiling = tilings[document]
+    else:
+        tiling = bt.load_document(orbifold_text(
+            *map(int, document.split("x"))))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    assert bt.chamber_decomposition(tiling, matchings) \
+        == reference_chamber_decomposition(tiling, matchings)
+
+
+def test_five_vertex_sign_tree_matches_the_reference_with_fewer_checks(
+        monkeypatch):
+    tiling = bt.load_document(orbifold_text(1, 5))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    calls = counted_feasibility(monkeypatch)
+    reference = reference_representatives(tiling)
+    unpruned = len(calls)
+    calls.clear()
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    assert [c.representative for c in chambers] == reference
+    assert [c.sign_vector for c in chambers] \
+        == [brute_force_signs(tiling.vertices, theta) for theta in reference]
+    assert unpruned == 3026
+    assert len(calls) < unpruned
+
+
+def test_five_vertex_chambers_carry_the_stable_subsets_of_a_fresh_call():
+    tiling, chambers = cyclic_orbifold(5)
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    for chamber in chambers:
+        assert chamber.stable_subsets == tuple(bt.enumerate_stable_subsets(
+            tiling, chamber.representative, matchings))
