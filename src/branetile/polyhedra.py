@@ -9,6 +9,14 @@ the parameter.  Support functions of weights descend along the same
 slice, one integer functional per maximal cone, when the complementary
 sublattice condition (free action on the stratum) holds.
 
+The slice is handled without cone duality.  Its face lattice comes
+from integer incidences, with each face's dimension read from the
+lattice's grading.  Because the slice is full-dimensional, the normal
+cone of a face is pointed and its extreme rays are the normals of the
+facets containing the face, each read once from the facet's active
+rows.  Each vertex cone's splitting matrix is factored by one Smith
+normal form; when it is unimodular its inverse splits every weight.
+
 Everything is exact: vertices are tuples of Fractions, rays and
 normals are primitive integer tuples, inequalities are ``a . x >= b``.
 """
@@ -19,7 +27,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
@@ -170,64 +178,60 @@ def enumerate_faces(poly: Polyhedron) -> list:
 
     Every nonempty face contains a minimal face, and minimal faces are
     listed among the generators, so faces correspond exactly to the
-    closed incidence pairs with at least one vertex.  Sorted by
-    (dimension, active set).
+    closed incidence pairs with at least one vertex.  Incidences are
+    tested on integers: each vertex is scaled once by the lcm of its
+    denominators.  Dimensions come from the grading of the face
+    lattice: every maximal proper face of a face F is F cut by some
+    constraint, so F's dimension is one more than the largest among
+    those cuts, and a face with no proper cut is minimal, of the
+    lineality's dimension.  Sorted by (dimension, active set).
     """
     if poly.is_empty:
         return []
-    nv, nr = len(poly.vertices), len(poly.rays)
-    vert_inc = []
-    ray_inc = []
+    scaled = []
+    for v in poly.vertices:
+        den = lcm(*(x.denominator for x in v))
+        scaled.append((tuple(x.numerator * (den // x.denominator) for x in v),
+                       den))
+    incidences = []  # per inequality: (vertex bitmask, ray bitmask)
     for a, b in poly.inequalities:
-        vert_inc.append(frozenset(
-            i for i, v in enumerate(poly.vertices) if lattice.dot(a, v) == b))
-        ray_inc.append(frozenset(
-            j for j, r in enumerate(poly.rays) if lattice.dot(a, r) == 0))
+        p, q = b.numerator, b.denominator
+        incidences.append((
+            sum(1 << i for i, (num, den) in enumerate(scaled)
+                if lattice.dot(a, num) * q == p * den),
+            sum(1 << j for j, r in enumerate(poly.rays)
+                if lattice.dot(a, r) == 0)))
 
-    full = (frozenset(range(nv)), frozenset(range(nr)))
-    closed = {full}
+    full = ((1 << len(scaled)) - 1, (1 << len(poly.rays)) - 1)
+    cuts = {}  # face -> its proper nonempty cuts by one constraint
     frontier = {full}
     while frontier:
         fresh = set()
-        for vs, rs in frontier:
-            for vi, ri in zip(vert_inc, ray_inc):
-                pair = (vs & vi, rs & ri)
-                if pair[0] and pair not in closed:
-                    closed.add(pair)
-                    fresh.add(pair)
-        frontier = fresh
+        for face in frontier:
+            vs, rs = face
+            below = {(vs & vi, rs & ri) for vi, ri in incidences}
+            below = {pair for pair in below if pair[0] and pair != face}
+            cuts[face] = below
+            fresh |= below
+        frontier = fresh - cuts.keys()
+
+    dims = {}
+    lineality_dim = rational.frank(poly.lineality, poly.ambient_dim)
+    for face in sorted(cuts, key=lambda f: f[0].bit_count() + f[1].bit_count()):
+        below = cuts[face]
+        dims[face] = (1 + max(dims[g] for g in below) if below
+                      else lineality_dim)
 
     faces = []
-    for vs, rs in closed:
-        active = tuple(sorted(
-            i for i in range(len(poly.inequalities))
-            if vs <= vert_inc[i] and rs <= ray_inc[i]))
-        vids, rids = tuple(sorted(vs)), tuple(sorted(rs))
-        faces.append(PolyFace(active=active, vertex_ids=vids, ray_ids=rids,
-                              dim=_affine_rank(poly, vids, rids)))
+    for (vs, rs), dim in dims.items():
+        active = tuple(i for i, (vi, ri) in enumerate(incidences)
+                       if vs & vi == vs and rs & ri == rs)
+        faces.append(PolyFace(
+            active=active,
+            vertex_ids=tuple(i for i in range(len(scaled)) if vs >> i & 1),
+            ray_ids=tuple(j for j in range(len(poly.rays)) if rs >> j & 1),
+            dim=dim))
     return sorted(faces, key=lambda f: (f.dim, f.active))
-
-
-def face_contains(big: PolyFace, small: PolyFace) -> bool:
-    return (set(small.vertex_ids) <= set(big.vertex_ids)
-            and set(small.ray_ids) <= set(big.ray_ids))
-
-
-def normal_cone_generators(poly: Polyhedron, face: PolyFace) -> tuple:
-    """Generators ``(cone part, lineality part)`` of the normal cone of
-    a face — the functionals minimized on it."""
-    gens = [poly.inequalities[i][0] for i in face.active]
-    lin = [a for a, _ in poly.equalities]
-    return gens, lin
-
-
-def relint_point(poly: Polyhedron, face: PolyFace) -> tuple:
-    """A relative-interior point: the vertex average plus the ray sum."""
-    n = len(face.vertex_ids)
-    return tuple(
-        sum((poly.vertices[v][i] for v in face.vertex_ids), Fraction(0)) / n
-        + sum(poly.rays[j][i] for j in face.ray_ids)
-        for i in range(poly.ambient_dim))
 
 
 def integer_points(poly: Polyhedron) -> list:
@@ -393,35 +397,63 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
 
     Returns ``(cones, splitters)``.  ``cones`` lists, per transversal
     face, its cone dimension and the extreme rays of its normal cone.
-    ``splitters`` has one entry per vertex lift, ``(mat, width, rays,
-    factors)``: the splitting matrix whose first ``width`` columns span
-    the lift and whose last three columns are the kernel basis, the
-    face's rays, and the matrix's invariant factors.  The fan these
-    cones form is validated here, once, under the default ray names;
-    labels only rename its rays.
+    ``splitters`` has one entry per vertex lift, ``(kernel_rows, rays,
+    factors)``, for the splitting matrix whose first columns span the
+    lift and whose last three columns are the kernel basis: the last
+    three rows of its inverse when it is unimodular (else None), the
+    face's rays, and its invariant factors, all from one Smith normal
+    form.  The fan these cones form is validated here, once, under the
+    default ray names; labels only rename its rays.
+
+    Normal cones need no cone duality.  A face's normal cone is the
+    cone of its active normals, and it is pointed exactly when the
+    slice is full-dimensional; then its extreme rays are the normals of
+    the facets that contain the face, and a facet contains the face
+    exactly when the facet's defining rows are active on it.  So each
+    facet's primitive normal is read once, from its nonzero active
+    rows, and a face's rays are the normals of its active
+    facet-defining rows.
     """
     k = tower.rank
     basis = tower.kernel_basis
+    lifted = lift_slice_faces(tower, shifted, slice_poly)
+    stable = [face for face in lifted if face.stable]
+    # the last face is the slice itself
+    if stable and lifted[-1].slice_face.dim != 3:
+        raise ConsistencyError("normal cone of a slice face is not pointed")
+    facet_normal = {}  # facet-defining row -> primitive facet normal
+    for face in lifted:
+        if face.slice_face.dim != 2:
+            continue
+        rows = [i for i in face.active if any(slice_poly.inequalities[i][0])]
+        normals = {rational.integerize(slice_poly.inequalities[i][0])
+                   for i in rows}
+        if len(normals) != 1:
+            raise ConsistencyError(
+                f"a slice facet has {len(normals)} normals, expected one")
+        (normal,) = normals
+        facet_normal.update((i, normal) for i in rows)
+
     cones = []
     splitters = []
-    for face in m_stable_faces(tower, shifted, slice_poly):
-        rays, lineality = rational.extreme_rays(
-            [slice_poly.inequalities[i][0] for i in face.active], 3)
-        if lineality:
-            raise ConsistencyError(
-                "normal cone of a slice face is not pointed")
-        rays = tuple(rays)
+    for face in stable:
+        rays = tuple(sorted({facet_normal[i] for i in face.active
+                             if i in facet_normal}))
         cones.append((3 - face.slice_face.dim, rays))
         if face.slice_face.dim != 0:
             continue
         normals = [list(shifted.inequalities[i][0]) for i in face.active]
-        columns = [list(col) for col in lattice.integer_kernel(normals)]
-        mat = tuple(
-            tuple(columns[j][i] for j in range(len(columns)))
-            + tuple(basis[i][j] for j in range(3))
-            for i in range(k))
-        factors = lattice.invariant_factors([list(r) for r in mat])
-        splitters.append((mat, len(columns), rays, factors))
+        columns = lattice.integer_kernel(normals)
+        mat = [[col[i] for col in columns] + list(basis[i])
+               for i in range(k)]
+        u, s, v = lattice.smith_normal_form(mat)
+        factors = [s[i][i] for i in range(min(k, len(mat[0]))) if s[i][i]]
+        kernel_rows = None
+        if len(factors) == k and all(d == 1 for d in factors):
+            # a transversal vertex has ambient rank 3, so the matrix is
+            # k x k; U mat V = I makes V U its inverse
+            kernel_rows = lattice.mat_mul(v[len(columns):], u)
+        splitters.append((kernel_rows, rays, factors))
     if len({frozenset(rays) for _, rays in cones}) != len(cones):
         raise ConsistencyError("two transversal faces share one normal cone")
     validate_fan(_named_fan(cones, None))
@@ -432,9 +464,11 @@ def quotient_fan(tower, shifted: Polyhedron,
                  slice_poly: "Polyhedron | None" = None,
                  ray_labels: "dict | None" = None) -> Fan:
     """Normal fan of the kernel slice, restricted to the transversal
-    faces.  The fan is validated once per slice: the cones of the last
-    slice are remembered, so ``descend_linear_functional`` on the same
-    slice does not validate again.
+    faces.  Each cone's rays are the normals of the slice facets that
+    contain its face (see ``_slice_cones``).  The fan is validated once
+    per slice: the cones of the last slice are remembered, so
+    ``descend_linear_functional`` on the same slice does not validate
+    again.
 
     ``ray_labels`` maps primitive ray vectors to names (matching ids);
     unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
@@ -481,10 +515,15 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     when the span of ``F`` and the kernel lattice together fill the
     weight lattice as a direct summand (checked via invariant factors;
     failure means the torus action on that stratum is not free, and
-    raises ConsistencyError).  Values on shared rays must agree across
-    cones and are returned per ray.  The quotient fan comes from the
-    same validated slice cones as ``quotient_fan``'s, so descending
-    many weights along one slice validates the fan once.
+    raises ConsistencyError).  Once every factor is 1, the square
+    splitting matrix is unimodular, so every integer weight has exactly
+    one integer preimage: the split cannot fail, and the kernel part is
+    one product with the rows of the inverse that ``_slice_cones``
+    stored from its single Smith form.  Values on shared rays must
+    agree across cones and are returned per ray.  The quotient fan
+    comes from the same validated slice cones as ``quotient_fan``'s,
+    so descending many weights along one slice validates the fan once
+    and factors no matrix.
     """
     if len(weight) != tower.rank:
         raise ValueError(
@@ -496,7 +535,7 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     fan = _named_fan(cones, ray_labels)
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
 
-    for _, _, _, factors in splitters:
+    for _, _, factors in splitters:
         if len(factors) != tower.rank or any(d != 1 for d in factors):
             raise ConsistencyError(
                 "face span and kernel lattice do not complement each "
@@ -504,13 +543,8 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
                 f"factors {factors}")
     functionals = []
     values: dict = {}
-    for mat, width, rays, _ in splitters:
-        sol = lattice.solve_integer([list(row) for row in mat], list(weight))
-        if sol is None:
-            raise ConsistencyError(
-                "weight does not split along a transversal face")
-        m = tuple(sol[width:])
-
+    for kernel_rows, rays, _ in splitters:
+        m = tuple(lattice.mat_vec(kernel_rows, weight))
         ids = frozenset(vector_to_id[vec] for vec in rays)
         functionals.append((ids, m))
         for vec in rays:

@@ -33,9 +33,10 @@ def integerize(v: Sequence) -> tuple:
     if all(type(x) is int for x in v):
         ints = v
     else:
-        fr = [Fraction(x) for x in v]
-        scale = lcm(*(x.denominator for x in fr)) if fr else 1
-        ints = [int(x * scale) for x in fr]
+        # Fraction(x) on a Fraction pays for an abstract-base-class check
+        fr = [x if type(x) in (int, Fraction) else Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fr))
+        ints = [x.numerator * (scale // x.denominator) for x in fr]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")

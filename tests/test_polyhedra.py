@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import weakref
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import branetile as bt
 from branetile import lattice, polyhedra, rational
+from branetile.matchings import matching_id_key
 
 from conftest import QUIVER_FIXTURES, fixture_text, orbifold_text
 
@@ -108,8 +110,14 @@ def test_square_face_lattice():
     assert top.active == ()
     assert len(top.vertex_ids) == 4
     for edge in by_dim[1]:
-        assert bt.polyhedra.face_contains(top, edge)
-        point = bt.polyhedra.relint_point(poly, edge)
+        assert set(edge.vertex_ids) <= set(top.vertex_ids)
+        assert set(edge.ray_ids) <= set(top.ray_ids)
+        # a relative-interior point: the vertex average plus the ray sum
+        point = tuple(
+            sum((poly.vertices[v][i] for v in edge.vertex_ids), Fraction(0))
+            / len(edge.vertex_ids)
+            + sum(poly.rays[j][i] for j in edge.ray_ids)
+            for i in range(poly.ambient_dim))
         assert poly.contains(point)
         # an edge midpoint activates exactly its one inequality
         active = [i for i, (a, b) in enumerate(poly.inequalities)
@@ -127,7 +135,10 @@ def test_quadrant_cone_faces_carry_rays():
             assert len(f.ray_ids) == 1
     origin = [f for f in faces if f.dim == 0]
     assert len(origin) == 1
-    gens, lin = bt.polyhedra.normal_cone_generators(poly, origin[0])
+    # the normal cone is spanned by the active normals, with the
+    # equalities' normals as its lineality
+    gens = [poly.inequalities[i][0] for i in origin[0].active]
+    lin = [a for a, _ in poly.equalities]
     assert sorted(gens) == [(0, 1), (1, 0)]
     assert lin == []
 
@@ -360,3 +371,191 @@ def test_one_slice_is_validated_once(monkeypatch):
                                                slice_poly)
         assert support.fan == fan
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the slice route against its double-description and per-weight references
+# ---------------------------------------------------------------------------
+
+ROUTE_DOCUMENTS = ("conifold", "spp", "z2z2", (2, 2), (1, 4))
+
+
+@functools.lru_cache(maxsize=len(ROUTE_DOCUMENTS))
+def chamber_slices(document) -> tuple:
+    """``(tiling, tower, shifted, slice)`` for every chamber of a
+    fixture name or of an ``(n, m)`` orbifold."""
+    text = (fixture_text(document) if isinstance(document, str)
+            else orbifold_text(*document))
+    tiling = bt.load_document(text)
+    tower = bt.build_lattice_tower(tiling)
+    found = bt.enumerate_perfect_matchings(tiling, tower)
+    out = []
+    for chamber in bt.chamber_decomposition(tiling, found):
+        shifted, _ = bt.shift_by_stability(tower, chamber.representative)
+        out.append((tiling, tower, shifted,
+                    bt.kernel_polytope(tower, shifted)))
+    return tuple(out)
+
+
+def document_id(document) -> str:
+    return document if isinstance(document, str) else "%dx%d" % document
+
+
+@pytest.mark.parametrize("document", ROUTE_DOCUMENTS, ids=document_id)
+def test_facet_normals_are_the_extreme_rays_of_the_active_normals(document):
+    for _, tower, shifted, slice_poly in chamber_slices(document):
+        cones, _ = polyhedra._slice_cones(tower, shifted, slice_poly)
+        faces = bt.m_stable_faces(tower, shifted, slice_poly)
+        assert len(cones) == len(faces)
+        for (dim, rays), face in zip(cones, faces):
+            want, lineality = rational.extreme_rays(
+                [slice_poly.inequalities[i][0] for i in face.active], 3)
+            assert lineality == []
+            assert list(rays) == want
+            assert dim == 3 - face.slice_face.dim
+
+
+def assert_graded_dims_are_affine_ranks(poly) -> None:
+    for face in bt.enumerate_faces(poly):
+        assert face.dim == polyhedra._affine_rank(
+            poly, face.vertex_ids, face.ray_ids)
+
+
+@pytest.mark.parametrize("document", ROUTE_DOCUMENTS, ids=document_id)
+def test_slice_face_dimensions_are_affine_ranks(document):
+    for _, _, _, slice_poly in chamber_slices(document):
+        assert_graded_dims_are_affine_ranks(slice_poly)
+
+
+@st.composite
+def generated_polyhedra(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    return bt.polyhedron_from_generators(
+        draw(st.lists(vector, min_size=1, max_size=5)), dim,
+        rays=draw(st.lists(vector, max_size=3)),
+        lineality=draw(st.lists(vector, max_size=1)))
+
+
+@given(generated_polyhedra())
+def test_graded_face_dimensions_are_affine_ranks(poly):
+    assert_graded_dims_are_affine_ranks(poly)
+
+
+def reference_descent(tower, shifted, slice_poly, weight):
+    """The descent with rays by double description and one Smith form
+    per weight and vertex cone, through ``lattice.solve_integer``."""
+    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
+    functionals, values = [], {}
+    for face in bt.m_stable_faces(tower, shifted, slice_poly):
+        if face.slice_face.dim != 0:
+            continue
+        rays, _ = rational.extreme_rays(
+            [slice_poly.inequalities[i][0] for i in face.active], 3)
+        normals = [list(shifted.inequalities[i][0]) for i in face.active]
+        columns = lattice.integer_kernel(normals)
+        mat = [[col[i] for col in columns] + list(tower.kernel_basis[i])
+               for i in range(tower.rank)]
+        assert lattice.invariant_factors(mat) == [1] * tower.rank
+        m = tuple(lattice.solve_integer(mat, list(weight))[len(columns):])
+        functionals.append((frozenset(vector_to_id[v] for v in rays), m))
+        for v in rays:
+            values.setdefault(vector_to_id[v], lattice.dot(m, v))
+    return bt.DescendedSupport(
+        fan=fan, cone_functionals=tuple(functionals),
+        ray_values=tuple(sorted(values.items(),
+                                key=lambda kv: matching_id_key(kv[0]))))
+
+
+@pytest.mark.parametrize("document", ROUTE_DOCUMENTS, ids=document_id)
+def test_descent_matches_the_per_weight_reference(document):
+    for tiling, tower, shifted, slice_poly in chamber_slices(document):
+        for weight in path_weights(tiling, tower):
+            assert bt.descend_linear_functional(
+                tower, shifted, weight, slice_poly) == reference_descent(
+                    tower, shifted, slice_poly, weight)
+
+
+# ---------------------------------------------------------------------------
+# error paths and the work the slice route no longer does
+# ---------------------------------------------------------------------------
+
+class FlatTower:
+    """Just enough of a lattice tower for a hand-built rank-3 slice."""
+
+    rank = 3
+    kernel_basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_a_slice_that_is_not_full_dimensional_is_not_pointed():
+    # a quadrant in the plane z = 0: its origin meets the slice
+    # transversally, and every normal cone contains (0, 0, +-1)
+    flat = bt.polyhedron_from_inequalities(
+        [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((0, 0, -1), 0)],
+        3)
+    assert flat.dim == 2
+    tower = FlatTower()
+    assert any(face.stable for face in bt.lift_slice_faces(tower, flat, flat))
+    with pytest.raises(bt.ConsistencyError, match="not pointed"):
+        bt.quotient_fan(tower, flat, flat)
+
+
+def fresh_slice(name: str) -> tuple:
+    """A tower no other test holds, so no remembered slice answers
+    for it, with the slice of its first chamber."""
+    tiling = bt.load_document(fixture_text(name))
+    tower = bt.build_lattice_tower(tiling)
+    theta = bt.chamber_decomposition(
+        tiling, bt.enumerate_perfect_matchings(tiling, tower))[0].representative
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    return tiling, tower, shifted, bt.kernel_polytope(tower, shifted)
+
+
+def test_non_unit_factors_raise_from_descent_only(monkeypatch):
+    tiling, tower, shifted, slice_poly = fresh_slice("spp")
+    real = lattice.smith_normal_form
+
+    def doubled_on_splitters(mat):
+        u, s, v = real(mat)
+        if [tuple(row[-3:]) for row in mat] == list(tower.kernel_basis):
+            s[-1][-1] *= 2
+        return u, s, v
+
+    monkeypatch.setattr(lattice, "smith_normal_form", doubled_on_splitters)
+    bt.quotient_fan(tower, shifted, slice_poly)
+    with pytest.raises(bt.ConsistencyError,
+                       match=r"do not complement.*factors \[1, .*2\]"):
+        bt.descend_linear_functional(
+            tower, shifted, path_weights(tiling, tower)[0], slice_poly)
+
+
+def test_descent_after_the_fan_factors_no_matrix(monkeypatch):
+    tiling, tower, shifted, slice_poly = fresh_slice("z2z2")
+    bt.quotient_fan(tower, shifted, slice_poly)
+    calls = []
+    real = lattice.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    for weight in path_weights(tiling, tower):
+        bt.descend_linear_functional(tower, shifted, weight, slice_poly)
+    assert calls == []
+
+
+def test_a_smooth_slice_needs_no_extreme_rays(monkeypatch):
+    _, tower, shifted, slice_poly = fresh_slice("z2z2")
+    calls = []
+    real = rational.extreme_rays
+
+    def counting(gens, dim):
+        calls.append(gens)
+        return real(gens, dim)
+
+    monkeypatch.setattr(rational, "extreme_rays", counting)
+    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    assert bt.check_smooth(fan)
+    assert calls == []

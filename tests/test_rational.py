@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +227,47 @@ def test_extreme_rays_drop_interior_generators():
 def test_extreme_rays_report_lineality():
     _, lineality = rational.extreme_rays([(1, 0), (-1, 0), (0, 1)], 2)
     assert lineality == [(1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# integerize against the version that rebuilt every entry as a Fraction
+# ---------------------------------------------------------------------------
+
+def fraction_integerize(v: Sequence) -> tuple:
+    """Primitive integer vector with the same direction as ``v``."""
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fr = [Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fr)) if fr else 1
+        ints = [int(x * scale) for x in fr]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in ints)
+
+
+def outcome(f, v):
+    try:
+        return f(v)
+    except ValueError as exc:
+        return str(exc)
+
+
+entries = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@given(st.lists(entries, max_size=5))
+def test_integerize_matches_the_fraction_reference(v):
+    assert outcome(integerize, v) == outcome(fraction_integerize, v)
+
+
+@pytest.mark.parametrize("v", [
+    (Fraction(0), 0), (), (True, 2), (0.5, -1.25), ("1/2", Fraction(1, 3))])
+def test_integerize_edge_cases_match_the_fraction_reference(v):
+    assert outcome(integerize, v) == outcome(fraction_integerize, v)
 
 
 # ---------------------------------------------------------------------------
