@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from math import gcd
 from typing import Sequence
 
 from . import lattice, rational
@@ -97,7 +98,7 @@ def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
     seen_vectors: dict = {}
     for mid in stable_ids:
         vec = by_id[mid].chi_kernel
-        if lattice.vec_gcd(vec) != 1:
+        if gcd(*vec) != 1:
             raise ConsistencyError(
                 f"ray of stable matching {mid} is not primitive: {vec}")
         if vec[2] != 1:
@@ -181,7 +182,7 @@ def validate_fan(fan: Fan) -> None:
     for ray in fan.rays:
         if all(x == 0 for x in ray.vector):
             raise ConsistencyError(f"ray {ray.ray_id} is the zero vector")
-        if lattice.vec_gcd(ray.vector) != 1:
+        if gcd(*ray.vector) != 1:
             raise ConsistencyError(
                 f"ray {ray.ray_id} is not primitive: {ray.vector}")
         if ray.vector in vectors.values():

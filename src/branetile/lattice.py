@@ -56,16 +56,12 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [dot(row, v) for row in a]
 
 
-def vec_gcd(v: Iterable[int]) -> int:
-    return gcd(*v)
-
-
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries.
 
     Direction is preserved (the gcd taken is positive).
     """
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -194,8 +190,11 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
-    """One integer solution of ``mat @ x == target``, or None."""
+    """One integer solution of ``mat @ x == target``, or None; raises
+    ValueError unless ``target`` has one entry per row."""
     nrows = len(mat)
+    if len(target) != nrows:
+        raise ValueError(f"right-hand side has {len(target)} entries, not {nrows}")
     ncols = len(mat[0]) if nrows else 0
     u, s, v = smith_normal_form(mat)
     ub = mat_vec(u, list(target))

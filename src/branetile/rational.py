@@ -1,15 +1,17 @@
 """Exact linear algebra, cone duality and strict linear feasibility.
 
 No floating point anywhere in the package.  Rank and nullspace come
-from fraction-free Gauss–Jordan elimination of primitive integer rows.
+from fraction-free Gauss–Jordan elimination of primitive integer rows,
+the module's only elimination.
 
 Cone duality is the incremental double-description method (Motzkin et
 al. 1953; Fukuda and Prodon, "Double description method revisited",
 1996), in integers: the extreme rays of ``{y : g . y >= 0}`` start
-from a simplicial cone on independent generators and are updated one
-generator at a time, combining only adjacent pairs of rays; adjacency
-is decided on zero sets kept as bitmasks.  :func:`extreme_rays` is the
-dual of the dual.
+from a simplicial cone on the independent generators that the echelon
+picks, each start ray a nullspace line from that same elimination,
+and are updated one generator at a time, combining only adjacent pairs
+of rays; adjacency is decided on zero sets kept as bitmasks.
+:func:`extreme_rays` is the dual of the dual.
 
 The feasibility routine decides homogeneous systems of *strict*
 inequalities (optionally restricted to a rational subspace) by
@@ -104,43 +106,6 @@ def nullspace(rows: Sequence, ncols: int) -> list:
 # cone duality
 # ---------------------------------------------------------------------------
 
-def int_det(mat: Sequence) -> int:
-    """Determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination with row pivoting."""
-    m = [list(r) for r in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _kernel_ray(rows: list, dim: int):
-    """Spanning integer vector of the kernel of a ``(dim-1) x dim``
-    integer matrix — the signed maximal minors — or None when the rank
-    drops and the kernel is bigger than a line."""
-    vec = []
-    for j in range(dim):
-        sub = [[r[i] for i in range(dim) if i != j] for r in rows]
-        vec.append(int_det(sub) if j % 2 == 0 else -int_det(sub))
-    if not any(vec):
-        return None
-    return vec
-
-
 def dual_cone(gens: Sequence, dim: int) -> tuple:
     """Extreme rays and lineality of ``{y : g . y >= 0 for all g}``.
 
@@ -151,12 +116,14 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
     the dual is the sum of the two parts.
 
     Double description: ``d`` independent generators, with the
-    lineality rows as equalities, cut out a simplicial cone whose rays
-    are signed minors.  Each remaining generator then keeps the rays
-    on its nonnegative side and adds one combination of every adjacent
-    positive/negative pair.  Zero sets are bitmasks over the generators
-    seen so far; two rays are adjacent when they share at least
-    ``d - 2`` zeros and no third ray vanishes on all of them.
+    lineality rows as equalities, cut out a simplicial cone.  Its ray
+    opposite a generator is the one primitive :func:`nullspace` vector
+    of the other ``d - 1`` and the lineality rows, signed to be positive
+    on the generator left out.  Each remaining generator then keeps
+    the rays on its nonnegative side and adds one combination of every
+    adjacent positive/negative pair.  Zero sets are bitmasks over the
+    generators seen so far; two rays are adjacent when they share at
+    least ``d - 2`` zeros and no third ray vanishes on all of them.
     """
     cleaned = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
     start, basis = _echelon(cleaned)
@@ -167,11 +134,10 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
 
     rays = []  # (vector, zero-set bitmask)
     for i in start:
-        y = _kernel_ray([cleaned[j] for j in start if j != i] + lineality, dim)
+        y, = nullspace([cleaned[j] for j in start if j != i] + lineality, dim)
         if dot(cleaned[i], y) < 0:
-            y = [-x for x in y]
-        rays.append((integerize(y),
-                     sum(1 << j for j in start if j != i)))
+            y = tuple(-x for x in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
 
     chosen = set(start)
     for i, h in enumerate(cleaned):

@@ -161,6 +161,29 @@ def _string_list(doc: dict, key: str) -> list:
     return value
 
 
+def _records(doc: dict, key: str, noun: str, *fields: str):
+    """The field values of each record listed under ``key``, checked
+    in order: the list, the object, its keys, that its fields are
+    strings and that its id (the first field) is unique.  The caller
+    checks each record's references as it is yielded."""
+    if not isinstance(doc[key], list):
+        raise _fail(f"{key!r} must be a list")
+    seen = set()
+    for entry in doc[key]:
+        if not isinstance(entry, dict):
+            raise _fail(f"each {noun} must be an object")
+        try:
+            values = tuple(entry[field] for field in fields)
+        except KeyError as exc:
+            raise _fail(f"{noun} missing key {exc.args[0]!r}") from exc
+        if not all(isinstance(x, str) for x in values):
+            raise _fail(f"{noun} fields must be strings")
+        if values[0] in seen:
+            raise _fail(f"duplicate {noun} id {values[0]!r}")
+        seen.add(values[0])
+        yield values
+
+
 def parse_tiling(text: str) -> QuiverOnTorus:
     """Parse a quiver document.
 
@@ -181,24 +204,11 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
         raise _fail("duplicate vertex id")
 
     arrows = []
-    seen = set()
-    if not isinstance(doc["arrows"], list):
-        raise _fail("'arrows' must be a list")
-    for entry in doc["arrows"]:
-        if not isinstance(entry, dict):
-            raise _fail("each arrow must be an object")
-        try:
-            aid, src, tgt = entry["id"], entry["src"], entry["tgt"]
-        except KeyError as exc:
-            raise _fail(f"arrow missing key {exc.args[0]!r}") from exc
-        if not all(isinstance(x, str) for x in (aid, src, tgt)):
-            raise _fail("arrow fields must be strings")
-        if aid in seen:
-            raise _fail(f"duplicate arrow id {aid!r}")
-        seen.add(aid)
+    for aid, src, tgt in _records(doc, "arrows", "arrow", "id", "src", "tgt"):
         if src not in vertices or tgt not in vertices:
             raise _fail(f"arrow {aid!r} references an unknown vertex")
         arrows.append(Arrow(arrow_id=aid, source=src, target=tgt))
+    known = {a.arrow_id for a in arrows}
 
     faces = []
     if not isinstance(doc["faces"], list):
@@ -214,7 +224,7 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
                 or not all(isinstance(x, str) for x in cycle)):
             raise _fail(f"face {n} cycle must be a nonempty list of arrow ids")
         for aid in cycle:
-            if aid not in seen:
+            if aid not in known:
                 raise _fail(f"face {n} references unknown arrow {aid!r}")
         faces.append(Face(sign=1 if sign == "+" else -1, arrows=tuple(cycle)))
 
@@ -284,21 +294,7 @@ def _dimer_from_doc(doc: dict) -> DimerGraph:
         raise _fail("duplicate node id")
 
     edges = []
-    seen = set()
-    if not isinstance(doc["edges"], list):
-        raise _fail("'edges' must be a list")
-    for entry in doc["edges"]:
-        if not isinstance(entry, dict):
-            raise _fail("each edge must be an object")
-        try:
-            eid, w, b = entry["id"], entry["white"], entry["black"]
-        except KeyError as exc:
-            raise _fail(f"edge missing key {exc.args[0]!r}") from exc
-        if not all(isinstance(x, str) for x in (eid, w, b)):
-            raise _fail("edge fields must be strings")
-        if eid in seen:
-            raise _fail(f"duplicate edge id {eid!r}")
-        seen.add(eid)
+    for eid, w, b in _records(doc, "edges", "edge", "id", "white", "black"):
         if w not in white:
             raise _fail(f"edge {eid!r}: unknown white node {w!r}")
         if b not in black:

@@ -74,13 +74,10 @@ def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
     return [m for m in matchings if is_theta_stable(tiling, m.arrows, theta)]
 
 
-def divisor_of_weight(weight: Sequence, stable: Sequence) -> tuple:
-    """Pair a weight with each stable matching's functional."""
-    return tuple((m.matching_id, lattice.dot(m.chi, weight)) for m in stable)
-
-
 def path_divisor(tower, path: WeakPath, stable: Sequence) -> tuple:
-    return divisor_of_weight(weak_path_weight(tower, path), stable)
+    """Pair the path's weight with each stable matching's functional."""
+    weight = weak_path_weight(tower, path)
+    return tuple((m.matching_id, lattice.dot(m.chi, weight)) for m in stable)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +228,11 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
     height.  Path side: distinct weights of forward paths between the
     path's endpoints, bucketed the same way.  The two must agree when
     the quotient construction represents the sections faithfully; the
-    result records both so a mismatch is visible.
+    result records both so a mismatch is visible.  A negative
+    ``max_height`` raises ValueError.
     """
+    if max_height < 0:
+        raise ValueError(f"max_height must be nonnegative, got {max_height}")
     stable = stable_matchings(tiling, theta, matchings)
     if not stable:
         raise ConsistencyError("no stable matchings: the fan is empty")

@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import settings
@@ -87,6 +88,47 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+# ---------------------------------------------------------------------------
+# signed minors: a second exact elimination, kept as a reference
+# ---------------------------------------------------------------------------
+
+def int_det(mat: Sequence) -> int:
+    """Determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination with row pivoting."""
+    m = [list(r) for r in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def kernel_ray(rows: list, dim: int):
+    """Spanning integer vector of the kernel of a ``(dim-1) x dim``
+    integer matrix — the signed maximal minors — or None when the rank
+    drops and the kernel is bigger than a line."""
+    vec = []
+    for j in range(dim):
+        sub = [[r[i] for i in range(dim) if i != j] for r in rows]
+        vec.append(int_det(sub) if j % 2 == 0 else -int_det(sub))
+    if not any(vec):
+        return None
+    return vec
 
 
 @pytest.fixture(scope="session")

@@ -224,6 +224,15 @@ def test_theta_length_mismatch_exits_two(capsys):
     assert err == "error[fan:usage] --theta has 2 entries for 3 vertices\n"
 
 
+def test_negative_max_height_exits_two(capsys):
+    code, out, err = run(["sections", SPP, "--theta=1,2,-3",
+                          "--max-height", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error[sections:usage] max_height must be nonnegative, "
+                   "got -1\n")
+
+
 def test_non_integer_theta_exits_two(capsys):
     code, _, err = run(["fan", SPP, "--theta=1,x,1"], capsys)
     assert code == 2

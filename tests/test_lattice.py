@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 
 import branetile as bt
 from branetile import lattice
-from branetile.rational import int_det
 
-from conftest import QUIVER_FIXTURES
+from conftest import QUIVER_FIXTURES, int_det
 
 # weight-lattice rank is #vertices + 2
 EXPECTED_RANK = {"honeycomb": 3, "conifold": 4, "spp": 5, "z2z2": 6}
@@ -113,6 +112,13 @@ def test_solve_integer_finds_constructed_solutions(mat, data):
 def test_solve_integer_detects_unsolvable():
     assert bt.solve_integer([[2]], [1]) is None
     assert bt.solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+
+
+@pytest.mark.parametrize("target", [[], [1], [1, 0, 0]])
+def test_solve_integer_rejects_a_target_of_the_wrong_length(target):
+    # neither truncated nor padded: [1] is not [1, 0]
+    with pytest.raises(ValueError, match="right-hand side"):
+        bt.solve_integer([[1, 0], [0, 1]], target)
 
 
 @given(unimodular_matrices())

@@ -1,0 +1,65 @@
+"""Source guards over the whole package: no function calls itself by
+name, and no invariant is left to an ``assert`` statement (which
+``python -O`` strips)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import branetile as bt
+
+SOURCES = sorted(Path(bt.__file__).parent.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def self_calls(tree: ast.AST) -> list:
+    """``(function name, line)`` of every call, inside a function's body
+    or a body nested in it, of that function by its own name: plainly,
+    or as an attribute of ``self`` or ``cls``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                named = f.id == fn.name
+            else:
+                named = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                         and isinstance(f.value, ast.Name)
+                         and f.value.id in ("self", "cls"))
+            if named:
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_the_guard_sees_direct_and_nested_self_calls():
+    tree = ast.parse(
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "class Walk:\n"
+        "    def step(self, k):\n"
+        "        def inner():\n"
+        "            return self.step(k - 1)\n"
+        "        return inner() if k else 0\n"
+        "def other(x):\n"
+        "    return fact(x)\n")
+    assert self_calls(tree) == [("fact", 2), ("step", 6)]
+
+
+def test_no_function_in_the_package_calls_itself_by_name():
+    found = [f"{path.name}:{line} {name}" for path in SOURCES
+             for name, line in self_calls(parse(path))]
+    assert found == []
+
+
+def test_the_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert found == []

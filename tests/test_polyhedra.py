@@ -207,6 +207,13 @@ def test_shift_by_stability_rejects_nonzero_sum(towers):
         bt.shift_by_stability(towers["spp"], (1, 1, 1))
 
 
+def test_shift_by_stability_rejects_a_parameter_of_the_wrong_length(towers):
+    # spp has three vertices: (1, -1) sums to zero but is not (1, -1, 0)
+    for theta in ((1, -1), (1, -1, 0, 0)):
+        with pytest.raises(ValueError, match="right-hand side"):
+            bt.shift_by_stability(towers["spp"], theta)
+
+
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
 def test_kernel_polytope_is_a_three_dimensional_slice(
         name, towers, chambers_by_name):

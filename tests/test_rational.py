@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branetile import rational
-from branetile.rational import _kernel_ray, integerize
+from branetile.rational import integerize
 
-from conftest import recursion_headroom
+from conftest import kernel_ray, recursion_headroom
 
 
 def rref(rows_in, ncols: int) -> tuple:
@@ -86,7 +86,7 @@ def minor_enumeration_dual_cone(gens, dim) -> tuple:
     rays = []
     seen = set()
     for subset in combinations(range(len(cleaned)), d - 1):
-        y = _kernel_ray([list(cleaned[i]) for i in subset] + lin_rows, dim)
+        y = kernel_ray([list(cleaned[i]) for i in subset] + lin_rows, dim)
         if y is None:
             continue
         dots = [sum(a * b for a, b in zip(g, y)) for g in cleaned]
@@ -148,6 +148,20 @@ def test_fraction_free_rank_and_nullspace_match_fraction_rref(case):
     want = [integerize(v) for v in nullspace(rows, dim)]
     assert rational.nullspace(rows, dim) == want
     assert rational.frank(rows, dim) == len(rref(rows, dim)[1])
+
+
+@given(generator_lists(), st.data())
+def test_a_corank_one_nullspace_is_the_signed_minor_line(case, data):
+    # dual_cone's start rays: dim - 1 independent rows have a nullspace
+    # of one primitive vector, on the line of their signed maximal minors
+    gens, dim = case
+    rows = [integerize(g) for g in gens if any(g)]
+    rows = [rows[i] for i in rational._echelon(rows)[0]]
+    rows += rational.nullspace(rows, dim)  # now a basis of Q^dim
+    del rows[data.draw(st.integers(0, dim - 1))]
+    line, = rational.nullspace(rows, dim)
+    minors = integerize(kernel_ray(rows, dim))
+    assert line in (minors, tuple(-x for x in minors))
 
 
 @pytest.mark.parametrize("gens, dim", [

@@ -125,6 +125,73 @@ def test_load_document_reports_parse_tiling_errors(bad):
     assert str(loaded.value) == str(direct.value)
 
 
+MALFORMED_QUIVER_MESSAGES = [
+    "missing key 'vertices'",
+    "duplicate vertex id",
+    "'arrows' must be a list",
+    "arrow missing key 'tgt'",
+    "arrow 'a' references an unknown vertex",
+    "duplicate arrow id 'a'",
+    "face 0 sign must be '+' or '-'",
+    "face 0 cycle must be a nonempty list of arrow ids",
+    "face 0 references unknown arrow 'ghost'",
+]
+
+
+@pytest.mark.parametrize("bad,message",
+                         zip(MALFORMED_QUIVERS, MALFORMED_QUIVER_MESSAGES))
+def test_parse_tiling_names_the_first_fault(bad, message):
+    with pytest.raises(bt.TilingFormatError) as exc:
+        bt.parse_tiling(json.dumps(bad))
+    assert str(exc.value) == message
+
+
+def arrows_doc(*arrows) -> dict:
+    return {"vertices": ["1", "2"], "arrows": list(arrows), "faces": []}
+
+
+def edges_doc(*edges) -> dict:
+    return {"white": ["w"], "black": ["b"], "edges": list(edges),
+            "rotation": {"w": ["e1"], "b": ["e1"]}}
+
+
+A = {"id": "a", "src": "1", "tgt": "2"}
+E = {"id": "e1", "white": "w", "black": "b"}
+
+# Record faults beyond MALFORMED_QUIVERS.  Each record is checked in
+# turn (object, keys, string fields, unique id, then its references), so
+# with two faulty records the first one names the error.
+MALFORMED_RECORDS = [
+    (arrows_doc("a"), "each arrow must be an object"),
+    (arrows_doc({"src": "1"}), "arrow missing key 'id'"),
+    (arrows_doc(dict(A, tgt=2)), "arrow fields must be strings"),
+    (arrows_doc(dict(A, tgt="3"), {"id": "b", "src": "1"}),
+     "arrow 'a' references an unknown vertex"),
+    (arrows_doc(dict(A, tgt=2), dict(A, tgt="9"), 5),
+     "arrow fields must be strings"),
+    (arrows_doc(A, dict(A, id="b", tgt="9"), {"id": "b"}),
+     "arrow 'b' references an unknown vertex"),
+    (dict(edges_doc(), edges={"e1": 1}), "'edges' must be a list"),
+    (edges_doc(["e1"]), "each edge must be an object"),
+    (edges_doc({"id": "e1", "white": "w"}), "edge missing key 'black'"),
+    (edges_doc(dict(E, black=None)), "edge fields must be strings"),
+    (edges_doc(E, E), "duplicate edge id 'e1'"),
+    (edges_doc(dict(E, white="x")), "edge 'e1': unknown white node 'x'"),
+    (edges_doc(dict(E, black="x")), "edge 'e1': unknown black node 'x'"),
+    (edges_doc(dict(E, black="x"), {"id": "e2", "white": "x"}),
+     "edge 'e1': unknown black node 'x'"),
+    (edges_doc(E, dict(E, id="e2", white=0), dict(E, id="e2", white="q")),
+     "edge fields must be strings"),
+]
+
+
+@pytest.mark.parametrize("bad,message", MALFORMED_RECORDS)
+def test_malformed_records_raise_their_first_fault(bad, message):
+    with pytest.raises(bt.TilingFormatError) as exc:
+        bt.load_document(json.dumps(bad))
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # dimer duality
 # ---------------------------------------------------------------------------

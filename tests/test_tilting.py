@@ -240,6 +240,16 @@ def test_empty_path_has_the_trivial_section(conifold, towers,
     assert count.heights[0] == (0, 1, 1)
 
 
+def test_sections_reject_a_negative_height_bound(spp, towers,
+                                                matchings_by_name,
+                                                chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    path = bt.make_weak_path(spp, [], source="1")
+    with pytest.raises(ValueError, match="max_height"):
+        bt.graded_sections_count(spp, tower, theta, path,
+                                 matchings_by_name["spp"], max_height=-1)
+
+
 def test_sections_reject_an_empty_stable_set(spp, towers, chambers_by_name):
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
