@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -44,7 +45,7 @@ def zeros(nrows: int, ncols: int) -> Matrix:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

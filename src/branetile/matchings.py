@@ -12,6 +12,8 @@ is the toric diagram of the tiling.
 from __future__ import annotations
 
 import dataclasses
+import struct
+from collections import Counter
 from typing import Iterable, Sequence
 
 from . import lattice
@@ -129,48 +131,96 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
-def _functional_table(tower: "lattice.LatticeTower") -> list:
+# struct code of a signed field, by its width in bits
+_FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _pack_rows(table: list) -> tuple:
+    """``(width, rows)``: each row of an integer table as one int of
+    signed ``width``-bit fields, column ``j`` at bit ``width * j``.
+
+    The width is the smallest of 8, 16, 32 and 64 bits whose signed
+    range holds every column's sum of absolute values over all rows.
+    No sum over a subset of the rows then leaves the range of a field,
+    so adding packed rows adds every column at once, no field carries
+    into the next, and a packed sum has only one reading as fields."""
+    bound = max((sum(map(abs, column)) for column in zip(*table)), default=0)
+    for width in _FIELD_CODES:
+        if bound < 1 << width - 1:
+            return width, [sum(v << width * j for j, v in enumerate(row))
+                           for row in table]
+    raise ConsistencyError(
+        f"matching functional column sums reach {bound}, "
+        "beyond a 64-bit field")
+
+
+def _field_bias(width: int, count: int) -> int:
+    """2^(width-1) in each of ``count`` fields.  Added to a packed sum
+    it makes every field a nonnegative digit, so no borrow crosses a
+    field; xor-ing it back then leaves every field in two's complement,
+    the form ``struct`` reads."""
+    return sum(1 << width * j + width - 1 for j in range(count))
+
+
+def _functional_table(tower: "lattice.LatticeTower") -> tuple:
     """One row per ambient generator — the face-cycle symbol, then the
     arrows in tower order.  A row holds the generator's ``section`` row,
     its value on every arrow weight and on the face-cycle weight, and
     its kernel coordinates, so by linearity the column sums over a
     matching's generators are its functional and everything checked
-    about it."""
+    about it.  Returned packed, as ``(width, rows)`` of
+    :func:`_pack_rows`: the field width bounds every such column sum."""
     columns = ([tower.weights[aid] for aid in tower.arrow_ids]
                + [tower.face_cycle_weight] + list(zip(*tower.kernel_basis)))
-    return [tuple(row) + tuple(lattice.dot(row, c) for c in columns)
-            for row in tower.section]
+    return _pack_rows([tuple(row) + tuple(lattice.dot(row, c) for c in columns)
+                       for row in tower.section])
 
 
 def enumerate_perfect_matchings(tiling: QuiverOnTorus,
                                 tower: "lattice.LatticeTower | None" = None) -> list:
     """All perfect matchings with their functionals, in a deterministic
-    order (sorted arrow-id tuples); ids are assigned in that order."""
+    order (sorted arrow-id tuples); ids are assigned in that order.
+
+    A matching's columns of :func:`_functional_table` are one sum of
+    packed rows, |M| + 1 int additions.  Its arrow block is compared
+    with the packed indicator of the matching; as the field width holds
+    every column sum, that is the same test as comparing the columns
+    one by one.  Then its value on the face-cycle weight and its height
+    are checked, each raising ``ConsistencyError``.  ``chi``, the
+    face-cycle value and ``chi_kernel`` are read out in one unpack."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
     k = tower.rank
     n_arrows = len(tower.arrow_ids)
-    position = {aid: i for i, aid in enumerate(tower.arrow_ids)}
-    cycle_row, *arrow_rows = _functional_table(tower)
+    width, (cycle_row, *arrow_rows) = _functional_table(tower)
+    row_of = dict(zip(tower.arrow_ids, arrow_rows))
+    bit_of = {aid: 1 << width * (k + i)
+              for i, aid in enumerate(tower.arrow_ids)}
+    arrow_block = (1 << width * (k + n_arrows)) - (1 << width * k)
+    count = k + n_arrows + 4
+    bias = _field_bias(width, count)
+    code = _FIELD_CODES[width]
+    # chi, then past the arrow block, the face-cycle value and chi_kernel
+    unpack = struct.Struct(
+        f"<{k}{code}{n_arrows * width // 8}x4{code}").unpack
+    length = count * width // 8
     result = []
     for n, arrows in enumerate(matching_arrow_sets(tiling)):
-        at = [position[aid] for aid in arrows]
-        sums = tuple(map(sum, zip(cycle_row, *(arrow_rows[i] for i in at))))
-        indicator = [0] * n_arrows
-        for i in at:
-            indicator[i] = 1
-        if list(sums[k:k + n_arrows]) != indicator:
+        fields = (sum(map(row_of.__getitem__, arrows), cycle_row)
+                  + bias) ^ bias
+        if fields & arrow_block != sum(map(bit_of.__getitem__, arrows)):
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
-        if sums[k + n_arrows] != 1:
+        values = unpack(fields.to_bytes(length, "little"))
+        if values[k] != 1:
             raise ConsistencyError(
                 "matching functional is not 1 on the face-cycle weight")
-        chi_kernel = sums[k + n_arrows + 1:]
+        chi_kernel = values[k + 1:]
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")
         result.append(PerfectMatching(matching_id=f"m{n + 1}",
-                                      arrows=arrows, chi=sums[:k],
+                                      arrows=arrows, chi=values[:k],
                                       chi_kernel=chi_kernel))
     return result
 
@@ -261,26 +311,31 @@ class ToricDiagram:
     canonical: tuple
 
 
-def _edge_frame_form(pts: list, v0: tuple, v1: tuple) -> tuple:
+def _edge_frame_form(counts: dict, v0: tuple, v1: tuple) -> list:
     """The multiset seen from one directed hull edge: the edge start
     goes to the origin, the primitive edge direction to (1, 0), and the
     remaining shear freedom is fixed by normalizing the smallest x on
-    the lowest positive level into [0, level)."""
+    the lowest positive level into [0, level).
+
+    ``counts`` maps each distinct point to its multiplicity; the form
+    is the sorted ``(point, -multiplicity)`` pairs of the moved points.
+    Between multisets of one size these pairs compare as the sorted
+    point tuples do: a run of a point that is longer than its rival's
+    meets the rival's next, larger point."""
     u = lattice.primitive((v1[0] - v0[0], v1[1] - v0[1]))
     # (-b, a) completes u to a positively oriented lattice basis; the
     # map below is the inverse of that basis matrix.
     _, a, b = _xgcd(u[0], u[1])
     moved = []
-    for x, y in pts:
+    for (x, y), c in counts.items():
         dx, dy = x - v0[0], y - v0[1]
-        moved.append((a * dx + b * dy, -u[1] * dx + u[0] * dy))
-    levels = sorted({y for _, y in moved if y > 0})
-    if levels:
-        low = levels[0]
-        xmin = min(x for x, y in moved if y == low)
+        moved.append((a * dx + b * dy, -u[1] * dx + u[0] * dy, c))
+    low = min((y for _, y, _ in moved if y > 0), default=None)
+    if low is not None:
+        xmin = min(x for x, y, _ in moved if y == low)
         k = -(xmin // low)
-        moved = [(x + k * y, y) for x, y in moved]
-    return tuple(sorted(moved))
+        moved = [(x + k * y, y, c) for x, y, c in moved]
+    return sorted(((x, y), -c) for x, y, c in moved)
 
 
 def _xgcd(x: int, y: int) -> tuple:
@@ -325,15 +380,17 @@ def canonical_point_multiset(points: Iterable) -> tuple:
         forward = sorted(ts)
         backward = sorted(top - t for t in ts)
         return tuple((t, 0) for t in min(forward, backward))
+    counts = Counter(pts)
     best = None
     for mirrored in (False, True):
-        image = [(x, -y) for x, y in pts] if mirrored else pts
+        image = ({(x, -y): c for (x, y), c in counts.items()} if mirrored
+                 else counts)
         ring = convex_hull_2d(image)
         for i, v0 in enumerate(ring):
             form = _edge_frame_form(image, v0, ring[(i + 1) % len(ring)])
             if best is None or form < best:
                 best = form
-    return best
+    return tuple(p for p, c in best for _ in range(-c))
 
 
 def toric_diagram(tiling: QuiverOnTorus,

@@ -135,6 +135,18 @@ def test_integer_inverse_rejects_non_unimodular():
         lattice.integer_inverse([[1, 0]])
 
 
+def scalars():
+    return st.integers(-10 ** 6, 10 ** 6) | st.fractions(max_denominator=12)
+
+
+@given(st.lists(scalars(), max_size=8), st.lists(scalars(), max_size=8))
+def test_dot_matches_the_generator_form(u, v):
+    want = sum(x * y for x, y in zip(u, v))
+    got = lattice.dot(u, v)
+    assert got == want
+    assert type(got) is type(want)
+
+
 def test_primitive_divides_out_the_gcd():
     assert lattice.primitive((4, -6, 2)) == (2, -3, 1)
     assert lattice.primitive((-5,)) == (-1,)

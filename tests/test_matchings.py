@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import branetile as bt
 from branetile import lattice
-from branetile.matchings import _xgcd, doubled_area, lattice_points_in_hull
+from branetile.errors import ConsistencyError
+from branetile.matchings import (_FIELD_CODES, _field_bias, _pack_rows, _xgcd,
+                                 convex_hull_2d, doubled_area,
+                                 lattice_points_in_hull)
 from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
@@ -241,13 +246,131 @@ def test_search_does_not_depend_on_face_order(n, m):
         assert bt.matching_arrow_sets(tiling) == want
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES + ("3x3",))
+ORBIFOLD_DOCUMENTS = {
+    "3x3": lambda: orbifold_text(3, 3),
+    "3x3-shuffled": lambda: shuffled_orbifold_text(3, 3, 11),
+    "4x4": lambda: orbifold_text(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + tuple(ORBIFOLD_DOCUMENTS))
 def test_functionals_match_the_section_product(name, tilings):
-    tiling = (bt.load_document(orbifold_text(3, 3)) if name == "3x3"
-              else tilings[name])
+    tiling = (bt.load_document(ORBIFOLD_DOCUMENTS[name]())
+              if name in ORBIFOLD_DOCUMENTS else tilings[name])
     tower = bt.build_lattice_tower(tiling)
     for m in bt.enumerate_perfect_matchings(tiling, tower):
         assert (m.chi, m.chi_kernel) == vec_mat_functionals(tower, m.arrows)
+
+
+def perturbed(tower, section=False, face_cycle=False, kernel=False):
+    """``tower`` with some of its functional data off by design:
+    ``section`` adds 1 to the face-cycle generator's row at the first
+    coordinate some arrow weight uses, so every matching's ``chi`` moves
+    off its arrows; ``face_cycle`` doubles the face-cycle weight;
+    ``kernel`` doubles the kernel basis column that gives the height.
+    The arrow check alone sees a wrong section: the face-cycle weight
+    is a sum of arrow weights and the height column is the face-cycle
+    weight, so the two later checks only fire on a tower whose own
+    weights disagree."""
+    changes = {}
+    if section:
+        c = next(c for c in range(tower.rank)
+                 if any(w[c] for w in tower.weights.values()))
+        rows = [list(row) for row in tower.section]
+        rows[0][c] += 1
+        changes["section"] = tuple(tuple(row) for row in rows)
+    if face_cycle:
+        changes["face_cycle_weight"] = tuple(
+            2 * x for x in tower.face_cycle_weight)
+    if kernel:
+        changes["kernel_basis"] = tuple(
+            (row[0], row[1], 2 * row[2]) for row in tower.kernel_basis)
+    return dataclasses.replace(tower, **changes)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({"section": True}, "disagrees with arrow weights"),
+    ({"face_cycle": True}, "not 1 on the face-cycle weight"),
+    ({"kernel": True}, "not at height one over the plane"),
+    ({"section": True, "face_cycle": True, "kernel": True},
+     "disagrees with arrow weights"),
+    ({"face_cycle": True, "kernel": True}, "not 1 on the face-cycle weight"),
+])
+def test_functional_checks_fire_in_order(faults, message, spp, towers):
+    with pytest.raises(ConsistencyError, match=message):
+        bt.enumerate_perfect_matchings(spp, perturbed(towers["spp"], **faults))
+
+
+def test_a_table_beyond_64_bit_fields_raises(spp, towers):
+    tower = towers["spp"]
+    rows = [list(row) for row in tower.section]
+    rows[1][0] = 1 << 63
+    wide = dataclasses.replace(tower, section=tuple(map(tuple, rows)))
+    with pytest.raises(ConsistencyError, match="beyond a 64-bit field"):
+        bt.enumerate_perfect_matchings(spp, wide)
+    with pytest.raises(ConsistencyError, match=str(1 << 63)):
+        _pack_rows([[1 << 62], [-(1 << 62)]])
+
+
+@pytest.mark.parametrize("table, width", [
+    ([], 8), ([[0, 0]], 8), ([[127], [0]], 8), ([[100], [-28]], 16),
+    ([[-(1 << 15) + 1]], 16), ([[1 << 15]], 32), ([[1, -(1 << 31)]], 64),
+    ([[(1 << 62) - 1], [-(1 << 62)]], 64),
+])
+def test_field_width_is_the_smallest_that_holds_every_column(table, width):
+    assert _pack_rows(table)[0] == width
+
+
+def signed_fields(packed: int, width: int, count: int) -> list:
+    """Reference reading of a packed int: peel off the lowest field as
+    a signed value, subtract it and shift, ``count`` times."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    fields = []
+    for _ in range(count):
+        f = ((packed + half) & mask) - half
+        fields.append(f)
+        packed = (packed - f) >> width
+    assert packed == 0
+    return fields
+
+
+@st.composite
+def packable_tables(draw):
+    """Integer tables with negative entries and zero rows, at one of
+    four magnitudes, so that 1-, 2-, 4- and 8-byte fields all occur
+    (and tables too wide for any), with a subset of their rows."""
+    bits = draw(st.sampled_from((5, 13, 29, 61)))
+    n_cols = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-(1 << bits), 1 << bits),
+                       min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(entries | st.just([0] * n_cols), min_size=1,
+                         max_size=5))
+    return rows, draw(st.lists(st.booleans(), min_size=len(rows),
+                               max_size=len(rows)))
+
+
+@settings(max_examples=300)
+@given(packable_tables())
+def test_packed_sums_are_the_column_sums(case):
+    table, chosen = case
+    bound = max(sum(map(abs, column)) for column in zip(*table))
+    if bound >= 1 << 63:
+        with pytest.raises(ConsistencyError):
+            _pack_rows(table)
+        return
+    width, packed = _pack_rows(table)
+    assert bound < 1 << width - 1
+    assert width == 8 or bound >= 1 << width // 2 - 1
+    picked = [i for i, keep in enumerate(chosen) if keep]
+    want = [sum(table[i][j] for i in picked) for j in range(len(table[0]))]
+    total = sum(packed[i] for i in picked)
+    count = len(want)
+    assert signed_fields(total, width, count) == want
+    bias = _field_bias(width, count)
+    read = struct.unpack(f"<{count}{_FIELD_CODES[width]}",
+                         ((total + bias) ^ bias).to_bytes(count * width // 8,
+                                                          "little"))
+    assert list(read) == want
 
 
 def recursive_xgcd(x: int, y: int) -> tuple:
@@ -377,6 +500,76 @@ def test_lattice_points_match_a_direct_filter(pts):
 # ---------------------------------------------------------------------------
 # canonical form of a point multiset
 # ---------------------------------------------------------------------------
+
+def previous_edge_frame_form(pts: list, v0: tuple, v1: tuple) -> tuple:
+    """The previous ``_edge_frame_form``, kept as a reference: it moves
+    every point of the multiset, repeats included."""
+    u = lattice.primitive((v1[0] - v0[0], v1[1] - v0[1]))
+    # (-b, a) completes u to a positively oriented lattice basis; the
+    # map below is the inverse of that basis matrix.
+    _, a, b = _xgcd(u[0], u[1])
+    moved = []
+    for x, y in pts:
+        dx, dy = x - v0[0], y - v0[1]
+        moved.append((a * dx + b * dy, -u[1] * dx + u[0] * dy))
+    levels = sorted({y for _, y in moved if y > 0})
+    if levels:
+        low = levels[0]
+        xmin = min(x for x, y in moved if y == low)
+        k = -(xmin // low)
+        moved = [(x + k * y, y) for x, y in moved]
+    return tuple(sorted(moved))
+
+
+def previous_canonical_point_multiset(points) -> tuple:
+    """The previous ``canonical_point_multiset``, kept as a reference:
+    one sorted form of the whole multiset per directed hull edge."""
+    pts = [tuple(p) for p in points]
+    if not pts:
+        return ()
+    hull = convex_hull_2d(pts)
+    if len(hull) == 1:
+        return tuple((0, 0) for _ in pts)
+    if len(hull) == 2:
+        (x0, y0), (x1, y1) = hull
+        u = lattice.primitive((x1 - x0, y1 - y0))
+        # Integer coordinate of each point along the primitive direction.
+        if u[0] != 0:
+            ts = [(x - x0) // u[0] for x, _ in pts]
+        else:
+            ts = [(y - y0) // u[1] for _, y in pts]
+        top = max(ts)
+        forward = sorted(ts)
+        backward = sorted(top - t for t in ts)
+        return tuple((t, 0) for t in min(forward, backward))
+    best = None
+    for mirrored in (False, True):
+        image = [(x, -y) for x, y in pts] if mirrored else pts
+        ring = convex_hull_2d(image)
+        for i, v0 in enumerate(ring):
+            form = previous_edge_frame_form(image, v0,
+                                            ring[(i + 1) % len(ring)])
+            if best is None or form < best:
+                best = form
+    return best
+
+
+@st.composite
+def repeated_points(draw):
+    """A few distinct points, each repeated up to 30 times, shuffled."""
+    distinct = draw(st.lists(st.tuples(st.integers(-4, 4),
+                                       st.integers(-4, 4)),
+                             min_size=1, max_size=7, unique=True))
+    pts = [p for p in distinct for _ in range(draw(st.integers(1, 30)))]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300)
+@given(repeated_points())
+def test_canonical_form_matches_the_previous_route(pts):
+    assert bt.canonical_point_multiset(pts) \
+        == previous_canonical_point_multiset(pts)
+
 
 @given(points_strategy(), plane_unimodular(),
        st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
