@@ -24,7 +24,6 @@ from .polyhedra import (DescendedSupport, LiftedFace, PolyFace, Polyhedron,
                         cone_of_arrow_weights, descend_linear_functional,
                         enumerate_faces, integer_points, kernel_polytope,
                         lift_slice_faces, m_stable_faces,
-                        polyhedron_from_generators,
                         polyhedron_from_inequalities, quotient_fan,
                         shift_by_stability)
 from .stability import (Chamber, StableSubset, chamber_decomposition,
@@ -61,8 +60,8 @@ __all__ = [
     "kernel_polytope", "lift_slice_faces", "load_document",
     "m_stable_faces", "make_weak_path", "matching_arrow_sets", "matrix_rank",
     "moduli_fan", "parse_dimer", "parse_tiling", "path_divisor",
-    "picard_presentation", "polyhedron_from_generators",
-    "polyhedron_from_inequalities", "quotient_fan", "render_diagram_svg",
+    "picard_presentation", "polyhedron_from_inequalities", "quotient_fan",
+    "render_diagram_svg",
     "serialize_tiling", "shift_by_stability", "smith_normal_form",
     "solve_integer", "submodule_supports", "tilting_collection",
     "toric_diagram", "triangulation", "validate", "validate_fan",

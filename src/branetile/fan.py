@@ -141,20 +141,16 @@ def _meet_in_common_face(a: frozenset, b: frozenset, vectors: dict,
     return rational.strict_feasible_point(strict, eqs, dim) is not None
 
 
-def _cone_faces(vectors_by_id: dict) -> set:
-    """Ray-id sets of all faces of the cone generated by the given
-    rays (assumed extreme), via supporting-hyperplane incidence."""
-    ids = sorted(vectors_by_id, key=matching_id_key)
-    if not ids:
-        return {frozenset()}
-    dim = len(next(iter(vectors_by_id.values())))
-    drays, dlin = rational.dual_cone([vectors_by_id[i] for i in ids], dim)
-    facets = []
-    for d in drays:
-        facets.append(frozenset(
-            i for i in ids if lattice.dot(d, vectors_by_id[i]) == 0))
-    faces = {frozenset(ids)}
-    frontier = {frozenset(ids)}
+def _cone_faces(vectors_by_id: dict, normals: Sequence) -> set:
+    """Ray-id sets of all faces of the pointed cone generated by the
+    given rays (assumed extreme) with the given facet normals, via
+    supporting-hyperplane incidence."""
+    ids = frozenset(vectors_by_id)
+    facets = [frozenset(i for i in ids
+                        if lattice.dot(d, vectors_by_id[i]) == 0)
+              for d in normals]
+    faces = {ids}
+    frontier = {ids}
     while frontier:
         fresh = set()
         for face in frontier:
@@ -216,14 +212,15 @@ def validate_fan(fan: Fan) -> None:
             faces = {frozenset(sub) for r in range(len(ids) + 1)
                      for sub in itertools.combinations(ids, r)}
         else:
-            extreme, lineality = rational.extreme_rays(vecs, dim)
+            normals, extreme, lineality = rational.describe_cone(vecs, dim)
             if lineality:
                 raise ConsistencyError(
                     f"cone {sorted(cone.ray_ids)} is not strongly convex")
             if set(extreme) != set(tuple(v) for v in vecs):
                 raise ConsistencyError(
                     f"cone {sorted(cone.ray_ids)} lists a non-extreme ray")
-            faces = _cone_faces({i: vectors[i] for i in cone.ray_ids})
+            faces = _cone_faces({i: vectors[i] for i in cone.ray_ids},
+                                normals)
         faces_of[cone.ray_ids] = faces
 
     max_sets = [c.ray_ids for c in fan.max_cones()]

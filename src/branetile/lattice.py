@@ -115,6 +115,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
         Returns False when the window is entirely zero.
         """
         while True:
+            # the row-major first smallest entry; a unit is the least
+            # possible, so the scan stops at the first one
             piv = None
             best = 0
             for i in range(t, rmax):
@@ -122,6 +124,10 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
                     a = abs(m[i][j])
                     if a and (piv is None or a < best):
                         piv, best = (i, j), a
+                        if a == 1:
+                            break
+                if best == 1:
+                    break
             if piv is None:
                 return False
             if piv[0] != t:

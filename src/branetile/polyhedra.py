@@ -43,9 +43,9 @@ class Polyhedron:
 
     ``vertices`` lists one point per minimal face (honest vertices when
     there is no lineality), ``rays`` and ``lineality`` span the
-    recession directions, and ``inequalities``/``equalities`` cut the
-    same set out.  The inequality list is kept in the order it was
-    built in — faces index into it.
+    recession directions, and ``inequalities`` cut the same set out.
+    The inequality list is kept in the order it was built in — faces
+    index into it.
     """
 
     ambient_dim: int
@@ -53,7 +53,6 @@ class Polyhedron:
     rays: tuple
     lineality: tuple
     inequalities: tuple  # of (normal tuple, offset Fraction)
-    equalities: tuple
 
     @property
     def is_empty(self) -> bool:
@@ -67,9 +66,7 @@ class Polyhedron:
                             range(len(self.rays)))
 
     def contains(self, point: Sequence) -> bool:
-        return (all(lattice.dot(a, point) >= b for a, b in self.inequalities)
-                and all(lattice.dot(a, point) == b
-                        for a, b in self.equalities))
+        return all(lattice.dot(a, point) >= b for a, b in self.inequalities)
 
 
 def _affine_rank(poly: Polyhedron, vertex_ids: Sequence,
@@ -84,23 +81,18 @@ def _affine_rank(poly: Polyhedron, vertex_ids: Sequence,
     return rational.frank(spanning, poly.ambient_dim)
 
 
-def polyhedron_from_inequalities(inequalities: Sequence, ambient_dim: int,
-                                 equalities: Sequence = ()) -> Polyhedron:
-    """Build the polyhedron ``{x : a . x >= b, e . x == c}``.
+def polyhedron_from_inequalities(inequalities: Sequence,
+                                 ambient_dim: int) -> Polyhedron:
+    """Build the polyhedron ``{x : a . x >= b}``.
 
     The generator description is derived by dualizing the homogenized
     constraint cone; the inequality list is stored as given (scaled row
     by row), so callers can keep using their own indices.
     """
     ineqs = tuple((tuple(a), Fraction(b)) for a, b in inequalities)
-    eqs = tuple((tuple(a), Fraction(b)) for a, b in equalities)
 
     rows = [(-b,) + a for a, b in ineqs if any(a) or b != 0]
     rows.append((1,) + (0,) * ambient_dim)
-    for a, b in eqs:
-        row = (-b,) + a
-        rows.append(row)
-        rows.append(tuple(-x for x in row))
     # Unsatisfiable constant constraints (0 >= b with b > 0) poison the
     # homogenization unless handled: they force t <= 0.
     for a, b in ineqs:
@@ -127,36 +119,14 @@ def polyhedron_from_inequalities(inequalities: Sequence, ambient_dim: int,
             raise ConsistencyError("homogenization produced t < 0")
     if not vertices:
         return Polyhedron(ambient_dim=ambient_dim, vertices=(), rays=(),
-                          lineality=(), inequalities=ineqs, equalities=eqs)
+                          lineality=(), inequalities=ineqs)
     return Polyhedron(
         ambient_dim=ambient_dim,
         vertices=tuple(sorted(vertices)),
         rays=tuple(sorted(set(recession))),
         lineality=tuple(lin),
         inequalities=ineqs,
-        equalities=eqs,
     )
-
-
-def polyhedron_from_generators(vertices: Sequence, ambient_dim: int,
-                               rays: Sequence = (),
-                               lineality: Sequence = ()) -> Polyhedron:
-    """Build the polyhedron ``conv(vertices) + cone(rays) + span(lineality)``."""
-    if not vertices:
-        return Polyhedron(ambient_dim=ambient_dim, vertices=(), rays=(),
-                          lineality=(), inequalities=(), equalities=())
-    gens = [(1,) + tuple(v) for v in vertices]
-    gens += [(0,) + tuple(r) for r in rays]
-    for l in lineality:
-        row = (0,) + tuple(l)
-        gens.append(row)
-        gens.append(tuple(-x for x in row))
-    # the dual rays are primitive, so the constraints need no rescaling
-    drays, dlin = rational.dual_cone(gens, ambient_dim + 1)
-    inequalities = [(tuple(a), Fraction(-c)) for c, *a in drays if any(a)]
-    equalities = [(tuple(a), Fraction(-c)) for c, *a in dlin if any(a)]
-    return polyhedron_from_inequalities(inequalities, ambient_dim,
-                                        equalities=equalities)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +224,22 @@ _weight_cone_cache: "WeakKeyDictionary" = WeakKeyDictionary()
 
 def cone_of_arrow_weights(tower) -> Polyhedron:
     """The cone spanned by all arrow weights, with the origin as its
-    single vertex.  Pointedness is asserted: a lineality direction
-    would need arrows missed by every perfect matching."""
+    single vertex.  Its facets are the dual's rays, as ``a . x >= 0``
+    in sorted order, and its rays the extreme weights, both from one
+    :func:`rational.describe_cone`.  Pointedness is asserted: a
+    lineality direction would need arrows missed by every perfect
+    matching."""
     cached = _weight_cone_cache.get(tower)
     if cached is not None:
         return cached
     k = tower.rank
-    gens = []
-    for aid in tower.arrow_ids:
-        w = lattice.primitive(tower.weights[aid])
-        if w not in gens:
-            gens.append(w)
-    poly = polyhedron_from_generators([(0,) * k], k, rays=gens)
-    if poly.lineality:
+    facets, rays, lineality = rational.describe_cone(
+        [tower.weights[aid] for aid in tower.arrow_ids], k)
+    if lineality:
         raise ConsistencyError("the cone of arrow weights is not pointed")
+    poly = Polyhedron(
+        ambient_dim=k, vertices=((Fraction(0),) * k,), rays=tuple(rays),
+        lineality=(), inequalities=tuple((a, Fraction(0)) for a in facets))
     if poly.dim != k:
         raise ConsistencyError(
             f"the cone of arrow weights has dimension {poly.dim}, "
@@ -296,8 +268,7 @@ def shift_by_stability(tower, theta: Sequence) -> tuple:
         (a, b + lattice.dot(a, shift)) for a, b in cone.inequalities)
     shifted = Polyhedron(
         ambient_dim=cone.ambient_dim, vertices=vertices, rays=cone.rays,
-        lineality=cone.lineality, inequalities=inequalities,
-        equalities=cone.equalities)
+        lineality=cone.lineality, inequalities=inequalities)
     return shifted, tuple(lam)
 
 

@@ -11,7 +11,8 @@ from a simplicial cone on the independent generators that the echelon
 picks, each start ray a nullspace line from that same elimination,
 and are updated one generator at a time, combining only adjacent pairs
 of rays; adjacency is decided on zero sets kept as bitmasks.
-:func:`extreme_rays` is the dual of the dual.
+:func:`describe_cone` reads a cone's facets, extreme rays and lineality
+from one dual.
 
 The feasibility routine decides homogeneous systems of *strict*
 inequalities (optionally restricted to a rational subspace) by
@@ -170,16 +171,32 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
     return sorted(vec for vec, _ in rays), lineality
 
 
-def extreme_rays(gens: Sequence, dim: int) -> tuple:
-    """Extreme rays and lineality of the cone the generators span.
+def describe_cone(gens: Sequence, dim: int) -> tuple:
+    """Facets, extreme rays and lineality of the cone the generators
+    span, from one :func:`dual_cone` call.
 
-    Returns ``(rays, lineality)`` in the form of :func:`dual_cone`: the
-    cone is the dual of its dual, so the rays are its sorted primitive
-    extreme rays when it is pointed (when the lineality is empty).
+    Returns ``(facets, rays, lineality)`` as primitive integer vectors.
+    The facets are the dual's sorted rays: inner normals within the
+    span of the generators, so with the dual's lineality (the span's
+    orthogonal complement) as equalities they cut the cone out.  The
+    lineality is the nullspace of the facets and that complement.  A
+    cone with lineality has no extreme ray, so ``rays`` is empty then;
+    for a pointed cone it is the sorted distinct primitive generators
+    that are extreme.  Such a generator is extreme iff no other one
+    vanishes on every facet it vanishes on: the generators in a face
+    span it, so a face of dimension two or more has at least two
+    extreme generators, each vanishing where the face does.
     """
-    drays, dlin = dual_cone(gens, dim)
-    return dual_cone(drays + dlin + [tuple(-x for x in l) for l in dlin],
-                     dim)
+    cleaned = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
+    facets, orthogonal = dual_cone(cleaned, dim)
+    lineality = nullspace(facets + orthogonal, dim)
+    if lineality:
+        return facets, [], lineality
+    zeros = [sum(1 << i for i, f in enumerate(facets) if not dot(f, g))
+             for g in cleaned]
+    rays = sorted(g for i, (g, z) in enumerate(zip(cleaned, zeros))
+                  if not any(y & z == z for j, y in enumerate(zeros) if j != i))
+    return facets, rays, lineality
 
 
 # ---------------------------------------------------------------------------

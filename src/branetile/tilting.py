@@ -209,15 +209,6 @@ class SectionCount:
         return all(a == b for _, a, b in self.heights)
 
 
-def arrow_heights(matchings: Sequence) -> dict:
-    """How many matchings use each arrow (positive iff nondegenerate)."""
-    heights: dict = {}
-    for m in matchings:
-        for aid in m.arrows:
-            heights[aid] = heights.get(aid, 0) + 1
-    return heights
-
-
 def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
                           path: WeakPath, matchings: Sequence,
                           max_height: int = 4) -> SectionCount:

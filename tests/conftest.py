@@ -17,6 +17,7 @@ import pytest
 from hypothesis import settings
 
 import branetile as bt
+from branetile import rational
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
@@ -129,6 +130,21 @@ def kernel_ray(rows: list, dim: int):
     if not any(vec):
         return None
     return vec
+
+
+# ---------------------------------------------------------------------------
+# the double dual: a cone's extreme rays by a second duality, kept as a
+# reference
+# ---------------------------------------------------------------------------
+
+def double_dual(gens: Sequence, dim: int) -> tuple:
+    """Extreme rays and lineality of the cone the generators span, as
+    the dual of its dual: ``(rays, lineality)`` in the form of
+    ``rational.dual_cone``, the rays being the sorted primitive extreme
+    rays when the cone is pointed (when the lineality is empty)."""
+    drays, dlin = rational.dual_cone(gens, dim)
+    return rational.dual_cone(
+        drays + dlin + [tuple(-x for x in l) for l in dlin], dim)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 import branetile as bt
-from branetile import fan as fan_module
+from branetile import fan as fan_module, rational
 from branetile.fan import Fan, FanCone, FanRay
 
 from conftest import QUIVER_FIXTURES, orbifold_text
@@ -153,9 +153,9 @@ def test_check_smooth_fixed_examples():
     assert not bt.check_smooth(singular)
 
 
-def test_check_smooth_requires_simplicial_maximal_cones():
-    # four rays over a square: a valid cone but not simplicial
-    fan = Fan(
+def square_cone_fan() -> Fan:
+    """Four rays over a square: a valid cone but not simplicial."""
+    return Fan(
         rays=(FanRay("a", (1, 0, 1)), FanRay("b", (0, 1, 1)),
               FanRay("c", (-1, 0, 1)), FanRay("d", (0, -1, 1))),
         cones=(FanCone(frozenset(), 0),
@@ -166,8 +166,26 @@ def test_check_smooth_requires_simplicial_maximal_cones():
                FanCone(frozenset({"c", "d"}), 2),
                FanCone(frozenset({"d", "a"}), 2),
                FanCone(frozenset({"a", "b", "c", "d"}), 3)))
+
+
+def test_check_smooth_requires_simplicial_maximal_cones():
+    fan = square_cone_fan()
     bt.validate_fan(fan)
     assert not bt.check_smooth(fan)
+
+
+def test_a_non_simplicial_cone_is_validated_with_one_duality(monkeypatch):
+    # its extreme rays and its faces both come from the one dual
+    calls = []
+    real = rational.dual_cone
+
+    def counting(gens, dim):
+        calls.append(gens)
+        return real(gens, dim)
+
+    monkeypatch.setattr(rational, "dual_cone", counting)
+    bt.validate_fan(square_cone_fan())
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Source guards over the whole package: no function calls itself by
-name, and no invariant is left to an ``assert`` statement (which
-``python -O`` strips)."""
+name, no invariant is left to an ``assert`` statement (which
+``python -O`` strips), and no module-level function is dead."""
 
 from __future__ import annotations
 
@@ -63,3 +63,37 @@ def test_the_package_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def unreferenced_functions(trees: dict, exported) -> list:
+    """``module.function`` for every module-level function that no
+    module refers to, by name or as an attribute, and that is not in
+    ``exported``.  A same-named variable elsewhere hides a function, so
+    the guard can miss dead code but never flags live code."""
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [f"{module}.{fn.name}" for module, tree in trees.items()
+            for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name not in referenced and fn.name not in exported]
+
+
+def test_the_guard_sees_unreferenced_functions():
+    trees = {
+        "a": ast.parse("def used():\n    pass\n"
+                       "def public():\n    pass\n"
+                       "def dead():\n    return used()\n"),
+        "b": ast.parse("from . import a\n"
+                       "def caller():\n    return a.dead\n"),
+    }
+    assert unreferenced_functions(trees, {"public"}) == ["b.caller"]
+
+
+def test_every_function_in_the_package_is_referenced_or_exported():
+    trees = {path.stem: parse(path) for path in SOURCES}
+    assert unreferenced_functions(trees, set(bt.__all__)) == []

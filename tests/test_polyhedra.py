@@ -14,9 +14,13 @@ import branetile as bt
 from branetile import lattice, polyhedra, rational
 from branetile.matchings import matching_id_key
 
-from conftest import QUIVER_FIXTURES, fixture_text, orbifold_text
+from conftest import ALL_FIXTURES, QUIVER_FIXTURES, fixture_text, orbifold_text
 
 UNIT_SQUARE_INEQS = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
+
+
+def document_id(document) -> str:
+    return document if isinstance(document, str) else "%dx%d" % document
 
 
 def first_chamber_shift(towers, chambers_by_name, name):
@@ -65,33 +69,37 @@ def test_empty_and_unsatisfiable_systems():
 
 
 def test_equalities_cut_a_segment():
+    # an equality is a pair of opposite inequalities
     poly = bt.polyhedron_from_inequalities(
-        [((1, 0), 0), ((0, 1), 0)], 2, equalities=[((1, 1), 1)])
+        [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)], 2)
     assert sorted(poly.vertices) == [(0, 1), (1, 0)]
     assert poly.rays == ()
     assert poly.dim == 1
 
 
 def test_generators_round_trip_through_inequalities():
-    poly = bt.polyhedron_from_generators(
-        [(0, 0), (1, 0), (1, 1), (0, 1)], 2)
-    assert sorted(poly.vertices) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    again = bt.polyhedron_from_inequalities(poly.inequalities, 2)
-    assert sorted(again.vertices) == sorted(poly.vertices)
+    # the unit square, homogenized: its generators (1, v) give facets
+    # (-b, a) for a . v >= b, which give the vertices back
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    facets, rays, lineality = rational.describe_cone(
+        [(1,) + v for v in square], 3)
+    assert rays == sorted((1,) + v for v in square)
+    assert lineality == []
+    again = bt.polyhedron_from_inequalities(
+        [(tuple(a), -c) for c, *a in facets], 2)
+    assert sorted(again.vertices) == sorted(square)
+    assert again.rays == ()
 
 
 def test_generators_with_rays_and_lineality():
-    poly = bt.polyhedron_from_generators(
-        [(0, 0, 0)], 3, rays=[(1, 0, 0)], lineality=[(0, 0, 1)])
-    assert poly.rays == ((1, 0, 0),)
-    assert len(poly.lineality) == 1
+    facets, rays, lineality = rational.describe_cone(
+        [(1, 0, 0), (0, 0, 1), (0, 0, -1)], 3)
+    assert facets == [(1, 0, 0)]
+    assert rays == []
+    assert lineality == [(0, 0, 1)]
+    poly = bt.polyhedron_from_inequalities([(a, 0) for a in facets], 3)
     assert poly.contains((5, 0, -7))
     assert not poly.contains((-1, 0, 0))
-    assert poly.is_empty is False
-
-
-def test_empty_generator_list_gives_the_empty_polyhedron():
-    assert bt.polyhedron_from_generators([], 2).is_empty
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +143,9 @@ def test_quadrant_cone_faces_carry_rays():
             assert len(f.ray_ids) == 1
     origin = [f for f in faces if f.dim == 0]
     assert len(origin) == 1
-    # the normal cone is spanned by the active normals, with the
-    # equalities' normals as its lineality
+    # the normal cone is spanned by the active normals
     gens = [poly.inequalities[i][0] for i in origin[0].active]
-    lin = [a for a, _ in poly.equalities]
     assert sorted(gens) == [(0, 1), (1, 0)]
-    assert lin == []
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,77 @@ def test_weight_cone_is_pointed_and_full(name, towers):
     assert cone.dim == tower.rank
     for aid in tower.arrow_ids:
         assert cone.contains(tower.weights[aid])
+
+
+def homogenized_weight_cone(tower) -> bt.Polyhedron:
+    """The weight cone by two dualities: the primitive arrow weights
+    beside the homogenizing origin are dualized into facets, and
+    ``polyhedron_from_inequalities`` dualizes the facets back."""
+    k = tower.rank
+    gens = [(1,) + (0,) * k]
+    for aid in tower.arrow_ids:
+        w = (0,) + lattice.primitive(tower.weights[aid])
+        if w not in gens:
+            gens.append(w)
+    drays, dlin = rational.dual_cone(gens, k + 1)
+    assert dlin == []
+    return bt.polyhedron_from_inequalities(
+        [(tuple(a), Fraction(-c)) for c, *a in drays if any(a)], k)
+
+
+WEIGHT_CONE_DOCUMENTS = ALL_FIXTURES + (
+    (1, 2), (1, 3), (2, 2), (1, 4), (1, 5), (2, 3), (3, 3), (2, 5), (3, 4))
+
+
+@pytest.mark.parametrize("document", WEIGHT_CONE_DOCUMENTS, ids=document_id)
+def test_weight_cone_matches_the_homogenized_double_dual(document):
+    text = (fixture_text(document) if isinstance(document, str)
+            else orbifold_text(*document))
+    tower = bt.build_lattice_tower(bt.load_document(text))
+    cone = bt.cone_of_arrow_weights(tower)
+    want = homogenized_weight_cone(tower)
+    # repr compares every field with its types: Fraction offsets and
+    # vertex coordinates, tuples of ints
+    assert repr(cone) == repr(want)
+    assert cone.dim == want.dim == tower.rank
+
+
+def test_a_weight_cone_build_dualizes_once(monkeypatch):
+    tower = bt.build_lattice_tower(bt.load_document(orbifold_text(2, 3)))
+    calls = []
+    real = rational.dual_cone
+
+    def counting(gens, dim):
+        calls.append(dim)
+        return real(gens, dim)
+
+    monkeypatch.setattr(rational, "dual_cone", counting)
+    bt.cone_of_arrow_weights(tower)
+    assert calls == [tower.rank]
+
+
+class WeightTower:
+    """Just enough of a lattice tower for the weight cone: its rank and
+    one weight per arrow."""
+
+    def __init__(self, weights):
+        self.rank = len(weights[0])
+        self.arrow_ids = tuple(f"a{i}" for i in range(len(weights)))
+        self.weights = dict(zip(self.arrow_ids, weights))
+
+
+@pytest.mark.parametrize("weights, message", [
+    # full-dimensional, with a line through the origin
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], "not pointed"),
+    # a pointed quadrant in the plane z = 0
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+     "has dimension 2, expected 3"),
+    # a line in the plane z = 0: both faults, pointedness named first
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], "not pointed"),
+])
+def test_weight_cone_faults_raise(weights, message):
+    with pytest.raises(bt.ConsistencyError, match=message):
+        bt.cone_of_arrow_weights(WeightTower(weights))
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -404,10 +480,6 @@ def chamber_slices(document) -> tuple:
     return tuple(out)
 
 
-def document_id(document) -> str:
-    return document if isinstance(document, str) else "%dx%d" % document
-
-
 @pytest.mark.parametrize("document", ROUTE_DOCUMENTS, ids=document_id)
 def test_facet_normals_are_the_extreme_rays_of_the_active_normals(document):
     for _, tower, shifted, slice_poly in chamber_slices(document):
@@ -415,7 +487,7 @@ def test_facet_normals_are_the_extreme_rays_of_the_active_normals(document):
         faces = bt.m_stable_faces(tower, shifted, slice_poly)
         assert len(cones) == len(faces)
         for (dim, rays), face in zip(cones, faces):
-            want, lineality = rational.extreme_rays(
+            _, want, lineality = rational.describe_cone(
                 [slice_poly.inequalities[i][0] for i in face.active], 3)
             assert lineality == []
             assert list(rays) == want
@@ -436,12 +508,19 @@ def test_slice_face_dimensions_are_affine_ranks(document):
 
 @st.composite
 def generated_polyhedra(draw):
+    """Random inequality systems through a drawn point, so nonempty.
+    With fewer inequalities than dimensions there is lineality, and a
+    system with no opposing pair is unbounded, so rays and lineality
+    both show up."""
     dim = draw(st.integers(1, 4))
     vector = st.tuples(*[st.integers(-2, 2)] * dim)
-    return bt.polyhedron_from_generators(
-        draw(st.lists(vector, min_size=1, max_size=5)), dim,
-        rays=draw(st.lists(vector, max_size=3)),
-        lineality=draw(st.lists(vector, max_size=1)))
+    point = draw(vector)
+    normals = draw(st.lists(vector, max_size=6))
+    slacks = draw(st.lists(st.integers(0, 2), min_size=len(normals),
+                           max_size=len(normals)))
+    return bt.polyhedron_from_inequalities(
+        [(a, lattice.dot(a, point) - s) for a, s in zip(normals, slacks)],
+        dim)
 
 
 @given(generated_polyhedra())
@@ -458,7 +537,7 @@ def reference_descent(tower, shifted, slice_poly, weight):
     for face in bt.m_stable_faces(tower, shifted, slice_poly):
         if face.slice_face.dim != 0:
             continue
-        rays, _ = rational.extreme_rays(
+        _, rays, _ = rational.describe_cone(
             [slice_poly.inequalities[i][0] for i in face.active], 3)
         normals = [list(shifted.inequalities[i][0]) for i in face.active]
         columns = lattice.integer_kernel(normals)
@@ -554,15 +633,16 @@ def test_descent_after_the_fan_factors_no_matrix(monkeypatch):
 
 
 def test_a_smooth_slice_needs_no_extreme_rays(monkeypatch):
+    # extreme rays come from a duality; a smooth slice's fan makes none
     _, tower, shifted, slice_poly = fresh_slice("z2z2")
     calls = []
-    real = rational.extreme_rays
+    real = rational.dual_cone
 
     def counting(gens, dim):
         calls.append(gens)
         return real(gens, dim)
 
-    monkeypatch.setattr(rational, "extreme_rays", counting)
+    monkeypatch.setattr(rational, "dual_cone", counting)
     fan = bt.quotient_fan(tower, shifted, slice_poly)
     assert bt.check_smooth(fan)
     assert calls == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from branetile import rational
 from branetile.rational import integerize
 
-from conftest import kernel_ray, recursion_headroom
+from conftest import double_dual, kernel_ray, recursion_headroom
 
 
 def rref(rows_in, ncols: int) -> tuple:
@@ -220,7 +220,7 @@ def _in_cone(vec, gens) -> bool:
 def test_extreme_rays_are_the_generators_outside_the_others_cone(case):
     gens, dim = case
     distinct = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
-    rays, lineality = rational.extreme_rays(gens, dim)
+    _, rays, lineality = rational.describe_cone(gens, dim)
     pointed = not any(
         _in_cone(tuple(-x for x in g), distinct) for g in distinct)
     assert pointed == (not lineality)
@@ -229,18 +229,49 @@ def test_extreme_rays_are_the_generators_outside_the_others_cone(case):
             g for g in distinct
             if not _in_cone(g, [h for h in distinct if h != g]))
         assert rays == extreme
+    else:
+        assert rays == []
+
+
+@settings(max_examples=300)
+@given(generator_lists())
+def test_one_duality_describes_the_cone_as_the_double_dual_did(case):
+    gens, dim = case
+    facets, rays, lineality = rational.describe_cone(gens, dim)
+    assert facets == rational.dual_cone(gens, dim)[0]
+    want_rays, want_lineality = double_dual(gens, dim)
+    assert lineality == want_lineality
+    if not lineality:
+        assert _identical((rays, lineality), (want_rays, want_lineality))
+    cleaned = [integerize(g) for g in gens if any(g)]
+    assert all(sum(a * b for a, b in zip(f, g)) >= 0
+               for f in facets for g in cleaned)
 
 
 def test_extreme_rays_drop_interior_generators():
-    rays, lineality = rational.extreme_rays(
+    facets, rays, lineality = rational.describe_cone(
         [(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 2, 4), (0, 0, 0)], 3)
     assert rays == [(0, 1, 1), (1, 0, 1)]
     assert lineality == []
+    # a two-dimensional cone in three dimensions: its facets are the
+    # inner normals within its span
+    assert facets == [(-1, 2, 1), (2, -1, 1)]
 
 
 def test_extreme_rays_report_lineality():
-    _, lineality = rational.extreme_rays([(1, 0), (-1, 0), (0, 1)], 2)
+    facets, rays, lineality = rational.describe_cone(
+        [(1, 0), (-1, 0), (0, 1)], 2)
     assert lineality == [(1, 0)]
+    assert rays == []
+    assert facets == [(0, 1)]
+
+
+def test_interior_generators_with_equal_zero_sets_are_not_extreme():
+    # two interior generators vanish on no facet, so their zero sets are
+    # equal (both empty); neither may count as extreme
+    _, rays, _ = rational.describe_cone(
+        [(1, 0), (0, 1), (1, 1), (1, 2)], 2)
+    assert rays == [(0, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------------------

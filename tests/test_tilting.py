@@ -6,8 +6,8 @@ import pytest
 
 import branetile as bt
 from branetile import lattice
-from branetile.tilting import (arrow_heights, picard_presentation,
-                               stable_matchings, weak_path_weight)
+from branetile.tilting import (picard_presentation, stable_matchings,
+                               weak_path_weight)
 
 from conftest import QUIVER_FIXTURES
 
@@ -266,12 +266,3 @@ def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
     matchings = matchings_by_name["spp"]
     with pytest.raises(bt.ConsistencyError):
         bt.graded_sections_count(spp, tower, theta, path, matchings[:1])
-
-
-def test_arrow_heights_count_matching_membership(spp, matchings_by_name):
-    heights = arrow_heights(matchings_by_name["spp"])
-    assert set(heights) == {a.arrow_id for a in spp.arrows}
-    for aid, h in heights.items():
-        assert h == sum(1 for m in matchings_by_name["spp"]
-                        if aid in m.arrows)
-        assert h > 0
