@@ -14,8 +14,7 @@ from .fan import (Fan, FanCone, FanRay, Triangulation, check_smooth,
                   fans_equal, git_equivalence_classes, moduli_fan,
                   triangulation, validate_fan)
 from .lattice import (LatticeTower, build_lattice_tower, integer_kernel,
-                      invariant_factors, matrix_rank, smith_normal_form,
-                      solve_integer)
+                      invariant_factors, smith_normal_form, solve_integer)
 from .matchings import (PerfectMatching, ToricDiagram,
                         canonical_point_multiset, convex_hull_2d,
                         enumerate_perfect_matchings, extremal_matchings,
@@ -23,9 +22,8 @@ from .matchings import (PerfectMatching, ToricDiagram,
 from .polyhedra import (DescendedSupport, LiftedFace, PolyFace, Polyhedron,
                         cone_of_arrow_weights, descend_linear_functional,
                         enumerate_faces, integer_points, kernel_polytope,
-                        lift_slice_faces, m_stable_faces,
-                        polyhedron_from_inequalities, quotient_fan,
-                        shift_by_stability)
+                        lift_slice_faces, polyhedron_from_inequalities,
+                        quotient_fan, shift_by_stability)
 from .stability import (Chamber, StableSubset, chamber_decomposition,
                         enumerate_stable_subsets, find_chamber, is_generic,
                         is_theta_stable, is_w_compatible, submodule_supports)
@@ -58,7 +56,7 @@ __all__ = [
     "graded_sections_count", "integer_kernel", "integer_points",
     "invariant_factors", "is_generic", "is_theta_stable", "is_w_compatible",
     "kernel_polytope", "lift_slice_faces", "load_document",
-    "m_stable_faces", "make_weak_path", "matching_arrow_sets", "matrix_rank",
+    "make_weak_path", "matching_arrow_sets",
     "moduli_fan", "parse_dimer", "parse_tiling", "path_divisor",
     "picard_presentation", "polyhedron_from_inequalities", "quotient_fan",
     "render_diagram_svg",

@@ -45,12 +45,6 @@ class Fan:
     rays: tuple
     cones: tuple
 
-    def ray_vector(self, ray_id: str) -> tuple:
-        for ray in self.rays:
-            if ray.ray_id == ray_id:
-                return ray.vector
-        raise KeyError(ray_id)
-
     def vector_map(self) -> dict:
         return {ray.ray_id: ray.vector for ray in self.rays}
 
@@ -245,10 +239,9 @@ def validate_fan(fan: Fan) -> None:
 
 def fans_equal(first: Fan, second: Fan) -> bool:
     """Geometric equality: same ray vectors, same cones of vectors."""
-    fa = {frozenset(first.vector_map()[i] for i in c.ray_ids)
-          for c in first.cones}
-    fb = {frozenset(second.vector_map()[i] for i in c.ray_ids)
-          for c in second.cones}
+    va, vb = first.vector_map(), second.vector_map()
+    fa = {frozenset(va[i] for i in c.ray_ids) for c in first.cones}
+    fb = {frozenset(vb[i] for i in c.ray_ids) for c in second.cones}
     return fa == fb
 
 

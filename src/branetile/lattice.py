@@ -23,9 +23,8 @@ lattices used everywhere else in the package:
 from __future__ import annotations
 
 import dataclasses
-from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError
 
@@ -55,17 +54,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [dot(row, v) for row in a]
-
-
-def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide a nonzero integer vector by the gcd of its entries.
-
-    Direction is preserved (the gcd taken is positive).
-    """
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +167,6 @@ def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
 
 
-def matrix_rank(mat: Sequence[Sequence[int]]) -> int:
-    return len(invariant_factors(mat))
-
-
 def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of ``{x : mat @ x == 0}`` as a list of integer vectors.
 
@@ -267,27 +251,8 @@ class LatticeTower:
     def degree_rank(self) -> int:
         return len(self.vertex_ids) - 1
 
-    def weight_of_path(self, arrows: Iterable[str]) -> tuple[int, ...]:
-        total = [0] * self.rank
-        for aid in arrows:
-            w = self.weights[aid]
-            total = [x + y for x, y in zip(total, w)]
-        return tuple(total)
-
     def degree(self, weight: Sequence[int]) -> tuple[int, ...]:
         return tuple(mat_vec([list(r) for r in self.degree_matrix], list(weight)))
-
-    def kernel_coords(self, weight: Sequence[int]) -> tuple[int, int, int]:
-        """Coordinates of a degree-zero weight in the kernel basis."""
-        basis = [list(r) for r in self.kernel_basis]
-        sol = solve_integer(basis, list(weight))
-        if sol is None:
-            raise ValueError("weight does not lie in the kernel lattice")
-        return tuple(sol)
-
-    def from_kernel(self, coords: Sequence[int]) -> tuple[int, ...]:
-        basis = [list(r) for r in self.kernel_basis]
-        return tuple(mat_vec(basis, list(coords)))
 
     def in_kernel(self, weight: Sequence[int]) -> bool:
         return all(x == 0 for x in self.degree(weight))

@@ -16,7 +16,7 @@ import struct
 from collections import Counter
 from typing import Iterable, Sequence
 
-from . import lattice
+from . import lattice, rational
 from .errors import ConsistencyError
 from .tiling import QuiverOnTorus
 
@@ -264,28 +264,18 @@ def doubled_area(polygon: Sequence) -> int:
 
 
 def lattice_points_in_hull(hull: Sequence) -> list:
-    """All integer points inside or on a convex ccw polygon."""
+    """All integer points inside or on a convex ccw polygon: the points
+    of its bounding box on the inner side of every edge.  A hull of one
+    or two points is a degenerate cycle of edges, which leaves the
+    points on its line, and the box then bounds them."""
     if not hull:
         return []
     xs = [p[0] for p in hull]
     ys = [p[1] for p in hull]
-    edges = list(zip(hull, hull[1:] + hull[:1])) if len(hull) >= 3 else []
-    points = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            pt = (x, y)
-            if len(hull) == 1:
-                inside = pt == tuple(hull[0])
-            elif len(hull) == 2:
-                a, b = hull
-                inside = (cross(a, b, pt) == 0
-                          and min(a[0], b[0]) <= x <= max(a[0], b[0])
-                          and min(a[1], b[1]) <= y <= max(a[1], b[1]))
-            else:
-                inside = all(cross(p, q, pt) >= 0 for p, q in edges)
-            if inside:
-                points.append(pt)
-    return points
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return [(x, y) for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1)
+            if all(cross(p, q, (x, y)) >= 0 for p, q in edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,7 @@ def _edge_frame_form(counts: dict, v0: tuple, v1: tuple) -> list:
     Between multisets of one size these pairs compare as the sorted
     point tuples do: a run of a point that is longer than its rival's
     meets the rival's next, larger point."""
-    u = lattice.primitive((v1[0] - v0[0], v1[1] - v0[1]))
+    u = rational.integerize((v1[0] - v0[0], v1[1] - v0[1]))
     # (-b, a) completes u to a positively oriented lattice basis; the
     # map below is the inverse of that basis matrix.
     _, a, b = _xgcd(u[0], u[1])
@@ -370,7 +360,7 @@ def canonical_point_multiset(points: Iterable) -> tuple:
         return tuple((0, 0) for _ in pts)
     if len(hull) == 2:
         (x0, y0), (x1, y1) = hull
-        u = lattice.primitive((x1 - x0, y1 - y0))
+        u = rational.integerize((x1 - x0, y1 - y0))
         # Integer coordinate of each point along the primitive direction.
         if u[0] != 0:
             ts = [(x - x0) // u[0] for x, _ in pts]

@@ -328,15 +328,6 @@ def lift_slice_faces(tower, shifted: Polyhedron,
     return lifted
 
 
-def m_stable_faces(tower, shifted: Polyhedron,
-                   slice_poly: "Polyhedron | None" = None) -> list:
-    """The lifted faces that meet the kernel slice transversally."""
-    if slice_poly is None:
-        slice_poly = kernel_polytope(tower, shifted)
-    return [f for f in lift_slice_faces(tower, shifted, slice_poly)
-            if f.stable]
-
-
 def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
     """The fan of ``(dim, rays)`` cones; ``ray_labels`` maps ray
     vectors to names and the other rays get ``r1``, ``r2``, ... in

@@ -129,11 +129,17 @@ def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> None:
-    if not is_generic(tiling, theta):
-        raise DegenerateInputError(
-            "stability parameter lies on a wall (some proper vertex "
-            "subset sums to zero)")
+_ON_A_WALL = ("stability parameter lies on a wall (some proper vertex "
+              "subset sums to zero)")
+
+
+def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> list:
+    """The subset-sum table (:func:`_subset_sums`) of a checked
+    parameter; raises DegenerateInputError when it lies on a wall."""
+    sums = _subset_sums(list(_theta_check(tiling, theta).values()))
+    if not all(sums[1:-1]):
+        raise DegenerateInputError(_ON_A_WALL)
+    return sums
 
 
 def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
@@ -143,7 +149,8 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
     Raises DegenerateInputError when the parameter lies on a wall.
     """
     by_vertex = _theta_check(tiling, theta)
-    _require_generic(tiling, theta)
+    if not is_generic(tiling, theta):
+        raise DegenerateInputError(_ON_A_WALL)
     return all(sum(by_vertex[v] for v in s) > 0
                for s in submodule_supports(tiling, arrows))
 
@@ -176,10 +183,7 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     pairs).  Deduplication is by arrow set.  The parameter is checked
     when there is a matching to test, as :func:`is_theta_stable` would.
     """
-    sums = ()
-    if matchings:
-        _require_generic(tiling, theta)
-        sums = _subset_sums(list(_theta_check(tiling, theta).values()))
+    sums = _require_generic(tiling, theta) if matchings else ()
     return _stable_subsets_at(tiling, matchings)(sums)
 
 
@@ -369,9 +373,8 @@ def chamber_decomposition(tiling: QuiverOnTorus,
 def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
     """The chamber containing a generic parameter."""
-    _require_generic(tiling, theta)
     signs = _sign_vector(_proper_subsets(tiling.vertices),
-                         _subset_sums(theta))
+                         _require_generic(tiling, theta))
     for chamber in chambers:
         if chamber.sign_vector == signs:
             return chamber

@@ -210,8 +210,7 @@ def test_moduli_fan_shape_and_smoothness(name, tilings, towers,
     assert {rid for rid, _ in tri.ray_points} \
         == {r.ray_id for r in fan.rays}
     for rid, point in tri.ray_points:
-        assert fan.ray_vector(rid)[:2] == point
-        assert fan.ray_vector(rid)[2] == 1
+        assert fan.vector_map()[rid] == point + (1,)
 
 
 def test_moduli_fan_rejects_wall_parameters(spp, matchings_by_name):
@@ -225,7 +224,7 @@ def test_ray_vector_raises_on_unknown_id(honeycomb, matchings_by_name,
                         chambers_by_name["honeycomb"][0].representative,
                         matchings_by_name["honeycomb"])
     with pytest.raises(KeyError):
-        fan.ray_vector("ghost")
+        fan.vector_map()["ghost"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branetile as bt
-from branetile import lattice
+from branetile import lattice, rational
 from branetile.errors import ConsistencyError
 from branetile.matchings import (_FIELD_CODES, _field_bias, _pack_rows, _xgcd,
                                  convex_hull_2d, doubled_area,
@@ -497,6 +497,33 @@ def test_lattice_points_match_a_direct_filter(pts):
     assert lattice_points_in_hull(hull) == expected
 
 
+@st.composite
+def hull_point_sets(draw):
+    """Random plane point sets, half of them on one line through a
+    drawn point, which may leave a single point."""
+    pts = draw(points_strategy())
+    if draw(st.booleans()):
+        (x, y), (dx, dy) = pts[0], draw(st.tuples(st.integers(-3, 3),
+                                                  st.integers(-3, 3)))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+        pts = [(x + t * dx, y + t * dy) for t in steps]
+    return pts
+
+
+@given(hull_point_sets())
+def test_lattice_points_are_those_that_leave_the_hull_unchanged(pts):
+    hull = bt.convex_hull_2d(pts)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    expected = [
+        (x, y)
+        for x in range(min(xs) - 1, max(xs) + 2)
+        for y in range(min(ys) - 1, max(ys) + 2)
+        if bt.convex_hull_2d(pts + [(x, y)]) == hull
+    ]
+    assert lattice_points_in_hull(hull) == expected
+
+
 # ---------------------------------------------------------------------------
 # canonical form of a point multiset
 # ---------------------------------------------------------------------------
@@ -504,7 +531,7 @@ def test_lattice_points_match_a_direct_filter(pts):
 def previous_edge_frame_form(pts: list, v0: tuple, v1: tuple) -> tuple:
     """The previous ``_edge_frame_form``, kept as a reference: it moves
     every point of the multiset, repeats included."""
-    u = lattice.primitive((v1[0] - v0[0], v1[1] - v0[1]))
+    u = rational.integerize((v1[0] - v0[0], v1[1] - v0[1]))
     # (-b, a) completes u to a positively oriented lattice basis; the
     # map below is the inverse of that basis matrix.
     _, a, b = _xgcd(u[0], u[1])
@@ -532,7 +559,7 @@ def previous_canonical_point_multiset(points) -> tuple:
         return tuple((0, 0) for _ in pts)
     if len(hull) == 2:
         (x0, y0), (x1, y1) = hull
-        u = lattice.primitive((x1 - x0, y1 - y0))
+        u = rational.integerize((x1 - x0, y1 - y0))
         # Integer coordinate of each point along the primitive direction.
         if u[0] != 0:
             ts = [(x - x0) // u[0] for x, _ in pts]

@@ -1,6 +1,7 @@
 """Source guards over the whole package: no function calls itself by
 name, no invariant is left to an ``assert`` statement (which
-``python -O`` strips), and no module-level function is dead."""
+``python -O`` strips), no module-level function is dead, and every
+exported name resolves and is exported once."""
 
 from __future__ import annotations
 
@@ -97,3 +98,10 @@ def test_the_guard_sees_unreferenced_functions():
 def test_every_function_in_the_package_is_referenced_or_exported():
     trees = {path.stem: parse(path) for path in SOURCES}
     assert unreferenced_functions(trees, set(bt.__all__)) == []
+
+
+def test_every_exported_name_resolves_and_is_listed_once():
+    missing = [name for name in bt.__all__ if not hasattr(bt, name)]
+    repeated = sorted({name for name in bt.__all__
+                       if bt.__all__.count(name) > 1})
+    assert (missing, repeated) == ([], [])

@@ -201,7 +201,7 @@ def homogenized_weight_cone(tower) -> bt.Polyhedron:
     k = tower.rank
     gens = [(1,) + (0,) * k]
     for aid in tower.arrow_ids:
-        w = (0,) + lattice.primitive(tower.weights[aid])
+        w = (0,) + rational.integerize(tower.weights[aid])
         if w not in gens:
             gens.append(w)
     drays, dlin = rational.dual_cone(gens, k + 1)
@@ -314,8 +314,6 @@ def test_transversal_faces_have_matching_ranks(name, towers,
     tower, _, shifted, _ = first_chamber_shift(towers, chambers_by_name, name)
     slice_poly = bt.kernel_polytope(tower, shifted)
     lifted = bt.lift_slice_faces(tower, shifted, slice_poly)
-    stable = [f for f in lifted if f.stable]
-    assert bt.m_stable_faces(tower, shifted, slice_poly) == stable
     for f in lifted:
         ambient = [shifted.inequalities[i][0] for i in f.active]
         restricted = [slice_poly.inequalities[i][0] for i in f.active]
@@ -484,7 +482,8 @@ def chamber_slices(document) -> tuple:
 def test_facet_normals_are_the_extreme_rays_of_the_active_normals(document):
     for _, tower, shifted, slice_poly in chamber_slices(document):
         cones, _ = polyhedra._slice_cones(tower, shifted, slice_poly)
-        faces = bt.m_stable_faces(tower, shifted, slice_poly)
+        faces = [f for f in bt.lift_slice_faces(tower, shifted, slice_poly)
+                 if f.stable]
         assert len(cones) == len(faces)
         for (dim, rays), face in zip(cones, faces):
             _, want, lineality = rational.describe_cone(
@@ -534,8 +533,8 @@ def reference_descent(tower, shifted, slice_poly, weight):
     fan = bt.quotient_fan(tower, shifted, slice_poly)
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
     functionals, values = [], {}
-    for face in bt.m_stable_faces(tower, shifted, slice_poly):
-        if face.slice_face.dim != 0:
+    for face in bt.lift_slice_faces(tower, shifted, slice_poly):
+        if not face.stable or face.slice_face.dim != 0:
             continue
         _, rays, _ = rational.describe_cone(
             [slice_poly.inequalities[i][0] for i in face.active], 3)

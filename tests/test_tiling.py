@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -215,6 +216,21 @@ def test_extract_dimer_splits_faces_by_sign(spp):
     assert len(graph.black) == sum(1 for f in spp.faces if f.sign == -1)
     assert sorted(e.edge_id for e in graph.edges) \
         == sorted(a.arrow_id for a in spp.arrows)
+
+
+@pytest.mark.parametrize("perturb,message", [
+    (lambda faces: faces + (bt.Face(1, ("11",)),),
+     "arrow '11' lies in two positive faces"),
+    (lambda faces: faces + (bt.Face(-1, ("12",)),),
+     "arrow '12' lies in two negative faces"),
+    (lambda faces: faces[:3],
+     "arrow '13' is missing a face of some sign"),
+], ids=["two-positive", "two-negative", "missing-sign"])
+def test_extract_dimer_rejects_an_arrow_without_one_face_per_sign(
+        spp, perturb, message):
+    tiling = dataclasses.replace(spp, faces=perturb(spp.faces))
+    with pytest.raises(bt.ConsistencyError, match=message):
+        bt.extract_dimer(tiling)
 
 
 def test_dualize_rejects_non_toroidal_embeddings():

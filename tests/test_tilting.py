@@ -128,7 +128,7 @@ def test_kernel_image_classes_vanish(name, tilings, towers,
     stable = stable_matchings(tiling, theta, matchings_by_name[name])
     pres = picard_presentation(stable)
     for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -2, 1)]:
-        weight = tower.from_kernel(coords)
+        weight = lattice.mat_vec(tower.kernel_basis, coords)
         divisor = tuple(lattice.dot(m.chi, weight) for m in stable)
         assert pres.class_of(divisor) == ((0,) * pres.rank, ())
 
