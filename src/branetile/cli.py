@@ -42,7 +42,8 @@ exit codes:
   1  unexpected internal error
   2  usage error or malformed input document
   3  validation failure (structural rules, or an arrow in no matching)
-  4  degenerate input (parameter on a wall, or a singular fan)
+  4  degenerate input (parameter on a wall, a singular fan, or more
+     than 6 vertices for chambers)
   5  internal consistency violation
   6  input file unreadable
 

@@ -2,7 +2,7 @@
 
 No floating point anywhere in the package.  Rank and nullspace come
 from fraction-free Gauss–Jordan elimination of primitive integer rows,
-the module's only elimination.
+the module's only Gaussian elimination.
 
 Cone duality is the incremental double-description method (Motzkin et
 al. 1953; Fukuda and Prodon, "Double description method revisited",
@@ -14,12 +14,24 @@ of rays; adjacency is decided on zero sets kept as bitmasks.
 :func:`describe_cone` reads a cone's facets, extreme rays and lineality
 from one dual.
 
-The feasibility routine decides homogeneous systems of *strict*
-inequalities (optionally restricted to a rational subspace) by
-Fourier–Motzkin elimination and, when feasible, returns an explicit
-interior witness by back-substitution.  Rows are primitive integer
-tuples throughout; Fractions appear only in rational points, such as
-the witnesses.
+Strict feasibility has one Fourier–Motzkin eliminator,
+:class:`StrictElimination`, extended one row at a time; it decides
+homogeneous systems of *strict* inequalities (optionally restricted to
+a rational subspace) and, when one is feasible, back-substitutes an
+explicit interior witness.  Two facts make its witnesses canonical.
+The rows on each level of the elimination do not depend on the order
+the rows were added in: each opposite-sign pair on a level is combined
+exactly once, and levels keep each row once.  And each level describes
+exactly the projection of the solution set onto the leading variables,
+so the open interval left to each coordinate, whose midpoint (or a
+unit offset from its one end) the witness takes, depends only on the
+set: a row implied by the others, such as a positive combination of
+them, leaves the witness unchanged (Imbert, "Fourier's elimination:
+which to choose?", 1990, on redundant rows).  Rows are integer tuples
+throughout, every combined row primitive, and back-substitution stays
+in integers too, comparing bounds as (numerator, positive denominator)
+pairs; Fractions appear only in the rational points returned to
+callers, such as the witnesses of :func:`strict_feasible_point`.
 """
 
 from __future__ import annotations
@@ -203,53 +215,111 @@ def describe_cone(gens: Sequence, dim: int) -> tuple:
 # strict feasibility by Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
 
-def _fm_strict(rows: list, nvars: int):
-    """Interior point of ``{x : r . x > 0 for all r}``, or None.
+class StrictElimination:
+    """Fourier–Motzkin elimination of the strict system
+    ``{x : r . x > 0}`` over ``nvars`` variables, extended one row at
+    a time.
 
-    The rows are integer, and so is the point: it is returned as its
-    numerators over one positive common denominator.  Eliminates the
-    last variable, keeping every combined row primitive and each row
-    once, until no variable is left; then back-substitutes, variable by
-    variable, the midpoint (or a unit offset) of the surviving bounds.
-    Each bound is unchanged by a positive scaling of its row, so the
-    point is too.
+    Level ``j`` holds the distinct rows left after eliminating the last
+    ``j`` variables, split by the sign of their last entry; a row with
+    a zero last entry passes, truncated, to the next level.  A new row
+    is combined, through a work list, only with the opposite-sign rows
+    already on its level.  A zero row (``0 > 0``) makes the system
+    empty.
     """
-    levels = []  # per eliminated variable: its lower and upper rows
-    while True:
-        if any(not any(row) for row in rows):
-            return None  # a zero row means 0 > 0
-        if nvars == 0:
-            break
-        pos = [row for row in rows if row[-1] > 0]
-        neg = [row for row in rows if row[-1] < 0]
-        reduced = [row[:-1] for row in rows if row[-1] == 0]
-        for p in pos:
-            for n in neg:
-                combined = [p[-1] * gn - n[-1] * gp
-                            for gp, gn in zip(p[:-1], n[:-1])]
-                reduced.append(integerize(combined) if any(combined)
-                               else tuple(combined))
-        levels.append((pos, neg))
-        rows = list(dict.fromkeys(reduced))
-        nvars -= 1
 
-    nums, den = (), 1
-    for pos, neg in reversed(levels):
-        lows = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in pos]
-        highs = [Fraction(-dot(row[:-1], nums), den * row[-1]) for row in neg]
-        if lows and highs:
-            t = (max(lows) + min(highs)) / 2
-        elif lows:
-            t = max(lows) + 1
-        elif highs:
-            t = min(highs) - 1
-        else:
-            t = Fraction(0)
-        common = lcm(den, t.denominator)
-        nums = (tuple(x * (common // den) for x in nums)
-                + (t.numerator * (common // t.denominator),))
-        den = common
-    return nums, den
+    __slots__ = ("levels", "empty")
+
+    def __init__(self, nvars: int):
+        # per level: every row that reached it, those with a positive
+        # last entry (lower bounds on it) and those with a negative one
+        self.levels = [(set(), [], []) for _ in range(nvars)]
+        self.empty = False
+
+    def copy(self) -> "StrictElimination":
+        other = StrictElimination(0)
+        other.levels = [(set(seen), list(pos), list(neg))
+                        for seen, pos, neg in self.levels]
+        other.empty = self.empty
+        return other
+
+    def add(self, row: tuple) -> None:
+        """Add the strict row ``row . x > 0``, a tuple of integers."""
+        if self.empty:
+            return
+        work = [(0, row)]
+        while work:
+            j, r = work.pop()
+            if not any(r):
+                self.empty = True
+                return
+            seen, pos, neg = self.levels[j]
+            if r in seen:
+                continue
+            seen.add(r)
+            last = r[-1]
+            if last == 0:
+                work.append((j + 1, r[:-1]))
+                continue
+            (pos if last > 0 else neg).append(r)
+            head, b = r[:-1], abs(last)
+            # |o_last| r + |last| o: a positive combination free of the
+            # last variable
+            for o in (neg if last > 0 else pos):
+                a = abs(o[-1])
+                combined = [a * x + b * y for x, y in zip(head, o)]
+                g = gcd(*combined)
+                work.append((j + 1, tuple(x // g for x in combined)
+                             if g else tuple(combined)))
+
+    def point(self):
+        """Interior point of the system, or None when it is empty.
+
+        The point is returned as its integer numerators over one
+        positive common denominator.  Variable by variable, from the
+        first, it takes the midpoint (or a unit offset) of the open
+        interval its level's rows leave it.  Bounds are compared as
+        (numerator, positive denominator) pairs, and each coordinate
+        is reduced by one gcd.
+        """
+        if self.empty:
+            return None
+        nums, den = [], 1
+        for _, pos, neg in reversed(self.levels):
+            low = high = None
+            for row in pos:  # x > -(row[:-1] . nums) / (den * row[-1])
+                a, b = -dot(row[:-1], nums), den * row[-1]
+                if low is None or a * low[1] > low[0] * b:
+                    low = (a, b)
+            for row in neg:  # x < (row[:-1] . nums) / (den * -row[-1])
+                a, b = dot(row[:-1], nums), -den * row[-1]
+                if high is None or a * high[1] < high[0] * b:
+                    high = (a, b)
+            if low is not None and high is not None:
+                tn = low[0] * high[1] + high[0] * low[1]
+                td = 2 * low[1] * high[1]
+            elif low is not None:
+                tn, td = low[0] + low[1], low[1]
+            elif high is not None:
+                tn, td = high[0] - high[1], high[1]
+            else:
+                tn, td = 0, 1
+            g = gcd(tn, td)
+            tn, td = tn // g, td // g
+            common = lcm(den, td)
+            nums = [x * (common // den) for x in nums]
+            nums.append(tn * (common // td))
+            den = common
+        return tuple(nums), den
+
+
+def _fm_strict(rows: list, nvars: int):
+    """Interior point of ``{x : r . x > 0 for all r}`` for integer rows,
+    or None: :meth:`StrictElimination.point` after adding every row."""
+    system = StrictElimination(nvars)
+    for row in rows:
+        system.add(row)
+    return system.point()
 
 
 def strict_feasible_point(strict: Sequence, eqs: Sequence, nvars: int):

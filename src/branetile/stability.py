@@ -12,8 +12,11 @@ Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
 the complement are the leaves of a sign tree over the walls, walked
 with an explicit stack and pruned exactly (see
-:func:`chamber_decomposition`); the witness of an exact Fourier–Motzkin
-check at the last wall is the chamber's representative.  Genericity,
+:func:`chamber_decomposition`).  Each branch extends its parent's
+Fourier–Motzkin elimination (:class:`rational.StrictElimination`) by
+one row, and the back-substituted witness at the last wall is the
+chamber's representative.  That witness depends only on the set the
+rows cut out, so rows implied by others are left out.  Genericity,
 the stability of arrow sets and the sign vector of a chamber all read
 one table of the parameter's sums over all vertex subsets, indexed by
 bitmask; supports are closed as bitmasks too, once per arrow set and
@@ -292,6 +295,11 @@ def _sign_vector(subsets: Sequence, sums: Sequence) -> tuple:
                  for mask, subset in subsets)
 
 
+# The resonance arrangement has 11 292 chambers at 6 vertices and over a
+# million at 7 (OEIS A034997), too many to list one by one.
+_MAX_CHAMBER_VERTICES = 6
+
+
 def chamber_decomposition(tiling: QuiverOnTorus,
                           matchings: Sequence) -> list:
     """All chambers of the generic locus, each with a primitive integer
@@ -302,16 +310,28 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     the zero parameter is the one chamber.
 
     The chambers are the leaves of a depth-first sign tree over the
-    walls, walked with an explicit stack, each branch carrying a strict
-    witness of its signs.  A sign at a wall is infeasible, with no
-    Fourier–Motzkin call, when the wall is the disjoint union of two
-    earlier walls that both have the other sign; at an inner wall it is
-    feasible, with no call either, when the branch's witness already
-    has it strictly.  The last wall is always checked on the full
-    constraint list, whose witness is the representative.  Supports are
-    closed once per arrow set for all chambers.
+    walls, walked with an explicit stack.  Each branch carries a strict
+    integer witness of its signs and extends its parent's elimination
+    by the row of its wall.  A sign is infeasible, with no check, when
+    the wall is the disjoint union of two earlier walls that both have
+    the other sign; when both have this sign, it adds no row, as its
+    row is the sum of theirs.  A witness is back-substituted only where
+    the answer is open: at the root, where the branch's witness does
+    not have the sign strictly, and at the last wall, whose witness is
+    the representative.  Each level's rows do not depend on the order
+    they were added in, and a witness depends only on the set the rows
+    cut out, so the representatives are those of checking every node
+    on the full list of wall rows.  Supports are closed once per arrow
+    set for all chambers.
+
+    Raises DegenerateInputError on more than six vertices: the
+    resonance arrangement then has over a million chambers.
     """
     n = len(tiling.vertices)
+    if n > _MAX_CHAMBER_VERTICES:
+        raise DegenerateInputError(
+            f"chamber decomposition supports at most {_MAX_CHAMBER_VERTICES} "
+            f"vertices; this tiling has {n}")
     t = n - 1
     if t == 0:
         subsets = enumerate_stable_subsets(tiling, (0,), matchings)
@@ -336,26 +356,36 @@ def chamber_decomposition(tiling: QuiverOnTorus,
 
     chambers = []
     signs = [0] * len(walls)
-    # (wall, sign, integer witness of the walls before it, or None at
-    # the root); a positive multiple of a witness is one too
-    stack = [(0, -1, None), (0, 1, None)]
+    # (wall, sign, integer witness of the walls before it or None at
+    # the root, the elimination of their rows, whether the entry owns
+    # that elimination); a positive multiple of a witness is one too.
+    # The +1 child's subtree is walked before the -1 child is popped,
+    # so the -1 child inherits ownership and the +1 child copies the
+    # elimination only when it adds a row.
+    root = rational.StrictElimination(t)
+    stack = [(0, -1, None, root, True), (0, 1, None, root, False)]
     while stack:
-        k, sign, witness = stack.pop()
+        k, sign, witness, system, owned = stack.pop()
         signs[k] = sign
-        if any(signs[a] == signs[b] == -sign for a, b in splits[k]):
+        forced = {signs[a] for a, b in splits[k] if signs[a] == signs[b]}
+        if -sign in forced:
             continue
-        if k == last or witness is None \
-                or dot(rows[k][sign], witness) <= 0:
-            point = rational.strict_feasible_point(
-                [rows[i][signs[i]] for i in range(k + 1)], [], t)
-            if point is None:
+        row = rows[k][sign]
+        if sign not in forced:
+            if not owned:
+                system, owned = system.copy(), True
+            system.add(row)
+        if k == last or witness is None or dot(row, witness) <= 0:
+            found = system.point()
+            if found is None:
                 continue
+            nums, _ = found
             if k == last:
-                chambers.append(
-                    rational.integerize([-sum(point)] + list(point)))
+                chambers.append(rational.integerize([-sum(nums), *nums]))
                 continue
-            witness = rational.integerize(point)
-        stack += [(k + 1, -1, witness), (k + 1, 1, witness)]
+            witness = rational.integerize(nums)
+        stack += [(k + 1, -1, witness, system, owned),
+                  (k + 1, 1, witness, system, False)]
 
     # Each representative is generic: its witness is strict on every
     # wall.

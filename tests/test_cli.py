@@ -11,7 +11,7 @@ import pytest
 
 from branetile.cli import main
 
-from conftest import QUIVER_FIXTURES, fixture_path, fixture_text
+from conftest import QUIVER_FIXTURES, fixture_path, fixture_text, orbifold_text
 
 SPP = str(fixture_path("spp"))
 
@@ -249,6 +249,16 @@ def test_wall_theta_exits_four(capsys):
     code, _, err = run(["fan", SPP, "--theta=0,1,-1"], capsys)
     assert code == 4
     assert err.startswith("error[fan:degenerate]")
+
+
+def test_chambers_of_seven_vertices_exit_four(tmp_path, capsys):
+    path = tmp_path / "z7.json"
+    path.write_text(orbifold_text(1, 7), encoding="utf-8")
+    code, out, err = run(["chambers", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error[chambers:degenerate]")
+    assert "this tiling has 7" in err
 
 
 def test_bad_vertex_order_exits_two(capsys):

@@ -446,6 +446,65 @@ def test_strict_feasible_point_matches_fraction_elimination(case):
     assert all(fdot(e, got) == 0 for e in eqs)
 
 
+@st.composite
+def growing_systems(draw):
+    """An integer strict system (half of them turned towards a planted
+    point), one order to add its rows in, and rows implied by it:
+    positive integer combinations of two or three of its rows."""
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.tuples(*[entry] * nvars), min_size=1,
+                         max_size=6))
+    if draw(st.booleans()):
+        point = draw(st.tuples(*[entry] * nvars))
+        rows = [r if fdot(r, point) >= 0 else tuple(-a for a in r)
+                for r in rows]
+    order = draw(st.permutations(range(len(rows))))
+    implied = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        picked = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                               max_size=3))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(picked),
+                                max_size=len(picked)))
+        implied.append(tuple(sum(w * rows[i][c]
+                                 for w, i in zip(weights, picked))
+                             for c in range(nvars)))
+    return rows, order, implied, nvars
+
+
+def level_rows(system) -> list:
+    return [(sorted(pos), sorted(neg)) for _, pos, neg in system.levels]
+
+
+@settings(max_examples=300)
+@given(growing_systems())
+def test_a_grown_elimination_matches_the_fraction_reference(case):
+    rows, order, implied, nvars = case
+    want = fraction_strict_feasible_point(rows, [], nvars)
+
+    system = rational.StrictElimination(nvars)
+    for i in order:
+        system.add(rows[i])
+    found = system.point()
+    assert (found is None) == (want is None)
+    if found is not None:
+        nums, den = found
+        assert tuple(Fraction(x, den) for x in nums) == want
+        # the levels are those of adding the rows in input order
+        in_order = rational.StrictElimination(nvars)
+        for row in rows:
+            in_order.add(row)
+        assert level_rows(in_order) == level_rows(system)
+
+    # rows implied by the system, added to a copy, change neither its
+    # emptiness nor its witness
+    grown = system.copy()
+    for row in implied:
+        grown.add(row)
+    assert grown.point() == found
+    assert system.point() == found
+
+
 @pytest.mark.parametrize("strict, eqs", [
     ([(Fraction(1, 2), 1, 0), (1, Fraction(-1, 3), 2), (0, 0, 1)], []),
     ([(Fraction(1, 2), 1, 0), (-1, 1, 1)], [(Fraction(1, 3), 0, -1)]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -397,13 +398,13 @@ def test_five_vertex_chamber_count_is_frozen():
 
 
 def test_chamber_decomposition_needs_no_recursion():
-    # Below the decomposition, Fourier-Motzkin compares Fractions, and
-    # their comparisons and numbers-ABC checks take about 16 of these
-    # frames whatever the input.  A recursive walk of the 2^4 - 1 = 15
+    # Below the decomposition, the deepest calls (the cached stable
+    # subsets and their sort keys) take up to 12 of these frames under
+    # pytest, whatever the input.  A recursive walk of the 2^4 - 1 = 15
     # walls of 5 vertices would need 15 more on top of that.
     tiling = bt.load_document(orbifold_text(1, 5))
     matchings = bt.enumerate_perfect_matchings(tiling)
-    with recursion_headroom(20):
+    with recursion_headroom(16):
         chambers = bt.chamber_decomposition(tiling, matchings)
     assert len(chambers) == 370
 
@@ -500,6 +501,48 @@ def test_five_vertex_sign_tree_matches_the_reference_with_fewer_checks(
         == [brute_force_signs(tiling.vertices, theta) for theta in reference]
     assert unpruned == 3026
     assert len(calls) < unpruned
+
+
+def counted_decisions(monkeypatch) -> list:
+    """Count the walk's own feasibility decisions: the calls of
+    ``rational.StrictElimination.point``, which back-substitutes a
+    witness or reports an empty system."""
+    calls = []
+    original = rational.StrictElimination.point
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(rational.StrictElimination, "point", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, m, decisions",
+                         [(2, 2, 74), (1, 4, 74), (1, 5, 864)])
+def test_the_sign_tree_decides_only_the_open_signs(monkeypatch, n, m,
+                                                   decisions):
+    # The counts are those of the walk that called strict_feasible_point
+    # at every node its split and witness rules left open; a walk that
+    # lost either rule would decide more often.
+    tiling = bt.load_document(orbifold_text(n, m))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    calls = counted_decisions(monkeypatch)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    assert len(chambers) == {4: 32, 5: 370}[n * m]
+    assert len(calls) == decisions
+
+
+def test_six_vertex_representatives_are_pinned():
+    # The 2x3 representatives as the walk that re-eliminated every
+    # wall row at each check found them.
+    tiling = bt.load_document(orbifold_text(2, 3))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    reps = [c.representative for c in chambers]
+    assert len(reps) == 11292
+    assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
+        "6e867ac57293bb5b75a96daf0706ceafbf95ce88e7f8dd420b4cade291bb886f")
 
 
 def test_five_vertex_chambers_carry_the_stable_subsets_of_a_fresh_call():
