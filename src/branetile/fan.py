@@ -327,21 +327,25 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
     Each fan's rays are read from the stable subsets its chamber
     carries, once per distinct stable structure (the subsets' matching
     ids and dimensions), and each fan geometry is validated once.  The
-    geometry key is the sorted tuple of every cone's sorted ray vectors
-    and dimension: a tuple and not a set, so that a cone listed twice
-    still shows.  Skipping the later validations is exact.  Within a
-    fan, ray id to vector is injective (reading the rays raises
-    otherwise, as building the fan would), so every check of
-    :func:`validate_fan` — ranks, extreme rays, faces, maximal cones and
-    the separation of maximal cones — passes or fails with the key
-    alone; a fan whose key passed once passes again.  So the first
-    chamber to raise, and its message, are those of validating every
-    chamber's fan.  Fans that pass have no repeated cone, so equal keys
-    are equal sets of vector cones.
+    geometry key is the sorted tuple of every cone's point mask and
+    dimension, where the point mask has bit k for the k-th distinct
+    ``chi_kernel`` vector of the matchings: a tuple and not a set, so
+    that a cone listed twice still shows.  Within a fan, ray id to
+    vector is injective (reading the rays raises otherwise, as building
+    the fan would), so a cone's point mask is the set of its ray
+    vectors, and the key is the fan's geometry.  Skipping the later
+    validations is exact: every check of :func:`validate_fan` — ranks,
+    extreme rays, faces, maximal cones and the separation of maximal
+    cones — passes or fails with the key alone; a fan whose key passed
+    once passes again.  So the first chamber to raise, and its message,
+    are those of validating every chamber's fan.  Fans that pass have
+    no repeated cone, so equal keys are equal sets of vector cones.
 
     Returns a list of lists of chamber indices, sorted by first member.
     """
     by_id = {m.matching_id: m for m in matchings}
+    point_bit = {p: 1 << k for k, p in
+                 enumerate(dict.fromkeys(m.chi_kernel for m in matchings))}
     geometry_of: dict = {}  # stable structure -> geometry key
     groups: dict = {}  # geometry key -> chamber indices
     for chamber in chambers:
@@ -351,8 +355,8 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
         if key is None:
             vectors = _ray_vectors(chamber.stable_subsets, by_id)
             key = tuple(sorted(
-                (tuple(sorted(vectors[i] for i in frozenset(s.matching_ids))),
-                 s.dim) for s in chamber.stable_subsets))
+                (sum({point_bit[vectors[i]] for i in s.matching_ids}), s.dim)
+                for s in chamber.stable_subsets))
             if key not in groups:
                 validate_fan(_unvalidated_fan(chamber.stable_subsets,
                                               vectors))

@@ -5,8 +5,9 @@ vertex, summing to zero; it is used exactly as given.  An arrow subset
 is stable when every *support* — a proper nonempty vertex subset
 closed under the arrows outside the given set — has strictly positive
 total parameter.  Stable subsets are unions of perfect matchings;
-since supports only grow along inclusions of arrow sets, every
-matching contained in a stable union is itself stable.
+since supports only grow along inclusions of arrow sets, every union
+of some of the matchings of a stable union is stable, so a stable
+pair is extended only by matchings that make stable pairs with both.
 
 Genericity is an open condition: the walls are the hyperplanes where
 some proper nonempty vertex subset sums to zero, and the chambers of
@@ -20,8 +21,9 @@ rows cut out, so rows implied by others are left out.  Genericity,
 the stability of arrow sets and the sign vector of a chamber all read
 one table of the parameter's sums over all vertex subsets, indexed by
 bitmask; supports are closed as bitmasks too, once per arrow set and
-call, since they do not depend on the parameter.  Nothing is cached
-between calls.
+call, since they do not depend on the parameter, and arrow sets are
+integer masks (bit k is the tiling's k-th arrow), so a union of
+matchings is one ``|``.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -66,14 +68,27 @@ def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
     return all(_subset_sums(list(by_vertex.values()))[1:-1])
 
 
+def _arrow_mask(tiling: QuiverOnTorus, arrows: Iterable) -> int:
+    """The arrow set with bit k for the tiling's k-th arrow; raises
+    ValueError naming the first id, in sorted order, it does not have."""
+    chosen = set(arrows)
+    unknown = chosen - tiling.arrow_map.keys()
+    if unknown:
+        raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}")
+    return sum(1 << k for k, a in enumerate(tiling.arrows)
+               if a.arrow_id in chosen)
+
+
 def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
     """Whether an arrow set meets, for every arrow, the rest of its
     positive face iff it meets the rest of its negative face.
 
     Occurrences count: an arrow passed twice by a face cycle still
-    leaves one occurrence behind when one is removed.
+    leaves one occurrence behind when one is removed.  Raises
+    ValueError on an arrow id the tiling does not have.
     """
     chosen = set(arrows)
+    _arrow_mask(tiling, chosen)
 
     def meets_rest(face, aid: str) -> bool:
         counts: dict = {}
@@ -90,21 +105,21 @@ def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
 
 
 def _support_masks(tiling: QuiverOnTorus):
-    """A function from an arrow set to the bitmasks (bit i is vertex i)
-    of its supports.  These are the unions of reachability closures:
-    each vertex generates the set of vertices reachable from it along
-    the arrows outside the set, and the supports are the proper
-    nonempty members of the union-closure of these."""
+    """A function from an arrow mask (bit k is the tiling's k-th arrow)
+    to the bitmasks (bit i is vertex i) of its supports.  These are the
+    unions of reachability closures: each vertex generates the set of
+    vertices reachable from it along the arrows outside the set, and
+    the supports are the proper nonempty members of the union-closure
+    of these."""
     n = len(tiling.vertices)
     index = {v: i for i, v in enumerate(tiling.vertices)}
-    edges = [(a.arrow_id, index[a.source], index[a.target])
-             for a in tiling.arrows]
+    edges = [(1 << k, index[a.source], index[a.target])
+             for k, a in enumerate(tiling.arrows)]
 
-    def masks(arrows: Iterable) -> set:
-        chosen = set(arrows)
+    def masks(arrows: int) -> set:
         succ = [[] for _ in range(n)]
-        for aid, source, target in edges:
-            if aid not in chosen:
+        for bit, source, target in edges:
+            if not arrows & bit:
                 succ[source].append(target)
         generators = set()
         for v in range(n):
@@ -126,9 +141,11 @@ def _support_masks(tiling: QuiverOnTorus):
 
 def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     """Proper nonempty vertex subsets closed under the arrows *outside*
-    the given arrow set, sorted by (size, sorted vertex ids)."""
+    the given arrow set, sorted by (size, sorted vertex ids).  Raises
+    ValueError on an arrow id the tiling does not have."""
+    supports = _support_masks(tiling)(_arrow_mask(tiling, arrows))
     out = [frozenset(v for i, v in enumerate(tiling.vertices) if mask >> i & 1)
-           for mask in _support_masks(tiling)(arrows)]
+           for mask in supports]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -149,7 +166,8 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
                     theta: Sequence) -> bool:
     """Whether every support of the arrow set has positive parameter.
 
-    Raises DegenerateInputError when the parameter lies on a wall.
+    Raises DegenerateInputError when the parameter lies on a wall, and
+    then ValueError on an arrow id the tiling does not have.
     """
     by_vertex = _theta_check(tiling, theta)
     if not is_generic(tiling, theta):
@@ -181,10 +199,12 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     """All stable unions of up to three perfect matchings, plus the
     empty set, for a generic parameter.
 
-    Monotonicity of supports under inclusion means nothing is missed by
-    only ever uniting stable matchings (and only extending stable
-    pairs).  Deduplication is by arrow set.  The parameter is checked
-    when there is a matching to test, as :func:`is_theta_stable` would.
+    Supports grow with the arrow set, so every sub-union of a stable
+    union is stable: only stable matchings are united, and a stable
+    pair only with a later matching that makes a stable pair with both
+    of its members.  Deduplication is by arrow mask.  The parameter is
+    checked when there is a matching to test, as
+    :func:`is_theta_stable` would.
     """
     sums = _require_generic(tiling, theta) if matchings else ()
     return _stable_subsets_at(tiling, matchings)(sums)
@@ -195,45 +215,49 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     table (:func:`_subset_sums`) of a generic parameter.
 
     Supports do not depend on the parameter, so the support masks of
-    each tested arrow set, and the subset each stable union makes, are
+    each tested arrow mask, and the subset each stable union makes, are
     found once and kept by the returned function (and freed with it).
     At each parameter an arrow set is stable iff none of its support
-    masks has a nonpositive sum.
+    masks has a nonpositive sum.  Stable matchings a, b, c, in order,
+    make a stable union a | b | c only if a | b, a | c and b | c are
+    stable, so each triple is tested once, from its first pair.
     """
+    masks = [_arrow_mask(tiling, m.arrows) for m in matchings]
     supports = functools.cache(_support_masks(tiling))
 
     @functools.cache
-    def subset_of(arrows: frozenset) -> StableSubset:
-        contained = tuple(sorted(
-            (m.matching_id for m in matchings if m.arrows <= arrows),
-            key=matching_id_key))
-        return StableSubset(arrows=arrows, matching_ids=contained,
-                            dim=len(contained))
+    def subset_of(union: int) -> StableSubset:
+        members = [m for m, mask in zip(matchings, masks)
+                   if mask & union == mask]
+        contained = tuple(sorted((m.matching_id for m in members),
+                                 key=matching_id_key))
+        return StableSubset(
+            arrows=frozenset().union(*(m.arrows for m in members)),
+            matching_ids=contained, dim=len(contained))
 
     def at(sums: Sequence) -> list:
         unstable = {mask for mask, total in enumerate(sums) if total <= 0}
-        stable = [m for m in matchings
-                  if unstable.isdisjoint(supports(m.arrows))]
-        by_arrows: dict = {frozenset(): ()}
-        for m in stable:
-            by_arrows.setdefault(m.arrows, None)
+        stable = [mask for mask in masks
+                  if unstable.isdisjoint(supports(mask))]
+        found = dict.fromkeys([0, *stable])
+        # partners[i]: each later j with stable[i] | stable[j] stable
+        partners: list = [set() for _ in stable]
+        for i, a in enumerate(stable):
+            for j in range(i + 1, len(stable)):
+                union = a | stable[j]
+                if union in found or unstable.isdisjoint(supports(union)):
+                    found[union] = None
+                    partners[i].add(j)
+        for i, a in enumerate(stable):
+            for j in partners[i]:
+                union = a | stable[j]
+                for k in partners[i] & partners[j]:
+                    bigger = union | stable[k]
+                    if bigger not in found \
+                            and unstable.isdisjoint(supports(bigger)):
+                        found[bigger] = None
 
-        pairs = []
-        for i, m1 in enumerate(stable):
-            for m2 in stable[i + 1:]:
-                union = m1.arrows | m2.arrows
-                if union not in by_arrows \
-                        and unstable.isdisjoint(supports(union)):
-                    by_arrows[union] = None
-                    pairs.append(union)
-        for union in pairs:
-            for m3 in stable:
-                bigger = union | m3.arrows
-                if bigger not in by_arrows \
-                        and unstable.isdisjoint(supports(bigger)):
-                    by_arrows[bigger] = None
-
-        return sorted(map(subset_of, by_arrows),
+        return sorted(map(subset_of, found),
                       key=lambda s: (s.dim, s.matching_ids))
 
     return at

@@ -62,6 +62,14 @@ def orbifold_text(n: int, m: int) -> str:
                        "arrows": arrows, "faces": faces})
 
 
+def document_text(document: str) -> str:
+    """A bundled fixture by name, or the orbifold ``"NxM"`` of
+    :func:`orbifold_text`."""
+    if document in ALL_FIXTURES:
+        return fixture_text(document)
+    return orbifold_text(*map(int, document.split("x")))
+
+
 def shuffled_orbifold_text(n: int, m: int, seed: int) -> str:
     """:func:`orbifold_text` with its faces in a seeded random order and
     each face cycle started at a seeded random arrow: the same tiling,

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
 import branetile as bt
 from branetile import fan as fan_module, rational
 from branetile.fan import Fan, FanCone, FanRay
+from branetile.matchings import matching_id_key
 
-from conftest import QUIVER_FIXTURES, orbifold_text
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
+                      orbifold_text)
 
 EXPECTED_GIT_CLASSES = {
     "honeycomb": [[1]],
@@ -291,6 +294,45 @@ def test_chambers_in_one_class_have_equal_fans(name, tilings,
             assert bt.fans_equal(fans[group[0]], fans[i])
     for first, second in zip(classes, classes[1:]):
         assert not bt.fans_equal(fans[first[0]], fans[second[0]])
+
+
+def vector_tuple_classes(chambers, matchings) -> list:
+    """Chambers grouped by the sorted tuple of every cone's sorted ray
+    vectors and dimension: the reference for the point-mask key of
+    :func:`bt.git_equivalence_classes`."""
+    vector = {m.matching_id: m.chi_kernel for m in matchings}
+    groups: dict = {}
+    for chamber in chambers:
+        key = tuple(sorted(
+            (tuple(sorted(vector[i] for i in frozenset(s.matching_ids))),
+             s.dim) for s in chamber.stable_subsets))
+        groups.setdefault(key, []).append(chamber.index)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+@pytest.mark.parametrize("document", ALL_FIXTURES + ("2x2", "1x4", "1x5"))
+def test_classes_match_the_vector_tuple_key(document):
+    tiling = bt.load_document(document_text(document))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    assert bt.git_equivalence_classes(tiling, chambers, matchings) \
+        == vector_tuple_classes(chambers, matchings)
+
+
+def test_a_four_by_four_moduli_fan_is_pinned():
+    # As built from the stable subsets of the search that tested every
+    # stable pair against every stable matching.
+    tiling = bt.load_document(orbifold_text(4, 4))
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    theta = (659, 395, -222, 98, -944, 838, -6, -865, -858, -771, -414,
+             -291, 869, 834, 763, -85)
+    fan = bt.moduli_fan(tiling, theta, matchings)
+    form = (tuple((r.ray_id, r.vector) for r in fan.rays),
+            tuple((tuple(sorted(c.ray_ids, key=matching_id_key)), c.dim)
+                  for c in fan.cones))
+    assert (len(fan.rays), len(fan.cones)) == (15, 62)
+    assert hashlib.sha256(repr(form).encode()).hexdigest() == (
+        "1001fc5c80108167e52724cd58804d01760b1b05f6d90179a527666f2ae88d4f")
 
 
 def counted_validations(monkeypatch) -> list:

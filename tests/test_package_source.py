@@ -1,7 +1,8 @@
 """Source guards over the whole package: no function calls itself by
 name, no invariant is left to an ``assert`` statement (which
-``python -O`` strips), no module-level function is dead, and every
-exported name resolves and is exported once."""
+``python -O`` strips), no module-level function is dead or keeps an
+unbounded cache, and every exported name resolves and is exported
+once."""
 
 from __future__ import annotations
 
@@ -105,3 +106,59 @@ def test_every_exported_name_resolves_and_is_listed_once():
     repeated = sorted({name for name in bt.__all__
                        if bt.__all__.count(name) > 1})
     assert (missing, repeated) == ([], [])
+
+
+def unbounded_caches(tree: ast.Module) -> list:
+    """Names of the module-level functions decorated with
+    ``functools.cache``, or with ``functools.lru_cache`` given a
+    ``maxsize`` that is not an integer literal (``None`` is unbounded;
+    a bare or empty ``lru_cache`` keeps 128 entries).  The decorators
+    count whether imported from ``functools`` or reached through it."""
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in fn.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name == "lru_cache" and call is not None:
+                sizes = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"]
+                unbounded = any(not (isinstance(size, ast.Constant)
+                                     and type(size.value) is int)
+                                for size in sizes)
+            else:
+                unbounded = name == "cache"
+            if unbounded:
+                found.append(fn.name)
+    return found
+
+
+def test_the_guard_sees_unbounded_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(x):\n    return x\n"
+        "@cache\ndef b(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef c(x):\n    return x\n"
+        "@lru_cache(None)\ndef d(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef e(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=1)\ndef f(x):\n    return x\n"
+        "@lru_cache(64, typed=True)\ndef g(x):\n    return x\n"
+        "@lru_cache\ndef h(x):\n    return x\n"
+        "@functools.lru_cache()\ndef i(x):\n    return x\n"
+        "@functools.cached_property\ndef j(x):\n    return x\n"
+        "def k(x):\n"
+        "    @functools.cache\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner(x)\n")
+    assert unbounded_caches(tree) == ["a", "b", "c", "d", "e"]
+
+
+def test_no_module_level_function_keeps_an_unbounded_cache():
+    found = [f"{path.name} {name}" for path in SOURCES
+             for name in unbounded_caches(parse(path))]
+    assert found == []

@@ -8,13 +8,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import branetile as bt
 from branetile import rational
+from branetile.matchings import matching_id_key
 
-from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
-                      recursion_headroom)
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
+                      orbifold_text, recursion_headroom)
 
 EXPECTED_CHAMBERS = {"honeycomb": 1, "conifold": 2, "spp": 6, "z2z2": 32}
 
@@ -95,6 +96,27 @@ def test_full_arrow_set_supports_every_proper_subset(spp):
     arrows = frozenset(a.arrow_id for a in spp.arrows)
     supports = bt.submodule_supports(spp, arrows)
     assert len(supports) == 2 ** len(spp.vertices) - 2
+
+
+def test_unknown_arrow_ids_are_refused(spp):
+    known = spp.arrows[0].arrow_id
+    checks = (lambda arrows: bt.submodule_supports(spp, arrows),
+              lambda arrows: bt.is_w_compatible(spp, arrows),
+              lambda arrows: bt.is_theta_stable(spp, arrows, (1, 2, -3)))
+    for check in checks:
+        for arrows in (["nope"], [known, "zz", "nope"]):
+            with pytest.raises(ValueError, match="unknown arrow id 'nope'"):
+                check(arrows)
+        check([known])
+
+
+def test_parameter_errors_come_before_unknown_arrow_ids(spp):
+    with pytest.raises(ValueError, match="entries for 3 vertices"):
+        bt.is_theta_stable(spp, ["nope"], (1, -1))
+    with pytest.raises(ValueError, match="sum to zero"):
+        bt.is_theta_stable(spp, ["nope"], (1, 1, 1))
+    with pytest.raises(bt.DegenerateInputError):
+        bt.is_theta_stable(spp, ["nope"], (0, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +294,20 @@ def test_stability_is_positivity_over_all_supports(name, tilings,
 # stable subsets
 # ---------------------------------------------------------------------------
 
+def direct_union_search(tiling, theta, matchings) -> set:
+    """The empty set and every union of at most three stable matchings
+    that :func:`bt.is_theta_stable` finds stable."""
+    stable = [m for m in matchings
+              if bt.is_theta_stable(tiling, m.arrows, theta)]
+    found = {frozenset()}
+    for r in (1, 2, 3):
+        for combo in itertools.combinations(stable, r):
+            union = frozenset().union(*(m.arrows for m in combo))
+            if bt.is_theta_stable(tiling, union, theta):
+                found.add(union)
+    return found
+
+
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
 def test_stable_subsets_match_a_direct_union_search(name, tilings,
                                                     matchings_by_name):
@@ -279,16 +315,39 @@ def test_stable_subsets_match_a_direct_union_search(name, tilings,
     matchings = matchings_by_name[name]
     theta = GENERIC_THETA[name]
     subsets = bt.enumerate_stable_subsets(tiling, theta, matchings)
+    assert {s.arrows for s in subsets} \
+        == direct_union_search(tiling, theta, matchings)
 
-    stable = [m for m in matchings
-              if bt.is_theta_stable(tiling, m.arrows, theta)]
-    expected = {frozenset()}
-    for r in (1, 2, 3):
-        for combo in itertools.combinations(stable, r):
-            union = frozenset().union(*(m.arrows for m in combo))
-            if bt.is_theta_stable(tiling, union, theta):
-                expected.add(union)
-    assert {s.arrows for s in subsets} == expected
+
+@functools.cache
+def loaded_with_matchings(document: str) -> tuple:
+    """A document of :func:`document_text`, loaded, and its perfect
+    matchings; shared between tests, which must not change them."""
+    tiling = bt.load_document(document_text(document))
+    return tiling, bt.enumerate_perfect_matchings(tiling)
+
+
+@pytest.mark.parametrize("document", ALL_FIXTURES + (
+    "2x2", "1x4", "1x5", "2x3", "3x3"))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_stable_subsets_match_a_direct_union_search_at_drawn_parameters(
+        document, data):
+    # The triples come only from pairs whose members each make a
+    # stable pair with the third matching; the search tries them all.
+    tiling, matchings = loaded_with_matchings(document)
+    head = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                              min_size=len(tiling.vertices) - 1,
+                              max_size=len(tiling.vertices) - 1))
+    theta = (*head, -sum(head))
+    assume(bt.is_generic(tiling, theta))
+    subsets = bt.enumerate_stable_subsets(tiling, theta, matchings)
+    expected = {union: tuple(sorted(
+        (m.matching_id for m in matchings if m.arrows <= union),
+        key=matching_id_key))
+        for union in direct_union_search(tiling, theta, matchings)}
+    assert {s.arrows: s.matching_ids for s in subsets} == expected
+    assert len(subsets) == len(expected)
 
 
 def test_stable_subsets_check_the_parameter_once_there_is_a_matching(
@@ -397,6 +456,21 @@ def test_five_vertex_chamber_count_is_frozen():
         == [list(range(1, 371))]
 
 
+def stable_structures(chambers) -> list:
+    """Each chamber's stable subsets as (matching ids, dim) pairs."""
+    return [tuple((s.matching_ids, s.dim) for s in chamber.stable_subsets)
+            for chamber in chambers]
+
+
+def test_five_vertex_stable_structures_are_pinned():
+    # As the search that tested every stable pair against every stable
+    # matching found them.
+    _, chambers = cyclic_orbifold(5)
+    digest = hashlib.sha256(repr(stable_structures(chambers)).encode())
+    assert digest.hexdigest() == (
+        "fc301cf6eb1fb27668fa264912543ea33544ac6482f6fc9f46577303f3deb003")
+
+
 def test_chamber_decomposition_needs_no_recursion():
     # Below the decomposition, the deepest calls (the cached stable
     # subsets and their sort keys) take up to 12 of these frames under
@@ -476,13 +550,8 @@ def counted_feasibility(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("document", ALL_FIXTURES + ("2x2", "1x4"))
-def test_pruned_sign_tree_matches_the_reference(document, tilings):
-    if document in tilings:
-        tiling = tilings[document]
-    else:
-        tiling = bt.load_document(orbifold_text(
-            *map(int, document.split("x"))))
-    matchings = bt.enumerate_perfect_matchings(tiling)
+def test_pruned_sign_tree_matches_the_reference(document):
+    tiling, matchings = loaded_with_matchings(document)
     assert bt.chamber_decomposition(tiling, matchings) \
         == reference_chamber_decomposition(tiling, matchings)
 
@@ -535,7 +604,9 @@ def test_the_sign_tree_decides_only_the_open_signs(monkeypatch, n, m,
 
 def test_six_vertex_representatives_are_pinned():
     # The 2x3 representatives as the walk that re-eliminated every
-    # wall row at each check found them.
+    # wall row at each check found them, and their stable structures
+    # as the search that tested every stable pair against every stable
+    # matching found them.
     tiling = bt.load_document(orbifold_text(2, 3))
     matchings = bt.enumerate_perfect_matchings(tiling)
     chambers = bt.chamber_decomposition(tiling, matchings)
@@ -543,6 +614,9 @@ def test_six_vertex_representatives_are_pinned():
     assert len(reps) == 11292
     assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
         "6e867ac57293bb5b75a96daf0706ceafbf95ce88e7f8dd420b4cade291bb886f")
+    structures = repr(stable_structures(chambers)).encode()
+    assert hashlib.sha256(structures).hexdigest() == (
+        "7437dc2cd9f219e3a29daa76f731269ef448cd2f8ad408965036681a2be75275")
 
 
 def test_five_vertex_chambers_carry_the_stable_subsets_of_a_fresh_call():
