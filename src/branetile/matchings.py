@@ -7,6 +7,11 @@ of every arrow in the matching, 0 on the others — whose restriction to
 the kernel lattice is a point at height one; dropping the height gives
 the matching's point in the plane, and the collection of these points
 is the toric diagram of the tiling.
+
+The matchings are found by an exact-cover search whose state is one
+int, the mask of the faces already met, in a breadth-first order of
+the faces; a set holds the masks that complete to no matching, and one
+sort at the end fixes the output order (see :func:`matching_arrow_sets`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import ConsistencyError
 from .tiling import QuiverOnTorus
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PerfectMatching:
     """A perfect matching with its weight-lattice functional.
 
@@ -52,14 +57,24 @@ def matching_id_key(matching_id: str) -> tuple:
 
 
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
-    """All perfect matchings as frozensets of arrow ids.
+    """All perfect matchings as frozensets of arrow ids, sorted by the
+    tuple of sorted arrow ids.
 
-    An exact-cover search over the faces, without recursion.  An arrow
-    that a face cycle passes more than once can never be chosen; every
-    other arrow covers the faces containing it.  The search keeps, per
-    face, how many arrows could still meet it, always branches on the
-    unmet face with the fewest, and backtracks as soon as an unmet face
-    has none left.  Sorted by the tuple of sorted arrow ids.
+    An exact cover of the faces by arrows, without recursion.  An arrow
+    that a face cycle passes more than once is never chosen; every other
+    arrow meets a mask of face bits.  The faces take their bits in
+    breadth-first order over shared arrows from face 0.  A search state
+    is one int, the mask of the faces already met: it branches on its
+    lowest unmet face, over the arrows that meet it and no met face.
+    Whether a state completes to a matching depends on its mask alone,
+    so the masks that completed to none are kept in a set and never
+    walked again.  Each met face above the lowest unmet one shares an
+    arrow with a face below it, so in breadth-first order it lies at
+    most one layer further on: the states are bounded by the widths of
+    two layers, and not by the order a document lists its faces in.
+    A matching is collected as an int with bit i for ``names[i]``.  The
+    set of exact covers does not depend on the branching order, so one
+    sort at the end gives the order of any other search.
     """
     faces_of: dict = {}  # arrow id -> indices of the faces containing it
     banned = set()
@@ -75,60 +90,51 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
         for j in js:
             members[j].append(i)
 
-    allowed = [len(m) for m in members]  # arrows that could still meet j
-    free = [True] * len(names)
-    unmet = set(range(len(members)))
-    chosen: list = []
-    found = []
+    bit_of: dict = {}  # face -> its bit, in breadth-first order
+    for start in range(len(members)):
+        if start not in bit_of:
+            bit_of[start] = len(bit_of)
+            queue = [start]
+            for j in queue:  # also walks the faces appended below
+                for k in sorted({k for i in members[j] for k in covers[i]}):
+                    if k not in bit_of:
+                        bit_of[k] = len(bit_of)
+                        queue.append(k)
+    mask = [sum(1 << bit_of[j] for j in js) for js in covers]
+    # per face bit: (face mask, arrow bit) of each arrow meeting the face
+    choices = [[(mask[i], 1 << i) for i in members[j]] for j in bit_of]
 
-    def choose(i: int) -> tuple:
-        """Meet the faces of arrow ``i``; returns what to undo."""
-        blocked = []
-        for j in covers[i]:
-            unmet.discard(j)
-            for other in members[j]:
-                if free[other]:
-                    free[other] = False
-                    blocked.append(other)
-                    for k in covers[other]:
-                        allowed[k] -= 1
-        chosen.append(i)
-        return covers[i], blocked
-
-    def undo(met: list, blocked: list) -> None:
-        chosen.pop()
-        for other in blocked:
-            free[other] = True
-            for k in covers[other]:
-                allowed[k] += 1
-        unmet.update(met)
-
-    def branch():
-        """The arrows to try next, or None at a leaf (recording it
-        when every face is met)."""
-        if not unmet:
-            found.append(frozenset(names[i] for i in chosen))
-            return None
-        j = min(unmet, key=allowed.__getitem__)
-        if not allowed[j]:
-            return None
-        return iter([i for i in members[j] if free[i]])
-
-    first = branch()
-    frames = [first] if first is not None else []
-    undos: list = []  # one per frame whose current arrow is chosen
+    full = (1 << len(members)) - 1
+    found: list = []
+    dead: set = set()  # met masks that no matching completes
+    # frame: (met mask, its arrow bits, len(found) on entry, untried
+    # choices); the root's one choice, no arrow, leads to state 0
+    frames = [(0, 0, 0, iter([(0, 0)]))]
     while frames:
-        if len(undos) == len(frames):
-            undo(*undos.pop())
-        i = next(frames[-1], None)
-        if i is None:
+        met, chosen, before, options = frames[-1]
+        for m, a in options:
+            if m & met:
+                continue
+            state = met | m
+            if state == full:
+                found.append(chosen | a)
+            elif state not in dead:
+                low = (state ^ state + 1).bit_length() - 1  # lowest 0 bit
+                frames.append((state, chosen | a, len(found),
+                               iter(choices[low])))
+                break
+        else:
             frames.pop()
-            continue
-        undos.append(choose(i))
-        nxt = branch()
-        if nxt is not None:
-            frames.append(nxt)
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+            if len(found) == before:
+                dead.add(met)
+    del dead  # before the frozensets exist: a lower peak
+    # the set bits of each byte value, to read a matching byte by byte
+    ones = [[i for i in range(8) if byte >> i & 1] for byte in range(256)]
+    size = (len(names) + 7) // 8
+    keys = sorted([8 * k + i for k, byte in enumerate(
+        chosen.to_bytes(size, "little")) for i in ones[byte]]
+        for chosen in found)
+    return [frozenset(map(names.__getitem__, key)) for key in keys]
 
 
 # struct code of a signed field, by its width in bits
