@@ -1,8 +1,10 @@
 """Exact integer linear algebra and the weight-lattice tower of a tiling.
 
 Matrices are plain lists of row lists of Python ints; exactness is
-non-negotiable, and the matrices involved are small enough that the
-cubic-ish algorithms below are never the bottleneck.
+non-negotiable.  The matrices of a tiling are mostly zeros:
+:func:`mat_mul` spends work only on nonzero entries, and the Smith form
+carries the inverse of its row transform, so the tower eliminates its
+relations once.
 
 The second half of the module builds, from a quiver tiling, the tower of
 lattices used everywhere else in the package:
@@ -48,8 +50,18 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
+    """``a @ b``, each output row a combination of ``b``'s rows over the
+    nonzero entries of ``a``'s row, so zeros cost nothing.  Raises
+    ValueError when a row of ``a`` and ``b`` differ in length."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b, strict=True):
+            if x:
+                acc = [s + x * t for s, t in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -67,15 +79,30 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
     entries ``d_1 | d_2 | ...``.  Deterministic: pivots are chosen as
     the smallest-magnitude nonzero entry, scanning row-major.
     """
+    u, s, v, _ = _smith_form(mat)
+    return u, s, v
+
+
+def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """:func:`smith_normal_form`'s ``(U, S, V)`` and ``W = (U^-1)^T``.
+
+    Every row operation ``E`` taking ``U`` to ``E U`` takes ``U^-1`` to
+    ``U^-1 E^-1``, a column operation, which is a row operation on
+    ``W``: ``U[i] -= q U[j]`` becomes ``W[j] += q W[i]``, and swaps and
+    negations act on the same rows.  So ``U @ W^T == I`` throughout,
+    with no second elimination to invert ``U``.
+    """
     m = [list(map(int, row)) for row in mat]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     u = identity(nrows)
     v = identity(ncols)
+    w = identity(nrows)
 
     def row_sub(i: int, j: int, q: int) -> None:
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        w[j] = [a + q * b for a, b in zip(w[j], w[i])]
 
     def col_sub(i: int, j: int, q: int) -> None:
         for row in m:
@@ -86,6 +113,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
     def row_swap(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def col_swap(i: int, j: int) -> None:
         for row in m:
@@ -96,6 +124,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
     def row_neg(i: int) -> None:
         m[i] = [-a for a in m[i]]
         u[i] = [-a for a in u[i]]
+        w[i] = [-a for a in w[i]]
 
     def eliminate(t: int, rmax: int, cmax: int) -> bool:
         """Clear row/column ``t`` within the window, pivot at ``(t, t)``.
@@ -158,7 +187,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
                 eliminate(t, t + 2, t + 2)
                 eliminate(t + 1, t + 2, t + 2)
                 changed = True
-    return u, m, v
+    return u, m, v, w
 
 
 def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -252,7 +281,12 @@ class LatticeTower:
         return len(self.vertex_ids) - 1
 
     def degree(self, weight: Sequence[int]) -> tuple[int, ...]:
-        return tuple(mat_vec([list(r) for r in self.degree_matrix], list(weight)))
+        """The weight's image in the vertex lattice; raises ValueError
+        unless the weight has ``rank`` entries."""
+        if len(weight) != self.rank:
+            raise ValueError(
+                f"weight has {len(weight)} entries, not rank {self.rank}")
+        return tuple(mat_vec(self.degree_matrix, weight))
 
     def in_kernel(self, weight: Sequence[int]) -> bool:
         return all(x == 0 for x in self.degree(weight))
@@ -291,7 +325,7 @@ def build_lattice_tower(tiling) -> LatticeTower:
     if any(x for row in closed for x in row):
         raise ConsistencyError("some face cycle is not a closed walk")
 
-    u, s, _ = smith_normal_form(relations)
+    u, s, _, w = _smith_form(relations)
     factors = [s[i][i] for i in range(min(n_amb, len(tiling.faces))) if s[i][i]]
     if any(d != 1 for d in factors):
         raise ConsistencyError(
@@ -303,9 +337,10 @@ def build_lattice_tower(tiling) -> LatticeTower:
             f"weight lattice has rank {k}, expected #vertices + 2 = "
             f"{len(tiling.vertices) + 2}")
 
-    projection = [u[i] for i in range(rank_rel, n_amb)]
-    u_inv = integer_inverse(u)
-    section = [[u_inv[i][j] for j in range(rank_rel, n_amb)] for i in range(n_amb)]
+    # U^-1 = W^T, so the section (the last k columns of U^-1) is the
+    # last k rows of W, transposed
+    projection = u[rank_rel:]
+    section = [list(col) for col in zip(*w[rank_rel:])]
 
     weights = {
         aid: tuple(projection[i][1 + arrow_index[aid]] for i in range(k))

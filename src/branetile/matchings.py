@@ -178,8 +178,11 @@ def _functional_table(tower: "lattice.LatticeTower") -> tuple:
     :func:`_pack_rows`: the field width bounds every such column sum."""
     columns = ([tower.weights[aid] for aid in tower.arrow_ids]
                + [tower.face_cycle_weight] + list(zip(*tower.kernel_basis)))
-    return _pack_rows([tuple(row) + tuple(lattice.dot(row, c) for c in columns)
-                       for row in tower.section])
+    # a section row has about one nonzero entry: its values are the
+    # product with the columns as a k-row matrix, which skips the zeros
+    values = lattice.mat_mul(tower.section, list(zip(*columns)))
+    return _pack_rows([row + tuple(vals)
+                       for row, vals in zip(tower.section, values)])
 
 
 def enumerate_perfect_matchings(tiling: QuiverOnTorus,

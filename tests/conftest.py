@@ -141,6 +141,18 @@ def kernel_ray(rows: list, dim: int):
 
 
 # ---------------------------------------------------------------------------
+# the dense product: every entry a full dot product, kept as a reference
+# ---------------------------------------------------------------------------
+
+def dense_product(a: Sequence, b: Sequence) -> list:
+    """``a @ b`` entry by entry, over all inner indices, zeros included.
+    ``b`` with no rows has no columns, as in ``lattice.mat_mul``."""
+    width = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(len(b)))
+             for j in range(width)] for row in a]
+
+
+# ---------------------------------------------------------------------------
 # the double dual: a cone's extreme rays by a second duality, kept as a
 # reference
 # ---------------------------------------------------------------------------

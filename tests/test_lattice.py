@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import branetile as bt
-from branetile import lattice, rational
+from branetile import lattice, matchings, rational
 from branetile.tilting import weak_path_weight
 
-from conftest import QUIVER_FIXTURES, int_det
+from conftest import (QUIVER_FIXTURES, dense_product, document_text,
+                      int_det, shuffled_orbifold_text)
 
 # weight-lattice rank is #vertices + 2
 EXPECTED_RANK = {"honeycomb": 3, "conifold": 4, "spp": 5, "z2z2": 6}
@@ -80,6 +84,21 @@ def test_smith_form_exact_and_unimodular(mat):
 
 
 @given(matrices())
+@example([[2, 0], [0, 3]])
+def test_smith_form_carries_the_inverse_of_its_row_transform(mat):
+    u, s, v, w = lattice._smith_form(mat)
+    assert (u, s, v) == bt.smith_normal_form(mat)
+    assert dense_product(u, list(zip(*w))) == lattice.identity(len(mat))
+
+
+def test_the_divisibility_fix_keeps_the_inverse_transform():
+    # 3 is not a multiple of 2: the 2x2 fix runs after the elimination
+    u, s, _, w = lattice._smith_form([[2, 0], [0, 3]])
+    assert s == [[1, 0], [0, 6]]
+    assert dense_product(u, list(zip(*w))) == lattice.identity(2)
+
+
+@given(matrices())
 def test_rank_matches_kernel_dimension(mat):
     basis = bt.integer_kernel(mat)
     assert len(basis) == len(mat[0]) - rational.frank(mat, len(mat[0]))
@@ -134,6 +153,34 @@ def test_integer_inverse_rejects_non_unimodular():
         lattice.integer_inverse([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         lattice.integer_inverse([[1, 0]])
+
+
+@st.composite
+def sparse_product_operands(draw):
+    """``(a, b)`` of shapes n x k and k x m, each side 0 to 5, with more
+    than half the entries zero."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.just(0) | st.just(0) | st.integers(-9, 9)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                      min_size=k, max_size=k))
+    return a, b
+
+
+@given(sparse_product_operands())
+@example(([], []))
+@example(([[], []], []))
+@example(([[1, 0], [0, 0]], [[], []]))
+def test_mat_mul_matches_the_dense_product(operands):
+    a, b = operands
+    assert lattice.mat_mul(a, b) == dense_product(a, b)
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    # a 2x3 by 2x2 product, which a plain zip would cut to 2x2
+    with pytest.raises(ValueError):
+        lattice.mat_mul([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1]])
 
 
 def scalars():
@@ -223,3 +270,68 @@ def test_projection_columns_are_the_generator_weights(name, towers):
     for i, aid in enumerate(tower.arrow_ids):
         col = tuple(tower.projection[r][1 + i] for r in range(k))
         assert col == tower.weights[aid]
+
+
+@pytest.mark.parametrize("weight", [(1,), (0, 0, 0, 0), (0,) * 6])
+def test_degree_rejects_a_weight_of_the_wrong_length(weight, towers):
+    # spp has rank 5; a short weight is not padded with zeros
+    with pytest.raises(ValueError, match="not rank 5"):
+        towers["spp"].degree(weight)
+
+
+def test_in_kernel_rejects_a_weight_of_the_wrong_length(towers):
+    with pytest.raises(ValueError, match="not rank 5"):
+        towers["spp"].in_kernel((0,))
+
+
+def test_the_tower_inverts_only_the_kernel_change(monkeypatch):
+    # the relations' transform comes with its inverse; only the 3 x 3
+    # rebasing of the kernel is inverted
+    sizes = []
+    real = lattice.integer_inverse
+
+    def recording(mat):
+        sizes.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "integer_inverse", recording)
+    bt.build_lattice_tower(bt.load_document(document_text("4x4")))
+    assert sizes == [3]
+
+
+# SHA-256 of every tower field and of the packed functional table, as
+# the tower gave them when it still inverted the relations' transform
+# by a second Smith form.  Face order leaves the tower unchanged, so the
+# shuffled 4x4 pins the same digest as the generator-order one.
+TOWER_DIGESTS = {
+    "honeycomb": "94044eaa0203b1fb529427df1728ce73f5c776e600f1d3eb6cd05e3e3ff6d2ff",
+    "conifold": "9a3e090004a4f6ef231cbf701362f5c5fe5b986950ff2be330a0ce52ca392375",
+    "spp": "5ac935634519d0e56494f2f548191280b9e19fbc86386d5b671afc93f2445fdf",
+    "z2z2": "a778d94ee9561fd7e2a7edc5fa1f38230382ec889caf4e90e3020cfcd3deee24",
+    "honeycomb_dimer": "412df4fbb85711b70170d5b5d441d2c94121c0686ffd3d07b2f6de946480c92d",
+    "spp_dimer": "67b5f5cbf53aa9718a728a859526c0f6b3568a6609358dadb602acdc76462224",
+    "square_dimer": "00da3580776057222fc80ec73eb880024238918bba7326d1f1edde59b537c660",
+    "2x2": "c15e2b1c9485613871a550394e1f95f726bdc3c8133bb90af51c1613bcc2a0c7",
+    "2x3": "c1bbe80578a606c5e14bb9bd0045b42f81c9d6d0e8ba29a1591fbec145c06b41",
+    "2x4": "fc07d52186c212f4c0639880629b36f12225d6ecbb9a007eab03bd7d95dfab7f",
+    "2x5": "4a6b5311cc070d639626a8981f113009851c4c7729f87fb67508757b0cb540e9",
+    "3x3": "f945330a94dcc1eb403520b3713996b475a7bdda3058055a9d7a3e6fb0677245",
+    "3x4": "be496e4f9245caadbd14eec8269eb6499253652102709ae201522a701e0fae45",
+    "3x5": "8083c774144cb0897c7dbc9d0b800ad40f901d3ba688963d88b6073fbe07eb60",
+    "4x4": "3bedf8a19dff50f96daa70a367ef3b468767ef7b8acb247bfec5645f285cd569",
+    "4x5": "ddbeec8431330418f2592703a6cc1275cf93362a1ac3689b7bae66526a01bf09",
+    "5x5": "f0d67a426c18f6a5348408a0fa2643d50b72b567973abcc208a30f3b6c560d03",
+    "4x4-shuffled": "3bedf8a19dff50f96daa70a367ef3b468767ef7b8acb247bfec5645f285cd569",
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER_DIGESTS))
+def test_tower_and_functional_table_are_pinned(name):
+    text = (shuffled_orbifold_text(4, 4, 0) if name == "4x4-shuffled"
+            else document_text(name))
+    tower = bt.build_lattice_tower(bt.load_document(text))
+    fields = [(f.name, getattr(tower, f.name))
+              for f in dataclasses.fields(tower)]
+    digest = hashlib.sha256(
+        repr((fields, matchings._functional_table(tower))).encode())
+    assert digest.hexdigest() == TOWER_DIGESTS[name]

@@ -497,19 +497,19 @@ def test_lattice_points_fixed_examples():
 
 @given(points_strategy())
 def test_lattice_points_match_a_direct_filter(pts):
+    # Pick's theorem counts the points from the edges alone: with 2A the
+    # shoelace sum and B the lattice points on the boundary,
+    # #points = A + B/2 + 1 = (2A + B)/2 + 1
     hull = bt.convex_hull_2d(pts)
     if len(hull) < 3:
         return
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
     edges = list(zip(hull, hull[1:] + hull[:1]))
-    expected = [
-        (x, y)
-        for x in range(min(xs), max(xs) + 1)
-        for y in range(min(ys), max(ys) + 1)
-        if all(bt.matchings.cross(o, p, (x, y)) >= 0 for o, p in edges)
-    ]
-    assert lattice_points_in_hull(hull) == expected
+    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
+    boundary = sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    found = lattice_points_in_hull(hull)
+    assert len(set(found)) == len(found)
+    assert set(hull) <= set(found)
+    assert len(found) == (twice_area + boundary) // 2 + 1
 
 
 @st.composite
