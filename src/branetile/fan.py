@@ -195,7 +195,7 @@ def validate_fan(fan: Fan) -> None:
                 f"cone uses unlisted ray {sorted(unknown)[0]!r}")
         ids = sorted(cone.ray_ids, key=matching_id_key)
         vecs = [vectors[i] for i in ids]
-        rk = rational.frank(vecs, dim) if vecs else 0
+        rk = rational.frank(vecs)
         if rk != cone.dim:
             raise ConsistencyError(
                 f"cone {sorted(cone.ray_ids)} declares dimension "

@@ -25,6 +25,7 @@ lattices used everywhere else in the package:
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from operator import mul
 from typing import Sequence
 
@@ -230,17 +231,6 @@ def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]) -> list[i
     return mat_vec(v, y)
 
 
-def integer_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of a unimodular integer matrix."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    u, s, v = smith_normal_form(mat)
-    if any(s[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(v, u)
-
-
 # ---------------------------------------------------------------------------
 # the lattice tower
 # ---------------------------------------------------------------------------
@@ -280,12 +270,17 @@ class LatticeTower:
     def degree_rank(self) -> int:
         return len(self.vertex_ids) - 1
 
-    def degree(self, weight: Sequence[int]) -> tuple[int, ...]:
-        """The weight's image in the vertex lattice; raises ValueError
-        unless the weight has ``rank`` entries."""
+    def check_weight(self, weight: Sequence[int]) -> None:
+        """Raise ValueError unless the weight is ``rank`` integers."""
         if len(weight) != self.rank:
             raise ValueError(
                 f"weight has {len(weight)} entries, not rank {self.rank}")
+        if not all(isinstance(x, numbers.Integral) for x in weight):
+            raise ValueError("weight entries must be integers")
+
+    def degree(self, weight: Sequence[int]) -> tuple[int, ...]:
+        """The weight's image in the vertex lattice."""
+        self.check_weight(weight)
         return tuple(mat_vec(self.degree_matrix, weight))
 
     def in_kernel(self, weight: Sequence[int]) -> bool:
@@ -370,13 +365,12 @@ def build_lattice_tower(tiling) -> LatticeTower:
     coeffs = solve_integer(basis_cols, list(face_cycle_weight))
     if coeffs is None:
         raise ConsistencyError("face-cycle weight escapes the kernel lattice")
-    uc, sc, vc = smith_normal_form([[c] for c in coeffs])
+    # U c = S with V = (1), as one column takes no column operation, so
+    # coeffs is the first column of U^-1 = W^T
+    _, sc, _, w0 = _smith_form([[c] for c in coeffs])
     if sc[0][0] != 1:
         raise ConsistencyError("face-cycle weight is not primitive in the kernel")
-    w0 = integer_inverse(uc)
-    for i in range(3):  # make the first column exactly `coeffs`
-        w0[i][0] *= vc[0][0]
-    change = [[w0[i][(j + 1) % 3] for j in range(3)] for i in range(3)]
+    change = [[w0[(j + 1) % 3][i] for j in range(3)] for i in range(3)]
     kernel_basis = mat_mul(basis_cols, change)
     if [kernel_basis[i][2] for i in range(k)] != list(face_cycle_weight):
         raise ConsistencyError("kernel rebasing failed")

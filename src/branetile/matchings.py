@@ -384,7 +384,7 @@ def canonical_point_multiset(points: Iterable) -> tuple:
     for mirrored in (False, True):
         image = ({(x, -y): c for (x, y), c in counts.items()} if mirrored
                  else counts)
-        ring = convex_hull_2d(image)
+        ring = convex_hull_2d(image) if mirrored else hull
         for i, v0 in enumerate(ring):
             form = _edge_frame_form(image, v0, ring[(i + 1) % len(ring)])
             if best is None or form < best:

@@ -35,6 +35,7 @@ from . import lattice, rational
 from .errors import ConsistencyError
 from .fan import Fan, FanCone, FanRay, validate_fan
 from .matchings import matching_id_key
+from .stability import _theta_check
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +79,7 @@ def _affine_rank(poly: Polyhedron, vertex_ids: Sequence,
                 for i in vertex_ids[1:]]
     spanning += [poly.rays[j] for j in ray_ids]
     spanning += poly.lineality
-    return rational.frank(spanning, poly.ambient_dim)
+    return rational.frank(spanning)
 
 
 def polyhedron_from_inequalities(inequalities: Sequence,
@@ -186,7 +187,7 @@ def enumerate_faces(poly: Polyhedron) -> list:
         frontier = fresh - cuts.keys()
 
     dims = {}
-    lineality_dim = rational.frank(poly.lineality, poly.ambient_dim)
+    lineality_dim = rational.frank(poly.lineality)
     for face in sorted(cuts, key=lambda f: f[0].bit_count() + f[1].bit_count()):
         below = cuts[face]
         dims[face] = (1 + max(dims[g] for g in below) if below
@@ -250,11 +251,15 @@ def cone_of_arrow_weights(tower) -> Polyhedron:
 
 def shift_by_stability(tower, theta: Sequence) -> tuple:
     """The weight cone translated by ``-preimage`` of the parameter
-    under the degree map.  Returns ``(polyhedron, preimage)``."""
-    if sum(theta) != 0:
-        raise ValueError("stability parameter entries must sum to zero")
+    under the degree map.  Returns ``(polyhedron, preimage)``; the
+    preimage is an integer weight, so the parameter must be integral."""
+    _theta_check(tower.vertex_ids, theta)
+    if any(t.denominator != 1 for t in theta):
+        raise ValueError(
+            "the quotient route needs an integer stability parameter; "
+            "a positive integer multiple gives the same fans")
     degree = [list(row) for row in tower.degree_matrix]
-    lam = lattice.solve_integer(degree, list(theta))
+    lam = lattice.solve_integer(degree, [int(t) for t in theta])
     if lam is None:
         raise ConsistencyError(
             "stability parameter is not a degree (the tiling should make "
@@ -317,8 +322,8 @@ def lift_slice_faces(tower, shifted: Polyhedron,
     for face in enumerate_faces(slice_poly):
         ambient_normals = [shifted.inequalities[i][0] for i in face.active]
         restricted = [slice_poly.inequalities[i][0] for i in face.active]
-        ra = rational.frank(ambient_normals, k)
-        rr = rational.frank(restricted, 3)
+        ra = rational.frank(ambient_normals)
+        rr = rational.frank(restricted)
         if 3 - rr != face.dim:
             raise ConsistencyError(
                 "slice face dimension disagrees with its active set")
@@ -487,10 +492,7 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     so descending many weights along one slice validates the fan once
     and factors no matrix.
     """
-    if len(weight) != tower.rank:
-        raise ValueError(
-            f"weight has {len(weight)} entries for a rank-{tower.rank} "
-            "lattice")
+    tower.check_weight(weight)
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
     cones, splitters = _slice_cones(tower, shifted, slice_poly)

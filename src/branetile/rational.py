@@ -103,7 +103,7 @@ def _free_column_basis(basis: dict, ncols: int) -> list:
     return out
 
 
-def frank(rows: Sequence, ncols: int) -> int:
+def frank(rows: Sequence) -> int:
     """Rank of integer or rational rows."""
     return len(_echelon([integerize(r) for r in rows if any(r)])[0])
 

@@ -40,17 +40,18 @@ from .matchings import matching_id_key
 from .tiling import QuiverOnTorus
 
 
-def _theta_check(tiling: QuiverOnTorus, theta: Sequence) -> dict:
-    if len(theta) != len(tiling.vertices):
+def _theta_check(vertices: Sequence, theta: Sequence) -> None:
+    """Raise ValueError unless the parameter has one integer or Fraction
+    entry per vertex and its entries sum to zero."""
+    if len(theta) != len(vertices):
         raise ValueError(
             f"stability parameter has {len(theta)} entries for "
-            f"{len(tiling.vertices)} vertices")
+            f"{len(vertices)} vertices")
     if not all(isinstance(t, numbers.Rational) for t in theta):
         raise ValueError("stability parameter entries must be integers "
                          "or Fractions")
     if sum(theta) != 0:
         raise ValueError("stability parameter entries must sum to zero")
-    return dict(zip(tiling.vertices, theta))
 
 
 def _subset_sums(values: Sequence) -> list:
@@ -64,8 +65,8 @@ def _subset_sums(values: Sequence) -> list:
 
 def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
     """Whether no proper nonempty vertex subset sums to zero."""
-    by_vertex = _theta_check(tiling, theta)
-    return all(_subset_sums(list(by_vertex.values()))[1:-1])
+    _theta_check(tiling.vertices, theta)
+    return all(_subset_sums(theta)[1:-1])
 
 
 def _arrow_mask(tiling: QuiverOnTorus, arrows: Iterable) -> int:
@@ -156,7 +157,8 @@ _ON_A_WALL = ("stability parameter lies on a wall (some proper vertex "
 def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> list:
     """The subset-sum table (:func:`_subset_sums`) of a checked
     parameter; raises DegenerateInputError when it lies on a wall."""
-    sums = _subset_sums(list(_theta_check(tiling, theta).values()))
+    _theta_check(tiling.vertices, theta)
+    sums = _subset_sums(theta)
     if not all(sums[1:-1]):
         raise DegenerateInputError(_ON_A_WALL)
     return sums
@@ -169,9 +171,9 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
     Raises DegenerateInputError when the parameter lies on a wall, and
     then ValueError on an arrow id the tiling does not have.
     """
-    by_vertex = _theta_check(tiling, theta)
     if not is_generic(tiling, theta):
         raise DegenerateInputError(_ON_A_WALL)
+    by_vertex = dict(zip(tiling.vertices, theta))
     return all(sum(by_vertex[v] for v in s) > 0
                for s in submodule_supports(tiling, arrows))
 
@@ -296,13 +298,6 @@ class Chamber:
     def stable_triples(self) -> tuple:
         return tuple(s.matching_ids for s in self.stable_subsets
                      if s.dim == 3)
-
-    def sign_of(self, subset: Iterable) -> int:
-        key = tuple(sorted(subset))
-        for s, sign in self.sign_vector:
-            if s == key:
-                return sign
-        raise KeyError(key)
 
 
 def _proper_subsets(vertices: Sequence) -> list:

@@ -172,11 +172,19 @@ class TiltingCollection:
 def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
                        matchings: Sequence, base: "str | None" = None,
                        paths: "dict | None" = None) -> TiltingCollection:
+    """Raises ValueError unless the paths run from one vertex, the base
+    if one is given, to every vertex."""
     stable = stable_matchings(tiling, theta, matchings)
     presentation = picard_presentation(stable)
     if paths is None:
         paths = default_paths(tiling, base)
-    base = paths[tiling.vertices[0]].source if base is None else base
+    sources = {path.source for path in paths.values()}
+    if len(sources) != 1 or any(v not in paths or paths[v].target != v
+                                for v in tiling.vertices):
+        raise ValueError("paths must run from one vertex to every vertex")
+    if base not in (None, *sources):
+        raise ValueError(f"base {base!r} is not the paths' source")
+    (base,) = sources
     path_items = tuple((v, paths[v]) for v in tiling.vertices)
     divisors = []
     classes = []

@@ -30,23 +30,6 @@ def matrices(max_dim=4, max_entry=9):
                      st.integers(1, max_dim)).flatmap(shape)
 
 
-@st.composite
-def unimodular_matrices(draw, n=3):
-    """Products of integer shears and one optional row negation."""
-    m = lattice.identity(n)
-    for _ in range(draw(st.integers(0, 6))):
-        i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, n - 1))
-        if i == j:
-            continue
-        q = draw(st.integers(-3, 3))
-        for c in range(n):
-            m[i][c] += q * m[j][c]
-    if draw(st.booleans()):
-        m[0] = [-x for x in m[0]]
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -101,7 +84,7 @@ def test_the_divisibility_fix_keeps_the_inverse_transform():
 @given(matrices())
 def test_rank_matches_kernel_dimension(mat):
     basis = bt.integer_kernel(mat)
-    assert len(basis) == len(mat[0]) - rational.frank(mat, len(mat[0]))
+    assert len(basis) == len(mat[0]) - rational.frank(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +122,6 @@ def test_solve_integer_rejects_a_target_of_the_wrong_length(target):
     # neither truncated nor padded: [1] is not [1, 0]
     with pytest.raises(ValueError, match="right-hand side"):
         bt.solve_integer([[1, 0], [0, 1]], target)
-
-
-@given(unimodular_matrices())
-def test_integer_inverse_round_trip(mat):
-    inv = lattice.integer_inverse(mat)
-    assert lattice.mat_mul(inv, mat) == lattice.identity(len(mat))
-    assert lattice.mat_mul(mat, inv) == lattice.identity(len(mat))
-
-
-def test_integer_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        lattice.integer_inverse([[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        lattice.integer_inverse([[1, 0]])
 
 
 @st.composite
@@ -284,19 +253,22 @@ def test_in_kernel_rejects_a_weight_of_the_wrong_length(towers):
         towers["spp"].in_kernel((0,))
 
 
-def test_the_tower_inverts_only_the_kernel_change(monkeypatch):
-    # the relations' transform comes with its inverse; only the 3 x 3
-    # rebasing of the kernel is inverted
-    sizes = []
-    real = lattice.integer_inverse
+def test_the_tower_makes_four_smith_forms(monkeypatch):
+    # the relations, the degree kernel, the face-cycle coordinates and
+    # the 3 x 1 rebasing column; both transforms that are inverted come
+    # with their inverse, so no fifth elimination inverts one
+    shapes = []
+    real = lattice._smith_form
 
     def recording(mat):
-        sizes.append(len(mat))
+        shapes.append((len(mat), len(mat[0])))
         return real(mat)
 
-    monkeypatch.setattr(lattice, "integer_inverse", recording)
-    bt.build_lattice_tower(bt.load_document(document_text("4x4")))
-    assert sizes == [3]
+    monkeypatch.setattr(lattice, "_smith_form", recording)
+    tower = bt.build_lattice_tower(bt.load_document(document_text("4x4")))
+    assert len(shapes) == 4
+    assert shapes[-1] == (3, 1)
+    assert shapes[1] == (len(tower.vertex_ids), tower.rank)
 
 
 # SHA-256 of every tower field and of the packed functional table, as

@@ -1,8 +1,8 @@
 """Source guards over the whole package: no function calls itself by
 name, no invariant is left to an ``assert`` statement (which
-``python -O`` strips), no module-level function is dead or keeps an
-unbounded cache, and every exported name resolves and is exported
-once."""
+``python -O`` strips), no module-level function or method is dead, no
+parameter is unread, no module-level function keeps an unbounded
+cache, and every exported name resolves and is exported once."""
 
 from __future__ import annotations
 
@@ -12,6 +12,11 @@ from pathlib import Path
 import branetile as bt
 
 SOURCES = sorted(Path(bt.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the package, the benchmark harness and the scripts, without tests
+PROGRAM = sorted(path for folder in ("src", "perfbench", "scripts")
+                 for path in (ROOT / folder).rglob("*.py")
+                 if "tests" not in path.relative_to(ROOT).parts)
 
 
 def parse(path: Path) -> ast.Module:
@@ -67,18 +72,24 @@ def test_the_package_has_no_assert_statements():
     assert found == []
 
 
-def unreferenced_functions(trees: dict, exported) -> list:
-    """``module.function`` for every module-level function that no
-    module refers to, by name or as an attribute, and that is not in
-    ``exported``.  A same-named variable elsewhere hides a function, so
-    the guard can miss dead code but never flags live code."""
+def referenced_names(trees) -> set:
+    """Every name and attribute name the trees use."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    return referenced
+
+
+def unreferenced_functions(trees: dict, exported) -> list:
+    """``module.function`` for every module-level function that no
+    module refers to, by name or as an attribute, and that is not in
+    ``exported``.  A same-named variable elsewhere hides a function, so
+    the guard can miss dead code but never flags live code."""
+    referenced = referenced_names(trees.values())
     return [f"{module}.{fn.name}" for module, tree in trees.items()
             for fn in tree.body
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -99,6 +110,77 @@ def test_the_guard_sees_unreferenced_functions():
 def test_every_function_in_the_package_is_referenced_or_exported():
     trees = {path.stem: parse(path) for path in SOURCES}
     assert unreferenced_functions(trees, set(bt.__all__)) == []
+
+
+def unreferenced_methods(trees: dict, program) -> list:
+    """``module.Class.method`` for every method or property, dunders
+    aside, whose name no tree in ``program`` uses.  As with functions,
+    a same-named attribute anywhere keeps a method, so the guard can
+    miss dead code but never flags live code."""
+    referenced = referenced_names(program)
+    return [f"{module}.{cls.name}.{fn.name}"
+            for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("__") and fn.name not in referenced]
+
+
+def unread_parameters(tree: ast.AST) -> list:
+    """Sorted ``(function, parameter)`` for every parameter, ``self``
+    and ``cls`` aside, that its function's body never loads by name; a
+    nested function reading it counts, as it sees the same variable."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {node.id for statement in fn.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [(fn.name, p) for p in params
+                  if p not in ("self", "cls") and p not in read]
+    return sorted(found)
+
+
+def test_the_guard_sees_dead_methods_and_unread_parameters():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.x\n"
+        "    def dead(self, unused):\n"
+        "        return 0\n"
+        "def scale(a, b, *rest, c=1, **extra):\n"
+        "    def inner(d):\n"
+        "        return a * d\n"
+        "    c = 2\n"
+        "    return inner(c) + len(rest)\n")
+    user = ast.parse("def area(box):\n    return box.size ** 2\n")
+    assert unreferenced_methods({"m": tree}, [tree, user]) == ["m.Box.dead"]
+    assert unread_parameters(tree) == [
+        ("dead", "unused"), ("scale", "b"), ("scale", "extra")]
+
+
+def test_every_method_in_the_package_is_referenced():
+    trees = {path.stem: parse(path) for path in SOURCES}
+    assert unreferenced_methods(trees, map(parse, PROGRAM)) == []
+
+
+# the benchmark's frozen workloads pass ``tiling`` positionally
+UNREAD_BY_DESIGN = ["fan.git_equivalence_classes(tiling)"]
+
+
+def test_every_parameter_in_the_package_is_read():
+    found = [f"{path.stem}.{fn}({param})" for path in SOURCES
+             for fn, param in unread_parameters(parse(path))]
+    assert found == UNREAD_BY_DESIGN
 
 
 def test_every_exported_name_resolves_and_is_listed_once():

@@ -286,8 +286,27 @@ def test_shift_by_stability_rejects_nonzero_sum(towers):
 def test_shift_by_stability_rejects_a_parameter_of_the_wrong_length(towers):
     # spp has three vertices: (1, -1) sums to zero but is not (1, -1, 0)
     for theta in ((1, -1), (1, -1, 0, 0)):
-        with pytest.raises(ValueError, match="right-hand side"):
+        with pytest.raises(ValueError,
+                           match=f"has {len(theta)} entries for 3 vertices"):
             bt.shift_by_stability(towers["spp"], theta)
+
+
+def test_shift_by_stability_refuses_a_fractional_parameter(
+        spp, towers, matchings_by_name):
+    # the preimage is an integer weight; 2 theta has the same fans
+    tower = towers["spp"]
+    theta = (Fraction(-3, 2), Fraction(1, 2), 1)
+    with pytest.raises(ValueError, match="integer stability parameter"):
+        bt.shift_by_stability(tower, theta)
+    doubled, preimage = bt.shift_by_stability(
+        tower, tuple(2 * t for t in theta))
+    assert tower.degree(preimage) == (-3, 1, 2)
+    assert bt.fans_equal(
+        bt.quotient_fan(tower, doubled),
+        bt.moduli_fan(spp, theta, matchings_by_name["spp"]))
+    # an integral Fraction is an integer parameter
+    _, same = bt.shift_by_stability(tower, (Fraction(-3), 1, 2))
+    assert same == preimage and all(type(x) is int for x in same)
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -317,8 +336,8 @@ def test_transversal_faces_have_matching_ranks(name, towers,
     for f in lifted:
         ambient = [shifted.inequalities[i][0] for i in f.active]
         restricted = [slice_poly.inequalities[i][0] for i in f.active]
-        ra = rational.frank(ambient, tower.rank)
-        rr = rational.frank(restricted, 3)
+        ra = rational.frank(ambient)
+        rr = rational.frank(restricted)
         assert f.stable == (ra == rr)
         assert f.ambient_dim == tower.rank - ra
 

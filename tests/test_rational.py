@@ -147,7 +147,7 @@ def test_fraction_free_rank_and_nullspace_match_fraction_rref(case):
     rows, dim = case
     want = [integerize(v) for v in nullspace(rows, dim)]
     assert rational.nullspace(rows, dim) == want
-    assert rational.frank(rows, dim) == len(rref(rows, dim)[1])
+    assert rational.frank(rows) == len(rref(rows, dim)[1])
 
 
 @given(generator_lists(), st.data())

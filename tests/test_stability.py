@@ -176,6 +176,46 @@ def test_is_generic_fixed_examples(spp):
         bt.is_generic(spp, (1, 1, 1))  # parameters must sum to zero
 
 
+# Every public entry point that takes a stability parameter or a
+# weight, as a function of (tiling, tower, matchings, chambers, bad
+# value); theta (1.0, -1.0, 0) and the weights are wrong only in type.
+THETA_ENTRY_POINTS = {
+    "is_generic": lambda t, tw, ms, cs, th: bt.is_generic(t, th),
+    "is_theta_stable":
+        lambda t, tw, ms, cs, th: bt.is_theta_stable(t, ms[0].arrows, th),
+    "enumerate_stable_subsets":
+        lambda t, tw, ms, cs, th: bt.enumerate_stable_subsets(t, th, ms),
+    "moduli_fan": lambda t, tw, ms, cs, th: bt.moduli_fan(t, th, ms),
+    "find_chamber": lambda t, tw, ms, cs, th: bt.find_chamber(t, cs, th),
+    "shift_by_stability":
+        lambda t, tw, ms, cs, th: bt.shift_by_stability(tw, th),
+    "tilting_collection":
+        lambda t, tw, ms, cs, th: bt.tilting_collection(t, tw, th, ms),
+    "graded_sections_count": lambda t, tw, ms, cs, th:
+        bt.graded_sections_count(t, tw, th, bt.default_paths(t)["2"], ms),
+}
+WEIGHT_ENTRY_POINTS = {
+    "degree": lambda t, tw, ms, cs, w: tw.degree(w),
+    "in_kernel": lambda t, tw, ms, cs, w: tw.in_kernel(w),
+    "descend_linear_functional": lambda t, tw, ms, cs, w:
+        bt.descend_linear_functional(
+            tw, bt.shift_by_stability(tw, cs[0].representative)[0], w),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((name, (1.0, -1.0, 0)) for name in THETA_ENTRY_POINTS),
+    *((name, bad) for name in WEIGHT_ENTRY_POINTS
+      for bad in ((1.0, 0, 0, 0, 0), (Fraction(1, 2), 0, 0, 0, 0))),
+], ids=str)
+def test_every_entry_point_refuses_a_value_of_the_wrong_type(
+        entry, bad, spp, towers, matchings_by_name, chambers_by_name):
+    call = {**THETA_ENTRY_POINTS, **WEIGHT_ENTRY_POINTS}[entry]
+    with pytest.raises(ValueError, match="integers"):
+        call(spp, towers["spp"], matchings_by_name["spp"],
+             chambers_by_name["spp"], bad)
+
+
 def test_stability_rejects_wall_parameters(spp, matchings_by_name):
     m = matchings_by_name["spp"][0]
     with pytest.raises(bt.DegenerateInputError):
@@ -434,15 +474,19 @@ def test_find_chamber_rejects_wall_parameters(spp, chambers_by_name):
         bt.find_chamber(spp, chambers_by_name["spp"], (0, 1, -1))
 
 
-def test_chamber_sign_of_matches_the_representative(spp, chambers_by_name):
+def test_chamber_sign_vector_matches_the_representative(spp,
+                                                        chambers_by_name):
+    # one sign per proper nonempty subset, as a sorted tuple, and none
+    # for the whole vertex set
     for chamber in chambers_by_name["spp"]:
         by_vertex = dict(zip(spp.vertices, chamber.representative))
+        expected = {}
         for r in (1, 2):
-            for subset in itertools.combinations(spp.vertices, r):
+            for subset in itertools.combinations(sorted(spp.vertices), r):
                 total = sum(by_vertex[v] for v in subset)
-                assert chamber.sign_of(subset) == (1 if total > 0 else -1)
-        with pytest.raises(KeyError):
-            chamber.sign_of(spp.vertices)  # not a proper subset
+                expected[subset] = 1 if total > 0 else -1
+        assert len(chamber.sign_vector) == len(expected)
+        assert dict(chamber.sign_vector) == expected
 
 
 

@@ -170,6 +170,37 @@ def test_collection_honors_an_explicit_base(spp, towers, matchings_by_name,
     assert dict(coll.divisors)["2"] == (0,) * len(coll.ray_ids)
 
 
+def test_collection_takes_its_base_from_the_given_paths(
+        spp, towers, matchings_by_name, chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    matchings = matchings_by_name["spp"]
+    paths = bt.default_paths(spp, "2")
+    coll = bt.tilting_collection(spp, tower, theta, matchings, paths=paths)
+    assert coll.base == "2"
+    same = bt.tilting_collection(spp, tower, theta, matchings, base="2",
+                                 paths=paths)
+    assert same == coll
+    with pytest.raises(ValueError, match="base '1' is not the paths' source"):
+        bt.tilting_collection(spp, tower, theta, matchings, base="1",
+                              paths=paths)
+
+
+@pytest.mark.parametrize("fault", ["missing", "two sources", "wrong end"])
+def test_collection_refuses_paths_that_miss_a_vertex_or_a_source(
+        fault, spp, towers, matchings_by_name, chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    paths = dict(bt.default_paths(spp, "1"))
+    if fault == "missing":
+        del paths["3"]
+    elif fault == "two sources":
+        paths["3"] = bt.default_paths(spp, "2")["3"]
+    else:
+        paths["3"] = paths["2"]
+    with pytest.raises(ValueError, match="from one vertex to every vertex"):
+        bt.tilting_collection(spp, tower, theta, matchings_by_name["spp"],
+                              paths=paths)
+
+
 def test_collection_classes_are_path_independent(spp, towers,
                                                  matchings_by_name,
                                                  chambers_by_name):
