@@ -6,8 +6,8 @@ height one over its toric-diagram point — and one cone per stable union
 of matchings, spanned by the rays of the matchings the union contains.
 
 Validation is structural and complete for the fans this package
-builds: every listed ray of a cone must be extreme, every cone must be
-a face of a maximal cone whose faces are all listed, and every two
+builds: every listed ray of a maximal cone must be extreme, every cone
+must be a face of a maximal cone whose faces are all listed, and every two
 maximal cones must admit a separating functional vanishing exactly on
 their shared rays — which, for a face-closed collection, is exactly
 the condition that all pairwise intersections are common faces.
@@ -70,14 +70,9 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
     share a point — violations raise ConsistencyError, as does any
     failure of the fan axioms.
     """
-    return _fan_of_subsets(enumerate_stable_subsets(tiling, theta, matchings),
-                           matchings)
-
-
-def _fan_of_subsets(subsets: Sequence, matchings: Sequence) -> Fan:
-    """The validated fan with one cone per stable subset."""
-    vectors = _ray_vectors(subsets, {m.matching_id: m for m in matchings})
-    fan = _unvalidated_fan(subsets, vectors)
+    subsets = enumerate_stable_subsets(tiling, theta, matchings)
+    fan = _unvalidated_fan(subsets, _ray_vectors(
+        subsets, {m.matching_id: m for m in matchings}))
     validate_fan(fan)
     return fan
 
@@ -135,38 +130,16 @@ def _meet_in_common_face(a: frozenset, b: frozenset, vectors: dict,
     return rational.strict_feasible_point(strict, eqs, dim) is not None
 
 
-def _cone_faces(vectors_by_id: dict, normals: Sequence) -> set:
-    """Ray-id sets of all faces of the pointed cone generated by the
-    given rays (assumed extreme) with the given facet normals, via
-    supporting-hyperplane incidence."""
-    ids = frozenset(vectors_by_id)
-    facets = [frozenset(i for i in ids
-                        if lattice.dot(d, vectors_by_id[i]) == 0)
-              for d in normals]
-    faces = {ids}
-    frontier = {ids}
-    while frontier:
-        fresh = set()
-        for face in frontier:
-            for facet in facets:
-                meet = face & facet
-                if meet not in faces:
-                    faces.add(meet)
-                    fresh.add(meet)
-        frontier = fresh
-    faces.add(frozenset())  # the zero cone is a face of every pointed cone
-    return faces
-
-
 def validate_fan(fan: Fan) -> None:
     """Raise ConsistencyError unless the cones form a fan.
 
-    Checks: distinct primitive nonzero rays; per cone, the declared
-    dimension is the rank of its rays and every listed ray is extreme;
-    every face of every maximal cone is listed and every cone is a face
-    of some maximal cone; and every two maximal cones meet in the cone
-    of their shared rays (separation criterion).  Together these are
-    exactly the fan axioms.
+    Checks: distinct primitive nonzero rays; per maximal cone, that it
+    is strongly convex with every listed ray extreme and each of its
+    faces listed; every cone is a face of some maximal cone, of that
+    face's dimension; and every two maximal cones meet in the cone of
+    their shared rays (separation criterion).  Together these are
+    exactly the fan axioms; a face of a checked maximal cone needs no
+    check of its own.
     """
     vectors = {}
     for ray in fan.rays:
@@ -186,50 +159,55 @@ def validate_fan(fan: Fan) -> None:
     if frozenset() not in cone_sets:
         raise ConsistencyError("fan is missing the zero cone")
 
-    dim = len(fan.rays[0].vector) if fan.rays else 0
-    faces_of = {}
     for cone in fan.cones:
-        unknown = cone.ray_ids - set(vectors)
+        unknown = cone.ray_ids - vectors.keys()
         if unknown:
             raise ConsistencyError(
                 f"cone uses unlisted ray {sorted(unknown)[0]!r}")
-        ids = sorted(cone.ray_ids, key=matching_id_key)
+
+    dim = len(fan.rays[0].vector) if fan.rays else 0
+    face_dims = {}  # every face of a maximal cone -> its dimension
+    max_sets = [c.ray_ids for c in fan.max_cones()]
+    for m in max_sets:
+        ids = sorted(m, key=matching_id_key)
         vecs = [vectors[i] for i in ids]
-        rk = rational.frank(vecs)
-        if rk != cone.dim:
-            raise ConsistencyError(
-                f"cone {sorted(cone.ray_ids)} declares dimension "
-                f"{cone.dim} but spans rank {rk}")
-        if rk == len(vecs):
+        if rational.frank(vecs) == len(vecs):
             # simplicial: independent rays are extreme, the cone is
             # strongly convex, and the faces are exactly the subsets
-            faces = {frozenset(sub) for r in range(len(ids) + 1)
+            faces = {frozenset(sub): r for r in range(len(ids) + 1)
                      for sub in itertools.combinations(ids, r)}
         else:
             normals, extreme, lineality = rational.describe_cone(vecs, dim)
             if lineality:
                 raise ConsistencyError(
-                    f"cone {sorted(cone.ray_ids)} is not strongly convex")
+                    f"cone {sorted(m)} is not strongly convex")
             if set(extreme) != set(tuple(v) for v in vecs):
                 raise ConsistencyError(
-                    f"cone {sorted(cone.ray_ids)} lists a non-extreme ray")
-            faces = _cone_faces({i: vectors[i] for i in cone.ray_ids},
-                                normals)
-        faces_of[cone.ray_ids] = faces
-
-    max_sets = [c.ray_ids for c in fan.max_cones()]
-    for m in max_sets:
-        for face in faces_of[m]:
+                    f"cone {sorted(m)} lists a non-extreme ray")
+            # the pointed cone as a polyhedron: its one vertex, the
+            # apex, is bit 0 and ray k is bit k + 1
+            incidences = [1 | sum(2 << k for k, v in enumerate(vecs)
+                                  if not lattice.dot(n, v))
+                          for n in normals]
+            faces = {frozenset(i for k, i in enumerate(ids)
+                               if face >> k + 1 & 1): d
+                     for face, d in rational.face_lattice(
+                         incidences, (2 << len(ids)) - 1, 1).items()}
+        for face in faces:
             if face not in cone_sets:
                 raise ConsistencyError(
                     f"face {sorted(face)} of cone {sorted(m)} "
                     f"is not a cone of the fan")
+        face_dims.update(faces)
     for cone in fan.cones:
-        if not any(cone.ray_ids in faces_of[m] for m in max_sets
-                   if cone.ray_ids <= m):
+        if cone.ray_ids not in face_dims:
             raise ConsistencyError(
                 f"cone {sorted(cone.ray_ids)} is not a face of any "
                 f"maximal cone")
+        if face_dims[cone.ray_ids] != cone.dim:
+            raise ConsistencyError(
+                f"cone {sorted(cone.ray_ids)} declares dimension "
+                f"{cone.dim} but spans rank {face_dims[cone.ray_ids]}")
     for a, b in itertools.combinations(max_sets, 2):
         if not _meet_in_common_face(a, b, vectors, dim):
             raise ConsistencyError(

@@ -145,17 +145,11 @@ class PolyFace:
 
 
 def enumerate_faces(poly: Polyhedron) -> list:
-    """All nonempty faces, by meet-closure of facet incidences.
-
-    Every nonempty face contains a minimal face, and minimal faces are
-    listed among the generators, so faces correspond exactly to the
-    closed incidence pairs with at least one vertex.  Incidences are
-    tested on integers: each vertex is scaled once by the lcm of its
-    denominators.  Dimensions come from the grading of the face
-    lattice: every maximal proper face of a face F is F cut by some
-    constraint, so F's dimension is one more than the largest among
-    those cuts, and a face with no proper cut is minimal, of the
-    lineality's dimension.  Sorted by (dimension, active set).
+    """All nonempty faces, from :func:`rational.face_lattice` on the
+    facet incidences, vertex bits first and ray bits above them; each
+    face's dimension adds the lineality's.  Incidences are tested on
+    integers: each vertex is scaled once by the lcm of its
+    denominators.  Sorted by (dimension, active set).
     """
     if poly.is_empty:
         return []
@@ -164,44 +158,26 @@ def enumerate_faces(poly: Polyhedron) -> list:
         den = lcm(*(x.denominator for x in v))
         scaled.append((tuple(x.numerator * (den // x.denominator) for x in v),
                        den))
-    incidences = []  # per inequality: (vertex bitmask, ray bitmask)
+    nv, nr = len(scaled), len(poly.rays)
+    incidences = []  # per inequality: the generators on it
     for a, b in poly.inequalities:
         p, q = b.numerator, b.denominator
-        incidences.append((
+        incidences.append(
             sum(1 << i for i, (num, den) in enumerate(scaled)
-                if lattice.dot(a, num) * q == p * den),
-            sum(1 << j for j, r in enumerate(poly.rays)
-                if lattice.dot(a, r) == 0)))
+                if lattice.dot(a, num) * q == p * den)
+            | sum(1 << nv + j for j, r in enumerate(poly.rays)
+                  if lattice.dot(a, r) == 0))
 
-    full = ((1 << len(scaled)) - 1, (1 << len(poly.rays)) - 1)
-    cuts = {}  # face -> its proper nonempty cuts by one constraint
-    frontier = {full}
-    while frontier:
-        fresh = set()
-        for face in frontier:
-            vs, rs = face
-            below = {(vs & vi, rs & ri) for vi, ri in incidences}
-            below = {pair for pair in below if pair[0] and pair != face}
-            cuts[face] = below
-            fresh |= below
-        frontier = fresh - cuts.keys()
-
-    dims = {}
     lineality_dim = rational.frank(poly.lineality)
-    for face in sorted(cuts, key=lambda f: f[0].bit_count() + f[1].bit_count()):
-        below = cuts[face]
-        dims[face] = (1 + max(dims[g] for g in below) if below
-                      else lineality_dim)
-
     faces = []
-    for (vs, rs), dim in dims.items():
-        active = tuple(i for i, (vi, ri) in enumerate(incidences)
-                       if vs & vi == vs and rs & ri == rs)
+    for face, dim in rational.face_lattice(
+            incidences, (1 << nv + nr) - 1, (1 << nv) - 1).items():
         faces.append(PolyFace(
-            active=active,
-            vertex_ids=tuple(i for i in range(len(scaled)) if vs >> i & 1),
-            ray_ids=tuple(j for j in range(len(poly.rays)) if rs >> j & 1),
-            dim=dim))
+            active=tuple(i for i, inc in enumerate(incidences)
+                         if face & inc == face),
+            vertex_ids=tuple(i for i in range(nv) if face >> i & 1),
+            ray_ids=tuple(j for j in range(nr) if face >> nv + j & 1),
+            dim=lineality_dim + dim))
     return sorted(faces, key=lambda f: (f.dim, f.active))
 
 

@@ -211,6 +211,36 @@ def describe_cone(gens: Sequence, dim: int) -> tuple:
     return facets, rays, lineality
 
 
+def face_lattice(incidences: Sequence, full: int, vertices: int) -> dict:
+    """Every face of a polyhedron with a vertex, with its dimension
+    above the lineality's, by meet-closure of facet incidences.
+
+    A face is a bitmask over the generators; ``full`` holds them all,
+    ``vertices`` the vertex bits, and each incidence the generators on
+    one constraint.  Every nonempty face contains a minimal face, and
+    minimal faces are listed among the generators, so the faces are the
+    cuts of ``full`` that keep a vertex bit.  Dimensions come from the
+    grading of the face lattice: every maximal proper face of a face F
+    is F cut by some constraint, so F's dimension is one more than the
+    largest among those cuts, and a face with no proper cut is minimal.
+    """
+    cuts = {}  # face -> its proper nonempty cuts by one constraint
+    frontier = {full}
+    while frontier:
+        fresh = set()
+        for face in frontier:
+            below = {face & inc for inc in incidences}
+            below = {g for g in below if g & vertices and g != face}
+            cuts[face] = below
+            fresh |= below
+        frontier = fresh - cuts.keys()
+    dims = {}
+    for face in sorted(cuts, key=int.bit_count):
+        below = cuts[face]
+        dims[face] = 1 + max(dims[g] for g in below) if below else 0
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # strict feasibility by Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------

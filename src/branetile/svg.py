@@ -43,8 +43,11 @@ def render_diagram_svg(diagram: ToricDiagram,
         f'height="{height}" viewBox="0 0 {width} {height}">')
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     if title:
+        # escaped by hand: xml.sax.saxutils would import urllib.request
+        text = (title.replace("&", "&amp;").replace("<", "&lt;")
+                .replace(">", "&gt;"))
         out.append(f'<text x="{_MARGIN}" y="24" font-family="monospace" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{text}</text>')
 
     for gx in range(xmin, xmax + 1):
         x1, y1 = _pixel((gx, ymin), xmin, ymax)

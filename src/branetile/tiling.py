@@ -205,9 +205,8 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
 
     arrows = []
     for aid, src, tgt in _records(doc, "arrows", "arrow", "id", "src", "tgt"):
-        if src not in vertices or tgt not in vertices:
-            raise _fail(f"arrow {aid!r} references an unknown vertex")
         arrows.append(Arrow(arrow_id=aid, source=src, target=tgt))
+        _check_arrow(arrows[-1], vertices)
     known = {a.arrow_id for a in arrows}
 
     faces = []
@@ -223,13 +222,22 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
         if (not isinstance(cycle, list) or not cycle
                 or not all(isinstance(x, str) for x in cycle)):
             raise _fail(f"face {n} cycle must be a nonempty list of arrow ids")
-        for aid in cycle:
-            if aid not in known:
-                raise _fail(f"face {n} references unknown arrow {aid!r}")
+        _check_cycle(n, cycle, known)
         faces.append(Face(sign=1 if sign == "+" else -1, arrows=tuple(cycle)))
 
     return QuiverOnTorus(vertices=tuple(vertices), arrows=tuple(arrows),
                          faces=tuple(faces))
+
+
+def _check_arrow(arrow: Arrow, vertices) -> None:
+    if arrow.source not in vertices or arrow.target not in vertices:
+        raise _fail(f"arrow {arrow.arrow_id!r} references an unknown vertex")
+
+
+def _check_cycle(n: int, cycle: Sequence, known) -> None:
+    for aid in cycle:
+        if aid not in known:
+            raise _fail(f"face {n} references unknown arrow {aid!r}")
 
 
 def serialize_tiling(tiling: QuiverOnTorus) -> str:
@@ -473,10 +481,15 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
     to the negative face and all other arrows back (Dulmage and
     Mendelsohn).  With no perfect matching at all, only a tiling
     without arrows counts as nondegenerate.  A passing report certifies
-    these axioms and nothing more.
+    these axioms and nothing more.  A dangling reference raises
+    TilingFormatError, as in :func:`parse_tiling`.
     """
-    violations = []
+    for arrow in tiling.arrows:
+        _check_arrow(arrow, tiling.vertices)
     amap = {a.arrow_id: a for a in tiling.arrows}
+    for n, face in enumerate(tiling.faces):
+        _check_cycle(n, face.arrows, amap)
+    violations = []
 
     plus_count = {aid: 0 for aid in amap}
     minus_count = {aid: 0 for aid in amap}

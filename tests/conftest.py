@@ -7,7 +7,9 @@ per session and shared between tests; tests must treat them as frozen.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import settings
 
 import branetile as bt
-from branetile import rational
+from branetile import lattice, rational
+from branetile.matchings import matching_id_key
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
@@ -165,6 +168,111 @@ def double_dual(gens: Sequence, dim: int) -> tuple:
     drays, dlin = rational.dual_cone(gens, dim)
     return rational.dual_cone(
         drays + dlin + [tuple(-x for x in l) for l in dlin], dim)
+
+
+# ---------------------------------------------------------------------------
+# fan validation cone by cone: every cone ranked and its faces listed,
+# maximal or not, kept as a reference
+# ---------------------------------------------------------------------------
+
+def _reference_cone_faces(vectors_by_id: dict, normals: Sequence) -> set:
+    """Ray-id sets of all faces of the pointed cone generated by the
+    given rays (assumed extreme) with the given facet normals, via
+    supporting-hyperplane incidence."""
+    ids = frozenset(vectors_by_id)
+    facets = [frozenset(i for i in ids
+                        if lattice.dot(d, vectors_by_id[i]) == 0)
+              for d in normals]
+    faces = {ids}
+    frontier = {ids}
+    while frontier:
+        fresh = set()
+        for face in frontier:
+            for facet in facets:
+                meet = face & facet
+                if meet not in faces:
+                    faces.add(meet)
+                    fresh.add(meet)
+        frontier = fresh
+    faces.add(frozenset())  # the zero cone is a face of every pointed cone
+    return faces
+
+
+def reference_validate_fan(fan) -> None:
+    """Raise ConsistencyError unless the cones form a fan, checking
+    every cone's rank, extreme rays and faces, then that the maximal
+    cones' faces are listed, that each cone is a face of a maximal
+    cone, and that every two maximal cones meet in a common face."""
+    vectors = {}
+    for ray in fan.rays:
+        if all(x == 0 for x in ray.vector):
+            raise bt.ConsistencyError(f"ray {ray.ray_id} is the zero vector")
+        if math.gcd(*ray.vector) != 1:
+            raise bt.ConsistencyError(
+                f"ray {ray.ray_id} is not primitive: {ray.vector}")
+        if ray.vector in vectors.values():
+            raise bt.ConsistencyError(
+                f"duplicate ray vector {ray.vector} ({ray.ray_id})")
+        vectors[ray.ray_id] = ray.vector
+
+    cone_sets = fan.cone_sets()
+    if len(cone_sets) != len(fan.cones):
+        raise bt.ConsistencyError("fan lists a cone twice")
+    if frozenset() not in cone_sets:
+        raise bt.ConsistencyError("fan is missing the zero cone")
+
+    dim = len(fan.rays[0].vector) if fan.rays else 0
+    faces_of = {}
+    for cone in fan.cones:
+        unknown = cone.ray_ids - set(vectors)
+        if unknown:
+            raise bt.ConsistencyError(
+                f"cone uses unlisted ray {sorted(unknown)[0]!r}")
+        ids = sorted(cone.ray_ids, key=matching_id_key)
+        vecs = [vectors[i] for i in ids]
+        rk = rational.frank(vecs)
+        if rk != cone.dim:
+            raise bt.ConsistencyError(
+                f"cone {sorted(cone.ray_ids)} declares dimension "
+                f"{cone.dim} but spans rank {rk}")
+        if rk == len(vecs):
+            faces = {frozenset(sub) for r in range(len(ids) + 1)
+                     for sub in itertools.combinations(ids, r)}
+        else:
+            normals, extreme, lineality = rational.describe_cone(vecs, dim)
+            if lineality:
+                raise bt.ConsistencyError(
+                    f"cone {sorted(cone.ray_ids)} is not strongly convex")
+            if set(extreme) != set(tuple(v) for v in vecs):
+                raise bt.ConsistencyError(
+                    f"cone {sorted(cone.ray_ids)} lists a non-extreme ray")
+            faces = _reference_cone_faces(
+                {i: vectors[i] for i in cone.ray_ids}, normals)
+        faces_of[cone.ray_ids] = faces
+
+    max_sets = [c.ray_ids for c in fan.max_cones()]
+    for m in max_sets:
+        for face in faces_of[m]:
+            if face not in cone_sets:
+                raise bt.ConsistencyError(
+                    f"face {sorted(face)} of cone {sorted(m)} "
+                    f"is not a cone of the fan")
+    for cone in fan.cones:
+        if not any(cone.ray_ids in faces_of[m] for m in max_sets
+                   if cone.ray_ids <= m):
+            raise bt.ConsistencyError(
+                f"cone {sorted(cone.ray_ids)} is not a face of any "
+                f"maximal cone")
+    for a, b in itertools.combinations(max_sets, 2):
+        common = a & b
+        strict = [vectors[r] for r in sorted(a - common, key=matching_id_key)]
+        strict += [tuple(-x for x in vectors[r])
+                   for r in sorted(b - common, key=matching_id_key)]
+        eqs = [vectors[r] for r in sorted(common, key=matching_id_key)]
+        if rational.strict_feasible_point(strict, eqs, dim) is None:
+            raise bt.ConsistencyError(
+                f"cones {sorted(a)} and {sorted(b)} "
+                f"overlap beyond a common face")
 
 
 @pytest.fixture(scope="session")

@@ -169,6 +169,17 @@ def test_diagram_svg_is_wellformed(tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_diagram_svg_escapes_its_title(tmp_path, capsys):
+    # the title is the input's file name, which may hold markup
+    source = tmp_path / "a&b<c>.json"
+    source.write_text(fixture_text("spp"), encoding="utf-8")
+    target = tmp_path / "diagram.svg"
+    code, _, _ = run(["diagram", str(source), "--svg", str(target)], capsys)
+    assert code == 0
+    title = ET.parse(target).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "a&b<c>.json"
+
+
 def test_tilting_svg_is_wellformed(tmp_path, capsys):
     target = tmp_path / "fan.svg"
     code, _, _ = run(["tilting", SPP, "--theta=-2,1,1", "--svg",

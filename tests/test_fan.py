@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import branetile as bt
 from branetile import fan as fan_module, rational
@@ -13,7 +16,7 @@ from branetile.fan import Fan, FanCone, FanRay
 from branetile.matchings import matching_id_key
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
-                      orbifold_text)
+                      orbifold_text, reference_validate_fan)
 
 EXPECTED_GIT_CLASSES = {
     "honeycomb": [[1]],
@@ -130,6 +133,25 @@ def test_validate_rejects_a_non_extreme_listed_ray():
         bt.validate_fan(fan)
 
 
+def test_validate_names_a_non_extreme_ray_and_a_line_in_a_cone():
+    # each cone is listed with exactly its faces, so only the extreme
+    # rays and the lineality tell them from fans
+    def listed(vectors: dict, cones: list) -> Fan:
+        return Fan(rays=tuple(FanRay(i, v) for i, v in vectors.items()),
+                   cones=tuple(FanCone(frozenset(c), d) for c, d in cones))
+
+    inside = listed({"a": (1, 0), "b": (1, 1), "c": (0, 1)},
+                    [("", 0), ("a", 1), ("c", 1), ("abc", 2)])
+    with pytest.raises(bt.ConsistencyError,
+                       match=r"^cone \['a', 'b', 'c'\] lists a non-extreme"):
+        bt.validate_fan(inside)
+    line = listed({"a": (1, 0), "b": (-1, 0), "c": (0, 1)},
+                  [("", 0), ("ab", 1), ("abc", 2)])
+    with pytest.raises(bt.ConsistencyError,
+                       match=r"^cone \['a', 'b', 'c'\] is not strongly"):
+        bt.validate_fan(line)
+
+
 def test_validate_rejects_a_cone_with_unknown_rays():
     fan = make_fan({"a": (1, 0)}, [("a",)])
     cones = fan.cones + (FanCone(ray_ids=frozenset({"ghost"}), dim=1),)
@@ -189,6 +211,110 @@ def test_a_non_simplicial_cone_is_validated_with_one_duality(monkeypatch):
     monkeypatch.setattr(rational, "dual_cone", counting)
     bt.validate_fan(square_cone_fan())
     assert len(calls) == 1
+
+
+def test_a_face_of_a_non_simplicial_cone_keeps_its_dimension():
+    fan = square_cone_fan()
+    cones = tuple(
+        FanCone(ray_ids=c.ray_ids, dim=1) if c.ray_ids == {"a", "b"} else c
+        for c in fan.cones)
+    with pytest.raises(bt.ConsistencyError,
+                       match=r"^cone \['a', 'b'\] declares dimension 1 "
+                             r"but spans rank 2$"):
+        bt.validate_fan(Fan(rays=fan.rays, cones=cones))
+
+
+def test_a_smooth_fan_takes_one_rank_per_maximal_cone(
+        z2z2, matchings_by_name, chambers_by_name, monkeypatch):
+    fan = bt.moduli_fan(z2z2, chambers_by_name["z2z2"][0].representative,
+                        matchings_by_name["z2z2"])
+    assert bt.check_smooth(fan)
+    calls = []
+    real = rational.frank
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(rational, "frank", counting)
+    bt.validate_fan(fan)
+    assert len(fan.max_cones()) == 4 < len(fan.cones)
+    assert len(calls) == 4
+
+
+@st.composite
+def small_fans(draw) -> Fan:
+    """A random cone collection in 2 or 3 dimensions, often with its
+    rays at height one and its maximal cones drawn from four rays or
+    more: maximal cones of up to ``dim + 2`` rays, mostly cut to their
+    extreme rays when pointed, and closed under faces (a subset is a
+    face when a functional vanishes on it and is positive on the rest
+    of the cone), each cone declaring its rank; then, sometimes, a face
+    dropped, a dimension changed, an unknown ray used or a cone widened
+    by one more ray."""
+    dim = draw(st.sampled_from((2, 3)))
+    coords = [st.integers(-2, 2)] * dim
+    least = 1  # the fewest rays a drawn maximal cone has
+    if dim == 3 and draw(st.booleans()):
+        coords[2] = st.just(1)
+        least = 4
+    vecs = draw(st.lists(
+        st.tuples(*coords).filter(lambda v: math.gcd(*v) == 1),
+        min_size=least, max_size=7, unique=True))
+    ids = [f"r{i}" for i in range(len(vecs))]
+    vector = dict(zip(ids, vecs))
+
+    def is_face(sub, cone) -> bool:
+        return rational.strict_feasible_point(
+            [vector[i] for i in cone if i not in sub],
+            [vector[i] for i in sub], dim) is not None
+
+    cones = {frozenset()}
+    for m in draw(st.lists(st.sets(st.sampled_from(ids),
+                                   min_size=least,
+                                   max_size=dim + 2),
+                           min_size=1, max_size=3)):
+        if is_face((), m) and draw(st.integers(0, 3)):
+            m = {i for i in m if is_face((i,), m)}
+        cones |= {frozenset(sub) for r in range(len(m) + 1)
+                  for sub in itertools.combinations(sorted(m), r)
+                  if is_face(sub, m)}
+    listed = [FanCone(ray_ids=c, dim=rational.frank([vector[i] for i in c]))
+              for c in sorted(cones, key=lambda c: (len(c), sorted(c)))]
+    for fault in draw(st.lists(st.sampled_from(
+            ("drop", "dim", "unknown", "widen")), max_size=2)):
+        k = draw(st.integers(0, len(listed) - 1))
+        cone = listed[k]
+        if fault == "drop":
+            del listed[k]
+        elif fault == "dim":
+            listed[k] = FanCone(cone.ray_ids,
+                                cone.dim + draw(st.sampled_from((-1, 1))))
+        elif fault == "unknown":
+            listed.append(FanCone(cone.ray_ids | {"ghost"}, cone.dim + 1))
+        else:
+            wider = cone.ray_ids | {draw(st.sampled_from(ids))}
+            listed.append(FanCone(wider, rational.frank(
+                [vector[i] for i in wider if i in vector])))
+        if not listed:
+            break
+    return Fan(rays=tuple(FanRay(i, v) for i, v in vector.items()),
+               cones=tuple(listed))
+
+
+def accepts(validate, fan: Fan) -> bool:
+    try:
+        validate(fan)
+    except bt.ConsistencyError:
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(small_fans())
+def test_validation_accepts_the_fans_the_cone_by_cone_reference_accepts(fan):
+    assert accepts(bt.validate_fan, fan) == accepts(reference_validate_fan,
+                                                    fan)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +495,11 @@ def test_classes_validate_a_later_chamber_with_a_new_geometry(
     edge = next(s for s in last.stable_subsets if s.dim == 2)
     chambers[-1] = dataclasses.replace(last, stable_subsets=tuple(
         s for s in last.stable_subsets if s != edge))
+    subsets = chambers[-1].stable_subsets
+    vectors = fan_module._ray_vectors(
+        subsets, {m.matching_id: m for m in matchings})
     with pytest.raises(bt.ConsistencyError) as direct:
-        fan_module._fan_of_subsets(chambers[-1].stable_subsets, matchings)
+        bt.validate_fan(fan_module._unvalidated_fan(subsets, vectors))
     calls = counted_validations(monkeypatch)
     with pytest.raises(bt.ConsistencyError) as grouped:
         bt.git_equivalence_classes(tiling, chambers, matchings)

@@ -274,6 +274,20 @@ def test_interior_generators_with_equal_zero_sets_are_not_extreme():
     assert rays == [(0, 1), (1, 0)]
 
 
+def test_the_face_lattice_of_a_cone_over_a_square():
+    # the apex is bit 0 and ray k, around the square, is bit k + 1
+    gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    facets, _, _ = rational.describe_cone(gens, 3)
+    incidences = [1 | sum(2 << k for k, g in enumerate(gens)
+                          if not sum(a * b for a, b in zip(f, g)))
+                  for f in facets]
+    faces = rational.face_lattice(incidences, 0b11111, 1)
+    assert faces == {0b11111: 3,
+                     0b00111: 2, 0b01101: 2, 0b11001: 2, 0b10011: 2,
+                     0b00011: 1, 0b00101: 1, 0b01001: 1, 0b10001: 1,
+                     0b00001: 0}
+
+
 # ---------------------------------------------------------------------------
 # integerize against the version that rebuilt every entry as a Fraction
 # ---------------------------------------------------------------------------

@@ -386,6 +386,26 @@ def test_validate_can_skip_the_matching_probe(spp):
     assert not report.nondegenerate  # probe skipped, reported false
 
 
+def test_validate_refuses_a_face_with_an_unknown_arrow(conifold):
+    ghost = bt.Face(sign=1, arrows=("ghost",))
+    tiling = dataclasses.replace(conifold, faces=conifold.faces + (ghost,))
+    n = len(conifold.faces)
+    with pytest.raises(bt.TilingFormatError,
+                       match=f"^face {n} references unknown arrow 'ghost'$"):
+        bt.validate(tiling)
+
+
+def test_validate_refuses_an_arrow_to_an_unknown_vertex(conifold):
+    first = conifold.arrows[0]
+    stray = dataclasses.replace(first, target="3")
+    tiling = dataclasses.replace(conifold,
+                                 arrows=(stray,) + conifold.arrows[1:])
+    with pytest.raises(bt.TilingFormatError,
+                       match=f"^arrow '{first.arrow_id}' references an "
+                             f"unknown vertex$"):
+        bt.validate(tiling)
+
+
 def test_faces_of_returns_positive_face_first(spp):
     for a in spp.arrows:
         plus, minus = spp.faces_of(a.arrow_id)
