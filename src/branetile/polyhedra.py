@@ -24,15 +24,14 @@ normals are primitive integer tuples, inequalities are ``a . x >= b``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, lcm, prod
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from . import lattice, rational
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DegenerateInputError
 from .fan import Fan, FanCone, FanRay, validate_fan
 from .matchings import matching_id_key
 from .stability import _theta_check
@@ -181,14 +180,26 @@ def enumerate_faces(poly: Polyhedron) -> list:
     return sorted(faces, key=lambda f: (f.dim, f.active))
 
 
+# Section polytopes' boxes grow with the cube of the height cap;
+# 10**5 points are filtered in well under a second.
+_MAX_BOX_POINTS = 10 ** 5
+
+
 def integer_points(poly: Polyhedron) -> list:
-    """All lattice points of a bounded polyhedron."""
+    """All lattice points of a bounded polyhedron, filtered from its
+    bounding box.  Raises DegenerateInputError, before any point is
+    tried, when the box holds more than ``_MAX_BOX_POINTS`` points."""
     if poly.rays or poly.lineality:
         raise ValueError("polyhedron is unbounded")
     if poly.is_empty:
         return []
     ranges = [range(ceil(min(c)), floor(max(c)) + 1)
               for c in zip(*poly.vertices)]
+    count = prod(max(0, r.stop - r.start) for r in ranges)
+    if count > _MAX_BOX_POINTS:
+        raise DegenerateInputError(
+            f"the bounding box holds {count} lattice points; at most "
+            f"{_MAX_BOX_POINTS} are enumerated")
     return [p for p in itertools.product(*ranges) if poly.contains(p)]
 
 
@@ -196,7 +207,34 @@ def integer_points(poly: Polyhedron) -> list:
 # the weight cone and its stability shifts
 # ---------------------------------------------------------------------------
 
-_weight_cone_cache: "WeakKeyDictionary" = WeakKeyDictionary()
+@dataclasses.dataclass(eq=False)
+class _TowerRecord:
+    """What the quotient route learns about one tower.  Each inner key
+    is the value of an input the stability shift does not change, so
+    an entry answers for every slice: ``ranks`` of the normal-row
+    tuples ``lift_slice_faces`` ranks; ``splitters``, ``(kernel_rows,
+    factors)`` by a vertex's ambient active normals; ``valid_fans``,
+    the frozensets of ``(dim, rays)`` cones that passed
+    ``validate_fan``; and ``last_slice``, ``(shifted, slice_poly,
+    result)`` of the last ``_slice_cones`` call, compared by equality.
+    """
+
+    cone: "Polyhedron | None" = None
+    ranks: dict = dataclasses.field(default_factory=dict)
+    splitters: dict = dataclasses.field(default_factory=dict)
+    valid_fans: set = dataclasses.field(default_factory=set)
+    last_slice: tuple = (None, None, None)
+
+
+# Towers compare by identity, so a record is freed with its tower.
+_tower_records: "WeakKeyDictionary" = WeakKeyDictionary()
+
+
+def _record(tower) -> _TowerRecord:
+    record = _tower_records.get(tower)
+    if record is None:
+        record = _tower_records[tower] = _TowerRecord()
+    return record
 
 
 def cone_of_arrow_weights(tower) -> Polyhedron:
@@ -205,10 +243,11 @@ def cone_of_arrow_weights(tower) -> Polyhedron:
     in sorted order, and its rays the extreme weights, both from one
     :func:`rational.describe_cone`.  Pointedness is asserted: a
     lineality direction would need arrows missed by every perfect
-    matching."""
-    cached = _weight_cone_cache.get(tower)
-    if cached is not None:
-        return cached
+    matching.  The cone is built once per tower and kept in the
+    tower's record."""
+    record = _record(tower)
+    if record.cone is not None:
+        return record.cone
     k = tower.rank
     facets, rays, lineality = rational.describe_cone(
         [tower.weights[aid] for aid in tower.arrow_ids], k)
@@ -221,7 +260,7 @@ def cone_of_arrow_weights(tower) -> Polyhedron:
         raise ConsistencyError(
             f"the cone of arrow weights has dimension {poly.dim}, "
             f"expected {k}")
-    _weight_cone_cache[tower] = poly
+    record.cone = poly
     return poly
 
 
@@ -291,15 +330,25 @@ class LiftedFace:
     stable: bool
 
 
+def _rank(ranks: dict, rows: tuple) -> int:
+    if rows not in ranks:
+        ranks[rows] = rational.frank(rows)
+    return ranks[rows]
+
+
 def lift_slice_faces(tower, shifted: Polyhedron,
                      slice_poly: Polyhedron) -> list:
+    """The faces of a slice with their ambient lifts.  Each normal-row
+    tuple is ranked once per tower: the shift moves offsets, not
+    normals."""
     k = tower.rank
+    ranks = _record(tower).ranks
     lifted = []
     for face in enumerate_faces(slice_poly):
-        ambient_normals = [shifted.inequalities[i][0] for i in face.active]
-        restricted = [slice_poly.inequalities[i][0] for i in face.active]
-        ra = rational.frank(ambient_normals)
-        rr = rational.frank(restricted)
+        ra = _rank(ranks, tuple(shifted.inequalities[i][0]
+                                for i in face.active))
+        rr = _rank(ranks, tuple(slice_poly.inequalities[i][0]
+                                for i in face.active))
         if 3 - rr != face.dim:
             raise ConsistencyError(
                 "slice face dimension disagrees with its active set")
@@ -331,10 +380,6 @@ def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
                             dim=dim) for dim, rays in cones))
 
 
-# Callers pass one slice to quotient_fan and then to
-# descend_linear_functional once per weight, so remembering the last
-# slice is enough; a larger memo would only pin old towers.
-@functools.lru_cache(maxsize=1)
 def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     """The validated normal cones of the transversal faces of a slice.
 
@@ -345,8 +390,8 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     lift and whose last three columns are the kernel basis: the last
     three rows of its inverse when it is unimodular (else None), the
     face's rays, and its invariant factors, all from one Smith normal
-    form.  The fan these cones form is validated here, once, under the
-    default ray names; labels only rename its rays.
+    form.  The fan these cones form is validated under the default ray
+    names; labels only rename its rays.
 
     Normal cones need no cone duality.  A face's normal cone is the
     cone of its active normals, and it is pointed exactly when the
@@ -356,7 +401,14 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     facet's primitive normal is read once, from its nonzero active
     rows, and a face's rays are the normals of its active
     facet-defining rows.
+
+    Splitters, validated geometries and the last slice's result are
+    kept in the tower's record (``_TowerRecord``).  A geometry is the
+    set of its cones, a sound key once no two cones share their rays.
     """
+    record = _record(tower)
+    if record.last_slice[:2] == (shifted, slice_poly):
+        return record.last_slice[2]
     k = tower.rank
     basis = tower.kernel_basis
     lifted = lift_slice_faces(tower, shifted, slice_poly)
@@ -385,22 +437,31 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
         cones.append((3 - face.slice_face.dim, rays))
         if face.slice_face.dim != 0:
             continue
-        normals = [list(shifted.inequalities[i][0]) for i in face.active]
-        columns = lattice.integer_kernel(normals)
-        mat = [[col[i] for col in columns] + list(basis[i])
-               for i in range(k)]
-        u, s, v = lattice.smith_normal_form(mat)
-        factors = [s[i][i] for i in range(min(k, len(mat[0]))) if s[i][i]]
-        kernel_rows = None
-        if len(factors) == k and all(d == 1 for d in factors):
-            # a transversal vertex has ambient rank 3, so the matrix is
-            # k x k; U mat V = I makes V U its inverse
-            kernel_rows = lattice.mat_mul(v[len(columns):], u)
+        normals = tuple(shifted.inequalities[i][0] for i in face.active)
+        if normals not in record.splitters:
+            columns = lattice.integer_kernel(normals)
+            mat = [[col[i] for col in columns] + list(basis[i])
+                   for i in range(k)]
+            u, s, v = lattice.smith_normal_form(mat)
+            factors = [s[i][i] for i in range(min(k, len(mat[0])))
+                       if s[i][i]]
+            kernel_rows = None
+            if len(factors) == k and all(d == 1 for d in factors):
+                # a transversal vertex has ambient rank 3, so the matrix
+                # is k x k; U mat V = I makes V U its inverse
+                kernel_rows = lattice.mat_mul(v[len(columns):], u)
+            record.splitters[normals] = (kernel_rows, factors)
+        kernel_rows, factors = record.splitters[normals]
         splitters.append((kernel_rows, rays, factors))
     if len({frozenset(rays) for _, rays in cones}) != len(cones):
         raise ConsistencyError("two transversal faces share one normal cone")
-    validate_fan(_named_fan(cones, None))
-    return tuple(cones), tuple(splitters)
+    geometry = frozenset(cones)
+    if geometry not in record.valid_fans:
+        validate_fan(_named_fan(cones, None))
+        record.valid_fans.add(geometry)
+    result = (tuple(cones), tuple(splitters))
+    record.last_slice = (shifted, slice_poly, result)
+    return result
 
 
 def quotient_fan(tower, shifted: Polyhedron,
@@ -408,10 +469,10 @@ def quotient_fan(tower, shifted: Polyhedron,
                  ray_labels: "dict | None" = None) -> Fan:
     """Normal fan of the kernel slice, restricted to the transversal
     faces.  Each cone's rays are the normals of the slice facets that
-    contain its face (see ``_slice_cones``).  The fan is validated once
-    per slice: the cones of the last slice are remembered, so
-    ``descend_linear_functional`` on the same slice does not validate
-    again.
+    contain its face (see ``_slice_cones``).  Each fan geometry is
+    validated once per tower, and the cones of the tower's last slice
+    are remembered, so ``descend_linear_functional`` on the same slice
+    does not compute them again.
 
     ``ray_labels`` maps primitive ray vectors to names (matching ids);
     unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
@@ -462,11 +523,12 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     splitting matrix is unimodular, so every integer weight has exactly
     one integer preimage: the split cannot fail, and the kernel part is
     one product with the rows of the inverse that ``_slice_cones``
-    stored from its single Smith form.  Values on shared rays must
-    agree across cones and are returned per ray.  The quotient fan
-    comes from the same validated slice cones as ``quotient_fan``'s,
-    so descending many weights along one slice validates the fan once
-    and factors no matrix.
+    kept from its single Smith form per vertex and tower.  The factors
+    are checked on every call.  Values on shared rays must agree across
+    cones and are returned per ray.  The quotient fan comes from the
+    same validated slice cones as ``quotient_fan``'s, so descending
+    many weights along one slice validates no fan and factors no
+    matrix after the first.
     """
     tower.check_weight(weight)
     if slice_poly is None:

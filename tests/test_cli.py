@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -242,6 +243,19 @@ def test_negative_max_height_exits_two(capsys):
     assert out == ""
     assert err == ("error[sections:usage] max_height must be nonnegative, "
                    "got -1\n")
+
+
+def test_a_huge_max_height_exits_four_before_walking_the_box(capsys):
+    # the capped section polytope's box holds about 2.7e23 points
+    start = time.process_time()
+    code, out, err = run(["sections", SPP, "--theta=-2,1,1",
+                          "--max-height", "100000000"], capsys)
+    assert time.process_time() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error[sections:degenerate] the bounding box "
+                          "holds 2700")
+    assert err.endswith("lattice points; at most 100000 are enumerated\n")
 
 
 def test_non_integer_theta_exits_two(capsys):

@@ -152,6 +152,16 @@ def test_quadrant_cone_faces_carry_rays():
 # integer points
 # ---------------------------------------------------------------------------
 
+def test_integer_points_refuses_a_huge_box_before_walking_it():
+    # a cube of side 47 has 103 823 points in its box
+    cube = bt.polyhedron_from_inequalities(
+        [(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        + [(e, -46) for e in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))], 3)
+    with pytest.raises(bt.DegenerateInputError,
+                       match="holds 103823 lattice points; at most 100000"):
+        bt.integer_points(cube)
+
+
 def test_integer_points_fixed_examples():
     square = bt.polyhedron_from_inequalities(UNIT_SQUARE_INEQS, 2)
     assert sorted(bt.integer_points(square)) \
@@ -605,9 +615,32 @@ def test_a_slice_that_is_not_full_dimensional_is_not_pointed():
         bt.quotient_fan(tower, flat, flat)
 
 
+class SlopedTower:
+    """A rank-4 tower whose kernel is the hyperplane ``x4 = 0``."""
+
+    rank = 4
+    kernel_basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+
+
+def test_faces_inside_a_facet_along_the_kernel_are_not_transversal():
+    # the orthant of R^4 sliced along x4 = 0: its facet x4 >= 0 holds
+    # the whole slice, so every lift drops one rank when restricted
+    orthant = bt.polyhedron_from_inequalities(
+        [(e, 0) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                          (0, 0, 0, 1))], 4)
+    tower = SlopedTower()
+    slice_poly = bt.kernel_polytope(tower, orthant)
+    lifted = bt.lift_slice_faces(tower, orthant, slice_poly)
+    assert len(lifted) == 8
+    for face in lifted:
+        assert 3 in face.active
+        assert not face.stable
+        assert face.ambient_dim == face.slice_face.dim
+
+
 def fresh_slice(name: str) -> tuple:
-    """A tower no other test holds, so no remembered slice answers
-    for it, with the slice of its first chamber."""
+    """A tower no other test holds, so its record is empty and nothing
+    remembered answers for it, with the slice of its first chamber."""
     tiling = bt.load_document(fixture_text(name))
     tower = bt.build_lattice_tower(tiling)
     theta = bt.chamber_decomposition(
@@ -664,3 +697,105 @@ def test_a_smooth_slice_needs_no_extreme_rays(monkeypatch):
     fan = bt.quotient_fan(tower, shifted, slice_poly)
     assert bt.check_smooth(fan)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the per-tower record of the quotient route
+# ---------------------------------------------------------------------------
+
+RECORD_DOCUMENTS = ("spp", "z2z2", (2, 2), (1, 4))
+
+
+def document_tiling(document):
+    return bt.load_document(fixture_text(document) if isinstance(document, str)
+                            else orbifold_text(*document))
+
+
+def routes_on(tiling, tower, theta) -> tuple:
+    """The quotient fan and every path weight's descent at one θ."""
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    slice_poly = bt.kernel_polytope(tower, shifted)
+    return bt.quotient_fan(tower, shifted, slice_poly), [
+        bt.descend_linear_functional(tower, shifted, weight, slice_poly)
+        for weight in path_weights(tiling, tower)]
+
+
+@pytest.mark.parametrize("document", RECORD_DOCUMENTS, ids=document_id)
+def test_one_shared_tower_answers_as_a_fresh_tower_per_chamber(document):
+    tiling = document_tiling(document)
+    shared = bt.build_lattice_tower(tiling)
+    found = bt.enumerate_perfect_matchings(tiling, shared)
+    for chamber in bt.chamber_decomposition(tiling, found):
+        theta = chamber.representative
+        fan, supports = routes_on(tiling, shared, theta)
+        want_fan, want_supports = routes_on(
+            tiling, bt.build_lattice_tower(tiling), theta)
+        assert bt.fans_equal(fan, want_fan)
+        assert supports == want_supports
+
+
+def tower_and_chambers(document) -> tuple:
+    tiling = document_tiling(document)
+    tower = bt.build_lattice_tower(tiling)
+    found = bt.enumerate_perfect_matchings(tiling, tower)
+    return tiling, tower, found, bt.chamber_decomposition(tiling, found)
+
+
+def test_the_quotient_side_validates_one_fan_per_git_class(monkeypatch):
+    tiling, tower, found, chambers = tower_and_chambers((2, 2))
+    classes = bt.git_equivalence_classes(tiling, chambers, found)
+    calls = []
+    real = polyhedra.validate_fan
+
+    def counting(fan):
+        calls.append(fan)
+        return real(fan)
+
+    monkeypatch.setattr(polyhedra, "validate_fan", counting)
+    for chamber in chambers:
+        routes_on(tiling, tower, chamber.representative)
+    assert len(chambers) == 32
+    assert len(calls) == len(classes) == 4
+
+
+def test_lift_slice_faces_ranks_each_row_tuple_once(monkeypatch):
+    _, tower, _, chambers = tower_and_chambers((2, 2))
+    slices = []
+    for chamber in chambers:
+        shifted, _ = bt.shift_by_stability(tower, chamber.representative)
+        slices.append((shifted, bt.kernel_polytope(tower, shifted)))
+
+    # enumerate_faces ranks each slice's lineality; only the ranks of
+    # active normals are lift_slice_faces' own
+    ranked, in_faces = [], []
+    real_faces, real_frank = polyhedra.enumerate_faces, rational.frank
+
+    def faces(poly):
+        in_faces.append(poly)
+        try:
+            return real_faces(poly)
+        finally:
+            in_faces.pop()
+
+    def counting(rows):
+        if not in_faces:
+            ranked.append(tuple(map(tuple, rows)))
+        return real_frank(rows)
+
+    monkeypatch.setattr(polyhedra, "enumerate_faces", faces)
+    monkeypatch.setattr(rational, "frank", counting)
+    for shifted, slice_poly in slices:
+        bt.lift_slice_faces(tower, shifted, slice_poly)
+    assert ranked
+    assert len(ranked) == len(set(ranked))
+
+
+def test_a_dropped_tower_is_freed_after_its_slice_routes():
+    tiling, tower, shifted, slice_poly = fresh_slice("spp")
+    bt.quotient_fan(tower, shifted, slice_poly)
+    bt.descend_linear_functional(
+        tower, shifted, path_weights(tiling, tower)[0], slice_poly)
+    tower_ref = weakref.ref(tower)
+    del tiling, tower, shifted, slice_poly
+    gc.collect()
+    assert tower_ref() is None
