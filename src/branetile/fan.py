@@ -65,16 +65,19 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
                matchings: Sequence) -> Fan:
     """The fan of stable unions of matchings at a generic parameter.
 
-    Rays are the functionals of the stable matchings; these must come
-    out primitive and at height one, and no two stable matchings may
-    share a point — violations raise ConsistencyError, as does any
-    failure of the fan axioms.
+    Rays are the functionals of the stable matchings; on every call
+    these must come out primitive and at height one, and no two stable
+    matchings may share a point — violations raise ConsistencyError, as
+    does any failure of the fan axioms.  :func:`validate_fan` checks
+    the axioms once per fan geometry and tiling: a geometry that passed
+    is kept in the tiling's moduli record and would pass again (see
+    :func:`_validated_geometry`), so the chambers of one tiling
+    validate each distinct fan once.
     """
     subsets = enumerate_stable_subsets(tiling, theta, matchings)
-    fan = _unvalidated_fan(subsets, _ray_vectors(
-        subsets, {m.matching_id: m for m in matchings}))
-    validate_fan(fan)
-    return fan
+    vectors = _ray_vectors(subsets, {m.matching_id: m for m in matchings})
+    _validated_geometry(tiling, subsets, vectors)
+    return _unvalidated_fan(subsets, vectors)
 
 
 def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
@@ -109,6 +112,29 @@ def _unvalidated_fan(subsets: Sequence, vectors: dict) -> Fan:
     cones = tuple(FanCone(ray_ids=frozenset(s.matching_ids), dim=s.dim)
                   for s in subsets)
     return Fan(rays=rays, cones=cones)
+
+
+def _validated_geometry(tiling: QuiverOnTorus, subsets: Sequence,
+                        vectors: dict) -> tuple:
+    """The geometry key of the fan of the subsets on the given rays,
+    after :func:`validate_fan` has passed on that fan once for this
+    tiling; the keys that passed are kept in its moduli record.
+
+    The key is the sorted tuple of every cone's sorted ray vectors and
+    dimension: a tuple and not a set, so that a cone listed twice still
+    shows.  Ray id to vector is injective (:func:`_ray_vectors` raises
+    otherwise), so the key is the fan's geometry, and every check of
+    :func:`validate_fan` — ranks, extreme rays, faces, maximal cones
+    and the separation of maximal cones — passes or fails with the key
+    alone.  So skipping a key that passed is exact.
+    """
+    key = tuple(sorted([(tuple(sorted([vectors[i] for i in s.matching_ids])),
+                         s.dim) for s in subsets]))
+    valid = tiling.moduli_record.valid_fans
+    if key not in valid:
+        validate_fan(_unvalidated_fan(subsets, vectors))
+        valid.add(key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -304,40 +330,26 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
 
     Each fan's rays are read from the stable subsets its chamber
     carries, once per distinct stable structure (the subsets' matching
-    ids and dimensions), and each fan geometry is validated once.  The
-    geometry key is the sorted tuple of every cone's point mask and
-    dimension, where the point mask has bit k for the k-th distinct
-    ``chi_kernel`` vector of the matchings: a tuple and not a set, so
-    that a cone listed twice still shows.  Within a fan, ray id to
-    vector is injective (reading the rays raises otherwise, as building
-    the fan would), so a cone's point mask is the set of its ray
-    vectors, and the key is the fan's geometry.  Skipping the later
-    validations is exact: every check of :func:`validate_fan` — ranks,
-    extreme rays, faces, maximal cones and the separation of maximal
-    cones — passes or fails with the key alone; a fan whose key passed
-    once passes again.  So the first chamber to raise, and its message,
-    are those of validating every chamber's fan.  Fans that pass have
-    no repeated cone, so equal keys are equal sets of vector cones.
+    ids and dimensions), and its geometry key is the one
+    :func:`moduli_fan` uses (:func:`_validated_geometry`), so each fan
+    geometry is validated once per tiling, whichever of the two met it
+    first.  The first chamber to raise, and its message, are those of
+    validating every chamber's fan.  Fans that pass have no repeated
+    cone, so equal keys are equal sets of vector cones.
 
     Returns a list of lists of chamber indices, sorted by first member.
     """
     by_id = {m.matching_id: m for m in matchings}
-    point_bit = {p: 1 << k for k, p in
-                 enumerate(dict.fromkeys(m.chi_kernel for m in matchings))}
-    geometry_of: dict = {}  # stable structure -> geometry key
+    group_of: dict = {}  # stable structure -> its geometry's group
     groups: dict = {}  # geometry key -> chamber indices
     for chamber in chambers:
         structure = tuple((s.matching_ids, s.dim)
                           for s in chamber.stable_subsets)
-        key = geometry_of.get(structure)
-        if key is None:
-            vectors = _ray_vectors(chamber.stable_subsets, by_id)
-            key = tuple(sorted(
-                (sum({point_bit[vectors[i]] for i in s.matching_ids}), s.dim)
-                for s in chamber.stable_subsets))
-            if key not in groups:
-                validate_fan(_unvalidated_fan(chamber.stable_subsets,
-                                              vectors))
-            geometry_of[structure] = key
-        groups.setdefault(key, []).append(chamber.index)
+        group = group_of.get(structure)
+        if group is None:
+            key = _validated_geometry(
+                tiling, chamber.stable_subsets,
+                _ray_vectors(chamber.stable_subsets, by_id))
+            group = group_of[structure] = groups.setdefault(key, [])
+        group.append(chamber.index)
     return sorted(groups.values(), key=lambda g: g[0])

@@ -20,10 +20,12 @@ chamber's representative.  That witness depends only on the set the
 rows cut out, so rows implied by others are left out.  Genericity,
 the stability of arrow sets and the sign vector of a chamber all read
 one table of the parameter's sums over all vertex subsets, indexed by
-bitmask; supports are closed as bitmasks too, once per arrow set and
-call, since they do not depend on the parameter, and arrow sets are
-integer masks (bit k is the tiling's k-th arrow), so a union of
-matchings is one ``|``.  Nothing is cached between calls.
+bitmask.  Arrow sets are integer masks (bit k is the tiling's k-th
+arrow), so a union of matchings is one ``|``, and supports are closed
+as bitmasks.  Supports do not depend on the parameter, so each arrow
+mask is closed once per tiling: its support masks are kept in the
+tiling's moduli record (``QuiverOnTorus.moduli_record``), on the
+instance, and freed with it.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -105,46 +107,49 @@ def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
     return True
 
 
-def _support_masks(tiling: QuiverOnTorus):
-    """A function from an arrow mask (bit k is the tiling's k-th arrow)
-    to the bitmasks (bit i is vertex i) of its supports.  These are the
-    unions of reachability closures: each vertex generates the set of
-    vertices reachable from it along the arrows outside the set, and
-    the supports are the proper nonempty members of the union-closure
-    of these."""
+def _support_masks(tiling: QuiverOnTorus, arrows: int) -> frozenset:
+    """The bitmasks (bit i is vertex i) of the supports of an arrow mask
+    (bit k is the tiling's k-th arrow), closed once per tiling and kept
+    in its moduli record."""
+    memo = tiling.moduli_record.supports
+    found = memo.get(arrows)
+    if found is None:
+        found = memo[arrows] = _close_supports(tiling, arrows)
+    return found
+
+
+def _close_supports(tiling: QuiverOnTorus, arrows: int) -> frozenset:
+    """The support masks of an arrow mask: the unions of reachability
+    closures.  Each vertex generates the set of vertices reachable from
+    it along the arrows outside the set, and the supports are the
+    proper nonempty members of the union-closure of these."""
     n = len(tiling.vertices)
     index = {v: i for i, v in enumerate(tiling.vertices)}
-    edges = [(1 << k, index[a.source], index[a.target])
-             for k, a in enumerate(tiling.arrows)]
-
-    def masks(arrows: int) -> set:
-        succ = [[] for _ in range(n)]
-        for bit, source, target in edges:
-            if not arrows & bit:
-                succ[source].append(target)
-        generators = set()
-        for v in range(n):
-            mask = 1 << v
-            stack = [v]
-            while stack:
-                for w in succ[stack.pop()]:
-                    if not mask >> w & 1:
-                        mask |= 1 << w
-                        stack.append(w)
-            generators.add(mask)
-        closed = {0}
-        for g in generators:
-            closed |= {c | g for c in closed}
-        return closed - {0, (1 << n) - 1}
-
-    return masks
+    succ = [[] for _ in range(n)]
+    for k, a in enumerate(tiling.arrows):
+        if not arrows >> k & 1:
+            succ[index[a.source]].append(index[a.target])
+    generators = set()
+    for v in range(n):
+        mask = 1 << v
+        stack = [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if not mask >> w & 1:
+                    mask |= 1 << w
+                    stack.append(w)
+        generators.add(mask)
+    closed = {0}
+    for g in generators:
+        closed |= {c | g for c in closed}
+    return frozenset(closed - {0, (1 << n) - 1})
 
 
 def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     """Proper nonempty vertex subsets closed under the arrows *outside*
     the given arrow set, sorted by (size, sorted vertex ids).  Raises
     ValueError on an arrow id the tiling does not have."""
-    supports = _support_masks(tiling)(_arrow_mask(tiling, arrows))
+    supports = _support_masks(tiling, _arrow_mask(tiling, arrows))
     out = [frozenset(v for i, v in enumerate(tiling.vertices) if mask >> i & 1)
            for mask in supports]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
@@ -216,16 +221,17 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     """:func:`enumerate_stable_subsets` as a function of the subset-sum
     table (:func:`_subset_sums`) of a generic parameter.
 
-    Supports do not depend on the parameter, so the support masks of
-    each tested arrow mask, and the subset each stable union makes, are
-    found once and kept by the returned function (and freed with it).
-    At each parameter an arrow set is stable iff none of its support
-    masks has a nonpositive sum.  Stable matchings a, b, c, in order,
-    make a stable union a | b | c only if a | b, a | c and b | c are
-    stable, so each triple is tested once, from its first pair.
+    The support masks of each tested arrow mask come from the tiling's
+    moduli record (:func:`_support_masks`), and the subset each stable
+    union makes is found once and kept by the returned function (and
+    freed with it).  At each parameter an arrow set is stable iff none
+    of its support masks has a nonpositive sum.  Stable matchings a, b,
+    c, in order, make a stable union a | b | c only if a | b, a | c and
+    b | c are stable, so each triple is tested once, from its first
+    pair.
     """
     masks = [_arrow_mask(tiling, m.arrows) for m in matchings]
-    supports = functools.cache(_support_masks(tiling))
+    supports = functools.partial(_support_masks, tiling)
 
     @functools.cache
     def subset_of(union: int) -> StableSubset:
@@ -341,7 +347,7 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     they were added in, and a witness depends only on the set the rows
     cut out, so the representatives are those of checking every node
     on the full list of wall rows.  Supports are closed once per arrow
-    set for all chambers.
+    set and tiling, for all chambers and later calls.
 
     Raises DegenerateInputError on more than six vertices: the
     resonance arrangement then has over a million chambers.

@@ -49,6 +49,19 @@ class Face:
             raise ValueError(f"face sign must be +1 or -1, got {self.sign!r}")
 
 
+@dataclasses.dataclass
+class ModuliRecord:
+    """What the moduli side learns about one tiling; no entry depends on
+    a stability parameter.  ``supports`` maps an arrow mask (bit k is
+    the k-th arrow) to the bitmasks (bit i is vertex i) of its supports,
+    as ``stability`` closes them; ``valid_fans`` holds the geometry keys
+    (``fan._validated_geometry``) of the moduli fans that passed
+    ``validate_fan``."""
+
+    supports: dict = dataclasses.field(default_factory=dict)
+    valid_fans: set = dataclasses.field(default_factory=set)
+
+
 @dataclasses.dataclass(frozen=True)
 class QuiverOnTorus:
     """A quiver with signed faces, as produced by a bipartite torus tiling."""
@@ -57,10 +70,16 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    # Indexes built on first use; equality still compares the fields.
+    # Indexes and the moduli record are built on first use and kept on
+    # the instance, so they are freed with it and never shared between
+    # equal tilings; equality still compares the fields.
     @functools.cached_property
     def arrow_map(self) -> dict:
         return {a.arrow_id: a for a in self.arrows}
+
+    @functools.cached_property
+    def moduli_record(self) -> ModuliRecord:
+        return ModuliRecord()
 
     @functools.cached_property
     def _faces_by_arrow(self) -> dict:

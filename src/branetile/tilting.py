@@ -71,6 +71,12 @@ def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
 
 def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
                      matchings: Sequence) -> list:
+    """The matchings stable at a generic parameter, in the given order.
+
+    Each matching is one :func:`stability.is_theta_stable` call, which
+    checks the parameter and reads the matching's supports from the
+    tiling's moduli record, so they are closed once for all chambers.
+    """
     return [m for m in matchings if is_theta_stable(tiling, m.arrows, theta)]
 
 

@@ -424,7 +424,7 @@ def test_chambers_in_one_class_have_equal_fans(name, tilings,
 
 def vector_tuple_classes(chambers, matchings) -> list:
     """Chambers grouped by the sorted tuple of every cone's sorted ray
-    vectors and dimension: the reference for the point-mask key of
+    vectors and dimension, computed apart from the geometry key of
     :func:`bt.git_equivalence_classes`."""
     vector = {m.matching_id: m.chi_kernel for m in matchings}
     groups: dict = {}
@@ -486,10 +486,12 @@ def test_classes_validate_one_fan_per_geometry(n, m, classes, monkeypatch):
 
 
 def test_classes_validate_a_later_chamber_with_a_new_geometry(
-        tilings, matchings_by_name, chambers_by_name, monkeypatch):
+        matchings_by_name, chambers_by_name, monkeypatch):
     # the last chamber's class is met first at chamber 1; without one
-    # of its edges, its fan is no fan and no earlier chamber has it
-    tiling, matchings = tilings["z2z2"], matchings_by_name["z2z2"]
+    # of its edges, its fan is no fan and no earlier chamber has it.  A
+    # fresh tiling, so no earlier test has validated a geometry on it.
+    tiling = bt.load_document(document_text("z2z2"))
+    matchings = matchings_by_name["z2z2"]
     chambers = list(chambers_by_name["z2z2"])
     last = chambers[-1]
     edge = next(s for s in last.stable_subsets if s.dim == 2)

@@ -173,8 +173,8 @@ def test_every_method_in_the_package_is_referenced():
     assert unreferenced_methods(trees, map(parse, PROGRAM)) == []
 
 
-# the benchmark's frozen workloads pass ``tiling`` positionally
-UNREAD_BY_DESIGN = ["fan.git_equivalence_classes(tiling)"]
+# parameters left unread on purpose, each with its reason
+UNREAD_BY_DESIGN = []
 
 
 def test_every_parameter_in_the_package_is_read():
