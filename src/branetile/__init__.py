@@ -29,13 +29,12 @@ from .stability import (Chamber, StableSubset, chamber_decomposition,
                         is_theta_stable, is_w_compatible, submodule_supports)
 from .svg import render_diagram_svg
 from .tiling import (Arrow, DimerGraph, Face, QuiverOnTorus, ValidationReport,
-                     WeakPath, dualize_dimer, extract_dimer, load_document,
-                     make_weak_path, parse_dimer, parse_tiling,
-                     serialize_tiling, validate)
+                     WeakPath, default_paths, dualize_dimer, extract_dimer,
+                     load_document, make_weak_path, parse_dimer,
+                     parse_tiling, serialize_tiling, validate)
 from .tilting import (PicardPresentation, SectionCount, TiltingCollection,
-                      class_path_independence, default_paths,
-                      graded_sections_count, path_divisor,
-                      picard_presentation, tilting_collection)
+                      class_path_independence, graded_sections_count,
+                      path_divisor, picard_presentation, tilting_collection)
 
 __version__ = "0.1.0"
 

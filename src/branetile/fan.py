@@ -4,6 +4,8 @@ The moduli fan of a generic stability parameter has one ray per stable
 perfect matching — the matching's functional, a primitive vector at
 height one over its toric-diagram point — and one cone per stable union
 of matchings, spanned by the rays of the matchings the union contains.
+Those cones are certified where ``stability`` builds them, so only the
+quotient route (``polyhedra``) runs :func:`validate_fan`.
 
 Validation is structural and complete for the fans this package
 builds: every listed ray of a maximal cone must be extreme, every cone
@@ -24,7 +26,7 @@ from . import lattice, rational
 from .errors import ConsistencyError, DegenerateInputError
 from .matchings import (ToricDiagram, doubled_area, lattice_points_in_hull,
                         matching_id_key)
-from .stability import enumerate_stable_subsets
+from .stability import _theta_check, enumerate_stable_subsets
 from .tiling import QuiverOnTorus
 
 
@@ -67,17 +69,17 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
 
     Rays are the functionals of the stable matchings; on every call
     these must come out primitive and at height one, and no two stable
-    matchings may share a point — violations raise ConsistencyError, as
-    does any failure of the fan axioms.  :func:`validate_fan` checks
-    the axioms once per fan geometry and tiling: a geometry that passed
-    is kept in the tiling's moduli record and would pass again (see
-    :func:`_validated_geometry`), so the chambers of one tiling
-    validate each distinct fan once.
+    matchings may share a point — violations raise ConsistencyError.
+    The cones are those of :func:`stability.enumerate_stable_subsets`,
+    certified there as a unimodular triangulation of the diagram and
+    its faces, so they form a fan and :func:`validate_fan` is not run.
     """
     subsets = enumerate_stable_subsets(tiling, theta, matchings)
     vectors = _ray_vectors(subsets, {m.matching_id: m for m in matchings})
-    _validated_geometry(tiling, subsets, vectors)
-    return _unvalidated_fan(subsets, vectors)
+    return Fan(rays=tuple(FanRay(ray_id=mid, vector=vec)
+                          for mid, vec in vectors.items()),
+               cones=tuple(FanCone(ray_ids=frozenset(s.matching_ids),
+                                   dim=s.dim) for s in subsets))
 
 
 def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
@@ -103,38 +105,6 @@ def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
         seen_vectors[vec] = mid
         vectors[mid] = vec
     return vectors
-
-
-def _unvalidated_fan(subsets: Sequence, vectors: dict) -> Fan:
-    """The fan with one cone per stable subset on the given rays."""
-    rays = tuple(FanRay(ray_id=mid, vector=vec)
-                 for mid, vec in vectors.items())
-    cones = tuple(FanCone(ray_ids=frozenset(s.matching_ids), dim=s.dim)
-                  for s in subsets)
-    return Fan(rays=rays, cones=cones)
-
-
-def _validated_geometry(tiling: QuiverOnTorus, subsets: Sequence,
-                        vectors: dict) -> tuple:
-    """The geometry key of the fan of the subsets on the given rays,
-    after :func:`validate_fan` has passed on that fan once for this
-    tiling; the keys that passed are kept in its moduli record.
-
-    The key is the sorted tuple of every cone's sorted ray vectors and
-    dimension: a tuple and not a set, so that a cone listed twice still
-    shows.  Ray id to vector is injective (:func:`_ray_vectors` raises
-    otherwise), so the key is the fan's geometry, and every check of
-    :func:`validate_fan` — ranks, extreme rays, faces, maximal cones
-    and the separation of maximal cones — passes or fails with the key
-    alone.  So skipping a key that passed is exact.
-    """
-    key = tuple(sorted([(tuple(sorted([vectors[i] for i in s.matching_ids])),
-                         s.dim) for s in subsets]))
-    valid = tiling.moduli_record.valid_fans
-    if key not in valid:
-        validate_fan(_unvalidated_fan(subsets, vectors))
-        valid.add(key)
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +298,11 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
                             matchings: Sequence) -> list:
     """Group chambers whose moduli fans agree geometrically.
 
-    Each fan's rays are read from the stable subsets its chamber
-    carries, once per distinct stable structure (the subsets' matching
-    ids and dimensions), and its geometry key is the one
-    :func:`moduli_fan` uses (:func:`_validated_geometry`), so each fan
-    geometry is validated once per tiling, whichever of the two met it
-    first.  The first chamber to raise, and its message, are those of
-    validating every chamber's fan.  Fans that pass have no repeated
-    cone, so equal keys are equal sets of vector cones.
+    Each chamber's representative must fit the tiling (ValueError
+    otherwise).  Once per distinct stable structure, its fan is keyed by
+    the sorted tuple of every cone's sorted ray vectors and dimension;
+    :func:`_ray_vectors` makes ids to vectors injective, so equal keys
+    are equal fans.  The fans are not validated.
 
     Returns a list of lists of chamber indices, sorted by first member.
     """
@@ -343,13 +310,15 @@ def git_equivalence_classes(tiling: QuiverOnTorus, chambers: Sequence,
     group_of: dict = {}  # stable structure -> its geometry's group
     groups: dict = {}  # geometry key -> chamber indices
     for chamber in chambers:
+        _theta_check(tiling.vertices, chamber.representative)
         structure = tuple((s.matching_ids, s.dim)
                           for s in chamber.stable_subsets)
         group = group_of.get(structure)
         if group is None:
-            key = _validated_geometry(
-                tiling, chamber.stable_subsets,
-                _ray_vectors(chamber.stable_subsets, by_id))
+            vectors = _ray_vectors(chamber.stable_subsets, by_id)
+            key = tuple(sorted(
+                (tuple(sorted(vectors[i] for i in s.matching_ids)), s.dim)
+                for s in chamber.stable_subsets))
             group = group_of[structure] = groups.setdefault(key, [])
         group.append(chamber.index)
     return sorted(groups.values(), key=lambda g: g[0])

@@ -4,42 +4,36 @@ A stability parameter assigns an integer or a Fraction to each quiver
 vertex, summing to zero; it is used exactly as given.  An arrow subset
 is stable when every *support* — a proper nonempty vertex subset
 closed under the arrows outside the given set — has strictly positive
-total parameter.  Stable subsets are unions of perfect matchings;
-since supports only grow along inclusions of arrow sets, every union
-of some of the matchings of a stable union is stable, so a stable
-pair is extended only by matchings that make stable pairs with both.
+total parameter.  The stable unions of perfect matchings at a generic
+parameter are read from the matchings' points lifted by it: the least
+lifted matching at each point, and the lower hull's edges and
+triangles (see :func:`_stable_subsets_at`).
 
-Genericity is an open condition: the walls are the hyperplanes where
-some proper nonempty vertex subset sums to zero, and the chambers of
-the complement are the leaves of a sign tree over the walls, walked
-with an explicit stack and pruned exactly (see
-:func:`chamber_decomposition`).  Each branch extends its parent's
-Fourier–Motzkin elimination (:class:`rational.StrictElimination`) by
-one row, and the back-substituted witness at the last wall is the
-chamber's representative.  That witness depends only on the set the
-rows cut out, so rows implied by others are left out.  Genericity,
-the stability of arrow sets and the sign vector of a chamber all read
-one table of the parameter's sums over all vertex subsets, indexed by
-bitmask.  Arrow sets are integer masks (bit k is the tiling's k-th
-arrow), so a union of matchings is one ``|``, and supports are closed
-as bitmasks.  Supports do not depend on the parameter, so each arrow
-mask is closed once per tiling: its support masks are kept in the
-tiling's moduli record (``QuiverOnTorus.moduli_record``), on the
-instance, and freed with it.  Nothing else is kept between calls.
+The chambers of the generic locus are the leaves of a sign tree over
+the walls, where proper vertex subsets sum to zero, walked with an
+explicit stack and pruned exactly (see :func:`chamber_decomposition`).
+Genericity, stability, the lifted heights and a chamber's sign vector
+read one table of the parameter's sums over all vertex subsets, by
+bitmask.  Arrow sets are integer masks too (bit k is the tiling's k-th
+arrow, ``QuiverOnTorus.arrow_bits``), and supports, which do not
+depend on the parameter, are closed once per arrow mask into the
+tiling's ``support_cache`` and freed with it.  Nothing else is kept
+between calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import numbers
 from typing import Iterable, Sequence
 
 from . import rational
-from .errors import DegenerateInputError
+from .errors import ConsistencyError, DegenerateInputError
 from .lattice import dot
-from .matchings import matching_id_key
-from .tiling import QuiverOnTorus
+from .matchings import convex_hull_2d, cross, doubled_area, matching_id_key
+from .tiling import QuiverOnTorus, default_paths
 
 
 def _theta_check(vertices: Sequence, theta: Sequence) -> None:
@@ -74,12 +68,12 @@ def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
 def _arrow_mask(tiling: QuiverOnTorus, arrows: Iterable) -> int:
     """The arrow set with bit k for the tiling's k-th arrow; raises
     ValueError naming the first id, in sorted order, it does not have."""
+    bits = tiling.arrow_bits
     chosen = set(arrows)
-    unknown = chosen - tiling.arrow_map.keys()
-    if unknown:
-        raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}")
-    return sum(1 << k for k, a in enumerate(tiling.arrows)
-               if a.arrow_id in chosen)
+    if not chosen <= bits.keys():
+        raise ValueError(
+            f"unknown arrow id {min(chosen - bits.keys(), key=str)!r}")
+    return sum(1 << bits[aid] for aid in chosen)
 
 
 def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
@@ -110,8 +104,8 @@ def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
 def _support_masks(tiling: QuiverOnTorus, arrows: int) -> frozenset:
     """The bitmasks (bit i is vertex i) of the supports of an arrow mask
     (bit k is the tiling's k-th arrow), closed once per tiling and kept
-    in its moduli record."""
-    memo = tiling.moduli_record.supports
+    in its support cache."""
+    memo = tiling.support_cache
     found = memo.get(arrows)
     if found is None:
         found = memo[arrows] = _close_supports(tiling, arrows)
@@ -204,69 +198,120 @@ class StableSubset:
 def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
                              matchings: Sequence) -> list:
     """All stable unions of up to three perfect matchings, plus the
-    empty set, for a generic parameter.
-
-    Supports grow with the arrow set, so every sub-union of a stable
-    union is stable: only stable matchings are united, and a stable
-    pair only with a later matching that makes a stable pair with both
-    of its members.  Deduplication is by arrow mask.  The parameter is
-    checked when there is a matching to test, as
-    :func:`is_theta_stable` would.
-    """
+    empty set, at a generic parameter, checked as by
+    :func:`is_theta_stable` when there is a matching to test."""
     sums = _require_generic(tiling, theta) if matchings else ()
     return _stable_subsets_at(tiling, matchings)(sums)
 
 
 def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     """:func:`enumerate_stable_subsets` as a function of the subset-sum
-    table (:func:`_subset_sums`) of a generic parameter.
+    table (:func:`_subset_sums`) of a generic parameter θ.
 
-    The support masks of each tested arrow mask come from the tiling's
-    moduli record (:func:`_support_masks`), and the subset each stable
-    union makes is found once and kept by the returned function (and
-    freed with it).  At each parameter an arrow set is stable iff none
-    of its support masks has a nonpositive sum.  Stable matchings a, b,
-    c, in order, make a stable union a | b | c only if a | b, a | c and
-    b | c are stable, so each triple is tested once, from its first
-    pair.
+    Each matching M lifts its point to h(M) = Σ_v θ_v·c_v(M), where
+    c_v(M) is the signed count of M's arrows on the default path to v.
+    The θ-stable matchings are the least lifted ones, one per point, and
+    the stable pairs and triples are the edges and triangles of the
+    lower hull (Ishii & Ueda, arXiv:0710.1898; Cox, Little & Schenck,
+    *Toric Varieties*, ch. 14).  The support test of each least matching
+    and the checks of :func:`_lower_hull` certify the structure, or
+    raise ConsistencyError, as for a list that lacks a point's least
+    matching, unless it lacks all of a corner's (a smaller diagram).
     """
     masks = [_arrow_mask(tiling, m.arrows) for m in matchings]
-    supports = functools.partial(_support_masks, tiling)
+    # A default path steps along an arrow at most once, so c_v(M) is a
+    # difference of bit counts, and h(M) = Σ_c c·θ(vertices with c_v = c).
+    signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
+               for e in (1, -1)] for path in default_paths(tiling).values()]
+    lifts: dict = {}  # the (c, vertex mask) pairs of a height -> its index
+    lift_of = []
+    for mask in masks:
+        by_count: dict = {}
+        for i, (forward, inverse) in enumerate(signed):
+            c = (mask & forward).bit_count() - (mask & inverse).bit_count()
+            if c:
+                by_count[c] = by_count.get(c, 0) | 1 << i
+        lift_of.append(lifts.setdefault(tuple(by_count.items()), len(lifts)))
+    hull = _lower_hull([m.point for m in matchings])
 
     @functools.cache
-    def subset_of(union: int) -> StableSubset:
-        members = [m for m, mask in zip(matchings, masks)
-                   if mask & union == mask]
-        contained = tuple(sorted((m.matching_id for m in members),
-                                 key=matching_id_key))
+    def subset_of(members: tuple) -> StableSubset:
+        ids = tuple(sorted((matchings[i].matching_id for i in members),
+                           key=matching_id_key))
         return StableSubset(
-            arrows=frozenset().union(*(m.arrows for m in members)),
-            matching_ids=contained, dim=len(contained))
+            arrows=frozenset().union(*(matchings[i].arrows for i in members)),
+            matching_ids=ids, dim=len(ids))
+
+    @functools.cache
+    def structure(least: tuple, triangles: tuple) -> tuple:
+        faces = {face for t in triangles for r in (1, 2, 3)
+                 for face in itertools.combinations(sorted(t), r)}
+        faces.update((i,) for i in least)
+        return tuple(sorted(map(subset_of, [(), *faces]),
+                            key=lambda s: (s.dim, s.matching_ids)))
 
     def at(sums: Sequence) -> list:
-        unstable = {mask for mask, total in enumerate(sums) if total <= 0}
-        stable = [mask for mask in masks
-                  if unstable.isdisjoint(supports(mask))]
-        found = dict.fromkeys([0, *stable])
-        # partners[i]: each later j with stable[i] | stable[j] stable
-        partners: list = [set() for _ in stable]
-        for i, a in enumerate(stable):
-            for j in range(i + 1, len(stable)):
-                union = a | stable[j]
-                if union in found or unstable.isdisjoint(supports(union)):
-                    found[union] = None
-                    partners[i].add(j)
-        for i, a in enumerate(stable):
-            for j in partners[i]:
-                union = a | stable[j]
-                for k in partners[i] & partners[j]:
-                    bigger = union | stable[k]
-                    if bigger not in found \
-                            and unstable.isdisjoint(supports(bigger)):
-                        found[bigger] = None
+        lifted = [sum(c * sums[v] for c, v in lift) for lift in lifts]
+        least, triangles = hull([lifted[k] for k in lift_of])
+        for i in least:
+            if any(sums[s] <= 0 for s in _support_masks(tiling, masks[i])):
+                raise ConsistencyError(
+                    f"least matching {matchings[i].matching_id} at "
+                    f"{matchings[i].point} is not stable")
+        return list(structure(tuple(least), tuple(triangles)))
 
-        return sorted(map(subset_of, found),
-                      key=lambda s: (s.dim, s.matching_ids))
+    return at
+
+
+def _lower_hull(points: Sequence):
+    """The lower hull of plane points lifted by heights, as a function
+    of the heights (one per point) returning ``(least, triangles)``:
+    per distinct point, the entry of least height; and, as triples of
+    those, the unimodular triangles with every other least lifted point
+    strictly above their plane.  These lower facets tile the points'
+    hull iff they number its doubled area; any other count (a flat or
+    non-unimodular facet) or a tie at a point raises ConsistencyError.
+    In a unimodular triangle (a, b, c), d = cross(a, b, c) is ±1, and a
+    point q is λ_a·a + λ_b·b + λ_c·c for the integers λ_a = d·cross(q,
+    b, c), λ_b = d·cross(a, q, c) and λ_c = d·cross(a, b, q): q is above
+    iff z_q > λ_a·z_a + λ_b·z_b + λ_c·z_c, exactly.
+    """
+    at_point: dict = {}
+    for i, p in enumerate(points):
+        at_point.setdefault(tuple(p), []).append(i)
+    distinct = list(at_point)
+    area = doubled_area(convex_hull_2d(distinct))
+    candidates = []  # (a, b, c, the (q, λ_a, λ_b, λ_c) of each other q)
+    for a, b, c in itertools.combinations(range(len(distinct)), 3):
+        pa, pb, pc = distinct[a], distinct[b], distinct[c]
+        d = cross(pa, pb, pc)
+        if d in (1, -1):
+            candidates.append((a, b, c, [
+                (q, d * cross(pq, pb, pc), d * cross(pa, pq, pc),
+                 d * cross(pa, pb, pq))
+                for q, pq in enumerate(distinct) if q not in (a, b, c)]))
+
+    def at(heights: Sequence) -> tuple:
+        least = []
+        for p, entries in at_point.items():
+            first, *rest = sorted(entries, key=heights.__getitem__)
+            if rest and heights[rest[0]] == heights[first]:
+                raise ConsistencyError(
+                    f"two lifted points tie for the least height at {p}")
+            least.append(first)
+        z = [heights[i] for i in least]
+        triangles = []
+        for a, b, c, rows in candidates:
+            za, zb, zc = z[a], z[b], z[c]
+            if all(z[q] > la * za + lb * zb + lc * zc
+                   for q, la, lb, lc in rows):
+                triangles.append((least[a], least[b], least[c]))
+        if len(triangles) != area:
+            raise ConsistencyError(
+                f"{len(triangles)} unimodular lower triangles cannot tile "
+                f"a hull of doubled area {area}: a lower facet is flat or "
+                f"not a unimodular triangle")
+        return least, triangles
 
     return at
 
@@ -346,8 +391,7 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     the representative.  Each level's rows do not depend on the order
     they were added in, and a witness depends only on the set the rows
     cut out, so the representatives are those of checking every node
-    on the full list of wall rows.  Supports are closed once per arrow
-    set and tiling, for all chambers and later calls.
+    on the full list of wall rows.
 
     Raises DegenerateInputError on more than six vertices: the
     resonance arrangement then has over a million chambers.

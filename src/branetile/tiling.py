@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError, TilingFormatError
 
@@ -49,19 +49,6 @@ class Face:
             raise ValueError(f"face sign must be +1 or -1, got {self.sign!r}")
 
 
-@dataclasses.dataclass
-class ModuliRecord:
-    """What the moduli side learns about one tiling; no entry depends on
-    a stability parameter.  ``supports`` maps an arrow mask (bit k is
-    the k-th arrow) to the bitmasks (bit i is vertex i) of its supports,
-    as ``stability`` closes them; ``valid_fans`` holds the geometry keys
-    (``fan._validated_geometry``) of the moduli fans that passed
-    ``validate_fan``."""
-
-    supports: dict = dataclasses.field(default_factory=dict)
-    valid_fans: set = dataclasses.field(default_factory=set)
-
-
 @dataclasses.dataclass(frozen=True)
 class QuiverOnTorus:
     """A quiver with signed faces, as produced by a bipartite torus tiling."""
@@ -70,7 +57,7 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    # Indexes and the moduli record are built on first use and kept on
+    # Indexes and the support cache are built on first use and kept on
     # the instance, so they are freed with it and never shared between
     # equal tilings; equality still compares the fields.
     @functools.cached_property
@@ -78,8 +65,12 @@ class QuiverOnTorus:
         return {a.arrow_id: a for a in self.arrows}
 
     @functools.cached_property
-    def moduli_record(self) -> ModuliRecord:
-        return ModuliRecord()
+    def arrow_bits(self) -> dict:  # arrow id -> k, its bit in arrow masks
+        return {a.arrow_id: k for k, a in enumerate(self.arrows)}
+
+    @functools.cached_property
+    def support_cache(self) -> dict:  # arrow mask -> its support masks
+        return {}
 
     @functools.cached_property
     def _faces_by_arrow(self) -> dict:
@@ -151,6 +142,36 @@ def make_weak_path(tiling: QuiverOnTorus, steps: Sequence, source: str | None = 
                 f"step {aid!r}^{exp} starts at {s!r} but the path is at {at!r}")
         at = t
     return WeakPath(source=start, target=at, steps=tuple(norm))
+
+
+def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
+    """A deterministic weak path from the base to every vertex.
+
+    Breadth-first: each layer is swept twice, first extending along
+    forward arrows (in input order), then along backward ones, so
+    inverse steps only appear when a vertex has no forward approach at
+    its distance.
+    """
+    if base is None:
+        base = tiling.vertices[0]
+    if base not in tiling.vertices:
+        raise ValueError(f"unknown base vertex {base!r}")
+    steps = {base: ()}
+    frontier = [base]
+    while frontier:
+        fresh = []
+        for exp in (1, -1):
+            for v in frontier:
+                for a in tiling.arrows:
+                    near, far = (a.source, a.target)[::exp]
+                    if near == v and far not in steps:
+                        steps[far] = steps[v] + ((a.arrow_id, exp),)
+                        fresh.append(far)
+        frontier = fresh
+    if len(steps) != len(tiling.vertices):
+        raise ConsistencyError("quiver is not connected")
+    return {v: make_weak_path(tiling, steps[v], source=base)
+            for v in tiling.vertices}
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from typing import Sequence
 
 from . import lattice
 from .errors import ConsistencyError
-from .matchings import PerfectMatching
 from .polyhedra import integer_points, polyhedron_from_inequalities
 from .stability import is_theta_stable
-from .tiling import QuiverOnTorus, WeakPath, make_weak_path
+from .tiling import QuiverOnTorus, WeakPath, default_paths
 
 
 def weak_path_weight(tower, path: WeakPath) -> tuple:
@@ -36,46 +35,13 @@ def weak_path_weight(tower, path: WeakPath) -> tuple:
     return tuple(total)
 
 
-def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
-    """A deterministic weak path from the base to every vertex.
-
-    Breadth-first: each layer is swept twice, first extending along
-    forward arrows (in input order), then along backward ones, so
-    inverse steps only appear when a vertex has no forward approach at
-    its distance.
-    """
-    if base is None:
-        base = tiling.vertices[0]
-    if base not in tiling.vertices:
-        raise ValueError(f"unknown base vertex {base!r}")
-    steps = {base: ()}
-    frontier = [base]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for a in tiling.arrows:
-                if a.source == v and a.target not in steps:
-                    steps[a.target] = steps[v] + ((a.arrow_id, 1),)
-                    fresh.append(a.target)
-        for v in frontier:
-            for a in tiling.arrows:
-                if a.target == v and a.source not in steps:
-                    steps[a.source] = steps[v] + ((a.arrow_id, -1),)
-                    fresh.append(a.source)
-        frontier = fresh
-    if len(steps) != len(tiling.vertices):
-        raise ConsistencyError("quiver is not connected")
-    return {v: make_weak_path(tiling, steps[v], source=base)
-            for v in tiling.vertices}
-
-
 def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
                      matchings: Sequence) -> list:
     """The matchings stable at a generic parameter, in the given order.
 
     Each matching is one :func:`stability.is_theta_stable` call, which
     checks the parameter and reads the matching's supports from the
-    tiling's moduli record, so they are closed once for all chambers.
+    tiling's support cache, so they are closed once for all chambers.
     """
     return [m for m in matchings if is_theta_stable(tiling, m.arrows, theta)]
 

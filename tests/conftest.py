@@ -19,7 +19,7 @@ import pytest
 from hypothesis import settings
 
 import branetile as bt
-from branetile import lattice, rational
+from branetile import lattice, rational, stability
 from branetile.matchings import matching_id_key
 
 settings.register_profile("suite", max_examples=40, deadline=None)
@@ -273,6 +273,73 @@ def reference_validate_fan(fan) -> None:
             raise bt.ConsistencyError(
                 f"cones {sorted(a)} and {sorted(b)} "
                 f"overlap beyond a common face")
+
+
+# ---------------------------------------------------------------------------
+# stable unions by a pair and triple search over support masks, kept as a
+# reference
+# ---------------------------------------------------------------------------
+
+def reference_stable_subsets(tiling, theta, matchings) -> list:
+    """The stable subsets at a generic parameter as the union search
+    found them, sorted by (dim, matching ids): the empty set, every
+    stable matching, every stable union of two, and every stable union
+    of three whose three pairs are stable (supports grow with the arrow
+    set, so a sub-union of a stable union is stable).  Each subset
+    lists every matching whose arrows it contains."""
+    sums = stability._subset_sums(theta)
+    unstable = {mask for mask, total in enumerate(sums) if total <= 0}
+    masks = [stability._arrow_mask(tiling, m.arrows) for m in matchings]
+
+    def is_stable(union: int) -> bool:
+        return unstable.isdisjoint(stability._support_masks(tiling, union))
+
+    stable = [mask for mask in masks if is_stable(mask)]
+    found = dict.fromkeys([0, *stable])
+    partners: list = [set() for _ in stable]  # later j with a stable pair
+    for i, a in enumerate(stable):
+        for j in range(i + 1, len(stable)):
+            if a | stable[j] in found or is_stable(a | stable[j]):
+                found[a | stable[j]] = None
+                partners[i].add(j)
+    for i, a in enumerate(stable):
+        for j in partners[i]:
+            for k in partners[i] & partners[j]:
+                if is_stable(a | stable[j] | stable[k]):
+                    found[a | stable[j] | stable[k]] = None
+
+    subsets = []
+    for union in found:
+        members = [m for m, mask in zip(matchings, masks)
+                   if mask & union == mask]
+        ids = tuple(sorted((m.matching_id for m in members),
+                           key=matching_id_key))
+        subsets.append(bt.StableSubset(
+            arrows=frozenset().union(*(m.arrows for m in members)),
+            matching_ids=ids, dim=len(ids)))
+    return sorted(subsets, key=lambda s: (s.dim, s.matching_ids))
+
+
+def canonical_structure(subsets) -> tuple:
+    """Stable subsets as sorted plain tuples: a frozenset's ``repr``
+    order depends on the string hash seed, so structures are compared
+    in this form."""
+    return tuple(sorted((s.dim, s.matching_ids, tuple(sorted(s.arrows)))
+                        for s in subsets))
+
+
+def seeded_generic_thetas(tiling, count: int, seed: int) -> list:
+    """``count`` generic integer parameters, drawn from a seeded
+    generator."""
+    rng = random.Random(seed)
+    n = len(tiling.vertices)
+    thetas = []
+    while len(thetas) < count:
+        head = [rng.randint(-1000, 1000) for _ in range(n - 1)]
+        theta = (*head, -sum(head))
+        if bt.is_generic(tiling, theta):
+            thetas.append(theta)
+    return thetas
 
 
 @pytest.fixture(scope="session")

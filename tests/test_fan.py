@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import branetile as bt
-from branetile import fan as fan_module, rational
+from branetile import fan as fan_module, polyhedra, rational
 from branetile.fan import Fan, FanCone, FanRay
 from branetile.matchings import matching_id_key
 
@@ -461,50 +460,33 @@ def test_a_four_by_four_moduli_fan_is_pinned():
         "1001fc5c80108167e52724cd58804d01760b1b05f6d90179a527666f2ae88d4f")
 
 
-def counted_validations(monkeypatch) -> list:
-    """Record the fans passed to ``fan.validate_fan``."""
+def test_only_the_quotient_route_validates_fans(monkeypatch):
+    # The moduli side's structures carry their own certificate, so
+    # neither the moduli fan nor the grouping of chambers by fan runs
+    # validate_fan; the quotient route still does.
+    tiling = bt.load_document(orbifold_text(2, 2))
+    tower = bt.build_lattice_tower(tiling)
+    matchings = bt.enumerate_perfect_matchings(tiling, tower)
     calls = []
-    original = fan_module.validate_fan
 
     def counting(fan):
         calls.append(fan)
-        return original(fan)
+        return bt.validate_fan(fan)
 
     monkeypatch.setattr(fan_module, "validate_fan", counting)
-    return calls
-
-
-@pytest.mark.parametrize("n, m, classes", [(2, 2, 4), (1, 5, 1)])
-def test_classes_validate_one_fan_per_geometry(n, m, classes, monkeypatch):
-    tiling = bt.load_document(orbifold_text(n, m))
-    matchings = bt.enumerate_perfect_matchings(tiling)
+    monkeypatch.setattr(polyhedra, "validate_fan", counting)
     chambers = bt.chamber_decomposition(tiling, matchings)
-    calls = counted_validations(monkeypatch)
-    assert len(bt.git_equivalence_classes(tiling, chambers, matchings)) \
-        == classes
-    assert len(calls) == classes
+    assert len(bt.git_equivalence_classes(tiling, chambers, matchings)) == 4
+    for chamber in chambers:
+        bt.moduli_fan(tiling, chamber.representative, matchings)
+    assert calls == []
+    shifted, _ = bt.shift_by_stability(tower, chambers[0].representative)
+    bt.quotient_fan(tower, shifted)
+    assert calls
 
 
-def test_classes_validate_a_later_chamber_with_a_new_geometry(
-        matchings_by_name, chambers_by_name, monkeypatch):
-    # the last chamber's class is met first at chamber 1; without one
-    # of its edges, its fan is no fan and no earlier chamber has it.  A
-    # fresh tiling, so no earlier test has validated a geometry on it.
-    tiling = bt.load_document(document_text("z2z2"))
-    matchings = matchings_by_name["z2z2"]
-    chambers = list(chambers_by_name["z2z2"])
-    last = chambers[-1]
-    edge = next(s for s in last.stable_subsets if s.dim == 2)
-    chambers[-1] = dataclasses.replace(last, stable_subsets=tuple(
-        s for s in last.stable_subsets if s != edge))
-    subsets = chambers[-1].stable_subsets
-    vectors = fan_module._ray_vectors(
-        subsets, {m.matching_id: m for m in matchings})
-    with pytest.raises(bt.ConsistencyError) as direct:
-        bt.validate_fan(fan_module._unvalidated_fan(subsets, vectors))
-    calls = counted_validations(monkeypatch)
-    with pytest.raises(bt.ConsistencyError) as grouped:
-        bt.git_equivalence_classes(tiling, chambers, matchings)
-    assert str(grouped.value) == str(direct.value)
-    assert "is not a cone of the fan" in str(direct.value)
-    assert len(calls) == 5
+def test_classes_refuse_chambers_of_another_tiling(
+        z2z2, matchings_by_name, chambers_by_name):
+    with pytest.raises(ValueError, match="3 entries for 4 vertices"):
+        bt.git_equivalence_classes(z2z2, chambers_by_name["spp"],
+                                   matchings_by_name["spp"])

@@ -2,7 +2,8 @@
 name, no invariant is left to an ``assert`` statement (which
 ``python -O`` strips), no module-level function or method is dead, no
 parameter is unread, no module-level function keeps an unbounded
-cache, and every exported name resolves and is exported once."""
+cache, no import statement sits in a function body, and every
+exported name resolves and is exported once."""
 
 from __future__ import annotations
 
@@ -243,4 +244,36 @@ def test_the_guard_sees_unbounded_caches():
 def test_no_module_level_function_keeps_an_unbounded_cache():
     found = [f"{path.name} {name}" for path in SOURCES
              for name in unbounded_caches(parse(path))]
+    assert found == []
+
+
+def imports_in_functions(tree: ast.AST) -> list:
+    """Sorted lines of every ``import`` or ``from ... import`` statement
+    in the body of a function or method, or of one nested in it."""
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_guard_sees_imports_inside_functions():
+    tree = ast.parse(
+        "import os\n"
+        "from . import a\n"
+        "def f():\n"
+        "    import sys\n"
+        "    def g():\n"
+        "        from . import b\n"
+        "    return g\n"
+        "class C:\n"
+        "    from . import c\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            import json\n")
+    assert imports_in_functions(tree) == [4, 6, 12]
+
+
+def test_no_function_in_the_package_imports():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in imports_in_functions(parse(path))]
     assert found == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import branetile as bt
-from branetile import rational
+from branetile import rational, stability
 from branetile.matchings import matching_id_key
+from branetile.tilting import stable_matchings
 
-from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
-                      orbifold_text, recursion_headroom)
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, canonical_structure,
+                      document_text, orbifold_text, recursion_headroom,
+                      reference_stable_subsets, seeded_generic_thetas)
 
 EXPECTED_CHAMBERS = {"honeycomb": 1, "conifold": 2, "spp": 6, "z2z2": 32}
 
@@ -411,6 +414,113 @@ def test_stable_subsets_record_their_member_matchings(name, tilings,
         contained = [m.matching_id for m in matchings if m.arrows <= s.arrows]
         assert sorted(s.matching_ids) == sorted(contained)
         assert s.dim == len(s.matching_ids)
+
+
+@pytest.mark.parametrize("document", ALL_FIXTURES + ("2x2", "1x4", "1x5"))
+def test_stable_subsets_match_the_union_search_at_every_chamber(document):
+    tiling, matchings = loaded_with_matchings(document)
+    for chamber in bt.chamber_decomposition(tiling, matchings):
+        theta = chamber.representative
+        want = canonical_structure(
+            reference_stable_subsets(tiling, theta, matchings))
+        assert canonical_structure(chamber.stable_subsets) == want
+        assert canonical_structure(bt.enumerate_stable_subsets(
+            tiling, theta, matchings)) == want
+
+
+@pytest.mark.parametrize("document", ("3x3", "2x4", "3x4"))
+def test_stable_subsets_match_the_union_search_at_seeded_parameters(
+        document):
+    tiling, matchings = loaded_with_matchings(document)
+    for theta in seeded_generic_thetas(tiling, 4, seed=len(matchings)):
+        assert canonical_structure(bt.enumerate_stable_subsets(
+            tiling, theta, matchings)) == canonical_structure(
+                reference_stable_subsets(tiling, theta, matchings))
+
+
+@pytest.mark.parametrize("document", ALL_FIXTURES + ("2x2", "1x4", "1x5"))
+def test_the_least_lifted_matchings_are_the_stable_ones(document):
+    # By definition, a matching is stable when its supports all have
+    # positive parameter; the structure takes the least lifted matching
+    # at each point and the lower hull.  Its fan passes the general
+    # fan check, once per geometry.
+    tiling, matchings = loaded_with_matchings(document)
+    checked = set()
+    for chamber in bt.chamber_decomposition(tiling, matchings):
+        theta = chamber.representative
+        subsets = bt.enumerate_stable_subsets(tiling, theta, matchings)
+        assert [m.matching_id for m in stable_matchings(
+            tiling, theta, matchings)] == sorted(
+                (s.matching_ids[0] for s in subsets if s.dim == 1),
+                key=matching_id_key)
+        fan = bt.moduli_fan(tiling, theta, matchings)
+        vectors = fan.vector_map()
+        geometry = frozenset(frozenset(vectors[i] for i in c.ray_ids)
+                             for c in fan.cones)
+        if geometry not in checked:
+            bt.validate_fan(fan)
+            checked.add(geometry)
+
+
+def test_the_lower_hull_refuses_a_tie_at_a_point():
+    hull = stability._lower_hull([(0, 0), (1, 0), (0, 1), (0, 1)])
+    assert hull([0, 0, 5, 6]) == ([0, 1, 2], [(0, 1, 2)])
+    with pytest.raises(bt.ConsistencyError,
+                       match=r"tie for the least height at \(0, 1\)"):
+        hull([0, 0, 5, 5])
+
+
+def test_the_lower_hull_refuses_a_flat_square():
+    hull = stability._lower_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    least, triangles = hull([0, 0, 0, 1])
+    assert least == [0, 1, 2, 3] and len(triangles) == 2
+    with pytest.raises(bt.ConsistencyError,
+                       match="0 unimodular lower triangles cannot tile a "
+                             "hull of doubled area 2"):
+        hull([0, 0, 0, 0])
+
+
+def test_the_lower_hull_refuses_a_triangle_that_is_not_unimodular():
+    with pytest.raises(bt.ConsistencyError,
+                       match="0 unimodular lower triangles cannot tile a "
+                             "hull of doubled area 2"):
+        stability._lower_hull([(0, 0), (2, 0), (0, 1)])([0, 0, 0])
+
+
+def test_a_list_without_a_least_matching_is_refused():
+    # Without the least matching at a point, the least one left there
+    # is not stable: lifted higher, it leaves the lower hull short, or
+    # the hull passes and the support test fails.  Both are met here.
+    seen = collections.Counter()
+    for document in ("spp", "1x5", "2x3", "3x3"):
+        tiling, matchings = loaded_with_matchings(document)
+        shared = [p for p, count in collections.Counter(
+            m.point for m in matchings).items() if count > 1]
+        for theta in seeded_generic_thetas(tiling, 3, seed=7):
+            stable = {s.matching_ids[0] for s in bt.enumerate_stable_subsets(
+                tiling, theta, matchings) if s.dim == 1}
+            for point in shared:
+                without_least = [m for m in matchings if m.point != point
+                                 or m.matching_id not in stable]
+                with pytest.raises(bt.ConsistencyError) as refused:
+                    bt.enumerate_stable_subsets(tiling, theta, without_least)
+                seen["is not stable" in str(refused.value)] += 1
+                # a point with two matchings is no corner, so without
+                # any matching there the area falls short
+                with pytest.raises(bt.ConsistencyError,
+                                   match="lower triangles cannot tile"):
+                    bt.enumerate_stable_subsets(
+                        tiling, theta,
+                        [m for m in matchings if m.point != point])
+    assert seen[True] and seen[False]
+
+
+def test_arrow_masks_are_read_from_the_arrow_index(spp):
+    ids = [a.arrow_id for a in spp.arrows]
+    assert spp.arrow_bits == {aid: k for k, aid in enumerate(ids)}
+    for chosen in ([], ids, ids[::2], [ids[1], ids[1], ids[0]]):
+        assert stability._arrow_mask(spp, iter(chosen)) \
+            == sum(1 << ids.index(aid) for aid in set(chosen))
 
 
 # ---------------------------------------------------------------------------
