@@ -264,6 +264,9 @@ def test_a_parameter_and_its_positive_multiples_agree(name, data, tilings,
         assert bt.is_theta_stable(tiling, m.arrows, scaled) \
             == bt.is_theta_stable(tiling, m.arrows, theta)
     assert bt.find_chamber(tiling, chambers, scaled).index == chamber.index
+    assert bt.enumerate_stable_subsets(
+        tiling, scaled, matchings_by_name[name]) == list(
+            chamber.stable_subsets)
 
 
 @functools.cache
