@@ -460,11 +460,12 @@ def test_a_four_by_four_moduli_fan_is_pinned():
         "1001fc5c80108167e52724cd58804d01760b1b05f6d90179a527666f2ae88d4f")
 
 
-def test_only_the_quotient_route_validates_fans(monkeypatch):
+@pytest.mark.parametrize("n, m, classes", [(2, 2, 4), (1, 5, 1)])
+def test_only_the_quotient_route_validates_fans(n, m, classes, monkeypatch):
     # The moduli side's structures carry their own certificate, so
     # neither the moduli fan nor the grouping of chambers by fan runs
     # validate_fan; the quotient route still does.
-    tiling = bt.load_document(orbifold_text(2, 2))
+    tiling = bt.load_document(orbifold_text(n, m))
     tower = bt.build_lattice_tower(tiling)
     matchings = bt.enumerate_perfect_matchings(tiling, tower)
     calls = []
@@ -476,7 +477,8 @@ def test_only_the_quotient_route_validates_fans(monkeypatch):
     monkeypatch.setattr(fan_module, "validate_fan", counting)
     monkeypatch.setattr(polyhedra, "validate_fan", counting)
     chambers = bt.chamber_decomposition(tiling, matchings)
-    assert len(bt.git_equivalence_classes(tiling, chambers, matchings)) == 4
+    assert len(bt.git_equivalence_classes(tiling, chambers, matchings)) \
+        == classes
     for chamber in chambers:
         bt.moduli_fan(tiling, chamber.representative, matchings)
     assert calls == []
