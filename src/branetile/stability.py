@@ -213,52 +213,46 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     The θ-stable matchings are the least lifted ones, one per point, and
     the stable pairs and triples are the edges and triangles of the
     lower hull (Ishii & Ueda, arXiv:0710.1898; Cox, Little & Schenck,
-    *Toric Varieties*, ch. 14).  The support test of each least matching
-    and the checks of :func:`_lower_hull` certify the structure, or
-    raise ConsistencyError, as for a list that lacks a point's least
-    matching, unless it lacks all of a corner's (a smaller diagram).
+    *Toric Varieties*, ch. 14).  The checks of :func:`_lower_hull` and
+    the support test of every union it reports certify the structure as
+    the union search's over the same matchings, or raise
+    ConsistencyError, as on a list that lacks a point's least matching
+    or a hull corner, or whose points lie on a line.
     """
     masks = [_arrow_mask(tiling, m.arrows) for m in matchings]
     # A default path steps along an arrow at most once, so c_v(M) is a
-    # difference of bit counts, and h(M) = Σ_c c·θ(vertices with c_v = c).
+    # difference of bit counts; with no matchings the table is empty.
     signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
                for e in (1, -1)] for path in default_paths(tiling).values()]
-    lifts: dict = {}  # the (c, vertex mask) pairs of a height -> its index
-    lift_of = []
-    for mask in masks:
-        by_count: dict = {}
-        for i, (forward, inverse) in enumerate(signed):
-            c = (mask & forward).bit_count() - (mask & inverse).bit_count()
-            if c:
-                by_count[c] = by_count.get(c, 0) | 1 << i
-        lift_of.append(lifts.setdefault(tuple(by_count.items()), len(lifts)))
+    counts = [[(mask & forward).bit_count() - (mask & inverse).bit_count()
+               for forward, inverse in signed] for mask in masks]
     hull = _lower_hull([m.point for m in matchings])
 
     @functools.cache
-    def subset_of(members: tuple) -> StableSubset:
-        ids = tuple(sorted((matchings[i].matching_id for i in members),
+    def subset_of(face: tuple) -> tuple:  # (its stable subset, arrow mask)
+        ids = tuple(sorted((matchings[i].matching_id for i in face),
                            key=matching_id_key))
-        return StableSubset(
-            arrows=frozenset().union(*(matchings[i].arrows for i in members)),
-            matching_ids=ids, dim=len(ids))
+        arrows = frozenset().union(*(matchings[i].arrows for i in face))
+        return StableSubset(arrows, ids, len(ids)), _arrow_mask(tiling, arrows)
 
     @functools.cache
     def structure(least: tuple, triangles: tuple) -> tuple:
-        faces = {face for t in triangles for r in (1, 2, 3)
-                 for face in itertools.combinations(sorted(t), r)}
-        faces.update((i,) for i in least)
+        # the empty set, then the hull's faces by (dim, ids), with masks
+        faces = {(i,) for i in least} | {
+            face for t in triangles for r in (1, 2, 3)
+            for face in itertools.combinations(sorted(t), r)}
         return tuple(sorted(map(subset_of, [(), *faces]),
-                            key=lambda s: (s.dim, s.matching_ids)))
+                            key=lambda e: (e[0].dim, e[0].matching_ids)))
 
     def at(sums: Sequence) -> list:
-        lifted = [sum(c * sums[v] for c, v in lift) for lift in lifts]
-        least, triangles = hull([lifted[k] for k in lift_of])
-        for i in least:
-            if any(sums[s] <= 0 for s in _support_masks(tiling, masks[i])):
-                raise ConsistencyError(
-                    f"least matching {matchings[i].matching_id} at "
-                    f"{matchings[i].point} is not stable")
-        return list(structure(tuple(least), tuple(triangles)))
+        theta = [sums[1 << v] for v in range(len(signed))] if masks else []
+        out = structure(*hull([dot(c, theta) for c in counts]))
+        unstable = {s for s, total in enumerate(sums) if total <= 0}
+        for subset, mask in out[1:]:
+            if not unstable.isdisjoint(_support_masks(tiling, mask)):
+                raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
+                                       "on the lower hull is not stable")
+        return [subset for subset, _ in out]
 
     return at
 
@@ -270,7 +264,8 @@ def _lower_hull(points: Sequence):
     those, the unimodular triangles with every other least lifted point
     strictly above their plane.  These lower facets tile the points'
     hull iff they number its doubled area; any other count (a flat or
-    non-unimodular facet) or a tie at a point raises ConsistencyError.
+    non-unimodular facet), a tie at a point, or points on one line
+    raises ConsistencyError.
     In a unimodular triangle (a, b, c), d = cross(a, b, c) is ±1, and a
     point q is λ_a·a + λ_b·b + λ_c·c for the integers λ_a = d·cross(q,
     b, c), λ_b = d·cross(a, q, c) and λ_c = d·cross(a, b, q): q is above
@@ -281,6 +276,8 @@ def _lower_hull(points: Sequence):
         at_point.setdefault(tuple(p), []).append(i)
     distinct = list(at_point)
     area = doubled_area(convex_hull_2d(distinct))
+    if len(distinct) > 1 and not area:
+        raise ConsistencyError("the points lie on one line")
     candidates = []  # (a, b, c, the (q, λ_a, λ_b, λ_c) of each other q)
     for a, b, c in itertools.combinations(range(len(distinct)), 3):
         pa, pb, pc = distinct[a], distinct[b], distinct[c]
@@ -311,7 +308,7 @@ def _lower_hull(points: Sequence):
                 f"{len(triangles)} unimodular lower triangles cannot tile "
                 f"a hull of doubled area {area}: a lower facet is flat or "
                 f"not a unimodular triangle")
-        return least, triangles
+        return tuple(least), tuple(triangles)
 
     return at
 

@@ -160,13 +160,16 @@ def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
     frontier = [base]
     while frontier:
         fresh = []
-        for exp in (1, -1):
-            for v in frontier:
-                for a in tiling.arrows:
-                    near, far = (a.source, a.target)[::exp]
-                    if near == v and far not in steps:
-                        steps[far] = steps[v] + ((a.arrow_id, exp),)
-                        fresh.append(far)
+        for v in frontier:
+            for a in tiling.arrows:
+                if a.source == v and a.target not in steps:
+                    steps[a.target] = steps[v] + ((a.arrow_id, 1),)
+                    fresh.append(a.target)
+        for v in frontier:
+            for a in tiling.arrows:
+                if a.target == v and a.source not in steps:
+                    steps[a.source] = steps[v] + ((a.arrow_id, -1),)
+                    fresh.append(a.source)
         frontier = fresh
     if len(steps) != len(tiling.vertices):
         raise ConsistencyError("quiver is not connected")

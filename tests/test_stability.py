@@ -6,6 +6,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -467,7 +468,7 @@ def test_the_least_lifted_matchings_are_the_stable_ones(document):
 
 def test_the_lower_hull_refuses_a_tie_at_a_point():
     hull = stability._lower_hull([(0, 0), (1, 0), (0, 1), (0, 1)])
-    assert hull([0, 0, 5, 6]) == ([0, 1, 2], [(0, 1, 2)])
+    assert hull([0, 0, 5, 6]) == ((0, 1, 2), ((0, 1, 2),))
     with pytest.raises(bt.ConsistencyError,
                        match=r"tie for the least height at \(0, 1\)"):
         hull([0, 0, 5, 5])
@@ -476,7 +477,7 @@ def test_the_lower_hull_refuses_a_tie_at_a_point():
 def test_the_lower_hull_refuses_a_flat_square():
     hull = stability._lower_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     least, triangles = hull([0, 0, 0, 1])
-    assert least == [0, 1, 2, 3] and len(triangles) == 2
+    assert least == (0, 1, 2, 3) and len(triangles) == 2
     with pytest.raises(bt.ConsistencyError,
                        match="0 unimodular lower triangles cannot tile a "
                              "hull of doubled area 2"):
@@ -516,6 +517,63 @@ def test_a_list_without_a_least_matching_is_refused():
                         tiling, theta,
                         [m for m in matchings if m.point != point])
     assert seen[True] and seen[False]
+
+
+def test_the_lower_hull_refuses_points_on_one_line():
+    for points in ([(0, 0), (1, 0)], [(0, 0), (1, 1), (2, 2), (1, 1)]):
+        with pytest.raises(bt.ConsistencyError,
+                           match="the points lie on one line"):
+            stability._lower_hull(points)
+    assert stability._lower_hull([(3, 4), (3, 4)])([1, 0]) == ((1,), ())
+
+
+def test_the_conifold_without_a_diagonal_corner_is_refused(
+        conifold, matchings_by_name, chambers_by_name):
+    # Without a corner of the diagonal the lower hull is the triangle
+    # across it, whose far edge is not stable; without a corner off
+    # it, the hull is a triangle of the full structure.
+    matchings = matchings_by_name["conifold"]
+    for chamber in chambers_by_name["conifold"]:
+        theta = chamber.representative
+        first, second = chamber.stable_triples
+        diagonal = set(first) & set(second)
+        for dropped in matchings:
+            rest = [m for m in matchings if m is not dropped]
+            if dropped.matching_id in diagonal:
+                far = " + ".join(sorted(set(first) ^ set(second)))
+                with pytest.raises(bt.ConsistencyError, match=re.escape(
+                        f"{far} on the lower hull is not stable")):
+                    bt.enumerate_stable_subsets(conifold, theta, rest)
+            else:
+                assert canonical_structure(bt.enumerate_stable_subsets(
+                    conifold, theta, rest)) == canonical_structure(
+                        reference_stable_subsets(conifold, theta, rest))
+
+
+@pytest.mark.parametrize("name", QUIVER_FIXTURES)
+def test_short_lists_are_refused_or_match_the_union_search(
+        name, tilings, matchings_by_name, chambers_by_name):
+    # A list without one corner, or of two matchings at different
+    # points, is refused or gets the union search's structure.
+    tiling, matchings = tilings[name], matchings_by_name[name]
+    at_point = collections.Counter(m.point for m in matchings)
+    shorts = [[m for m in matchings if m is not corner]
+              for corner in matchings if at_point[corner.point] == 1]
+    shorts += [list(pair) for pair in itertools.combinations(matchings, 2)
+               if pair[0].point != pair[1].point]
+    seen = collections.Counter()
+    for chamber in chambers_by_name[name]:
+        theta = chamber.representative
+        for short in shorts:
+            try:
+                found = bt.enumerate_stable_subsets(tiling, theta, short)
+            except bt.ConsistencyError:
+                seen["refused"] += 1
+                continue
+            assert canonical_structure(found) == canonical_structure(
+                reference_stable_subsets(tiling, theta, short))
+            seen["searched"] += 1
+    assert seen["refused"] and (seen["searched"] or name == "honeycomb")
 
 
 def test_arrow_masks_are_read_from_the_arrow_index(spp):
