@@ -43,7 +43,7 @@ exit codes:
   2  usage error or malformed input document
   3  validation failure (structural rules, or an arrow in no matching)
   4  degenerate input (parameter on a wall, a singular fan, or more
-     than 6 vertices for chambers)
+     than 6 vertices for chambers or 25 for a parameter's subset sums)
   5  internal consistency violation
   6  input file unreadable
 

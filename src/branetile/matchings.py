@@ -9,9 +9,9 @@ the matching's point in the plane, and the collection of these points
 is the toric diagram of the tiling.
 
 The matchings are found by an exact-cover search whose state is one
-int, the mask of the faces already met, in a breadth-first order of
-the faces; a set holds the masks that complete to no matching, and one
-sort at the end fixes the output order (see :func:`matching_arrow_sets`).
+int, the mask of the faces already met (see :func:`matching_arrow_sets`),
+and each is kept as one int too, the mask of its arrows in the order of
+``QuiverOnTorus.arrow_bits``, from which its arrow ids are decoded.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class PerfectMatching:
 
     Attributes:
         matching_id: ``m1``, ``m2``, ... in enumeration order.
-        arrows: the matching's arrow ids.
+        mask: the matching's arrows, bit k for ``arrow_order[k]``.
+        arrow_order: the tiling's sorted arrow ids, in a shared tuple.
         chi: functional on the weight lattice — 1 on arrows in the
             matching, 0 on the rest, and 1 on the face-cycle weight.
         chi_kernel: restriction of ``chi`` to the kernel lattice; its
@@ -40,9 +41,15 @@ class PerfectMatching:
     """
 
     matching_id: str
-    arrows: frozenset
+    mask: int
+    arrow_order: tuple
     chi: tuple
     chi_kernel: tuple
+
+    @property
+    def arrows(self) -> frozenset:
+        """The matching's arrow ids, decoded from ``mask``."""
+        return frozenset(self.arrow_order[k] for k in set_bits(self.mask))
 
     @property
     def point(self) -> tuple:
@@ -56,9 +63,14 @@ def matching_id_key(matching_id: str) -> tuple:
     return (len(matching_id), matching_id)
 
 
+def set_bits(mask: int) -> list:
+    """The set bits of a nonnegative int, ascending."""
+    return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+
+
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
-    """All perfect matchings as frozensets of arrow ids, sorted by the
-    tuple of sorted arrow ids.
+    """All perfect matchings as arrow masks (``QuiverOnTorus.arrow_bits``),
+    sorted by their set bits: the order of their sorted arrow-id tuples.
 
     An exact cover of the faces by arrows, without recursion.  An arrow
     that a face cycle passes more than once is never chosen; every other
@@ -72,23 +84,22 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     arrow with a face below it, so in breadth-first order it lies at
     most one layer further on: the states are bounded by the widths of
     two layers, and not by the order a document lists its faces in.
-    A matching is collected as an int with bit i for ``names[i]``.  The
-    set of exact covers does not depend on the branching order, so one
-    sort at the end gives the order of any other search.
+    The set of exact covers does not depend on the branching order, so
+    one sort at the end gives the order of any other search.
     """
-    faces_of: dict = {}  # arrow id -> indices of the faces containing it
+    bits = tiling.arrow_bits
+    covers = [[] for _ in bits]  # arrow bit -> the faces containing it
     banned = set()
     for j, face in enumerate(tiling.faces):
         for aid in set(face.arrows):
             if face.arrows.count(aid) > 1:
-                banned.add(aid)
-            faces_of.setdefault(aid, []).append(j)
-    names = sorted(set(faces_of) - banned)
-    covers = [faces_of[aid] for aid in names]
-    members = [[] for _ in tiling.faces]  # face -> usable arrow indices
+                banned.add(bits[aid])
+            covers[bits[aid]].append(j)
+    members = [[] for _ in tiling.faces]  # face -> usable arrow bits
     for i, js in enumerate(covers):
         for j in js:
-            members[j].append(i)
+            if i not in banned:
+                members[j].append(i)
 
     bit_of: dict = {}  # face -> its bit, in breadth-first order
     for start in range(len(members)):
@@ -127,14 +138,11 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
             frames.pop()
             if len(found) == before:
                 dead.add(met)
-    del dead  # before the frozensets exist: a lower peak
-    # the set bits of each byte value, to read a matching byte by byte
-    ones = [[i for i in range(8) if byte >> i & 1] for byte in range(256)]
-    size = (len(names) + 7) // 8
-    keys = sorted([8 * k + i for k, byte in enumerate(
-        chosen.to_bytes(size, "little")) for i in ones[byte]]
-        for chosen in found)
-    return [frozenset(map(names.__getitem__, key)) for key in keys]
+    # No cover contains another, so of two set-bit lists the smaller has
+    # the lowest bit they do not share: it is the larger mask read with
+    # bit 0 most significant.
+    found.sort(key=lambda m: int(f"{m:0{len(bits)}b}"[::-1], 2), reverse=True)
+    return found
 
 
 # struct code of a signed field, by its width in bits
@@ -202,9 +210,10 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     k = tower.rank
     n_arrows = len(tower.arrow_ids)
     width, (cycle_row, *arrow_rows) = _functional_table(tower)
-    row_of = dict(zip(tower.arrow_ids, arrow_rows))
-    bit_of = {aid: 1 << width * (k + i)
-              for i, aid in enumerate(tower.arrow_ids)}
+    bits = tiling.arrow_bits
+    rows, units = [0] * n_arrows, [0] * n_arrows  # by arrow bit
+    for i, aid in enumerate(tower.arrow_ids):
+        rows[bits[aid]], units[bits[aid]] = arrow_rows[i], 1 << width * (k + i)
     arrow_block = (1 << width * (k + n_arrows)) - (1 << width * k)
     count = k + n_arrows + 4
     bias = _field_bias(width, count)
@@ -213,11 +222,13 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     unpack = struct.Struct(
         f"<{k}{code}{n_arrows * width // 8}x4{code}").unpack
     length = count * width // 8
+    order = tuple(bits)
     result = []
-    for n, arrows in enumerate(matching_arrow_sets(tiling)):
-        fields = (sum(map(row_of.__getitem__, arrows), cycle_row)
+    for n, mask in enumerate(matching_arrow_sets(tiling)):
+        arrows = set_bits(mask)
+        fields = (sum(map(rows.__getitem__, arrows), cycle_row)
                   + bias) ^ bias
-        if fields & arrow_block != sum(map(bit_of.__getitem__, arrows)):
+        if fields & arrow_block != sum(map(units.__getitem__, arrows)):
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
         values = unpack(fields.to_bytes(length, "little"))
@@ -228,8 +239,8 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")
-        result.append(PerfectMatching(matching_id=f"m{n + 1}",
-                                      arrows=arrows, chi=values[:k],
+        result.append(PerfectMatching(matching_id=f"m{n + 1}", mask=mask,
+                                      arrow_order=order, chi=values[:k],
                                       chi_kernel=chi_kernel))
     return result
 

@@ -14,11 +14,11 @@ the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
 Genericity, stability, the lifted heights and a chamber's sign vector
 read one table of the parameter's sums over all vertex subsets, by
-bitmask.  Arrow sets are integer masks too (bit k is the tiling's k-th
-arrow, ``QuiverOnTorus.arrow_bits``), and supports, which do not
-depend on the parameter, are closed once per arrow mask into the
-tiling's ``support_cache`` and freed with it.  Nothing else is kept
-between calls.
+bitmask, of at most 25 vertices.  Arrow sets are the integer masks of
+``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is, and
+supports, which do not depend on the parameter, are closed once per
+arrow mask into the tiling's ``support_cache`` and freed with it.
+Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from . import rational
 from .errors import ConsistencyError, DegenerateInputError
 from .lattice import dot
-from .matchings import convex_hull_2d, cross, doubled_area, matching_id_key
+from .matchings import convex_hull_2d, cross, doubled_area, matching_id_key, set_bits
 from .tiling import QuiverOnTorus, default_paths
 
 
@@ -50,9 +50,17 @@ def _theta_check(vertices: Sequence, theta: Sequence) -> None:
         raise ValueError("stability parameter entries must sum to zero")
 
 
+_MAX_SUBSET_SUM_VERTICES = 25  # a table of 25 vertices takes 3.3 GB
+
+
 def _subset_sums(values: Sequence) -> list:
     """The sum over every vertex subset, indexed by bitmask (bit i is
-    vertex i): each vertex doubles the table."""
+    vertex i): each vertex doubles the table, so past 25 vertices it
+    raises DegenerateInputError instead."""
+    if len(values) > _MAX_SUBSET_SUM_VERTICES:
+        raise DegenerateInputError(
+            f"stability parameter sums support at most "
+            f"{_MAX_SUBSET_SUM_VERTICES} vertices; this tiling has {len(values)}")
     sums = [0]
     for t in values:
         sums += [x + t for x in sums]
@@ -120,8 +128,8 @@ def _close_supports(tiling: QuiverOnTorus, arrows: int) -> frozenset:
     n = len(tiling.vertices)
     index = {v: i for i, v in enumerate(tiling.vertices)}
     succ = [[] for _ in range(n)]
-    for k, a in enumerate(tiling.arrows):
-        if not arrows >> k & 1:
+    for a in tiling.arrows:
+        if not arrows >> tiling.arrow_bits[a.arrow_id] & 1:
             succ[index[a.source]].append(index[a.target])
     generators = set()
     for v in range(n):
@@ -217,9 +225,17 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     the support test of every union it reports certify the structure as
     the union search's over the same matchings, or raise
     ConsistencyError, as on a list that lacks a point's least matching
-    or a hull corner, or whose points lie on a line.
+    or a hull corner, or whose points lie on a line; and ValueError on a
+    matching over other arrow ids, naming its first unknown one.
     """
-    masks = [_arrow_mask(tiling, m.arrows) for m in matchings]
+    order = tuple(tiling.arrow_bits)
+    for m in matchings:
+        if m.arrow_order != order:
+            unknown = m.arrows - tiling.arrow_bits.keys()
+            raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}"
+                             if unknown else f"{m.matching_id} is a "
+                             "matching of another tiling's arrow ids")
+    masks = [m.mask for m in matchings]
     # A default path steps along an arrow at most once, so c_v(M) is a
     # difference of bit counts; with no matchings the table is empty.
     signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
@@ -232,8 +248,9 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     def subset_of(face: tuple) -> tuple:  # (its stable subset, arrow mask)
         ids = tuple(sorted((matchings[i].matching_id for i in face),
                            key=matching_id_key))
-        arrows = frozenset().union(*(matchings[i].arrows for i in face))
-        return StableSubset(arrows, ids, len(ids)), _arrow_mask(tiling, arrows)
+        mask = functools.reduce(int.__or__, (masks[i] for i in face), 0)
+        arrows = frozenset(order[k] for k in set_bits(mask))
+        return StableSubset(arrows, ids, len(ids)), mask
 
     @functools.cache
     def structure(least: tuple, triangles: tuple) -> tuple:

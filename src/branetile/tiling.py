@@ -65,8 +65,8 @@ class QuiverOnTorus:
         return {a.arrow_id: a for a in self.arrows}
 
     @functools.cached_property
-    def arrow_bits(self) -> dict:  # arrow id -> k, its bit in arrow masks
-        return {a.arrow_id: k for k, a in enumerate(self.arrows)}
+    def arrow_bits(self) -> dict:  # arrow id -> its bit, in sorted id order
+        return {aid: k for k, aid in enumerate(sorted(self.arrow_map))}
 
     @functools.cached_property
     def support_cache(self) -> dict:  # arrow mask -> its support masks

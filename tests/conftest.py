@@ -289,7 +289,7 @@ def reference_stable_subsets(tiling, theta, matchings) -> list:
     lists every matching whose arrows it contains."""
     sums = stability._subset_sums(theta)
     unstable = {mask for mask, total in enumerate(sums) if total <= 0}
-    masks = [stability._arrow_mask(tiling, m.arrows) for m in matchings]
+    masks = [m.mask for m in matchings]
 
     def is_stable(union: int) -> bool:
         return unstable.isdisjoint(stability._support_masks(tiling, union))

@@ -286,6 +286,18 @@ def test_chambers_of_seven_vertices_exit_four(tmp_path, capsys):
     assert "this tiling has 7" in err
 
 
+def test_a_fan_of_twenty_six_vertices_exits_four(tmp_path, capsys):
+    path = tmp_path / "z2z13.json"
+    path.write_text(orbifold_text(2, 13), encoding="utf-8")
+    theta = [*range(1, 26), -sum(range(1, 26))]
+    code, out, err = run(["fan", str(path),
+                          f"--theta={','.join(map(str, theta))}"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == ("error[fan:degenerate] stability parameter sums support "
+                   "at most 25 vertices; this tiling has 26\n")
+
+
 def test_bad_vertex_order_exits_two(capsys):
     code, _, err = run(["fan", SPP, "--theta=1,1,-2",
                         "--vertex-order", "2,2,1"], capsys)

@@ -51,6 +51,15 @@ def brute_force_matchings(tiling) -> set:
     return found
 
 
+def arrow_sets(tiling) -> list:
+    """:func:`bt.matching_arrow_sets` with each mask read bit by bit
+    through ``QuiverOnTorus.arrow_bits`` into a frozenset of arrow
+    ids, in the search's order."""
+    return [frozenset(aid for aid, k in tiling.arrow_bits.items()
+                      if mask >> k & 1)
+            for mask in bt.matching_arrow_sets(tiling)]
+
+
 def recursive_matching_arrow_sets(tiling) -> list:
     """The previous search, kept as a reference: backtracking face by
     face in input order, recursing once per face."""
@@ -194,7 +203,7 @@ def plane_unimodular(draw):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_enumeration_matches_brute_force(name, tilings):
     tiling = tilings[name]
-    sets = bt.matching_arrow_sets(tiling)
+    sets = arrow_sets(tiling)
     assert len(sets) == len(set(sets))  # no duplicates
     assert set(sets) == brute_force_matchings(tiling)
     assert len(sets) == EXPECTED_COUNT[name]
@@ -216,16 +225,14 @@ def test_enumeration_order_and_ids_are_deterministic(name, tilings):
 @settings(max_examples=300)
 @given(bipartite_incidences())
 def test_search_and_nondegeneracy_match_the_previous_routes(tiling):
-    assert bt.matching_arrow_sets(tiling) \
-        == recursive_matching_arrow_sets(tiling)
+    assert arrow_sets(tiling) == recursive_matching_arrow_sets(tiling)
     assert _nondegenerate(tiling) == union_nondegenerate(tiling)
 
 
 @settings(max_examples=200)
 @given(multiset_incidences())
 def test_search_keeps_the_multiplicity_rules(tiling):
-    assert bt.matching_arrow_sets(tiling) \
-        == recursive_matching_arrow_sets(tiling)
+    assert arrow_sets(tiling) == recursive_matching_arrow_sets(tiling)
 
 
 def test_nondegeneracy_finds_an_arrow_outside_every_matching():
@@ -233,7 +240,7 @@ def test_nondegeneracy_finds_an_arrow_outside_every_matching():
     # can never be completed to a perfect matching.
     tiling = incidence_tiling([(1, [0]), (1, [1, 2]), (-1, [0, 1]),
                                (-1, [2])], 3)
-    assert bt.matching_arrow_sets(tiling) == [frozenset({"a0", "a2"})]
+    assert arrow_sets(tiling) == [frozenset({"a0", "a2"})]
     assert not _nondegenerate(tiling)
     # Without any perfect matching only an arrowless tiling counts.
     assert not _nondegenerate(incidence_tiling([(1, [0]), (-1, [0]),
@@ -252,7 +259,7 @@ def test_search_does_not_depend_on_face_order(n, m):
 def test_five_by_five_matchings_are_pinned():
     # SHA-256 of the sorted arrow-id tuples, in order, as the previous
     # search gave them
-    found = bt.matching_arrow_sets(bt.load_document(orbifold_text(5, 5)))
+    found = arrow_sets(bt.load_document(orbifold_text(5, 5)))
     digest = hashlib.sha256(repr([tuple(sorted(s)) for s in found]).encode())
     assert digest.hexdigest() == (
         "f9c599cea2bc1cae7614cac5de86cf5f5984a5b050956764f8ca6f65c3f55697")
@@ -420,6 +427,20 @@ def test_three_vertex_tiling_has_the_six_expected_matchings(
     matchings = matchings_by_name["spp"]
     assert {m.matching_id: set(m.arrows) for m in matchings} \
         == SPP_MATCHING_ARROWS
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_matchings_hold_their_search_masks_and_decode_them(name, tilings):
+    tiling = tilings[name]
+    matchings = bt.enumerate_perfect_matchings(tiling)
+    assert [m.mask for m in matchings] == bt.matching_arrow_sets(tiling)
+    assert [m.arrows for m in matchings] == arrow_sets(tiling)
+    order = tuple(sorted(tiling.arrow_map))
+    for m in matchings:
+        assert m.arrow_order == order
+        assert m.arrow_order is matchings[0].arrow_order
+        assert not any(isinstance(getattr(m, field.name), (set, frozenset))
+                       for field in dataclasses.fields(m))
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -224,6 +225,19 @@ def test_stability_rejects_wall_parameters(spp, matchings_by_name):
     m = matchings_by_name["spp"][0]
     with pytest.raises(bt.DegenerateInputError):
         bt.is_theta_stable(spp, m.arrows, (0, 1, -1))
+
+
+@pytest.mark.parametrize("check", [
+    lambda tiling, theta: bt.is_generic(tiling, theta),
+    lambda tiling, theta: bt.is_theta_stable(tiling, [], theta),
+], ids=["is_generic", "is_theta_stable"])
+def test_subset_sums_past_the_vertex_budget_are_refused(check):
+    # 26 vertices: the table would hold 2^26 sums
+    tiling = bt.load_document(orbifold_text(2, 13))
+    theta = (*range(1, 26), -sum(range(1, 26)))
+    with pytest.raises(bt.DegenerateInputError,
+                       match="at most 25 vertices; this tiling has 26"):
+        check(tiling, theta)
 
 
 def test_stability_rejects_wrong_parameter_length(spp):
@@ -576,8 +590,53 @@ def test_short_lists_are_refused_or_match_the_union_search(
     assert seen["refused"] and (seen["searched"] or name == "honeycomb")
 
 
+MATCHING_CONSUMERS = {
+    "moduli_fan": lambda t, tw, th, ms: bt.moduli_fan(t, th, ms),
+    "enumerate_stable_subsets":
+        lambda t, tw, th, ms: bt.enumerate_stable_subsets(t, th, ms),
+    "chamber_decomposition":
+        lambda t, tw, th, ms: bt.chamber_decomposition(t, ms),
+    "tilting_collection":
+        lambda t, tw, th, ms: bt.tilting_collection(t, tw, th, ms),
+}
+
+
+@pytest.mark.parametrize("entry", MATCHING_CONSUMERS)
+def test_another_tilings_matchings_are_refused(entry, spp, towers,
+                                               matchings_by_name):
+    # the conifold's arrow ids are a1..a4, none of them an spp arrow
+    other = matchings_by_name["conifold"]
+    unknown = min(other[0].arrows, key=str)
+    assert unknown not in spp.arrow_map
+    with pytest.raises(ValueError, match=f"^unknown arrow id {unknown!r}$"):
+        MATCHING_CONSUMERS[entry](spp, towers["spp"], (-2, 1, 1), other)
+
+
+@pytest.mark.parametrize("entry", ["moduli_fan", "enumerate_stable_subsets",
+                                   "chamber_decomposition"])
+def test_masks_over_another_arrow_order_are_refused(entry, spp, towers,
+                                                    matchings_by_name):
+    # each matching's arrows are spp arrows, but its bits are read in an
+    # order with one more arrow id
+    ms = [dataclasses.replace(m, arrow_order=(*m.arrow_order, "99"))
+          for m in matchings_by_name["spp"]]
+    with pytest.raises(ValueError, match="^m1 is a matching of another "
+                                         "tiling's arrow ids$"):
+        MATCHING_CONSUMERS[entry](spp, towers["spp"], (-2, 1, 1), ms)
+
+
+@pytest.mark.parametrize("entry", MATCHING_CONSUMERS)
+def test_a_fresh_copys_matchings_give_the_same_answers(entry, spp, towers,
+                                                       matchings_by_name):
+    copy = bt.load_document(document_text("spp"))
+    call = MATCHING_CONSUMERS[entry]
+    assert call(spp, towers["spp"], (-2, 1, 1),
+                bt.enumerate_perfect_matchings(copy)) \
+        == call(spp, towers["spp"], (-2, 1, 1), matchings_by_name["spp"])
+
+
 def test_arrow_masks_are_read_from_the_arrow_index(spp):
-    ids = [a.arrow_id for a in spp.arrows]
+    ids = sorted(a.arrow_id for a in spp.arrows)
     assert spp.arrow_bits == {aid: k for k, aid in enumerate(ids)}
     for chosen in ([], ids, ids[::2], [ids[1], ids[1], ids[0]]):
         assert stability._arrow_mask(spp, iter(chosen)) \
