@@ -215,8 +215,10 @@ class _TowerRecord:
     tuples ``lift_slice_faces`` ranks; ``splitters``, ``(kernel_rows,
     factors)`` by a vertex's ambient active normals; ``valid_fans``,
     the frozensets of ``(dim, rays)`` cones that passed
-    ``validate_fan``; and ``last_slice``, ``(shifted, slice_poly,
-    result)`` of the last ``_slice_cones`` call, compared by equality.
+    ``validate_fan``; ``last_slice``, ``(shifted, slice_poly, result)``
+    of the last ``_slice_cones`` call; and ``last_fan``, ``(cones,
+    labels, fan)`` of the last ``_slice_fan`` call, both compared by
+    equality.
     """
 
     cone: "Polyhedron | None" = None
@@ -224,6 +226,7 @@ class _TowerRecord:
     splitters: dict = dataclasses.field(default_factory=dict)
     valid_fans: set = dataclasses.field(default_factory=set)
     last_slice: tuple = (None, None, None)
+    last_fan: tuple = (None, None, None)
 
 
 # Towers compare by identity, so a record is freed with its tower.
@@ -380,6 +383,17 @@ def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
                             dim=dim) for dim, rays in cones))
 
 
+def _slice_fan(tower, cones: tuple, ray_labels: "dict | None") -> Fan:
+    """:func:`_named_fan` of a slice's cones, built once while the
+    cones and labels stay those of the tower's last call, and shared:
+    a ``Fan`` is immutable."""
+    record = _record(tower)
+    labels = dict(ray_labels or {})
+    if record.last_fan[:2] != (cones, labels):
+        record.last_fan = (cones, labels, _named_fan(cones, labels))
+    return record.last_fan[2]
+
+
 def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     """The validated normal cones of the transversal faces of a slice.
 
@@ -471,8 +485,9 @@ def quotient_fan(tower, shifted: Polyhedron,
     faces.  Each cone's rays are the normals of the slice facets that
     contain its face (see ``_slice_cones``).  Each fan geometry is
     validated once per tower, and the cones of the tower's last slice
-    are remembered, so ``descend_linear_functional`` on the same slice
-    does not compute them again.
+    are remembered, with their named fan, so ``quotient_fan`` and
+    ``descend_linear_functional`` on the same slice with equal labels
+    return one shared ``Fan``.
 
     ``ray_labels`` maps primitive ray vectors to names (matching ids);
     unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
@@ -480,7 +495,7 @@ def quotient_fan(tower, shifted: Polyhedron,
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
     cones, _ = _slice_cones(tower, shifted, slice_poly)
-    return _named_fan(cones, ray_labels)
+    return _slice_fan(tower, cones, ray_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +541,16 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     kept from its single Smith form per vertex and tower.  The factors
     are checked on every call.  Values on shared rays must agree across
     cones and are returned per ray.  The quotient fan comes from the
-    same validated slice cones as ``quotient_fan``'s, so descending
-    many weights along one slice validates no fan and factors no
-    matrix after the first.
+    same validated slice cones as ``quotient_fan``'s, and is the same
+    ``Fan`` under equal labels, so descending many weights along one
+    slice validates no fan, factors no matrix and names no fan after
+    the first.
     """
     tower.check_weight(weight)
     if slice_poly is None:
         slice_poly = kernel_polytope(tower, shifted)
     cones, splitters = _slice_cones(tower, shifted, slice_poly)
-    fan = _named_fan(cones, ray_labels)
+    fan = _slice_fan(tower, cones, ray_labels)
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
 
     for _, _, factors in splitters:

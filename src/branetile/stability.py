@@ -15,10 +15,13 @@ explicit stack and pruned exactly (see :func:`chamber_decomposition`).
 Genericity, stability, the lifted heights and a chamber's sign vector
 read one table of the parameter's sums over all vertex subsets, by
 bitmask, of at most 25 vertices.  Arrow sets are the integer masks of
-``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is, and
-supports, which do not depend on the parameter, are closed once per
-arrow mask into the tiling's ``support_cache`` and freed with it.
-Nothing else is kept between calls.
+``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is.
+Two records, which do not depend on the parameter, are kept on the
+tiling and freed with it: the supports, closed once per arrow mask
+into its ``support_cache``, and the lifted record of the last
+matchings list, in its ``lifted_cache`` (see :func:`_lifted`), which
+every stable structure of that list reads.  Nothing else is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -209,12 +212,92 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     empty set, at a generic parameter, checked as by
     :func:`is_theta_stable` when there is a matching to test."""
     sums = _require_generic(tiling, theta) if matchings else ()
-    return _stable_subsets_at(tiling, matchings)(sums)
+    return _stable_subsets_at(tiling, _lifted(tiling, matchings), sums)
 
 
-def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
-    """:func:`enumerate_stable_subsets` as a function of the subset-sum
-    table (:func:`_subset_sums`) of a generic parameter θ.
+@dataclasses.dataclass(eq=False)
+class _LiftedRecord:
+    """What the stable structures of one matchings list on one tiling
+    share at every parameter: ``key``, each matching's ``(matching_id,
+    mask, chi_kernel, arrow_order)``; the tiling's arrow ``order``;
+    ``counts``, each matching's signed counts c_v(M) per vertex;
+    ``hull``, the :func:`_lower_hull` of their points; and the memos
+    ``faces``, a hull face's ``(StableSubset, arrow mask)`` by its
+    matching indices, and ``structures``, the sorted faces of each
+    ``(least, triangles)``.  It holds no reference to the tiling, so the
+    tiling that keeps it is freed by reference counting alone.
+    """
+
+    key: list
+    order: tuple
+    counts: tuple
+    hull: object
+    faces: dict = dataclasses.field(default_factory=dict)
+    structures: dict = dataclasses.field(default_factory=dict)
+
+    def subset_of(self, face: tuple) -> tuple:
+        found = self.faces.get(face)
+        if found is None:
+            ids = tuple(sorted((self.key[i][0] for i in face),
+                               key=matching_id_key))
+            mask = functools.reduce(int.__or__,
+                                    (self.key[i][1] for i in face), 0)
+            arrows = frozenset(self.order[k] for k in set_bits(mask))
+            found = StableSubset(arrows, ids, len(ids)), mask
+            self.faces[face] = found
+        return found
+
+    def structure(self, hull: tuple) -> tuple:
+        """The empty set, then the faces of a ``(least, triangles)``
+        hull by (dim, ids), each with its arrow mask."""
+        found = self.structures.get(hull)
+        if found is None:
+            least, triangles = hull
+            faces = {(i,) for i in least} | {
+                face for t in triangles for r in (1, 2, 3)
+                for face in itertools.combinations(sorted(t), r)}
+            found = self.structures[hull] = tuple(sorted(
+                map(self.subset_of, [(), *faces]),
+                key=lambda e: (e[0].dim, e[0].matching_ids)))
+        return found
+
+
+def _lifted(tiling: QuiverOnTorus, matchings: Sequence) -> _LiftedRecord:
+    """The tiling's lifted record of a matchings list.  The tiling keeps
+    the record of the last list it was asked about, in its
+    ``lifted_cache``, and builds a new one when some matching's
+    ``(matching_id, mask, chi_kernel, arrow_order)`` differs.  Raises
+    ValueError on a matching over other arrow ids, naming its first
+    unknown one."""
+    key = [(m.matching_id, m.mask, m.chi_kernel, m.arrow_order)
+           for m in matchings]
+    held = tiling.lifted_cache
+    if held and held[0].key == key:
+        return held[0]
+    order = tuple(tiling.arrow_bits)
+    for m in matchings:
+        if m.arrow_order != order:
+            unknown = m.arrows - tiling.arrow_bits.keys()
+            raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}"
+                             if unknown else f"{m.matching_id} is a "
+                             "matching of another tiling's arrow ids")
+    # A default path steps along an arrow at most once, so c_v(M) is a
+    # difference of bit counts.
+    signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
+               for e in (1, -1)] for path in default_paths(tiling).values()]
+    counts = tuple([(m.mask & forward).bit_count()
+                    - (m.mask & inverse).bit_count()
+                    for forward, inverse in signed] for m in matchings)
+    held[:] = [_LiftedRecord(key, order, counts,
+                             _lower_hull([m.point for m in matchings]))]
+    return held[0]
+
+
+def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
+                       sums: Sequence) -> list:
+    """:func:`enumerate_stable_subsets` from the tiling's lifted record
+    (:func:`_lifted`) and the subset-sum table (:func:`_subset_sums`) of
+    a generic parameter θ; with no matchings the table is empty.
 
     Each matching M lifts its point to h(M) = Σ_v θ_v·c_v(M), where
     c_v(M) is the signed count of M's arrows on the default path to v.
@@ -225,53 +308,16 @@ def _stable_subsets_at(tiling: QuiverOnTorus, matchings: Sequence):
     the support test of every union it reports certify the structure as
     the union search's over the same matchings, or raise
     ConsistencyError, as on a list that lacks a point's least matching
-    or a hull corner, or whose points lie on a line; and ValueError on a
-    matching over other arrow ids, naming its first unknown one.
+    or a hull corner, or whose points lie on a line.
     """
-    order = tuple(tiling.arrow_bits)
-    for m in matchings:
-        if m.arrow_order != order:
-            unknown = m.arrows - tiling.arrow_bits.keys()
-            raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}"
-                             if unknown else f"{m.matching_id} is a "
-                             "matching of another tiling's arrow ids")
-    masks = [m.mask for m in matchings]
-    # A default path steps along an arrow at most once, so c_v(M) is a
-    # difference of bit counts; with no matchings the table is empty.
-    signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
-               for e in (1, -1)] for path in default_paths(tiling).values()]
-    counts = [[(mask & forward).bit_count() - (mask & inverse).bit_count()
-               for forward, inverse in signed] for mask in masks]
-    hull = _lower_hull([m.point for m in matchings])
-
-    @functools.cache
-    def subset_of(face: tuple) -> tuple:  # (its stable subset, arrow mask)
-        ids = tuple(sorted((matchings[i].matching_id for i in face),
-                           key=matching_id_key))
-        mask = functools.reduce(int.__or__, (masks[i] for i in face), 0)
-        arrows = frozenset(order[k] for k in set_bits(mask))
-        return StableSubset(arrows, ids, len(ids)), mask
-
-    @functools.cache
-    def structure(least: tuple, triangles: tuple) -> tuple:
-        # the empty set, then the hull's faces by (dim, ids), with masks
-        faces = {(i,) for i in least} | {
-            face for t in triangles for r in (1, 2, 3)
-            for face in itertools.combinations(sorted(t), r)}
-        return tuple(sorted(map(subset_of, [(), *faces]),
-                            key=lambda e: (e[0].dim, e[0].matching_ids)))
-
-    def at(sums: Sequence) -> list:
-        theta = [sums[1 << v] for v in range(len(signed))] if masks else []
-        out = structure(*hull([dot(c, theta) for c in counts]))
-        unstable = {s for s, total in enumerate(sums) if total <= 0}
-        for subset, mask in out[1:]:
-            if not unstable.isdisjoint(_support_masks(tiling, mask)):
-                raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
-                                       "on the lower hull is not stable")
-        return [subset for subset, _ in out]
-
-    return at
+    theta = [sums[1 << v] for v in range(len(tiling.vertices))] if sums else []
+    out = record.structure(record.hull([dot(c, theta) for c in record.counts]))
+    unstable = {s for s, total in enumerate(sums) if total <= 0}
+    for subset, mask in out[1:]:
+        if not unstable.isdisjoint(_support_masks(tiling, mask)):
+            raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
+                                   "on the lower hull is not stable")
+    return [subset for subset, _ in out]
 
 
 def _lower_hull(points: Sequence):
@@ -473,13 +519,14 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     # Each representative is generic: its witness is strict on every
     # wall.
     order = _proper_subsets(tiling.vertices)
-    stable_subsets = _stable_subsets_at(tiling, matchings)
+    record = _lifted(tiling, matchings)
     out = []
     for i, theta in enumerate(chambers):
         sums = _subset_sums(theta)
-        out.append(Chamber(index=i + 1, representative=theta,
-                           sign_vector=_sign_vector(order, sums),
-                           stable_subsets=tuple(stable_subsets(sums))))
+        out.append(Chamber(
+            index=i + 1, representative=theta,
+            sign_vector=_sign_vector(order, sums),
+            stable_subsets=tuple(_stable_subsets_at(tiling, record, sums))))
     return out
 
 

@@ -57,8 +57,8 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    # Indexes and the support cache are built on first use and kept on
-    # the instance, so they are freed with it and never shared between
+    # Indexes and the stability caches are built on first use and kept
+    # on the instance, so they are freed with it and never shared between
     # equal tilings; equality still compares the fields.
     @functools.cached_property
     def arrow_map(self) -> dict:
@@ -71,6 +71,10 @@ class QuiverOnTorus:
     @functools.cached_property
     def support_cache(self) -> dict:  # arrow mask -> its support masks
         return {}
+
+    @functools.cached_property
+    def lifted_cache(self) -> list:  # at most one: the last list's record
+        return []
 
     @functools.cached_property
     def _faces_by_arrow(self) -> dict:

@@ -17,12 +17,13 @@ weighted by how many matchings use each arrow).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Sequence
 
 from . import lattice
 from .errors import ConsistencyError
 from .polyhedra import integer_points, polyhedron_from_inequalities
-from .stability import is_theta_stable
+from .stability import enumerate_stable_subsets, is_theta_stable
 from .tiling import QuiverOnTorus, WeakPath, default_paths
 
 
@@ -39,11 +40,23 @@ def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
                      matchings: Sequence) -> list:
     """The matchings stable at a generic parameter, in the given order.
 
-    Each matching is one :func:`stability.is_theta_stable` call, which
-    checks the parameter and reads the matching's supports from the
-    tiling's support cache, so they are closed once for all chambers.
+    They are the stable singles of
+    :func:`stability.enumerate_stable_subsets`, the least lifted
+    matchings read from the tiling's lifted record, and each is
+    certified by one :func:`stability.is_theta_stable` call; one that
+    fails raises ConsistencyError.  So a list that lacks a hull corner
+    or a point's least matching is refused with ConsistencyError, or
+    gets exactly the matchings of the list that pass
+    :func:`stability.is_theta_stable`.
     """
-    return [m for m in matchings if is_theta_stable(tiling, m.arrows, theta)]
+    singles = {s.matching_ids[0] for s in enumerate_stable_subsets(
+        tiling, theta, matchings) if s.dim == 1}
+    stable = [m for m in matchings if m.matching_id in singles]
+    for m in stable:
+        if not is_theta_stable(tiling, m.arrows, theta):
+            raise ConsistencyError(
+                f"{m.matching_id} is least at its point but not stable")
+    return stable
 
 
 def path_divisor(tower, path: WeakPath, stable: Sequence) -> tuple:
@@ -199,9 +212,11 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
     height.  Path side: distinct weights of forward paths between the
     path's endpoints, bucketed the same way.  The two must agree when
     the quotient construction represents the sections faithfully; the
-    result records both so a mismatch is visible.  A negative
-    ``max_height`` raises ValueError.
+    result records both so a mismatch is visible.  A ``max_height``
+    that is negative or not an integer raises ValueError.
     """
+    if not isinstance(max_height, numbers.Integral):
+        raise ValueError(f"max_height must be an integer, got {max_height!r}")
     if max_height < 0:
         raise ValueError(f"max_height must be nonnegative, got {max_height}")
     stable = stable_matchings(tiling, theta, matchings)

@@ -1,18 +1,22 @@
-"""The per-tiling support cache: support masks closed once per arrow
-mask, kept on the tiling.
+"""The per-tiling moduli record: the support masks of each arrow mask,
+closed once per tiling in its ``support_cache``, and the lifted record
+of the last matchings list in its ``lifted_cache`` (the θ-free half of
+every stable structure), both kept on the tiling and freed with it.
 
-Every answer read from a cache must equal the answer on a freshly
-loaded copy of the document, whose cache starts empty."""
+Every answer read from a record must equal the answer on a freshly
+loaded copy of the document, whose records start empty."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
 import pytest
 
 import branetile as bt
-from branetile import stability
+from branetile import stability, tilting
+from branetile.matchings import matching_id_key
 
 from conftest import ALL_FIXTURES, document_text
 
@@ -27,10 +31,13 @@ def outcome(function, *args):
 
 def moduli_answers(tiling, tower, theta, matchings, chamber) -> tuple:
     """What the moduli side answers at one chamber's parameter."""
+    path = bt.default_paths(tiling)[tiling.vertices[-1]]
     return (
         outcome(bt.moduli_fan, tiling, theta, matchings),
         outcome(bt.enumerate_stable_subsets, tiling, theta, matchings),
         outcome(bt.tilting_collection, tiling, tower, theta, matchings),
+        outcome(bt.graded_sections_count, tiling, tower, theta, path,
+                matchings, 1),
         [bt.submodule_supports(tiling, s.arrows)
          for s in chamber.stable_subsets])
 
@@ -47,7 +54,47 @@ def test_one_shared_tiling_answers_as_a_fresh_tiling_per_chamber(document):
         assert moduli_answers(shared, tower, theta, matchings, chamber) \
             == moduli_answers(bt.load_document(text), tower, theta,
                               matchings, chamber)
-    assert shared.support_cache
+    assert shared.support_cache and shared.lifted_cache
+
+
+def test_a_shorter_list_replaces_the_record_and_answers_as_fresh():
+    text = document_text("spp")
+    shared = bt.load_document(text)
+    tower = bt.build_lattice_tower(shared)
+    matchings = bt.enumerate_perfect_matchings(shared, tower)
+    chambers = bt.chamber_decomposition(shared, matchings)
+    (full,) = shared.lifted_cache
+    corner = bt.toric_diagram(shared, tower, matchings).hull[0]
+    short = [m for m in matchings if m.point != corner]
+    refused = set()
+    for chamber in chambers:
+        theta = chamber.representative
+        for ms in (short, matchings):
+            got = moduli_answers(shared, tower, theta, ms, chamber)
+            assert got == moduli_answers(bt.load_document(text), tower,
+                                         theta, ms, chamber)
+            if ms is short:
+                refused.add(type(got[0]) is tuple)
+        # the full list's record was rebuilt after the short one's
+        assert shared.lifted_cache[0] is not full
+        full = shared.lifted_cache[0]
+    # the short list is refused at some chambers and answered at others
+    assert refused == {True, False}
+    assert len(shared.lifted_cache) == 1
+    assert full.key == [(m.matching_id, m.mask, m.chi_kernel, m.arrow_order)
+                        for m in matchings]
+
+
+def test_the_record_keeps_refusing_another_arrow_order(spp, matchings_by_name):
+    # the same ids, masks and points, read in an order with one more id
+    matchings = matchings_by_name["spp"]
+    theta = (-2, 1, 1)
+    bt.enumerate_stable_subsets(spp, theta, matchings)
+    other = [dataclasses.replace(m, arrow_order=(*m.arrow_order, "99"))
+             for m in matchings]
+    with pytest.raises(ValueError, match="^m1 is a matching of another "
+                                         "tiling's arrow ids$"):
+        bt.enumerate_stable_subsets(spp, theta, other)
 
 
 def test_equal_tilings_do_not_share_a_record():
@@ -57,26 +104,35 @@ def test_equal_tilings_do_not_share_a_record():
     matchings = bt.enumerate_perfect_matchings(first)
     theta = bt.chamber_decomposition(first, matchings)[0].representative
     bt.moduli_fan(first, theta, matchings)
-    assert first.support_cache
+    assert first.support_cache and first.lifted_cache
     assert second.support_cache is not first.support_cache
-    assert second.support_cache == {}
+    assert second.lifted_cache is not first.lifted_cache
+    assert second.support_cache == {} and second.lifted_cache == []
 
 
 def test_the_record_is_freed_with_its_tiling():
-    tiling = bt.load_document(document_text("z2z2"))
-    tower = bt.build_lattice_tower(tiling)
-    matchings = bt.enumerate_perfect_matchings(tiling, tower)
-    chambers = bt.chamber_decomposition(tiling, matchings)
-    bt.git_equivalence_classes(tiling, chambers, matchings)
-    theta = chambers[0].representative
-    bt.moduli_fan(tiling, theta, matchings)
-    bt.tilting_collection(tiling, tower, theta, matchings)
-    # the cache is an attribute of the instance, so it goes with it
-    assert tiling.support_cache and "support_cache" in vars(tiling)
-    tiling_ref = weakref.ref(tiling)
-    del tiling
-    gc.collect()
-    assert tiling_ref() is None
+    # with the cyclic collector off, reference counting alone frees the
+    # tiling and its records: nothing in them refers back to the tiling
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tiling = bt.load_document(document_text("z2z2"))
+        tower = bt.build_lattice_tower(tiling)
+        matchings = bt.enumerate_perfect_matchings(tiling, tower)
+        chambers = bt.chamber_decomposition(tiling, matchings)
+        bt.git_equivalence_classes(tiling, chambers, matchings)
+        theta = chambers[0].representative
+        bt.moduli_fan(tiling, theta, matchings)
+        bt.tilting_collection(tiling, tower, theta, matchings)
+        # the records are attributes of the instance, so they go with it
+        assert tiling.support_cache and "support_cache" in vars(tiling)
+        assert tiling.lifted_cache and "lifted_cache" in vars(tiling)
+        refs = [weakref.ref(tiling), weakref.ref(tiling.lifted_cache[0])]
+        del tiling
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_each_arrow_mask_is_closed_once(monkeypatch):
@@ -105,3 +161,50 @@ def test_each_arrow_mask_is_closed_once(monkeypatch):
     assert len(chambers) == 32
     assert sorted(closed) == sorted(set(closed))
     assert set(closed) == tiling.support_cache.keys()
+
+
+def test_the_hull_candidates_are_built_once(monkeypatch):
+    tiling = bt.load_document(document_text("z2z2"))
+    tower = bt.build_lattice_tower(tiling)
+    matchings = bt.enumerate_perfect_matchings(tiling, tower)
+
+    built = []
+    lower_hull = stability._lower_hull
+
+    def counting_hull(points):
+        built.append(points)
+        return lower_hull(points)
+
+    monkeypatch.setattr(stability, "_lower_hull", counting_hull)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    path = bt.default_paths(tiling)[tiling.vertices[-1]]
+    for chamber in chambers:
+        theta = chamber.representative
+        bt.moduli_fan(tiling, theta, matchings)
+        bt.enumerate_stable_subsets(tiling, theta, matchings)
+        bt.tilting_collection(tiling, tower, theta, matchings)
+        bt.graded_sections_count(tiling, tower, theta, path, matchings, 1)
+    bt.git_equivalence_classes(tiling, chambers, matchings)
+
+    assert len(chambers) == 32
+    assert built == [[m.point for m in matchings]]
+
+
+def test_each_stable_matching_is_certified_once_per_call(
+        monkeypatch, tilings, matchings_by_name, chambers_by_name):
+    certified = []
+    is_theta_stable = tilting.is_theta_stable
+
+    def counting(tiling, arrows, theta):
+        certified.append(frozenset(arrows))
+        return is_theta_stable(tiling, arrows, theta)
+
+    monkeypatch.setattr(tilting, "is_theta_stable", counting)
+    tiling, matchings = tilings["z2z2"], matchings_by_name["z2z2"]
+    for chamber in chambers_by_name["z2z2"]:
+        certified.clear()
+        stable = tilting.stable_matchings(
+            tiling, chamber.representative, matchings)
+        assert [m.matching_id for m in stable] == sorted(
+            chamber.stable_matchings, key=matching_id_key)
+        assert certified == [m.arrows for m in stable]

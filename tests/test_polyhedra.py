@@ -711,13 +711,23 @@ def document_tiling(document):
                             else orbifold_text(*document))
 
 
-def routes_on(tiling, tower, theta) -> tuple:
+def routes_on(tiling, tower, theta, labels=None) -> tuple:
     """The quotient fan and every path weight's descent at one θ."""
     shifted, _ = bt.shift_by_stability(tower, theta)
     slice_poly = bt.kernel_polytope(tower, shifted)
-    return bt.quotient_fan(tower, shifted, slice_poly), [
-        bt.descend_linear_functional(tower, shifted, weight, slice_poly)
+    return bt.quotient_fan(tower, shifted, slice_poly, labels), [
+        bt.descend_linear_functional(tower, shifted, weight, slice_poly,
+                                     labels)
         for weight in path_weights(tiling, tower)]
+
+
+def fresh_named_fan(tiling, theta, labels) -> bt.Fan:
+    """The named fan of a slice, from a fresh tower's cones."""
+    tower = bt.build_lattice_tower(tiling)
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    cones, _ = polyhedra._slice_cones(tower, shifted,
+                                      bt.kernel_polytope(tower, shifted))
+    return polyhedra._named_fan(cones, labels)
 
 
 @pytest.mark.parametrize("document", RECORD_DOCUMENTS, ids=document_id)
@@ -727,11 +737,16 @@ def test_one_shared_tower_answers_as_a_fresh_tower_per_chamber(document):
     found = bt.enumerate_perfect_matchings(tiling, shared)
     for chamber in bt.chamber_decomposition(tiling, found):
         theta = chamber.representative
-        fan, supports = routes_on(tiling, shared, theta)
-        want_fan, want_supports = routes_on(
-            tiling, bt.build_lattice_tower(tiling), theta)
-        assert bt.fans_equal(fan, want_fan)
-        assert supports == want_supports
+        direct = bt.moduli_fan(tiling, theta, found)
+        for labels in (None, {ray.vector: ray.ray_id for ray in direct.rays}):
+            fan, supports = routes_on(tiling, shared, theta, labels)
+            want_fan, want_supports = routes_on(
+                tiling, bt.build_lattice_tower(tiling), theta, labels)
+            assert bt.fans_equal(fan, want_fan)
+            assert supports == want_supports
+            # one fan per slice and labels, equal to a fresh one
+            assert fan == fresh_named_fan(tiling, theta, labels)
+            assert all(support.fan is fan for support in supports)
 
 
 def tower_and_chambers(document) -> tuple:

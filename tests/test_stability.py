@@ -460,17 +460,20 @@ def test_stable_subsets_match_the_union_search_at_seeded_parameters(
 def test_the_least_lifted_matchings_are_the_stable_ones(document):
     # By definition, a matching is stable when its supports all have
     # positive parameter; the structure takes the least lifted matching
-    # at each point and the lower hull.  Its fan passes the general
-    # fan check, once per geometry.
+    # at each point and the lower hull, and stable_matchings reads it.
+    # Its fan passes the general fan check, once per geometry.
     tiling, matchings = loaded_with_matchings(document)
     checked = set()
     for chamber in bt.chamber_decomposition(tiling, matchings):
         theta = chamber.representative
         subsets = bt.enumerate_stable_subsets(tiling, theta, matchings)
+        stable = [m.matching_id for m in matchings
+                  if bt.is_theta_stable(tiling, m.arrows, theta)]
+        assert stable == sorted(
+            (s.matching_ids[0] for s in subsets if s.dim == 1),
+            key=matching_id_key)
         assert [m.matching_id for m in stable_matchings(
-            tiling, theta, matchings)] == sorted(
-                (s.matching_ids[0] for s in subsets if s.dim == 1),
-                key=matching_id_key)
+            tiling, theta, matchings)] == stable
         fan = bt.moduli_fan(tiling, theta, matchings)
         vectors = fan.vector_map()
         geometry = frozenset(frozenset(vectors[i] for i in c.ray_ids)

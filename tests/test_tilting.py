@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import branetile as bt
 from branetile import lattice
+from branetile.stability import is_theta_stable
 from branetile.tilting import (picard_presentation, stable_matchings,
                                weak_path_weight)
 
@@ -281,6 +284,16 @@ def test_sections_reject_a_negative_height_bound(spp, towers,
                                  matchings_by_name["spp"], max_height=-1)
 
 
+@pytest.mark.parametrize("bound", [2.5, 2.0, Fraction(5, 2)])
+def test_sections_reject_a_height_bound_that_is_not_an_integer(
+        bound, spp, towers, matchings_by_name, chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    path = bt.make_weak_path(spp, [], source="1")
+    with pytest.raises(ValueError, match="max_height must be an integer"):
+        bt.graded_sections_count(spp, tower, theta, path,
+                                 matchings_by_name["spp"], max_height=bound)
+
+
 def test_sections_reject_an_empty_stable_set(spp, towers, chambers_by_name):
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
@@ -297,3 +310,34 @@ def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
     matchings = matchings_by_name["spp"]
     with pytest.raises(bt.ConsistencyError):
         bt.graded_sections_count(spp, tower, theta, path, matchings[:1])
+
+
+@pytest.mark.parametrize("name", QUIVER_FIXTURES)
+def test_lists_without_a_hull_corner_are_refused_or_filtered(
+        name, tilings, towers, matchings_by_name, chambers_by_name):
+    # Without the matchings at one corner of the toric diagram, the
+    # stable matchings and the tilting collection's rays are refused
+    # with ConsistencyError or are the per-matching stability filter.
+    tiling, tower = tilings[name], towers[name]
+    matchings = matchings_by_name[name]
+    hull = bt.toric_diagram(tiling, tower, matchings).hull
+    shorts = [[m for m in matchings if m.point != corner] for corner in hull]
+    seen = set()
+    for chamber in chambers_by_name[name]:
+        theta = chamber.representative
+        for short in shorts:
+            want = [m.matching_id for m in short
+                    if is_theta_stable(tiling, m.arrows, theta)]
+            try:
+                got = [m.matching_id
+                       for m in stable_matchings(tiling, theta, short)]
+            except bt.ConsistencyError:
+                seen.add("refused")
+                with pytest.raises(bt.ConsistencyError):
+                    bt.tilting_collection(tiling, tower, theta, short)
+                continue
+            assert got == want
+            assert list(bt.tilting_collection(tiling, tower, theta,
+                                              short).ray_ids) == want
+            seen.add("filtered")
+    assert "refused" in seen and ("filtered" in seen or name == "honeycomb")
