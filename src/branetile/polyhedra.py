@@ -303,13 +303,9 @@ def kernel_polytope(tower, shifted: Polyhedron) -> Polyhedron:
     so active sets of the slice and of the ambient polyhedron use the
     same indices.
     """
-    basis = tower.kernel_basis  # k x 3
-    restricted = []
-    for a, b in shifted.inequalities:
-        ak = tuple(
-            sum(a[i] * basis[i][j] for i in range(tower.rank))
-            for j in range(3))
-        restricted.append((ak, b))
+    columns = list(zip(*tower.kernel_basis))  # 3 columns of length k
+    restricted = [(tuple(lattice.dot(a, col) for col in columns), b)
+                  for a, b in shifted.inequalities]
     return polyhedron_from_inequalities(restricted, 3)
 
 

@@ -12,10 +12,12 @@ triangles (see :func:`_stable_subsets_at`).
 The chambers of the generic locus are the leaves of a sign tree over
 the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
-Genericity, stability, the lifted heights and a chamber's sign vector
-read one table of the parameter's sums over all vertex subsets, by
-bitmask, of at most 25 vertices.  Arrow sets are the integer masks of
-``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is.
+Genericity, the signs of the stable unions' supports and a chamber's
+sign vector are read in place from one table of the parameter's sums
+over all vertex subsets, by bitmask, of at most 25 vertices; no call
+copies or slices it, or builds another structure of that size but the
+sign vector a chamber is named by.  Arrow sets are the integer masks
+of ``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is.
 Two records, which do not depend on the parameter, are kept on the
 tiling and freed with it: the supports, closed once per arrow mask
 into its ``support_cache``, and the lifted record of the last
@@ -53,7 +55,7 @@ def _theta_check(vertices: Sequence, theta: Sequence) -> None:
         raise ValueError("stability parameter entries must sum to zero")
 
 
-_MAX_SUBSET_SUM_VERTICES = 25  # a table of 25 vertices takes 3.3 GB
+_MAX_SUBSET_SUM_VERTICES = 25  # a 5×5 moduli_fan (25 vertices) peaks at 1.5 GB
 
 
 def _subset_sums(values: Sequence) -> list:
@@ -73,7 +75,8 @@ def _subset_sums(values: Sequence) -> list:
 def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
     """Whether no proper nonempty vertex subset sums to zero."""
     _theta_check(tiling.vertices, theta)
-    return all(_subset_sums(theta)[1:-1])
+    sums = _subset_sums(theta)
+    return all(itertools.islice(sums, 1, len(sums) - 1))
 
 
 def _arrow_mask(tiling: QuiverOnTorus, arrows: Iterable) -> int:
@@ -169,7 +172,7 @@ def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> list:
     parameter; raises DegenerateInputError when it lies on a wall."""
     _theta_check(tiling.vertices, theta)
     sums = _subset_sums(theta)
-    if not all(sums[1:-1]):
+    if not all(itertools.islice(sums, 1, len(sums) - 1)):
         raise DegenerateInputError(_ON_A_WALL)
     return sums
 
@@ -212,7 +215,7 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     empty set, at a generic parameter, checked as by
     :func:`is_theta_stable` when there is a matching to test."""
     sums = _require_generic(tiling, theta) if matchings else ()
-    return _stable_subsets_at(tiling, _lifted(tiling, matchings), sums)
+    return _stable_subsets_at(tiling, _lifted(tiling, matchings), theta, sums)
 
 
 @dataclasses.dataclass(eq=False)
@@ -294,10 +297,12 @@ def _lifted(tiling: QuiverOnTorus, matchings: Sequence) -> _LiftedRecord:
 
 
 def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
-                       sums: Sequence) -> list:
+                       theta: Sequence, sums: Sequence) -> list:
     """:func:`enumerate_stable_subsets` from the tiling's lifted record
-    (:func:`_lifted`) and the subset-sum table (:func:`_subset_sums`) of
-    a generic parameter θ; with no matchings the table is empty.
+    (:func:`_lifted`), a generic parameter θ and its subset-sum table
+    (:func:`_subset_sums`), in which the sign of each distinct support
+    of the structure is read in place, once; with no matchings the
+    table is empty.
 
     Each matching M lifts its point to h(M) = Σ_v θ_v·c_v(M), where
     c_v(M) is the signed count of M's arrows on the default path to v.
@@ -310,11 +315,11 @@ def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
     ConsistencyError, as on a list that lacks a point's least matching
     or a hull corner, or whose points lie on a line.
     """
-    theta = [sums[1 << v] for v in range(len(tiling.vertices))] if sums else []
     out = record.structure(record.hull([dot(c, theta) for c in record.counts]))
-    unstable = {s for s, total in enumerate(sums) if total <= 0}
-    for subset, mask in out[1:]:
-        if not unstable.isdisjoint(_support_masks(tiling, mask)):
+    supports = [_support_masks(tiling, mask) for _, mask in out[1:]]
+    unstable = {s for s in frozenset().union(*supports) if sums[s] <= 0}
+    for (subset, _), masks in zip(out[1:], supports):
+        if not unstable.isdisjoint(masks):
             raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
                                    "on the lower hull is not stable")
     return [subset for subset, _ in out]
@@ -526,7 +531,8 @@ def chamber_decomposition(tiling: QuiverOnTorus,
         out.append(Chamber(
             index=i + 1, representative=theta,
             sign_vector=_sign_vector(order, sums),
-            stable_subsets=tuple(_stable_subsets_at(tiling, record, sums))))
+            stable_subsets=tuple(_stable_subsets_at(tiling, record, theta,
+                                                    sums))))
     return out
 
 

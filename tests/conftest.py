@@ -369,6 +369,19 @@ def chambers_by_name(tilings, matchings_by_name) -> dict:
 
 
 @pytest.fixture(scope="session")
+def four_by_five() -> tuple:
+    """C^3/(Z_4 x Z_5) with its tower, its 1 537 matchings and the
+    parameter theta_i = (-1)^i 2^i for i < 19, the last entry balancing:
+    generic, as a sum of distinct powers of two is zero only when
+    empty."""
+    tiling = bt.load_document(orbifold_text(4, 5))
+    tower = bt.build_lattice_tower(tiling)
+    head = [(-1) ** i * 2 ** i for i in range(len(tiling.vertices) - 1)]
+    return (tiling, tower, bt.enumerate_perfect_matchings(tiling, tower),
+            (*head, -sum(head)))
+
+
+@pytest.fixture(scope="session")
 def spp(tilings):
     return tilings["spp"]
 

@@ -230,6 +230,51 @@ def test_invalid_documents_stop_other_verbs(tmp_path, capsys):
     assert err.startswith("error[matchings:invalid]")
 
 
+SPHERE_DIMER = {  # two parallel edges trace a sphere, not a torus
+    "white": ["w"], "black": ["b"],
+    "edges": [{"id": "e1", "white": "w", "black": "b"},
+              {"id": "e2", "white": "w", "black": "b"}],
+    "rotation": {"w": ["e1", "e2"], "b": ["e1", "e2"]},
+}
+
+
+def test_a_non_toroidal_dimer_fails_validation_like_a_quiver(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "sphere.json"
+    bad.write_text(json.dumps(SPHERE_DIMER))
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert code == 3
+    assert err == "error[validate:invalid] 1 structural violations\n"
+    assert ("  euler                 FAIL: #vertices - #arrows + #faces = 2, "
+            "expected 0\n") in out
+    assert "  nondegenerate         skipped\n" in out
+
+
+def test_a_non_toroidal_dimer_stops_other_verbs(tmp_path, capsys):
+    bad = tmp_path / "sphere.json"
+    bad.write_text(json.dumps(SPHERE_DIMER))
+    code, out, err = run(["matchings", str(bad)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error[matchings:invalid]")
+
+
+def test_a_dimer_node_of_degree_one_exits_two(tmp_path, capsys):
+    doc = {
+        "white": ["w1", "w2"], "black": ["b"],
+        "edges": [{"id": "e1", "white": "w1", "black": "b"},
+                  {"id": "e2", "white": "w2", "black": "b"}],
+        "rotation": {"w1": ["e1"], "w2": ["e2"], "b": ["e1", "e2"]},
+    }
+    bad = tmp_path / "leaf.json"
+    bad.write_text(json.dumps(doc))
+    for verb in ("validate", "matchings"):
+        code, out, err = run([verb, str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error[{verb}:format] node 'w1' has degree < 2\n"
+
+
 def test_theta_length_mismatch_exits_two(capsys):
     code, _, err = run(["fan", SPP, "--theta=1,2"], capsys)
     assert code == 2

@@ -460,6 +460,20 @@ def test_a_four_by_four_moduli_fan_is_pinned():
         "1001fc5c80108167e52724cd58804d01760b1b05f6d90179a527666f2ae88d4f")
 
 
+def test_a_four_by_five_moduli_fan_is_pinned(four_by_five):
+    # As built when theta was read back out of the subset-sum table
+    # and supports were tested against a set of every nonpositive
+    # subset.
+    tiling, _, matchings, theta = four_by_five
+    fan = bt.moduli_fan(tiling, theta, matchings)
+    form = (tuple((r.ray_id, r.vector) for r in fan.rays),
+            tuple((tuple(sorted(c.ray_ids, key=matching_id_key)), c.dim)
+                  for c in fan.cones))
+    assert (len(fan.rays), len(fan.cones)) == (16, 72)
+    assert hashlib.sha256(repr(form).encode()).hexdigest() == (
+        "fefec84383eccbdc58d29890f44959720d206cd15ac73704b423c93344c32bbe")
+
+
 @pytest.mark.parametrize("n, m, classes", [(2, 2, 4), (1, 5, 1)])
 def test_only_the_quotient_route_validates_fans(n, m, classes, monkeypatch):
     # The moduli side's structures carry their own certificate, so

@@ -240,6 +240,62 @@ def test_subset_sums_past_the_vertex_budget_are_refused(check):
         check(tiling, theta)
 
 
+class GuardedTable(list):
+    """A subset-sum table that refuses to be sliced or copied and counts
+    the passes made over it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.passes = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError(f"the table was sliced: {key}")
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.passes += 1
+        return super().__reversed__()
+
+    def copy(self):
+        raise AssertionError("the table was copied")
+
+
+def test_a_stability_call_reads_its_table_in_place(monkeypatch, tilings,
+                                                   towers):
+    # The subset-sum table is the only structure of size 2^n a stability
+    # call holds: no call slices or copies it, and none walks it twice.
+    tables = []
+
+    def guarded(values):
+        tables.append(GuardedTable(real(values)))
+        return tables[-1]
+
+    real = stability._subset_sums
+    monkeypatch.setattr(stability, "_subset_sums", guarded)
+    three = bt.load_document(orbifold_text(3, 3))
+    cases = [(tilings["z2z2"], towers["z2z2"]),
+             (three, bt.build_lattice_tower(three))]
+    for tiling, tower in cases:
+        matchings = bt.enumerate_perfect_matchings(tiling, tower)
+        thetas = ([c.representative
+                   for c in bt.chamber_decomposition(tiling, matchings)]
+                  if len(tiling.vertices) <= 6
+                  else seeded_generic_thetas(tiling, 2, seed=24))
+        for theta in thetas:
+            assert bt.is_generic(tiling, theta)
+            bt.is_theta_stable(tiling, matchings[0].arrows, theta)
+            bt.enumerate_stable_subsets(tiling, theta, matchings)
+            bt.moduli_fan(tiling, theta, matchings)
+            bt.tilting_collection(tiling, tower, theta, matchings)
+    assert len(tables) > 32
+    assert max(table.passes for table in tables) <= 1
+
+
 def test_stability_rejects_wrong_parameter_length(spp):
     with pytest.raises(ValueError):
         bt.is_theta_stable(spp, frozenset(), (1, -1))

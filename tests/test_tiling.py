@@ -233,17 +233,19 @@ def test_extract_dimer_rejects_an_arrow_without_one_face_per_sign(
         bt.extract_dimer(tiling)
 
 
-def test_dualize_rejects_non_toroidal_embeddings():
+def test_validate_rejects_the_dual_of_a_non_toroidal_embedding():
     # one white and one black node joined by two parallel edges traces
-    # a sphere, not a torus
+    # a sphere, not a torus; the dual is built and fails only the
+    # Euler rule, as a quiver document of that shape would
     doc = {
         "white": ["w"], "black": ["b"],
         "edges": [{"id": "e1", "white": "w", "black": "b"},
                   {"id": "e2", "white": "w", "black": "b"}],
         "rotation": {"w": ["e1", "e2"], "b": ["e1", "e2"]},
     }
-    with pytest.raises(bt.ConsistencyError):
-        bt.dualize_dimer(bt.parse_dimer(json.dumps(doc)))
+    report = bt.validate(bt.dualize_dimer(bt.parse_dimer(json.dumps(doc))))
+    assert report.violations == (
+        ("euler", "#vertices - #arrows + #faces = 2, expected 0"),)
 
 
 def test_parse_dimer_rejects_malformed_rotations():

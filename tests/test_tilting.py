@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -341,3 +342,16 @@ def test_lists_without_a_hull_corner_are_refused_or_filtered(
                                               short).ray_ids) == want
             seen.add("filtered")
     assert "refused" in seen and ("filtered" in seen or name == "honeycomb")
+
+
+def test_a_four_by_five_tilting_collection_is_pinned(four_by_five):
+    # As built when theta was read back out of the subset-sum table
+    # and supports were tested against a set of every nonpositive
+    # subset.
+    tiling, tower, matchings, theta = four_by_five
+    collection = bt.tilting_collection(tiling, tower, theta, matchings)
+    form = (collection.ray_ids, collection.divisors, collection.classes,
+            collection.presentation.torsion, collection.presentation.rank)
+    assert len(collection.ray_ids) == 16
+    assert hashlib.sha256(repr(form).encode()).hexdigest() == (
+        "d7e21a6a641d4dce40583cfc6fed9de8596affa0c8b1d0bb5a121513546748e4")
