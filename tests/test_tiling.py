@@ -233,7 +233,7 @@ def test_extract_dimer_rejects_an_arrow_without_one_face_per_sign(
         bt.extract_dimer(tiling)
 
 
-def test_validate_rejects_the_dual_of_a_non_toroidal_embedding():
+def test_dualize_rejects_non_toroidal_embeddings():
     # one white and one black node joined by two parallel edges traces
     # a sphere, not a torus; the dual is built and fails only the
     # Euler rule, as a quiver document of that shape would
