@@ -31,7 +31,8 @@ from .fan import check_smooth, git_equivalence_classes, moduli_fan, triangulatio
 from .lattice import build_lattice_tower
 from .matchings import (enumerate_perfect_matchings, matching_id_key,
                         toric_diagram)
-from .stability import chamber_decomposition
+from .stability import (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES,
+                        chamber_decomposition)
 from .svg import render_diagram_svg
 from .tiling import load_document, make_weak_path, validate
 from .tilting import (default_paths, graded_sections_count, tilting_collection)
@@ -43,12 +44,12 @@ exit codes:
   2  usage error or malformed input document
   3  validation failure (structural rules, or an arrow in no matching)
   4  degenerate input (parameter on a wall, a singular fan, or more
-     than 6 vertices for chambers or 25 for a parameter's subset sums)
+     than %d vertices for chambers or %d for a parameter's subset sums)
   5  internal consistency violation
   6  input file unreadable
 
 errors print one stderr line:  error[<verb>:<class>] message
-"""
+""" % (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES)
 
 _RULES = ("arrow-face-incidence", "face-cycle", "euler", "face-length",
           "connected")

@@ -18,12 +18,12 @@ over all vertex subsets, by bitmask, of at most 25 vertices; no call
 copies or slices it, or builds another structure of that size but the
 sign vector a chamber is named by.  Arrow sets are the integer masks
 of ``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is.
-Two records, which do not depend on the parameter, are kept on the
-tiling and freed with it: the supports, closed once per arrow mask
-into its ``support_cache``, and the lifted record of the last
-matchings list, in its ``lifted_cache`` (see :func:`_lifted`), which
-every stable structure of that list reads.  Nothing else is kept
-between calls.
+One record, which does not depend on the parameter, is kept on the
+tiling and freed with it: the lifted record of the last matchings list,
+in its ``lifted_cache`` (see :func:`_lifted`), which every stable
+structure of that list reads, with the support masks of each hull
+structure.  :func:`submodule_supports` closes the supports of its arrow
+set on every call, and nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -115,40 +115,22 @@ def is_w_compatible(tiling: QuiverOnTorus, arrows: Iterable) -> bool:
     return True
 
 
-def _support_masks(tiling: QuiverOnTorus, arrows: int) -> frozenset:
-    """The bitmasks (bit i is vertex i) of the supports of an arrow mask
-    (bit k is the tiling's k-th arrow), closed once per tiling and kept
-    in its support cache."""
-    memo = tiling.support_cache
-    found = memo.get(arrows)
-    if found is None:
-        found = memo[arrows] = _close_supports(tiling, arrows)
-    return found
-
-
 def _close_supports(tiling: QuiverOnTorus, arrows: int) -> frozenset:
     """The support masks of an arrow mask: the unions of reachability
     closures.  Each vertex generates the set of vertices reachable from
-    it along the arrows outside the set, and the supports are the
-    proper nonempty members of the union-closure of these."""
+    it along the arrows outside the set, found by Warshall's transitive
+    closure on bitmasks, and the supports are the proper nonempty
+    members of the union-closure of these."""
     n = len(tiling.vertices)
-    index = {v: i for i, v in enumerate(tiling.vertices)}
-    succ = [[] for _ in range(n)]
-    for a in tiling.arrows:
-        if not arrows >> tiling.arrow_bits[a.arrow_id] & 1:
-            succ[index[a.source]].append(index[a.target])
-    generators = set()
-    for v in range(n):
-        mask = 1 << v
-        stack = [v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if not mask >> w & 1:
-                    mask |= 1 << w
-                    stack.append(w)
-        generators.add(mask)
+    reach = [1 << v for v in range(n)]
+    for k, (source, target) in enumerate(tiling._arrow_ends):
+        if not arrows >> k & 1:
+            reach[source] |= 1 << target
+    for k in range(n):  # paths may now pass through vertex k
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
     closed = {0}
-    for g in generators:
+    for g in set(reach):
         closed |= {c | g for c in closed}
     return frozenset(closed - {0, (1 << n) - 1})
 
@@ -157,7 +139,7 @@ def submodule_supports(tiling: QuiverOnTorus, arrows: Iterable) -> list:
     """Proper nonempty vertex subsets closed under the arrows *outside*
     the given arrow set, sorted by (size, sorted vertex ids).  Raises
     ValueError on an arrow id the tiling does not have."""
-    supports = _support_masks(tiling, _arrow_mask(tiling, arrows))
+    supports = _close_supports(tiling, _arrow_mask(tiling, arrows))
     out = [frozenset(v for i, v in enumerate(tiling.vertices) if mask >> i & 1)
            for mask in supports]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
@@ -213,8 +195,8 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
                              matchings: Sequence) -> list:
     """All stable unions of up to three perfect matchings, plus the
     empty set, at a generic parameter, checked as by
-    :func:`is_theta_stable` when there is a matching to test."""
-    sums = _require_generic(tiling, theta) if matchings else ()
+    :func:`is_theta_stable`."""
+    sums = _require_generic(tiling, theta)
     return _stable_subsets_at(tiling, _lifted(tiling, matchings), theta, sums)
 
 
@@ -226,9 +208,13 @@ class _LiftedRecord:
     ``counts``, each matching's signed counts c_v(M) per vertex;
     ``hull``, the :func:`_lower_hull` of their points; and the memos
     ``faces``, a hull face's ``(StableSubset, arrow mask)`` by its
-    matching indices, and ``structures``, the sorted faces of each
-    ``(least, triangles)``.  It holds no reference to the tiling, so the
-    tiling that keeps it is freed by reference counting alone.
+    matching indices, ``closed``, a hull triangle's support masks by
+    its arrow mask, and ``structures``, each ``(least, triangles)``'s
+    sorted faces and the union of its triangles' supports (with no
+    triangle, its least matching's): as supports grow with the arrow
+    set, that union holds every face's.  It holds no reference to the
+    tiling, so the tiling that keeps it is freed by reference counting
+    alone.
     """
 
     key: list
@@ -236,6 +222,7 @@ class _LiftedRecord:
     counts: tuple
     hull: object
     faces: dict = dataclasses.field(default_factory=dict)
+    closed: dict = dataclasses.field(default_factory=dict)
     structures: dict = dataclasses.field(default_factory=dict)
 
     def subset_of(self, face: tuple) -> tuple:
@@ -250,18 +237,24 @@ class _LiftedRecord:
             self.faces[face] = found
         return found
 
-    def structure(self, hull: tuple) -> tuple:
+    def structure(self, tiling: QuiverOnTorus, hull: tuple) -> tuple:
         """The empty set, then the faces of a ``(least, triangles)``
-        hull by (dim, ids), each with its arrow mask."""
+        hull by (dim, ids), each with its arrow mask; and the support
+        masks of its triangles, each closed on the tiling once."""
         found = self.structures.get(hull)
         if found is None:
             least, triangles = hull
             faces = {(i,) for i in least} | {
                 face for t in triangles for r in (1, 2, 3)
                 for face in itertools.combinations(sorted(t), r)}
-            found = self.structures[hull] = tuple(sorted(
-                map(self.subset_of, [(), *faces]),
-                key=lambda e: (e[0].dim, e[0].matching_ids)))
+            masks = {self.subset_of(tuple(sorted(t)))[1]
+                     for t in triangles or [(i,) for i in least]}
+            for mask in masks - self.closed.keys():
+                self.closed[mask] = _close_supports(tiling, mask)
+            entries = sorted(map(self.subset_of, [(), *faces]),
+                             key=lambda e: (e[0].dim, e[0].matching_ids))
+            supports = frozenset().union(*map(self.closed.get, masks))
+            found = self.structures[hull] = tuple(entries), supports
         return found
 
 
@@ -280,10 +273,9 @@ def _lifted(tiling: QuiverOnTorus, matchings: Sequence) -> _LiftedRecord:
     order = tuple(tiling.arrow_bits)
     for m in matchings:
         if m.arrow_order != order:
-            unknown = m.arrows - tiling.arrow_bits.keys()
-            raise ValueError(f"unknown arrow id {min(unknown, key=str)!r}"
-                             if unknown else f"{m.matching_id} is a "
-                             "matching of another tiling's arrow ids")
+            _arrow_mask(tiling, m.arrows)
+            raise ValueError(f"{m.matching_id} is a matching of another "
+                             "tiling's arrow ids")
     # A default path steps along an arrow at most once, so c_v(M) is a
     # difference of bit counts.
     signed = [[_arrow_mask(tiling, [a for a, exp in path.steps if exp == e])
@@ -300,9 +292,7 @@ def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
                        theta: Sequence, sums: Sequence) -> list:
     """:func:`enumerate_stable_subsets` from the tiling's lifted record
     (:func:`_lifted`), a generic parameter θ and its subset-sum table
-    (:func:`_subset_sums`), in which the sign of each distinct support
-    of the structure is read in place, once; with no matchings the
-    table is empty.
+    (:func:`_subset_sums`), read in place at the structure's supports.
 
     Each matching M lifts its point to h(M) = Σ_v θ_v·c_v(M), where
     c_v(M) is the signed count of M's arrows on the default path to v.
@@ -310,18 +300,20 @@ def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
     the stable pairs and triples are the edges and triangles of the
     lower hull (Ishii & Ueda, arXiv:0710.1898; Cox, Little & Schenck,
     *Toric Varieties*, ch. 14).  The checks of :func:`_lower_hull` and
-    the support test of every union it reports certify the structure as
-    the union search's over the same matchings, or raise
-    ConsistencyError, as on a list that lacks a point's least matching
-    or a hull corner, or whose points lie on a line.
+    one sign test of the structure's supports, which hold every support
+    of every union it reports, certify the structure as the union
+    search's over the same matchings, or raise ConsistencyError (naming
+    the first unstable union in order), as on a list that lacks a
+    point's least matching or a hull corner, or whose points lie on a
+    line.
     """
-    out = record.structure(record.hull([dot(c, theta) for c in record.counts]))
-    supports = [_support_masks(tiling, mask) for _, mask in out[1:]]
-    unstable = {s for s in frozenset().union(*supports) if sums[s] <= 0}
-    for (subset, _), masks in zip(out[1:], supports):
-        if not unstable.isdisjoint(masks):
-            raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
-                                   "on the lower hull is not stable")
+    out, supports = record.structure(
+        tiling, record.hull([dot(c, theta) for c in record.counts]))
+    if any(sums[s] <= 0 for s in supports):
+        subset = next(subset for subset, mask in out[1:] if any(
+            sums[s] <= 0 for s in _close_supports(tiling, mask)))
+        raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
+                               "on the lower hull is not stable")
     return [subset for subset, _ in out]
 
 

@@ -57,7 +57,7 @@ class QuiverOnTorus:
     arrows: tuple
     faces: tuple
 
-    # Indexes and the stability caches are built on first use and kept
+    # Indexes and the stability record are built on first use and kept
     # on the instance, so they are freed with it and never shared between
     # equal tilings; equality still compares the fields.
     @functools.cached_property
@@ -69,8 +69,10 @@ class QuiverOnTorus:
         return {aid: k for k, aid in enumerate(sorted(self.arrow_map))}
 
     @functools.cached_property
-    def support_cache(self) -> dict:  # arrow mask -> its support masks
-        return {}
+    def _arrow_ends(self) -> list:  # (source, target) indices by arrow bit
+        index = {v: i for i, v in enumerate(self.vertices)}
+        ends = [self.arrow_map[aid] for aid in self.arrow_bits]
+        return [(index[a.source], index[a.target]) for a in ends]
 
     @functools.cached_property
     def lifted_cache(self) -> list:  # at most one: the last list's record
@@ -105,9 +107,6 @@ class WeakPath:
     source: str
     target: str
     steps: tuple
-
-    def arrow_ids(self) -> tuple:
-        return tuple(aid for aid, _ in self.steps)
 
 
 def make_weak_path(tiling: QuiverOnTorus, steps: Sequence, source: str | None = None) -> WeakPath:
@@ -186,25 +185,21 @@ def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fail(msg: str) -> TilingFormatError:
-    return TilingFormatError(msg)
-
-
 def _load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                    f"{exc.msg}") from exc
+        raise TilingFormatError(f"invalid JSON at line {exc.lineno}, column "
+                                f"{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise _fail("top-level JSON value must be an object")
+        raise TilingFormatError("top-level JSON value must be an object")
     return doc
 
 
 def _string_list(doc: dict, key: str) -> list:
     value = doc.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise _fail(f"{key!r} must be a list of strings")
+        raise TilingFormatError(f"{key!r} must be a list of strings")
     return value
 
 
@@ -214,19 +209,20 @@ def _records(doc: dict, key: str, noun: str, *fields: str):
     strings and that its id (the first field) is unique.  The caller
     checks each record's references as it is yielded."""
     if not isinstance(doc[key], list):
-        raise _fail(f"{key!r} must be a list")
+        raise TilingFormatError(f"{key!r} must be a list")
     seen = set()
     for entry in doc[key]:
         if not isinstance(entry, dict):
-            raise _fail(f"each {noun} must be an object")
+            raise TilingFormatError(f"each {noun} must be an object")
         try:
             values = tuple(entry[field] for field in fields)
         except KeyError as exc:
-            raise _fail(f"{noun} missing key {exc.args[0]!r}") from exc
+            raise TilingFormatError(
+                f"{noun} missing key {exc.args[0]!r}") from exc
         if not all(isinstance(x, str) for x in values):
-            raise _fail(f"{noun} fields must be strings")
+            raise TilingFormatError(f"{noun} fields must be strings")
         if values[0] in seen:
-            raise _fail(f"duplicate {noun} id {values[0]!r}")
+            raise TilingFormatError(f"duplicate {noun} id {values[0]!r}")
         seen.add(values[0])
         yield values
 
@@ -244,11 +240,11 @@ def parse_tiling(text: str) -> QuiverOnTorus:
 def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
     for key in ("vertices", "arrows", "faces"):
         if key not in doc:
-            raise _fail(f"missing key {key!r}")
+            raise TilingFormatError(f"missing key {key!r}")
 
     vertices = _string_list(doc, "vertices")
     if len(set(vertices)) != len(vertices):
-        raise _fail("duplicate vertex id")
+        raise TilingFormatError("duplicate vertex id")
 
     arrows = []
     for aid, src, tgt in _records(doc, "arrows", "arrow", "id", "src", "tgt"):
@@ -258,17 +254,18 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
 
     faces = []
     if not isinstance(doc["faces"], list):
-        raise _fail("'faces' must be a list")
+        raise TilingFormatError("'faces' must be a list")
     for n, entry in enumerate(doc["faces"]):
         if not isinstance(entry, dict):
-            raise _fail("each face must be an object")
+            raise TilingFormatError("each face must be an object")
         sign = entry.get("sign")
         cycle = entry.get("cycle")
         if sign not in ("+", "-"):
-            raise _fail(f"face {n} sign must be '+' or '-'")
+            raise TilingFormatError(f"face {n} sign must be '+' or '-'")
         if (not isinstance(cycle, list) or not cycle
                 or not all(isinstance(x, str) for x in cycle)):
-            raise _fail(f"face {n} cycle must be a nonempty list of arrow ids")
+            raise TilingFormatError(
+                f"face {n} cycle must be a nonempty list of arrow ids")
         _check_cycle(n, cycle, known)
         faces.append(Face(sign=1 if sign == "+" else -1, arrows=tuple(cycle)))
 
@@ -278,13 +275,15 @@ def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
 
 def _check_arrow(arrow: Arrow, vertices) -> None:
     if arrow.source not in vertices or arrow.target not in vertices:
-        raise _fail(f"arrow {arrow.arrow_id!r} references an unknown vertex")
+        raise TilingFormatError(
+            f"arrow {arrow.arrow_id!r} references an unknown vertex")
 
 
 def _check_cycle(n: int, cycle: Sequence, known) -> None:
     for aid in cycle:
         if aid not in known:
-            raise _fail(f"face {n} references unknown arrow {aid!r}")
+            raise TilingFormatError(
+                f"face {n} references unknown arrow {aid!r}")
 
 
 def serialize_tiling(tiling: QuiverOnTorus) -> str:
@@ -340,25 +339,25 @@ def parse_dimer(text: str) -> DimerGraph:
 def _dimer_from_doc(doc: dict) -> DimerGraph:
     for key in ("white", "black", "edges", "rotation"):
         if key not in doc:
-            raise _fail(f"missing key {key!r}")
+            raise TilingFormatError(f"missing key {key!r}")
 
     white = _string_list(doc, "white")
     black = _string_list(doc, "black")
     nodes = white + black
     if len(set(nodes)) != len(nodes):
-        raise _fail("duplicate node id")
+        raise TilingFormatError("duplicate node id")
 
     edges = []
     for eid, w, b in _records(doc, "edges", "edge", "id", "white", "black"):
         if w not in white:
-            raise _fail(f"edge {eid!r}: unknown white node {w!r}")
+            raise TilingFormatError(f"edge {eid!r}: unknown white node {w!r}")
         if b not in black:
-            raise _fail(f"edge {eid!r}: unknown black node {b!r}")
+            raise TilingFormatError(f"edge {eid!r}: unknown black node {b!r}")
         edges.append(DimerEdge(edge_id=eid, white=w, black=b))
 
     rotation_doc = doc["rotation"]
     if not isinstance(rotation_doc, dict):
-        raise _fail("'rotation' must be an object")
+        raise TilingFormatError("'rotation' must be an object")
     incident = {node: [] for node in nodes}
     for e in edges:
         incident[e.white].append(e.edge_id)
@@ -367,16 +366,18 @@ def _dimer_from_doc(doc: dict) -> DimerGraph:
     for node in nodes:
         cycle = rotation_doc.get(node)
         if cycle is None:
-            raise _fail(f"rotation missing node {node!r}")
+            raise TilingFormatError(f"rotation missing node {node!r}")
         if not isinstance(cycle, list) or not all(isinstance(x, str) for x in cycle):
-            raise _fail(f"rotation at {node!r} must be a list of edge ids")
+            raise TilingFormatError(
+                f"rotation at {node!r} must be a list of edge ids")
         if sorted(cycle) != sorted(incident[node]):
-            raise _fail(
+            raise TilingFormatError(
                 f"rotation at {node!r} must list each incident edge exactly once")
         rotation.append((node, tuple(cycle)))
     extra = set(rotation_doc) - set(nodes)
     if extra:
-        raise _fail(f"rotation lists unknown node {sorted(extra)[0]!r}")
+        raise TilingFormatError(
+            f"rotation lists unknown node {sorted(extra)[0]!r}")
 
     return DimerGraph(white=tuple(white), black=tuple(black),
                       edges=tuple(edges), rotation=tuple(rotation))
@@ -397,7 +398,7 @@ def dualize_dimer(graph: DimerGraph) -> QuiverOnTorus:
     rotation = graph.rotation_map()
     for node, cycle in rotation.items():
         if len(cycle) < 2:
-            raise _fail(f"node {node!r} has degree < 2")
+            raise TilingFormatError(f"node {node!r} has degree < 2")
     by_id = {e.edge_id: e for e in graph.edges}
     whites = set(graph.white)
 
@@ -706,5 +707,5 @@ def load_document(text: str) -> QuiverOnTorus:
         return _tiling_from_doc(doc)
     if "white" in doc or "black" in doc:
         return dualize_dimer(_dimer_from_doc(doc))
-    raise _fail("document is neither a quiver (no 'vertices' key) "
-                "nor a dimer graph (no 'white'/'black' keys)")
+    raise TilingFormatError("document is neither a quiver (no 'vertices' key) "
+                            "nor a dimer graph (no 'white'/'black' keys)")

@@ -292,7 +292,7 @@ def reference_stable_subsets(tiling, theta, matchings) -> list:
     masks = [m.mask for m in matchings]
 
     def is_stable(union: int) -> bool:
-        return unstable.isdisjoint(stability._support_masks(tiling, union))
+        return unstable.isdisjoint(stability._close_supports(tiling, union))
 
     stable = [mask for mask in masks if is_stable(mask)]
     found = dict.fromkeys([0, *stable])

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from branetile import stability
 from branetile.cli import main
 
 from conftest import QUIVER_FIXTURES, fixture_path, fixture_text, orbifold_text
@@ -193,6 +194,14 @@ def test_tilting_svg_is_wellformed(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------
+
+def test_the_exit_code_help_names_the_vertex_limits(capsys):
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0
+    assert (f"more than {stability._MAX_CHAMBER_VERTICES} vertices for "
+            f"chambers or {stability._MAX_SUBSET_SUM_VERTICES} for a "
+            f"parameter's subset sums") in " ".join(out.split())
+
 
 def test_missing_input_exits_six(capsys):
     code, out, err = run(["validate", "no-such-file.json"], capsys)

@@ -1,10 +1,12 @@
-"""The per-tiling moduli record: the support masks of each arrow mask,
-closed once per tiling in its ``support_cache``, and the lifted record
-of the last matchings list in its ``lifted_cache`` (the θ-free half of
-every stable structure), both kept on the tiling and freed with it.
+"""The per-tiling moduli record: the lifted record of the last matchings
+list, in the tiling's ``lifted_cache``, which holds the θ-free half of
+every stable structure, with one set of support masks per hull
+structure, its triangles' supports closed once per record.  It is the
+only stability result the tiling keeps, and it is freed with the
+tiling; ``submodule_supports`` keeps nothing between calls.
 
 Every answer read from a record must equal the answer on a freshly
-loaded copy of the document, whose records start empty."""
+loaded copy of the document, whose record starts empty."""
 
 from __future__ import annotations
 
@@ -27,6 +29,13 @@ def outcome(function, *args):
         return function(*args)
     except (bt.ConsistencyError, bt.DegenerateInputError, ValueError) as e:
         return type(e), str(e)
+
+
+def kept_on(tiling) -> set:
+    """What the tiling keeps on its instance besides its fields and the
+    indexes it builds once."""
+    return set(vars(tiling)) - {"vertices", "arrows", "faces", "arrow_map",
+                                "arrow_bits", "_arrow_ends", "_faces_by_arrow"}
 
 
 def moduli_answers(tiling, tower, theta, matchings, chamber) -> tuple:
@@ -54,7 +63,8 @@ def test_one_shared_tiling_answers_as_a_fresh_tiling_per_chamber(document):
         assert moduli_answers(shared, tower, theta, matchings, chamber) \
             == moduli_answers(bt.load_document(text), tower, theta,
                               matchings, chamber)
-    assert shared.support_cache and shared.lifted_cache
+    assert shared.lifted_cache
+    assert kept_on(shared) == {"lifted_cache"}
 
 
 def test_a_shorter_list_replaces_the_record_and_answers_as_fresh():
@@ -104,15 +114,14 @@ def test_equal_tilings_do_not_share_a_record():
     matchings = bt.enumerate_perfect_matchings(first)
     theta = bt.chamber_decomposition(first, matchings)[0].representative
     bt.moduli_fan(first, theta, matchings)
-    assert first.support_cache and first.lifted_cache
-    assert second.support_cache is not first.support_cache
+    assert first.lifted_cache and kept_on(first) == {"lifted_cache"}
     assert second.lifted_cache is not first.lifted_cache
-    assert second.support_cache == {} and second.lifted_cache == []
+    assert second.lifted_cache == []
 
 
 def test_the_record_is_freed_with_its_tiling():
     # with the cyclic collector off, reference counting alone frees the
-    # tiling and its records: nothing in them refers back to the tiling
+    # tiling and its record: nothing in it refers back to the tiling
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -124,9 +133,8 @@ def test_the_record_is_freed_with_its_tiling():
         theta = chambers[0].representative
         bt.moduli_fan(tiling, theta, matchings)
         bt.tilting_collection(tiling, tower, theta, matchings)
-        # the records are attributes of the instance, so they go with it
-        assert tiling.support_cache and "support_cache" in vars(tiling)
-        assert tiling.lifted_cache and "lifted_cache" in vars(tiling)
+        # the record is an attribute of the instance, so it goes with it
+        assert tiling.lifted_cache and kept_on(tiling) == {"lifted_cache"}
         refs = [weakref.ref(tiling), weakref.ref(tiling.lifted_cache[0])]
         del tiling
         assert [ref() for ref in refs] == [None, None]
@@ -135,7 +143,7 @@ def test_the_record_is_freed_with_its_tiling():
             gc.enable()
 
 
-def test_each_arrow_mask_is_closed_once(monkeypatch):
+def test_each_hull_triangle_is_closed_once_per_record(monkeypatch):
     tiling = bt.load_document(document_text("z2z2"))
     tower = bt.build_lattice_tower(tiling)
     matchings = bt.enumerate_perfect_matchings(tiling, tower)
@@ -153,14 +161,30 @@ def test_each_arrow_mask_is_closed_once(monkeypatch):
         theta = chamber.representative
         bt.moduli_fan(tiling, theta, matchings)
         bt.enumerate_stable_subsets(tiling, theta, matchings)
-        bt.tilting_collection(tiling, tower, theta, matchings)
-        for m in matchings:
-            bt.submodule_supports(tiling, m.arrows)
     bt.git_equivalence_classes(tiling, chambers, matchings)
 
+    # supports grow with the arrow set, so only the triangles are closed:
+    # no single matching or pair, and no triangle twice
+    masks = {m.matching_id: m.mask for m in matchings}
+    triangles = {masks[a] | masks[b] | masks[c] for chamber in chambers
+                 for a, b, c in chamber.stable_triples}
     assert len(chambers) == 32
-    assert sorted(closed) == sorted(set(closed))
-    assert set(closed) == tiling.support_cache.keys()
+    assert sorted(closed) == sorted(triangles)
+    (record,) = tiling.lifted_cache
+    assert record.closed.keys() == triangles
+
+    # submodule_supports closes its arrow set on every call and keeps
+    # nothing: the record and the tiling are as they were
+    kept = dict(record.closed), kept_on(tiling)
+    theta = chambers[0].representative
+    for m in matchings:
+        closed.clear()
+        bt.submodule_supports(tiling, m.arrows)
+        bt.is_theta_stable(tiling, m.arrows, theta)
+        assert closed == [m.mask, m.mask]
+    bt.tilting_collection(tiling, tower, theta, matchings)
+    assert (record.closed, kept_on(tiling)) == kept
+    assert tiling.lifted_cache == [record]
 
 
 def test_the_hull_candidates_are_built_once(monkeypatch):

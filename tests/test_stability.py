@@ -469,11 +469,19 @@ def test_stable_subsets_match_a_direct_union_search_at_drawn_parameters(
 
 def test_stable_subsets_check_the_parameter_once_there_is_a_matching(
         spp, matchings_by_name):
-    wall = (0, 1, -1)
-    with pytest.raises(bt.DegenerateInputError):
-        bt.enumerate_stable_subsets(spp, wall, matchings_by_name["spp"])
-    assert [s.arrows for s in bt.enumerate_stable_subsets(spp, wall, [])] \
-        == [frozenset()]
+    # and also with no matching: a wall, a wrong length and a float entry
+    # are refused as by every other stability call
+    refusals = [((0, 1, -1), bt.DegenerateInputError, "lies on a wall"),
+                ((1, 2), ValueError, "has 2 entries for 3 vertices"),
+                ((0.5, 0.5, -1.0), ValueError, "integers or Fractions")]
+    for matchings in (matchings_by_name["spp"], []):
+        for theta, error, message in refusals:
+            with pytest.raises(error, match=message):
+                bt.enumerate_stable_subsets(spp, theta, matchings)
+            with pytest.raises(error, match=message):
+                bt.moduli_fan(spp, theta, matchings)
+    empty = bt.enumerate_stable_subsets(spp, (-2, 1, 1), [])
+    assert [s.arrows for s in empty] == [frozenset()]
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)

@@ -286,7 +286,7 @@ def test_make_weak_path_composes_steps(spp):
     path = bt.make_weak_path(spp, [("12", 1), ("23", 1), ("31", 1)])
     assert path.source == "1"
     assert path.target == "1"
-    assert path.arrow_ids() == ("12", "23", "31")
+    assert tuple(aid for aid, _ in path.steps) == ("12", "23", "31")
 
 
 def test_make_weak_path_inverse_steps_reverse_direction(spp):
