@@ -17,10 +17,9 @@ the condition that all pairwise intersections are common faces.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import lattice, rational
 from .errors import ConsistencyError, DegenerateInputError
@@ -30,20 +29,17 @@ from .stability import _theta_check, enumerate_stable_subsets
 from .tiling import QuiverOnTorus
 
 
-@dataclasses.dataclass(frozen=True)
-class FanRay:
+class FanRay(NamedTuple):
     ray_id: str
     vector: tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class FanCone:
+class FanCone(NamedTuple):
     ray_ids: frozenset
     dim: int
 
 
-@dataclasses.dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     rays: tuple
     cones: tuple
 
@@ -239,8 +235,7 @@ def check_smooth(fan: Fan) -> bool:
     return True
 
 
-@dataclasses.dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """The triangulation of the toric diagram induced by a smooth fan."""
 
     triangles: tuple  # of sorted ray-id triples

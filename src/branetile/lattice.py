@@ -24,7 +24,6 @@ lattices used everywhere else in the package:
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 from operator import mul
 from typing import Sequence
@@ -239,7 +238,6 @@ def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]) -> list[i
 # the lattice tower
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class LatticeTower:
     """Presentation of the weight lattice of a tiling and its degree map.
 
@@ -258,17 +256,29 @@ class LatticeTower:
             ``Z^k``.
         section: (1 + #arrows) x k right inverse of ``projection``;
             functionals on the ambient group descend along it.
+
+    A plain class, not a named tuple: a tower equals only itself, and
+    the quotient route keeps its per-tower record under a weak reference
+    to it.  Its fields are read-only.
     """
 
-    vertex_ids: tuple
-    arrow_ids: tuple
-    rank: int
-    weights: dict
-    face_cycle_weight: tuple
-    degree_matrix: tuple
-    kernel_basis: tuple
-    projection: tuple
-    section: tuple
+    def __init__(self, vertex_ids: tuple, arrow_ids: tuple, rank: int,
+                 weights: dict, face_cycle_weight: tuple,
+                 degree_matrix: tuple, kernel_basis: tuple,
+                 projection: tuple, section: tuple) -> None:
+        vars(self).update(
+            vertex_ids=vertex_ids, arrow_ids=arrow_ids, rank=rank,
+            weights=weights, face_cycle_weight=face_cycle_weight,
+            degree_matrix=degree_matrix, kernel_basis=kernel_basis,
+            projection=projection, section=section)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"cannot assign {type(value).__name__} to field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"LatticeTower({fields})"
 
     @property
     def degree_rank(self) -> int:

@@ -16,18 +16,16 @@ and each is kept as one int too, the mask of its arrows in the order of
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice, rational
 from .errors import ConsistencyError
 from .tiling import QuiverOnTorus
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PerfectMatching:
+class PerfectMatching(NamedTuple):
     """A perfect matching with its weight-lattice functional.
 
     Attributes:
@@ -302,8 +300,7 @@ def lattice_points_in_hull(hull: Sequence) -> list:
 # the toric diagram
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class ToricDiagram:
+class ToricDiagram(NamedTuple):
     """The multiset of matching points in the plane.
 
     Attributes:

@@ -23,11 +23,10 @@ normals are primitive integer tuples, inequalities are ``a . x >= b``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import ceil, floor, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from . import lattice, rational
@@ -37,8 +36,7 @@ from .matchings import matching_id_key
 from .stability import _theta_check
 
 
-@dataclasses.dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(NamedTuple):
     """A rational polyhedron carrying both of its descriptions.
 
     ``vertices`` lists one point per minimal face (honest vertices when
@@ -133,8 +131,7 @@ def polyhedron_from_inequalities(inequalities: Sequence,
 # face lattice
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class PolyFace:
+class PolyFace(NamedTuple):
     """A face, identified by its maximal active inequality set."""
 
     active: tuple      # sorted indices into the inequality list
@@ -207,7 +204,6 @@ def integer_points(poly: Polyhedron) -> list:
 # the weight cone and its stability shifts
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(eq=False)
 class _TowerRecord:
     """What the quotient route learns about one tower.  Each inner key
     is the value of an input the stability shift does not change, so
@@ -221,12 +217,10 @@ class _TowerRecord:
     equality.
     """
 
-    cone: "Polyhedron | None" = None
-    ranks: dict = dataclasses.field(default_factory=dict)
-    splitters: dict = dataclasses.field(default_factory=dict)
-    valid_fans: set = dataclasses.field(default_factory=set)
-    last_slice: tuple = (None, None, None)
-    last_fan: tuple = (None, None, None)
+    def __init__(self) -> None:
+        self.cone: "Polyhedron | None" = None
+        self.ranks, self.splitters, self.valid_fans = {}, {}, set()
+        self.last_slice = self.last_fan = (None, None, None)
 
 
 # Towers compare by identity, so a record is freed with its tower.
@@ -313,8 +307,7 @@ def kernel_polytope(tower, shifted: Polyhedron) -> Polyhedron:
 # faces meeting the slice, and the quotient fan
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class LiftedFace:
+class LiftedFace(NamedTuple):
     """A face of the kernel slice together with its ambient lift.
 
     ``active`` indexes the shared inequality list; the lift is the
@@ -498,8 +491,7 @@ def quotient_fan(tower, shifted: Polyhedron,
 # descent of support functions
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class DescendedSupport:
+class DescendedSupport(NamedTuple):
     """A support function on the quotient fan.
 
     One integer functional per maximal cone, expressed in kernel-basis

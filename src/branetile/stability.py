@@ -28,11 +28,10 @@ set on every call, and nothing else is kept between calls.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import numbers
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import rational
 from .errors import ConsistencyError, DegenerateInputError
@@ -177,8 +176,7 @@ def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
 # stable subsets
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class StableSubset:
+class StableSubset(NamedTuple):
     """A stable union of perfect matchings.
 
     ``matching_ids`` lists every enumerated matching whose arrows are
@@ -200,7 +198,6 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     return _stable_subsets_at(tiling, _lifted(tiling, matchings), theta, sums)
 
 
-@dataclasses.dataclass(eq=False)
 class _LiftedRecord:
     """What the stable structures of one matchings list on one tiling
     share at every parameter: ``key``, each matching's ``(matching_id,
@@ -217,13 +214,10 @@ class _LiftedRecord:
     alone.
     """
 
-    key: list
-    order: tuple
-    counts: tuple
-    hull: object
-    faces: dict = dataclasses.field(default_factory=dict)
-    closed: dict = dataclasses.field(default_factory=dict)
-    structures: dict = dataclasses.field(default_factory=dict)
+    def __init__(self, key: list, order: tuple, counts: tuple,
+                 hull) -> None:
+        self.key, self.order, self.counts, self.hull = key, order, counts, hull
+        self.faces, self.closed, self.structures = {}, {}, {}
 
     def subset_of(self, face: tuple) -> tuple:
         found = self.faces.get(face)
@@ -377,8 +371,7 @@ def _lower_hull(points: Sequence):
 # chambers
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A connected component of the generic locus.
 
     ``sign_vector`` records, for every proper nonempty vertex subset,

@@ -18,10 +18,9 @@ read against it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, TilingFormatError
 
@@ -30,32 +29,54 @@ from .errors import ConsistencyError, TilingFormatError
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     arrow_id: str
     source: str
     target: str
 
 
-@dataclasses.dataclass(frozen=True)
-class Face:
-    """A signed face, stored as the cyclic tuple of its arrow ids."""
-
+class _FaceFields(NamedTuple):
     sign: int  # +1 or -1
     arrows: tuple
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"face sign must be +1 or -1, got {self.sign!r}")
+
+class Face(_FaceFields):
+    """A signed face, stored as the cyclic tuple of its arrow ids."""
+
+    __slots__ = ()
+
+    def __new__(cls, sign: int, arrows: tuple) -> Face:
+        if sign not in (1, -1):
+            raise ValueError(f"face sign must be +1 or -1, got {sign!r}")
+        return super().__new__(cls, sign, arrows)
 
 
-@dataclasses.dataclass(frozen=True)
 class QuiverOnTorus:
-    """A quiver with signed faces, as produced by a bipartite torus tiling."""
+    """A quiver with signed faces, as produced by a bipartite torus tiling.
 
-    vertices: tuple
-    arrows: tuple
-    faces: tuple
+    A plain class, not a named tuple: it keeps its indexes and stability
+    record in its ``__dict__``.  Its three fields are read-only, and it
+    compares and hashes by them as a frozen record would."""
+
+    def __init__(self, vertices: tuple, arrows: tuple, faces: tuple) -> None:
+        vars(self).update(vertices=vertices, arrows=arrows, faces=faces)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"cannot assign {type(value).__name__} to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not QuiverOnTorus:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.faces) == (
+            other.vertices, other.arrows, other.faces)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows, self.faces))
+
+    def __repr__(self) -> str:
+        return (f"QuiverOnTorus(vertices={self.vertices!r}, "
+                f"arrows={self.arrows!r}, faces={self.faces!r})")
 
     # Indexes and the stability record are built on first use and kept
     # on the instance, so they are freed with it and never shared between
@@ -95,8 +116,7 @@ class QuiverOnTorus:
         return plus[0], minus[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class WeakPath:
+class WeakPath(NamedTuple):
     """A formal composite of arrows and inverse arrows between two vertices.
 
     ``steps`` is a tuple of ``(arrow_id, exponent)`` with exponent +1 or
@@ -307,15 +327,13 @@ def serialize_tiling(tiling: QuiverOnTorus) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class DimerEdge:
+class DimerEdge(NamedTuple):
     edge_id: str
     white: str
     black: str
 
 
-@dataclasses.dataclass(frozen=True)
-class DimerGraph:
+class DimerGraph(NamedTuple):
     """A bipartite graph with a cyclic edge order around every node.
 
     ``rotation`` maps each node id to the tuple of its incident edge
@@ -491,8 +509,7 @@ def extract_dimer(tiling: QuiverOnTorus) -> DimerGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple  # of (rule_id, detail)
     nondegenerate: bool

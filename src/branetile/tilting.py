@@ -16,9 +16,8 @@ weighted by how many matchings use each arrow).
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import lattice
 from .errors import ConsistencyError
@@ -69,8 +68,7 @@ def path_divisor(tower, path: WeakPath, stable: Sequence) -> tuple:
 # the divisor class group
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class PicardPresentation:
+class PicardPresentation(NamedTuple):
     """Cokernel presentation of divisor vectors modulo the kernel
     lattice's image.
 
@@ -142,8 +140,7 @@ def class_path_independence(tower, first: WeakPath, second: WeakPath,
 # tilting collections
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class TiltingCollection:
+class TiltingCollection(NamedTuple):
     """One divisor class per vertex, from default (or given) paths."""
 
     base: str
@@ -187,8 +184,7 @@ def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
 # graded section counts
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class SectionCount:
+class SectionCount(NamedTuple):
     """Per-height section counts of a path's divisor, computed from
     the lattice polytope and from quiver paths."""
 

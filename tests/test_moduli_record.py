@@ -10,7 +10,6 @@ loaded copy of the document, whose record starts empty."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import weakref
 
@@ -100,7 +99,7 @@ def test_the_record_keeps_refusing_another_arrow_order(spp, matchings_by_name):
     matchings = matchings_by_name["spp"]
     theta = (-2, 1, 1)
     bt.enumerate_stable_subsets(spp, theta, matchings)
-    other = [dataclasses.replace(m, arrow_order=(*m.arrow_order, "99"))
+    other = [m._replace(arrow_order=(*m.arrow_order, "99"))
              for m in matchings]
     with pytest.raises(ValueError, match="^m1 is a matching of another "
                                          "tiling's arrow ids$"):

@@ -2,12 +2,17 @@
 name, no invariant is left to an ``assert`` statement (which
 ``python -O`` strips), no module-level function or method is dead, no
 parameter is unread, no module-level function keeps an unbounded
-cache, no import statement sits in a function body, and every
-exported name resolves and is exported once."""
+cache, no import statement sits in a function body, no module imports
+``dataclasses`` (whose import and class generation cost every command
+about 20 ms of start-up), and every exported name resolves and is exported
+once."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import branetile as bt
@@ -277,3 +282,45 @@ def test_no_function_in_the_package_imports():
     found = [f"{path.name}:{line}" for path in SOURCES
              for line in imports_in_functions(parse(path))]
     assert found == []
+
+
+def imported_modules(tree: ast.AST) -> set:
+    """The top-level name of every module an absolute ``import`` or
+    ``from ... import`` statement loads, anywhere in the tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_guard_sees_every_form_of_import():
+    tree = ast.parse(
+        "import dataclasses as dc\n"
+        "import os.path\n"
+        "from typing import NamedTuple\n"
+        "from . import tiling\n"
+        "from .fan import Fan\n"
+        "class C:\n"
+        "    from inspect import signature\n")
+    assert imported_modules(tree) == {"dataclasses", "os", "typing",
+                                      "inspect"}
+
+
+def test_no_module_in_the_package_imports_dataclasses():
+    found = [path.name for path in SOURCES
+             if "dataclasses" in imported_modules(parse(path))]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without ``site``, so nothing but the package
+    # and what it imports is loaded
+    env = {**os.environ, "PYTHONPATH": str(Path(bt.__file__).parents[1])}
+    probe = ("import sys, branetile.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

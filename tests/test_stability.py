@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -685,7 +684,7 @@ def test_masks_over_another_arrow_order_are_refused(entry, spp, towers,
                                                     matchings_by_name):
     # each matching's arrows are spp arrows, but its bits are read in an
     # order with one more arrow id
-    ms = [dataclasses.replace(m, arrow_order=(*m.arrow_order, "99"))
+    ms = [m._replace(arrow_order=(*m.arrow_order, "99"))
           for m in matchings_by_name["spp"]]
     with pytest.raises(ValueError, match="^m1 is a matching of another "
                                          "tiling's arrow ids$"):

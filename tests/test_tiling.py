@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -228,7 +227,8 @@ def test_extract_dimer_splits_faces_by_sign(spp):
 ], ids=["two-positive", "two-negative", "missing-sign"])
 def test_extract_dimer_rejects_an_arrow_without_one_face_per_sign(
         spp, perturb, message):
-    tiling = dataclasses.replace(spp, faces=perturb(spp.faces))
+    tiling = bt.QuiverOnTorus(vertices=spp.vertices, arrows=spp.arrows,
+                              faces=perturb(spp.faces))
     with pytest.raises(bt.ConsistencyError, match=message):
         bt.extract_dimer(tiling)
 
@@ -390,7 +390,9 @@ def test_validate_can_skip_the_matching_probe(spp):
 
 def test_validate_refuses_a_face_with_an_unknown_arrow(conifold):
     ghost = bt.Face(sign=1, arrows=("ghost",))
-    tiling = dataclasses.replace(conifold, faces=conifold.faces + (ghost,))
+    tiling = bt.QuiverOnTorus(vertices=conifold.vertices,
+                              arrows=conifold.arrows,
+                              faces=conifold.faces + (ghost,))
     n = len(conifold.faces)
     with pytest.raises(bt.TilingFormatError,
                        match=f"^face {n} references unknown arrow 'ghost'$"):
@@ -399,9 +401,10 @@ def test_validate_refuses_a_face_with_an_unknown_arrow(conifold):
 
 def test_validate_refuses_an_arrow_to_an_unknown_vertex(conifold):
     first = conifold.arrows[0]
-    stray = dataclasses.replace(first, target="3")
-    tiling = dataclasses.replace(conifold,
-                                 arrows=(stray,) + conifold.arrows[1:])
+    stray = first._replace(target="3")
+    tiling = bt.QuiverOnTorus(vertices=conifold.vertices,
+                              arrows=(stray,) + conifold.arrows[1:],
+                              faces=conifold.faces)
     with pytest.raises(bt.TilingFormatError,
                        match=f"^arrow '{first.arrow_id}' references an "
                              f"unknown vertex$"):
