@@ -116,9 +116,18 @@ def _error(verb: str, kind: str, message) -> None:
 # option handling
 # ---------------------------------------------------------------------------
 
+def _read_input(args) -> str:
+    """The input document's text.  Bytes that are not UTF-8 make a
+    malformed document, like any other unreadable one, and not a usage
+    error: ``UnicodeDecodeError`` is a ``ValueError``."""
+    try:
+        return Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TilingFormatError(f"input is not UTF-8 text: {exc}")
+
+
 def _load_tiling(args):
-    text = Path(args.input).read_text(encoding="utf-8")
-    tiling = load_document(text)
+    tiling = load_document(_read_input(args))
     report = validate(tiling, check_nondegeneracy=False)
     if not report.ok:
         raise _InvalidDocument(report)
@@ -158,8 +167,7 @@ def _parse_base(args, tiling):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
-    tiling = load_document(text)
+    tiling = load_document(_read_input(args))
     report = validate(tiling)
     lines = [f"# validate {args.input}"]
     by_rule: dict = {}

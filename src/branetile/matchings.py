@@ -66,6 +66,10 @@ def set_bits(mask: int) -> list:
     return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
+# byte -> the byte with its 8 bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     """All perfect matchings as arrow masks (``QuiverOnTorus.arrow_bits``),
     sorted by their set bits: the order of their sorted arrow-id tuples.
@@ -83,7 +87,8 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     most one layer further on: the states are bounded by the widths of
     two layers, and not by the order a document lists its faces in.
     The set of exact covers does not depend on the branching order, so
-    one sort at the end gives the order of any other search.
+    one sort at the end gives the order of any other search; its key
+    reads each mask with bit 0 most significant, through a byte table.
     """
     bits = tiling.arrow_bits
     covers = [[] for _ in bits]  # arrow bit -> the faces containing it
@@ -138,8 +143,13 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
                 dead.add(met)
     # No cover contains another, so of two set-bit lists the smaller has
     # the lowest bit they do not share: it is the larger mask read with
-    # bit 0 most significant.
-    found.sort(key=lambda m: int(f"{m:0{len(bits)}b}"[::-1], 2), reverse=True)
+    # bit 0 most significant.  Bytes taken high first, each with its bits
+    # reversed and read low first, give that reading shifted left by the
+    # padding of the last byte, the same for every mask.
+    size = (len(bits) + 7) // 8
+    found.sort(key=lambda m: int.from_bytes(
+        m.to_bytes(size, "big").translate(_REVERSED_BYTES), "little"),
+        reverse=True)
     return found
 
 
@@ -174,6 +184,23 @@ def _field_bias(width: int, count: int) -> int:
     return sum(1 << width * j + width - 1 for j in range(count))
 
 
+def _byte_tables(rows: list) -> list:
+    """One table per byte of an arrow mask, for ``rows`` indexed by
+    arrow bit: entry ``b`` of table ``i`` is the sum of the rows at bits
+    ``8 * i + j`` for the set bits ``j`` of ``b``.  So the sum of the
+    rows at a mask's bits is one lookup per byte of
+    ``mask.to_bytes(len(tables), "little")``.  Each table is built by
+    doubling, so a byte holding r arrows has 2^r entries: the last byte
+    of a mask sets no bit past the last arrow."""
+    tables = []
+    for start in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[start:start + 8]:
+            table += [x + row for x in table]
+        tables.append(table)
+    return tables
+
+
 def _functional_table(tower: "lattice.LatticeTower") -> tuple:
     """One row per ambient generator — the face-cycle symbol, then the
     arrows in tower order.  A row holds the generator's ``section`` row,
@@ -197,8 +224,9 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     order (sorted arrow-id tuples); ids are assigned in that order.
 
     A matching's columns of :func:`_functional_table` are one sum of
-    packed rows, |M| + 1 int additions.  Its arrow block is compared
-    with the packed indicator of the matching; as the field width holds
+    packed rows, read from :func:`_byte_tables` with one lookup per byte
+    of its arrow mask.  Its arrow block is compared with the packed
+    indicator of the matching, read the same way; as the field width holds
     every column sum, that is the same test as comparing the columns
     one by one.  Then its value on the face-cycle weight and its height
     are checked, each raising ``ConsistencyError``.  ``chi``, the
@@ -212,6 +240,8 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     rows, units = [0] * n_arrows, [0] * n_arrows  # by arrow bit
     for i, aid in enumerate(tower.arrow_ids):
         rows[bits[aid]], units[bits[aid]] = arrow_rows[i], 1 << width * (k + i)
+    row_tables, unit_tables = _byte_tables(rows), _byte_tables(units)
+    size = len(row_tables)
     arrow_block = (1 << width * (k + n_arrows)) - (1 << width * k)
     count = k + n_arrows + 4
     bias = _field_bias(width, count)
@@ -223,10 +253,10 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     order = tuple(bits)
     result = []
     for n, mask in enumerate(matching_arrow_sets(tiling)):
-        arrows = set_bits(mask)
-        fields = (sum(map(rows.__getitem__, arrows), cycle_row)
+        b = mask.to_bytes(size, "little")
+        fields = (sum(map(list.__getitem__, row_tables, b), cycle_row)
                   + bias) ^ bias
-        if fields & arrow_block != sum(map(units.__getitem__, arrows)):
+        if fields & arrow_block != sum(map(list.__getitem__, unit_tables, b)):
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
         values = unpack(fields.to_bytes(length, "little"))

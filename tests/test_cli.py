@@ -218,6 +218,17 @@ def test_unreadable_json_exits_two(tmp_path, capsys):
     assert err.startswith("error[validate:format]")
 
 
+@pytest.mark.parametrize("verb", ["validate", "matchings"])
+def test_input_that_is_not_utf8_is_a_format_error(verb, tmp_path, capsys):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b'{"vertices": ["\xff\xfe"]}\n')
+    code, out, err = run([verb, str(bad)], capsys)
+    assert code == 2
+    assert err.startswith(f"error[{verb}:format] input is not UTF-8 text: ")
+    assert "can't decode byte 0xff" in err
+    assert out == ""
+
+
 def test_structural_violations_exit_three(tmp_path, capsys):
     doc = json.loads(fixture_text("spp"))
     doc["faces"][0]["cycle"] = doc["faces"][0]["cycle"][:-1]

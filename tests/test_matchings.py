@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
+import random
 import struct
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import branetile as bt
 from branetile import lattice, rational
 from branetile.errors import ConsistencyError
-from branetile.matchings import (_FIELD_CODES, _field_bias, _pack_rows, _xgcd,
-                                 convex_hull_2d, doubled_area,
-                                 lattice_points_in_hull)
+from branetile.matchings import (_FIELD_CODES, _byte_tables, _field_bias,
+                                 _pack_rows, _xgcd, convex_hull_2d,
+                                 doubled_area, lattice_points_in_hull)
 from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
@@ -264,10 +266,47 @@ def test_five_by_five_matchings_are_pinned():
         "f9c599cea2bc1cae7614cac5de86cf5f5984a5b050956764f8ca6f65c3f55697")
 
 
+def renamed_orbifold_text(n: int, m: int, seed: int) -> str:
+    """:func:`orbifold_text` with its arrows renamed ``a0``, ``a1``, ...
+    in a seeded random order, so that sorted arrow ids, and with them
+    the arrow bits, no longer follow the generator's x, y, z blocks."""
+    doc = json.loads(orbifold_text(n, m))
+    names = [f"a{k}" for k in range(len(doc["arrows"]))]
+    random.Random(seed).shuffle(names)
+    new = {arrow["id"]: name for arrow, name in zip(doc["arrows"], names)}
+    for arrow in doc["arrows"]:
+        arrow["id"] = new[arrow["id"]]
+    for face in doc["faces"]:
+        face["cycle"] = [new[aid] for aid in face["cycle"]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, n_arrows", [
+    (orbifold_text(2, 4), 24), (orbifold_text(3, 3), 27),
+    (orbifold_text(4, 4), 48), (orbifold_text(4, 5), 60),
+    (renamed_orbifold_text(3, 3, 5), 27),
+], ids=["2x4", "3x3", "4x4", "4x5", "3x3-renamed"])
+def test_matchings_come_in_the_order_of_their_sorted_arrow_ids(text,
+                                                               n_arrows):
+    tiling = bt.load_document(text)
+    order = tuple(tiling.arrow_bits)
+    assert len(order) == n_arrows
+
+    def arrow_ids(mask):
+        return tuple(sorted(order[k] for k in range(n_arrows)
+                            if mask >> k & 1))
+
+    masks = bt.matching_arrow_sets(tiling)
+    assert len(set(masks)) == len(masks)
+    assert masks == sorted(masks, key=arrow_ids)
+
+
 ORBIFOLD_DOCUMENTS = {
+    "2x4": lambda: orbifold_text(2, 4),
     "3x3": lambda: orbifold_text(3, 3),
     "3x3-shuffled": lambda: shuffled_orbifold_text(3, 3, 11),
     "4x4": lambda: orbifold_text(4, 4),
+    "4x5": lambda: orbifold_text(4, 5),
 }
 
 
@@ -317,6 +356,23 @@ def perturbed(tower, section=False, face_cycle=False, kernel=False):
 def test_functional_checks_fire_in_order(faults, message, spp, towers):
     with pytest.raises(ConsistencyError, match=message):
         bt.enumerate_perfect_matchings(spp, perturbed(towers["spp"], **faults))
+
+
+def test_a_wrong_section_row_at_the_top_arrow_bit_is_seen():
+    # 27 arrows: the last arrow bit is the top of the last, partial byte
+    tiling = bt.load_document(orbifold_text(3, 3))
+    tower = bt.build_lattice_tower(tiling)
+    top = max(tiling.arrow_bits, key=tiling.arrow_bits.get)
+    assert tiling.arrow_bits[top] == 26
+    c = next(c for c in range(tower.rank)
+             if any(w[c] for w in tower.weights.values()))
+    rows = [list(row) for row in tower.section]
+    rows[1 + tower.arrow_ids.index(top)][c] += 1
+    wrong = bt.LatticeTower(**{**vars(tower),
+                               "section": tuple(map(tuple, rows))})
+    with pytest.raises(ConsistencyError,
+                       match="disagrees with arrow weights"):
+        bt.enumerate_perfect_matchings(tiling, wrong)
 
 
 def test_a_table_beyond_64_bit_fields_raises(spp, towers):
@@ -390,6 +446,35 @@ def test_packed_sums_are_the_column_sums(case):
                          ((total + bias) ^ bias).to_bytes(count * width // 8,
                                                           "little"))
     assert list(read) == want
+
+
+@st.composite
+def rows_and_masks(draw):
+    """0 to 20 rows, signed and wider than 64 bits, with a few masks
+    over their bits."""
+    n = draw(st.integers(0, 20))
+    rows = draw(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=n,
+                         max_size=n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=6))
+    return rows, masks
+
+
+@settings(max_examples=300)
+@given(rows_and_masks())
+@example(([], [0]))
+@example((list(range(1, 9)), [0, 0x01, 0x80, 0xFF]))
+@example((list(range(-8, 8)), [0, 0x0100, 0x8001, 0xFFFF]))
+def test_byte_table_lookups_are_the_sums_of_the_rows_at_set_bits(case):
+    rows, masks = case
+    tables = _byte_tables(rows)
+    assert [len(t) for t in tables] == [
+        1 << min(8, len(rows) - start) for start in range(0, len(rows), 8)]
+    for mask in masks:
+        looked_up = sum(map(list.__getitem__, tables,
+                            mask.to_bytes(len(tables), "little")))
+        assert looked_up == sum(rows[k] for k in range(len(rows))
+                                if mask >> k & 1)
 
 
 def recursive_xgcd(x: int, y: int) -> tuple:
