@@ -80,17 +80,14 @@ def moduli_fan(tiling: QuiverOnTorus, theta: Sequence,
 
 def _ray_vectors(subsets: Sequence, by_id: dict) -> dict:
     """Ray id to vector, in matching-id order, for every matching the
-    subsets contain; raises ConsistencyError unless the vectors are
-    primitive, at height one and distinct."""
+    subsets contain; raises ConsistencyError unless the vectors are at
+    height one, hence primitive, and distinct."""
     stable_ids = sorted({mid for s in subsets for mid in s.matching_ids},
                         key=matching_id_key)
     vectors: dict = {}
     seen_vectors: dict = {}
     for mid in stable_ids:
         vec = by_id[mid].chi_kernel
-        if gcd(*vec) != 1:
-            raise ConsistencyError(
-                f"ray of stable matching {mid} is not primitive: {vec}")
         if vec[2] != 1:
             raise ConsistencyError(
                 f"ray of stable matching {mid} is not at height one: {vec}")

@@ -106,11 +106,9 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
 
     def col_sub(i: int, j: int, q: int) -> None:
         for row in m:
-            if row[j]:
-                row[i] -= q * row[j]
+            row[i] -= q * row[j]
         for row in v:
-            if row[j]:
-                row[i] -= q * row[j]
+            row[i] -= q * row[j]
 
     def row_swap(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
@@ -119,11 +117,9 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
 
     def col_swap(i: int, j: int) -> None:
         for row in m:
-            if row[i] or row[j]:
-                row[i], row[j] = row[j], row[i]
+            row[i], row[j] = row[j], row[i]
         for row in v:
-            if row[i] or row[j]:
-                row[i], row[j] = row[j], row[i]
+            row[i], row[j] = row[j], row[i]
 
     def row_neg(i: int) -> None:
         m[i] = [-a for a in m[i]]

@@ -225,11 +225,11 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
 
     A matching's columns of :func:`_functional_table` are one sum of
     packed rows, read from :func:`_byte_tables` with one lookup per byte
-    of its arrow mask.  Its arrow block is compared with the packed
-    indicator of the matching, read the same way; as the field width holds
-    every column sum, that is the same test as comparing the columns
-    one by one.  Then its value on the face-cycle weight and its height
-    are checked, each raising ``ConsistencyError``.  ``chi``, the
+    of its arrow mask.  Each arrow's row carries its indicator, negated,
+    in the arrow block, so the sum's arrow block is the matching's values
+    on the arrow weights less its indicator, and the arrow check is that
+    the block is zero.  Then its value on the face-cycle weight and its
+    height are checked, each raising ``ConsistencyError``.  ``chi``, the
     face-cycle value and ``chi_kernel`` are read out in one unpack."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
@@ -237,11 +237,14 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     n_arrows = len(tower.arrow_ids)
     width, (cycle_row, *arrow_rows) = _functional_table(tower)
     bits = tiling.arrow_bits
-    rows, units = [0] * n_arrows, [0] * n_arrows  # by arrow bit
+    # An arrow's row less 1 in its own arrow field.  _pack_rows keeps
+    # every subset sum of a column strictly inside +-2^(width-1), so a
+    # field of a matching's sum is at least -2^(width-1) and still fits.
+    rows = [0] * n_arrows  # by arrow bit
     for i, aid in enumerate(tower.arrow_ids):
-        rows[bits[aid]], units[bits[aid]] = arrow_rows[i], 1 << width * (k + i)
-    row_tables, unit_tables = _byte_tables(rows), _byte_tables(units)
-    size = len(row_tables)
+        rows[bits[aid]] = arrow_rows[i] - (1 << width * (k + i))
+    tables = _byte_tables(rows)
+    size = len(tables)
     arrow_block = (1 << width * (k + n_arrows)) - (1 << width * k)
     count = k + n_arrows + 4
     bias = _field_bias(width, count)
@@ -254,9 +257,9 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     result = []
     for n, mask in enumerate(matching_arrow_sets(tiling)):
         b = mask.to_bytes(size, "little")
-        fields = (sum(map(list.__getitem__, row_tables, b), cycle_row)
+        fields = (sum(map(list.__getitem__, tables, b), cycle_row)
                   + bias) ^ bias
-        if fields & arrow_block != sum(map(list.__getitem__, unit_tables, b)):
+        if fields & arrow_block:
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
         values = unpack(fields.to_bytes(length, "little"))
@@ -361,8 +364,13 @@ def _edge_frame_form(counts: dict, v0: tuple, v1: tuple) -> list:
     meets the rival's next, larger point."""
     u = rational.integerize((v1[0] - v0[0], v1[1] - v0[1]))
     # (-b, a) completes u to a positively oriented lattice basis; the
-    # map below is the inverse of that basis matrix.
-    _, a, b = _xgcd(u[0], u[1])
+    # map below is the inverse of that basis matrix.  Any Bezout pair
+    # serves: two differ by a shear x' -> x' + t * y', removed below.
+    if u[1]:
+        a = pow(u[0], -1, abs(u[1]))
+        b = (1 - a * u[0]) // u[1]
+    else:
+        a, b = u[0], 0
     moved = []
     for (x, y), c in counts.items():
         dx, dy = x - v0[0], y - v0[1]
@@ -373,19 +381,6 @@ def _edge_frame_form(counts: dict, v0: tuple, v1: tuple) -> list:
         k = -(xmin // low)
         moved = [(x + k * y, y, c) for x, y, c in moved]
     return sorted(((x, y), -c) for x, y, c in moved)
-
-
-def _xgcd(x: int, y: int) -> tuple:
-    """``(g, a, b)`` with ``a * x + b * y == g``, the gcd: Euclid's
-    quotients, then the coefficients unwound from the last step."""
-    quotients = []
-    while y:
-        quotients.append(x // y)
-        x, y = y, x % y
-    a, b = (1 if x > 0 else -1), 0
-    for q in reversed(quotients):
-        a, b = b, a - q * b
-    return (abs(x), a, b)
 
 
 def canonical_point_multiset(points: Iterable) -> tuple:

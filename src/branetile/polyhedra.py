@@ -353,18 +353,22 @@ def lift_slice_faces(tower, shifted: Polyhedron,
 def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
     """The fan of ``(dim, rays)`` cones; ``ray_labels`` maps ray
     vectors to names and the other rays get ``r1``, ``r2``, ... in
-    lexicographic order."""
+    lexicographic order.  Raises ValueError when two rays get one
+    name."""
     labels = ray_labels or {}
     names = {}
+    owners = {}  # name -> its ray
     counter = 0
     for vec in sorted({v for _, rays in cones for v in rays}):
         if vec in labels:
-            names[vec] = labels[vec]
+            name = labels[vec]
         else:
             counter += 1
-            names[vec] = f"r{counter}"
-    if len(set(names.values())) != len(names):
-        raise ConsistencyError("ray labels collide")
+            name = f"r{counter}"
+        if name in owners:
+            raise ValueError(f"ray label {name!r} names two rays, "
+                             f"{owners[name]} and {vec}")
+        names[vec], owners[name] = name, vec
     return Fan(
         rays=tuple(FanRay(ray_id=name, vector=vec)
                    for vec, name in names.items()),

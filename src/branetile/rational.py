@@ -82,8 +82,6 @@ def _echelon(rows: Sequence) -> tuple:
                     [r[lead] * x - b[lead] * y for x, y in zip(b, r)])
         basis[lead] = r
         chosen.append(i)
-        if len(chosen) == len(r):
-            break
     return chosen, basis
 
 

@@ -476,23 +476,20 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     chambers = []
     signs = [0] * len(walls)
     # (wall, sign, integer witness of the walls before it or None at
-    # the root, the elimination of their rows, whether the entry owns
-    # that elimination); a positive multiple of a witness is one too.
-    # The +1 child's subtree is walked before the -1 child is popped,
-    # so the -1 child inherits ownership and the +1 child copies the
-    # elimination only when it adds a row.
+    # the root, the elimination of their rows); a positive multiple of
+    # a witness is one too.  Both children share their parent's
+    # elimination, and a child that adds a row adds it to a copy.
     root = rational.StrictElimination(t)
-    stack = [(0, -1, None, root, True), (0, 1, None, root, False)]
+    stack = [(0, -1, None, root), (0, 1, None, root)]
     while stack:
-        k, sign, witness, system, owned = stack.pop()
+        k, sign, witness, system = stack.pop()
         signs[k] = sign
         forced = {signs[a] for a, b in splits[k] if signs[a] == signs[b]}
         if -sign in forced:
             continue
         row = rows[k][sign]
         if sign not in forced:
-            if not owned:
-                system, owned = system.copy(), True
+            system = system.copy()
             system.add(row)
         if k == last or witness is None or dot(row, witness) <= 0:
             found = system.point()
@@ -503,8 +500,7 @@ def chamber_decomposition(tiling: QuiverOnTorus,
                 chambers.append(rational.integerize([-sum(nums), *nums]))
                 continue
             witness = rational.integerize(nums)
-        stack += [(k + 1, -1, witness, system, owned),
-                  (k + 1, 1, witness, system, False)]
+        stack += [(k + 1, -1, witness, system), (k + 1, 1, witness, system)]
 
     # Each representative is generic: its witness is strict on every
     # wall.

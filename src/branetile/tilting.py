@@ -220,10 +220,13 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
         raise ConsistencyError("no stable matchings: the fan is empty")
     weight = weak_path_weight(tower, path)
 
-    # Total-height functional and the path's own height.
+    # Total-height functional, on the weight lattice and on the kernel,
+    # and the path's own height.
+    total_chi = tuple(sum(m.chi[i] for m in matchings)
+                      for i in range(tower.rank))
     height_vec = tuple(
         sum(m.chi_kernel[j] for m in matchings) for j in range(3))
-    path_height = sum(lattice.dot(m.chi, weight) for m in matchings)
+    path_height = lattice.dot(total_chi, weight)
 
     # Lattice count: chi_I . y >= -chi_I(weight), total height capped.
     inequalities = [
@@ -241,38 +244,35 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
 
     # Path count: distinct forward-path weights, by height.  The height
     # functional is positive on every arrow weight (nondegeneracy), so
-    # capping it bounds the search.
-    total_chi = tuple(sum(m.chi[i] for m in matchings)
-                      for i in range(tower.rank))
-    for aid in tower.arrow_ids:
-        if lattice.dot(total_chi, tower.weights[aid]) <= 0:
+    # capping it bounds the search.  A state's height is its parent's
+    # plus the arrow's, kept beside it in ``seen``.
+    outgoing: dict = {v: [] for v in tiling.vertices}
+    for a in tiling.arrows:
+        h = lattice.dot(total_chi, tower.weights[a.arrow_id])
+        if h <= 0:
             raise ConsistencyError(
-                f"arrow {aid!r} lies in no perfect matching; the path "
-                "search would not terminate")
+                f"arrow {a.arrow_id!r} lies in no perfect matching; the "
+                "path search would not terminate")
+        outgoing[a.source].append((a.target, tower.weights[a.arrow_id], h))
     start = (path.source, (0,) * tower.rank)
-    seen = {start}
+    seen = {start: 0}
     frontier = [start]
-    path_buckets: dict = {}
+    path_buckets: dict = {0: 1} if path.source == path.target else {}
     while frontier:
         fresh = []
         for vertex, w in frontier:
-            for a in tiling.arrows:
-                if a.source != vertex:
+            base = seen[vertex, w]
+            for target, arrow_weight, arrow_height in outgoing[vertex]:
+                h = base + arrow_height
+                if h > max_height:
                     continue
-                w2 = tuple(x + y for x, y in zip(w, tower.weights[a.arrow_id]))
-                if lattice.dot(total_chi, w2) > max_height:
-                    continue
-                state = (a.target, w2)
-                if state not in seen:
-                    seen.add(state)
-                    fresh.append(state)
+                found = (target, tuple(x + y for x, y in zip(w, arrow_weight)))
+                if found not in seen:
+                    seen[found] = h
+                    fresh.append(found)
+                    if target == path.target:
+                        path_buckets[h] = path_buckets.get(h, 0) + 1
         frontier = fresh
-    for vertex, w in seen:
-        if vertex != path.target:
-            continue
-        h = lattice.dot(total_chi, w)
-        if 0 <= h <= max_height:
-            path_buckets[h] = path_buckets.get(h, 0) + 1
 
     rows = tuple(
         (h, lattice_buckets.get(h, 0), path_buckets.get(h, 0))

@@ -392,3 +392,15 @@ def test_module_entry_point_runs_standalone():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == SPP_MATCHINGS_OUTPUT
+
+
+def test_a_dimer_whose_rotation_is_not_an_object_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "white": ["w"], "black": ["k"],
+        "edges": [{"id": "e", "white": "w", "black": "k"}],
+        "rotation": [["e"], ["e"]]}))
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert code == 2
+    assert err == "error[validate:format] 'rotation' must be an object\n"
+    assert out == ""

@@ -506,3 +506,25 @@ def test_classes_refuse_chambers_of_another_tiling(
     with pytest.raises(ValueError, match="3 entries for 4 vertices"):
         bt.git_equivalence_classes(z2z2, chambers_by_name["spp"],
                                    matchings_by_name["spp"])
+
+
+def hand_matching(matching_id: str, chi_kernel: tuple):
+    return bt.PerfectMatching(matching_id=matching_id, mask=0,
+                              arrow_order=(), chi=(), chi_kernel=chi_kernel)
+
+
+@pytest.mark.parametrize("kernels, message", [
+    # (0, 0, 2) is not primitive either: height one is checked first
+    (((0, 0, 1), (0, 0, 2)),
+     "ray of stable matching m2 is not at height one: (0, 0, 2)"),
+    (((1, 0, 1), (1, 0, 1)),
+     "stable matchings m1 and m2 share the ray (1, 0, 1)"),
+])
+def test_ray_vectors_refuse_bad_matching_points(kernels, message):
+    matchings = [hand_matching(f"m{i + 1}", k) for i, k in enumerate(kernels)]
+    subset = bt.StableSubset(arrows=frozenset(), matching_ids=("m1", "m2"),
+                             dim=2)
+    with pytest.raises(bt.ConsistencyError) as exc:
+        fan_module._ray_vectors([subset],
+                                {m.matching_id: m for m in matchings})
+    assert str(exc.value) == message

@@ -814,3 +814,19 @@ def test_a_dropped_tower_is_freed_after_its_slice_routes():
     del tiling, tower, shifted, slice_poly
     gc.collect()
     assert tower_ref() is None
+
+
+def test_quotient_fan_refuses_ray_labels_that_name_two_rays(
+        spp, matchings_by_name, chambers_by_name):
+    tower = bt.build_lattice_tower(spp)
+    theta = chambers_by_name["spp"][0].representative
+    direct = bt.moduli_fan(spp, theta, matchings_by_name["spp"])
+    first, *_, last = sorted(ray.vector for ray in direct.rays)
+    shifted, _ = bt.shift_by_stability(tower, theta)
+    # two labels alike, then a label that is the first default name
+    for labels, name in (({first: "a", last: "a"}, "a"),
+                         ({last: "r1"}, "r1")):
+        with pytest.raises(ValueError) as exc:
+            bt.quotient_fan(tower, shifted, ray_labels=labels)
+        assert str(exc.value) == (f"ray label {name!r} names two rays, "
+                                  f"{first} and {last}")

@@ -965,3 +965,14 @@ def test_five_vertex_chambers_carry_the_stable_subsets_of_a_fresh_call():
     for chamber in chambers:
         assert chamber.stable_subsets == tuple(bt.enumerate_stable_subsets(
             tiling, chamber.representative, matchings))
+
+
+@pytest.mark.parametrize("missing", range(6))
+def test_find_chamber_refuses_a_list_without_the_parameters_chamber(
+        spp, chambers_by_name, missing):
+    chambers = chambers_by_name["spp"]
+    theta = chambers[missing].representative
+    others = chambers[:missing] + chambers[missing + 1:]
+    with pytest.raises(ValueError) as exc:
+        bt.find_chamber(spp, others, theta)
+    assert str(exc.value) == "no chamber matches the given parameter"

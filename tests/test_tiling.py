@@ -418,3 +418,26 @@ def test_faces_of_returns_positive_face_first(spp):
         assert minus.sign == -1
         assert a.arrow_id in plus.arrows
         assert a.arrow_id in minus.arrows
+
+
+QUIVER = {"vertices": ["1"], "arrows": [], "faces": []}
+DIMER = {"white": ["w"], "black": ["k"],
+         "edges": [{"id": "e", "white": "w", "black": "k"}],
+         "rotation": {"w": ["e"], "k": ["e"]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(QUIVER, vertices=["1", 2]), "'vertices' must be a list of strings"),
+    (dict(QUIVER, faces={}), "'faces' must be a list"),
+    (dict(QUIVER, faces=["x"]), "each face must be an object"),
+    ({k: v for k, v in DIMER.items() if k != "rotation"},
+     "missing key 'rotation'"),
+    (dict(DIMER, black=["w"]), "duplicate node id"),
+    (dict(DIMER, rotation=[["e"], ["e"]]), "'rotation' must be an object"),
+    (dict(DIMER, rotation={"w": "e", "k": ["e"]}),
+     "rotation at 'w' must be a list of edge ids"),
+])
+def test_load_document_refuses_malformed_records(doc, message):
+    with pytest.raises(bt.TilingFormatError) as exc:
+        bt.load_document(json.dumps(doc))
+    assert str(exc.value) == message
