@@ -122,16 +122,21 @@ def _meet_in_common_face(a: frozenset, b: frozenset, vectors: dict,
 def validate_fan(fan: Fan) -> None:
     """Raise ConsistencyError unless the cones form a fan.
 
-    Checks: distinct primitive nonzero rays; per maximal cone, that it
-    is strongly convex with every listed ray extreme and each of its
-    faces listed; every cone is a face of some maximal cone, of that
-    face's dimension; and every two maximal cones meet in the cone of
-    their shared rays (separation criterion).  Together these are
-    exactly the fan axioms; a face of a checked maximal cone needs no
-    check of its own.
+    Checks: distinct primitive nonzero rays of one length; per maximal
+    cone, that it is strongly convex with every listed ray extreme and
+    each of its faces listed; every cone is a face of some maximal
+    cone, of that face's dimension; and every two maximal cones meet in
+    the cone of their shared rays (separation criterion).  Together
+    these are exactly the fan axioms; a face of a checked maximal cone
+    needs no check of its own.
     """
+    dim = len(fan.rays[0].vector) if fan.rays else 0
     vectors = {}
     for ray in fan.rays:
+        if len(ray.vector) != dim:
+            raise ConsistencyError(
+                f"ray {ray.ray_id} has {len(ray.vector)} coordinates, "
+                f"not the first ray's {dim}")
         if all(x == 0 for x in ray.vector):
             raise ConsistencyError(f"ray {ray.ray_id} is the zero vector")
         if gcd(*ray.vector) != 1:
@@ -154,7 +159,6 @@ def validate_fan(fan: Fan) -> None:
             raise ConsistencyError(
                 f"cone uses unlisted ray {sorted(unknown)[0]!r}")
 
-    dim = len(fan.rays[0].vector) if fan.rays else 0
     face_dims = {}  # every face of a maximal cone -> its dimension
     max_sets = [c.ray_ids for c in fan.max_cones()]
     for m in max_sets:

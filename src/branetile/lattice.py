@@ -25,7 +25,7 @@ lattices used everywhere else in the package:
 from __future__ import annotations
 
 import numbers
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -68,6 +68,20 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [dot(row, v) for row in a]
 
 
+def _exact(row: Sequence[int], what: str) -> list[int]:
+    """The entries of ``row`` as ints, read by ``operator.index``;
+    raises ValueError naming ``what`` and the first entry that is not
+    an integer, where ``int`` would truncate it."""
+    try:
+        return list(map(index, row))
+    except TypeError:
+        for j, x in enumerate(row):
+            if not isinstance(x, numbers.Integral):
+                raise ValueError(
+                    f"{what} entry {j} is {x!r}, not an integer") from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -90,9 +104,10 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
     ``U^-1 E^-1``, a column operation, which is a row operation on
     ``W``: ``U[i] -= q U[j]`` becomes ``W[j] += q W[i]``, and swaps and
     negations act on the same rows.  So ``U @ W^T == I`` throughout,
-    with no second elimination to invert ``U``.
+    with no second elimination to invert ``U``.  Raises ValueError on an
+    entry that is not an integer.
     """
-    m = [list(map(int, row)) for row in mat]
+    m = [_exact(row, f"matrix row {i}") for i, row in enumerate(mat)]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     u = identity(nrows)
@@ -211,13 +226,14 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """One integer solution of ``mat @ x == target``, or None; raises
-    ValueError unless ``target`` has one entry per row."""
+    ValueError unless ``target`` has one integer entry per row."""
     nrows = len(mat)
     if len(target) != nrows:
         raise ValueError(f"right-hand side has {len(target)} entries, not {nrows}")
+    target = _exact(target, "right-hand side")
     ncols = len(mat[0]) if nrows else 0
     u, s, v = smith_normal_form(mat)
-    ub = mat_vec(u, list(target))
+    ub = mat_vec(u, target)
     y = [0] * ncols
     for i in range(nrows):
         d = s[i][i] if i < min(nrows, ncols) else 0

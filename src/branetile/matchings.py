@@ -91,13 +91,13 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     reads each mask with bit 0 most significant, through a byte table.
     """
     bits = tiling.arrow_bits
-    covers = [[] for _ in bits]  # arrow bit -> the faces containing it
+    covers = [()] * len(bits)  # arrow bit -> the faces containing it
     banned = set()
-    for j, face in enumerate(tiling.faces):
-        for aid in set(face.arrows):
-            if face.arrows.count(aid) > 1:
-                banned.add(bits[aid])
-            covers[bits[aid]].append(j)
+    for aid, i in bits.items():
+        plus, minus = tiling._faces_by_arrow.get(aid, ((), ()))
+        covers[i] = {*plus, *minus}
+        if len(covers[i]) < len(plus) + len(minus):  # a face passes twice
+            banned.add(i)
     members = [[] for _ in tiling.faces]  # face -> usable arrow bits
     for i, js in enumerate(covers):
         for j in js:

@@ -209,18 +209,17 @@ class _TowerRecord:
     is the value of an input the stability shift does not change, so
     an entry answers for every slice: ``ranks`` of the normal-row
     tuples ``lift_slice_faces`` ranks; ``splitters``, ``(kernel_rows,
-    factors)`` by a vertex's ambient active normals; ``valid_fans``,
-    the frozensets of ``(dim, rays)`` cones that passed
-    ``validate_fan``; ``last_slice``, ``(shifted, slice_poly, result)``
-    of the last ``_slice_cones`` call; and ``last_fan``, ``(cones,
-    labels, fan)`` of the last ``_slice_fan`` call, both compared by
-    equality.
+    factors)`` by a vertex's ambient active normals; and
+    ``valid_fans``, the frozensets of ``(dim, rays)`` cones that passed
+    ``validate_fan``.  ``last`` is the one slice entry, ``(key, (fan,
+    splitters))`` of the last ``_slice`` call, its key that call's
+    ``(shifted, slice_poly, labels)`` as given, compared by equality.
     """
 
     def __init__(self) -> None:
         self.cone: "Polyhedron | None" = None
         self.ranks, self.splitters, self.valid_fans = {}, {}, set()
-        self.last_slice = self.last_fan = (None, None, None)
+        self.last = (None, None)
 
 
 # Towers compare by identity, so a record is freed with its tower.
@@ -295,12 +294,21 @@ def kernel_polytope(tower, shifted: Polyhedron) -> Polyhedron:
 
     The inequality list restricts the ambient one *in the same order*,
     so active sets of the slice and of the ambient polyhedron use the
-    same indices.
+    same indices.  Raises ValueError when the polyhedron is not in the
+    tower's weight lattice.
     """
+    _check_ambient(tower, shifted)
     columns = list(zip(*tower.kernel_basis))  # 3 columns of length k
     restricted = [(tuple(lattice.dot(a, col) for col in columns), b)
                   for a, b in shifted.inequalities]
     return polyhedron_from_inequalities(restricted, 3)
+
+
+def _check_ambient(tower, shifted: Polyhedron) -> None:
+    if shifted.ambient_dim != tower.rank:
+        raise ValueError(
+            f"shifted polyhedron has ambient dimension "
+            f"{shifted.ambient_dim}, not the tower's rank {tower.rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +340,8 @@ def lift_slice_faces(tower, shifted: Polyhedron,
                      slice_poly: Polyhedron) -> list:
     """The faces of a slice with their ambient lifts.  Each normal-row
     tuple is ranked once per tower: the shift moves offsets, not
-    normals."""
+    normals.  Raises ValueError as :func:`kernel_polytope` does."""
+    _check_ambient(tower, shifted)
     k = tower.rank
     ranks = _record(tower).ranks
     lifted = []
@@ -376,17 +385,6 @@ def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
                             dim=dim) for dim, rays in cones))
 
 
-def _slice_fan(tower, cones: tuple, ray_labels: "dict | None") -> Fan:
-    """:func:`_named_fan` of a slice's cones, built once while the
-    cones and labels stay those of the tower's last call, and shared:
-    a ``Fan`` is immutable."""
-    record = _record(tower)
-    labels = dict(ray_labels or {})
-    if record.last_fan[:2] != (cones, labels):
-        record.last_fan = (cones, labels, _named_fan(cones, labels))
-    return record.last_fan[2]
-
-
 def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     """The validated normal cones of the transversal faces of a slice.
 
@@ -409,13 +407,11 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     rows, and a face's rays are the normals of its active
     facet-defining rows.
 
-    Splitters, validated geometries and the last slice's result are
-    kept in the tower's record (``_TowerRecord``).  A geometry is the
-    set of its cones, a sound key once no two cones share their rays.
+    Splitters and validated geometries are kept in the tower's record
+    (``_TowerRecord``).  A geometry is the set of its cones, a sound key
+    once no two cones share their rays.
     """
     record = _record(tower)
-    if record.last_slice[:2] == (shifted, slice_poly):
-        return record.last_slice[2]
     k = tower.rank
     basis = tower.kernel_basis
     lifted = lift_slice_faces(tower, shifted, slice_poly)
@@ -466,9 +462,23 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     if geometry not in record.valid_fans:
         validate_fan(_named_fan(cones, None))
         record.valid_fans.add(geometry)
-    result = (tuple(cones), tuple(splitters))
-    record.last_slice = (shifted, slice_poly, result)
-    return result
+    return tuple(cones), tuple(splitters)
+
+
+def _slice(tower, shifted: Polyhedron, slice_poly: "Polyhedron | None",
+           ray_labels: "dict | None") -> tuple:
+    """``(fan, splitters)`` of a slice, from :func:`_slice_cones` and
+    :func:`_named_fan`, kept as the tower's one slice entry keyed by the
+    arguments as given, so a repeated call computes nothing.  Raises
+    ValueError as :func:`kernel_polytope` does."""
+    record = _record(tower)
+    key = (shifted, slice_poly, dict(ray_labels or {}))
+    if record.last[0] != key:
+        if slice_poly is None:
+            slice_poly = kernel_polytope(tower, shifted)
+        cones, splitters = _slice_cones(tower, shifted, slice_poly)
+        record.last = (key, (_named_fan(cones, key[2]), splitters))
+    return record.last[1]
 
 
 def quotient_fan(tower, shifted: Polyhedron,
@@ -477,18 +487,16 @@ def quotient_fan(tower, shifted: Polyhedron,
     """Normal fan of the kernel slice, restricted to the transversal
     faces.  Each cone's rays are the normals of the slice facets that
     contain its face (see ``_slice_cones``).  Each fan geometry is
-    validated once per tower, and the cones of the tower's last slice
-    are remembered, with their named fan, so ``quotient_fan`` and
-    ``descend_linear_functional`` on the same slice with equal labels
-    return one shared ``Fan``.
+    validated once per tower, and the tower keeps one slice entry (see
+    ``_slice``), so ``quotient_fan`` and ``descend_linear_functional``
+    on the same arguments with equal labels return one shared ``Fan``.
 
     ``ray_labels`` maps primitive ray vectors to names (matching ids);
     unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
+    Raises ValueError when ``shifted`` is not in the tower's weight
+    lattice.
     """
-    if slice_poly is None:
-        slice_poly = kernel_polytope(tower, shifted)
-    cones, _ = _slice_cones(tower, shifted, slice_poly)
-    return _slice_fan(tower, cones, ray_labels)
+    return _slice(tower, shifted, slice_poly, ray_labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +540,13 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     one product with the rows of the inverse that ``_slice_cones``
     kept from its single Smith form per vertex and tower.  The factors
     are checked on every call.  Values on shared rays must agree across
-    cones and are returned per ray.  The quotient fan comes from the
-    same validated slice cones as ``quotient_fan``'s, and is the same
-    ``Fan`` under equal labels, so descending many weights along one
-    slice validates no fan, factors no matrix and names no fan after
-    the first.
+    cones and are returned per ray.  The quotient fan and the splitters
+    come from the tower's one slice entry (see ``_slice``), shared with
+    ``quotient_fan``, so descending many weights along one slice
+    slices, validates, factors and names nothing after the first call.
     """
     tower.check_weight(weight)
-    if slice_poly is None:
-        slice_poly = kernel_polytope(tower, shifted)
-    cones, splitters = _slice_cones(tower, shifted, slice_poly)
-    fan = _slice_fan(tower, cones, ray_labels)
+    fan, splitters = _slice(tower, shifted, slice_poly, ray_labels)
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
 
     for _, _, factors in splitters:

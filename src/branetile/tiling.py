@@ -101,10 +101,13 @@ class QuiverOnTorus:
 
     @functools.cached_property
     def _faces_by_arrow(self) -> dict:
-        index: dict = {}  # arrow id -> (positive faces, negative faces)
-        for f in self.faces:
-            for aid in set(f.arrows):
-                index.setdefault(aid, ([], []))[f.sign == -1].append(f)
+        """The one arrow-face index: arrow id -> ``(positive, negative)``
+        face indices, one per occurrence along the cycles, in face
+        order; an id of no arrow gets an entry too."""
+        index: dict = {}
+        for j, f in enumerate(self.faces):
+            for aid in f.arrows:
+                index.setdefault(aid, ([], []))[f.sign == -1].append(j)
         return index
 
     def faces_of(self, arrow_id: str) -> tuple:
@@ -113,7 +116,7 @@ class QuiverOnTorus:
         if len(plus) != 1 or len(minus) != 1:
             raise ConsistencyError(
                 f"arrow {arrow_id!r} is not in exactly one face of each sign")
-        return plus[0], minus[0]
+        return self.faces[plus[0]], self.faces[minus[0]]
 
 
 class WeakPath(NamedTuple):
@@ -141,7 +144,7 @@ def make_weak_path(tiling: QuiverOnTorus, steps: Sequence, source: str | None = 
         aid, exp = step
         if aid not in amap:
             raise ValueError(f"unknown arrow {aid!r} in path")
-        if exp not in (1, -1):
+        if type(exp) is not int or exp not in (1, -1):
             raise ValueError(f"path exponent must be +1 or -1, got {exp!r}")
         norm.append((aid, exp))
     if not norm:
@@ -173,31 +176,30 @@ def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:
     Breadth-first: each layer is swept twice, first extending along
     forward arrows (in input order), then along backward ones, so
     inverse steps only appear when a vertex has no forward approach at
-    its distance.
+    its distance.  A step extends the path to its start, so the paths
+    are returned as built, in vertex order.
     """
     if base is None:
         base = tiling.vertices[0]
     if base not in tiling.vertices:
         raise ValueError(f"unknown base vertex {base!r}")
-    steps = {base: ()}
+    sweeps = ([(a.source, a.target, (a.arrow_id, 1)) for a in tiling.arrows],
+              [(a.target, a.source, (a.arrow_id, -1)) for a in tiling.arrows])
+    paths = {base: WeakPath(source=base, target=base, steps=())}
     frontier = [base]
     while frontier:
         fresh = []
-        for v in frontier:
-            for a in tiling.arrows:
-                if a.source == v and a.target not in steps:
-                    steps[a.target] = steps[v] + ((a.arrow_id, 1),)
-                    fresh.append(a.target)
-        for v in frontier:
-            for a in tiling.arrows:
-                if a.target == v and a.source not in steps:
-                    steps[a.source] = steps[v] + ((a.arrow_id, -1),)
-                    fresh.append(a.source)
+        for sweep in sweeps:
+            for v in frontier:
+                for start, end, step in sweep:
+                    if start == v and end not in paths:
+                        paths[end] = WeakPath(base, end,
+                                              paths[v].steps + (step,))
+                        fresh.append(end)
         frontier = fresh
-    if len(steps) != len(tiling.vertices):
+    if len(paths) != len(tiling.vertices):
         raise ConsistencyError("quiver is not connected")
-    return {v: make_weak_path(tiling, steps[v], source=base)
-            for v in tiling.vertices}
+    return {v: paths[v] for v in tiling.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +550,13 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
         _check_cycle(n, face.arrows, amap)
     violations = []
 
-    plus_count = {aid: 0 for aid in amap}
-    minus_count = {aid: 0 for aid in amap}
-    for face in tiling.faces:
-        bucket = plus_count if face.sign == 1 else minus_count
-        for aid in face.arrows:
-            bucket[aid] += 1
     for aid in amap:
-        if plus_count[aid] != 1 or minus_count[aid] != 1:
+        plus, minus = tiling._faces_by_arrow.get(aid, ((), ()))
+        if len(plus) != 1 or len(minus) != 1:
             violations.append((
                 "arrow-face-incidence",
-                f"arrow {aid!r} lies in {plus_count[aid]} positive and "
-                f"{minus_count[aid]} negative faces (need one of each)"))
+                f"arrow {aid!r} lies in {len(plus)} positive and "
+                f"{len(minus)} negative faces (need one of each)"))
 
     for n, face in enumerate(tiling.faces):
         ok = True
@@ -583,18 +580,13 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
             f"{2 * len(tiling.arrows)}"))
 
     if tiling.vertices:
-        adjacency = {v: set() for v in tiling.vertices}
+        # with each arrow both ways, connected is one strong component
+        node = {v: n for n, v in enumerate(tiling.vertices)}
+        succ = [[] for _ in tiling.vertices]
         for a in tiling.arrows:
-            adjacency[a.source].add(a.target)
-            adjacency[a.target].add(a.source)
-        seen = {tiling.vertices[0]}
-        stack = [tiling.vertices[0]]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(tiling.vertices):
+            succ[node[a.source]].append(node[a.target])
+            succ[node[a.target]].append(node[a.source])
+        if len(set(_strong_components(succ))) != 1:
             violations.append(("connected",
                                "underlying graph is not connected"))
 
@@ -616,11 +608,8 @@ def _nondegenerate(tiling: QuiverOnTorus) -> bool:
     plus = [j for j, f in enumerate(tiling.faces) if f.sign == 1]
     minus = [j for j, f in enumerate(tiling.faces) if f.sign == -1]
     node = {j: n for n, j in enumerate(plus + minus)}
-    ends: dict = {}
-    for j, face in enumerate(tiling.faces):
-        for aid in face.arrows:
-            ends.setdefault(aid, [None, None])[face.sign == -1] = node[j]
-    edges = [(aid, u, v) for aid, (u, v) in ends.items()]
+    edges = [(aid, node[u], node[v])
+             for aid, ([u], [v]) in tiling._faces_by_arrow.items()]
 
     mate = _perfect_matching(len(plus), len(minus), edges)
     if mate is None:

@@ -74,6 +74,20 @@ def test_validate_rejects_duplicate_ray_vectors():
         bt.validate_fan(fan)
 
 
+@pytest.mark.parametrize("vectors, message", [
+    ({"a": (1, 0), "b": (0, 1, 7)}, "ray b has 3 coordinates, not the "
+     "first ray's 2"),
+    ({"a": (1, 0, 0), "b": (0, 1), "c": (0, 0, 1)}, "ray b has 2 "
+     "coordinates, not the first ray's 3"),
+], ids=["longer", "shorter"])
+def test_validate_rejects_rays_of_another_length(vectors, message):
+    # a dot product stops at the shorter vector, so nothing else notices
+    fan = make_fan(vectors, [(rid,) for rid in vectors])
+    with pytest.raises(bt.ConsistencyError) as exc:
+        bt.validate_fan(fan)
+    assert str(exc.value) == message
+
+
 def test_validate_rejects_non_primitive_and_zero_rays():
     with pytest.raises(bt.ConsistencyError):
         bt.validate_fan(make_fan({"a": (2, 0)}, [("a",)]))

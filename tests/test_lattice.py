@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -114,6 +115,26 @@ def test_solve_integer_finds_constructed_solutions(mat, data):
 def test_solve_integer_detects_unsolvable():
     assert bt.solve_integer([[2]], [1]) is None
     assert bt.solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bt.smith_normal_form([[Fraction(3, 2), 0], [0, 2.7]]),
+     "matrix row 0 entry 0 is Fraction(3, 2), not an integer"),
+    (lambda: bt.invariant_factors([[1, 0], [0, 2.7]]),
+     "matrix row 1 entry 1 is 2.7, not an integer"),
+    (lambda: bt.integer_kernel([[0.5, 1]]),
+     "matrix row 0 entry 0 is 0.5, not an integer"),
+    (lambda: bt.solve_integer([[1]], [2.0]),
+     "right-hand side entry 0 is 2.0, not an integer"),
+    (lambda: bt.solve_integer([[1, 0], [0, 1]], [1, Fraction(4, 2)]),
+     "right-hand side entry 1 is Fraction(2, 1), not an integer"),
+], ids=["smith_normal_form", "invariant_factors", "integer_kernel",
+        "solve_integer", "solve_integer_fraction"])
+def test_exact_routines_refuse_entries_that_are_not_integers(call, message):
+    # int() would truncate each of them, or drop a Fraction's type
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("target", [[], [1], [1, 0, 0]])

@@ -816,6 +816,29 @@ def test_a_dropped_tower_is_freed_after_its_slice_routes():
     assert tower_ref() is None
 
 
+@pytest.mark.parametrize("route", [
+    lambda tower, shifted, slice_poly: bt.kernel_polytope(tower, shifted),
+    lambda tower, shifted, slice_poly: bt.lift_slice_faces(
+        tower, shifted, slice_poly),
+    lambda tower, shifted, slice_poly: bt.quotient_fan(tower, shifted),
+    lambda tower, shifted, slice_poly: bt.quotient_fan(
+        tower, shifted, slice_poly),
+    lambda tower, shifted, slice_poly: bt.descend_linear_functional(
+        tower, shifted, (0,) * tower.rank, slice_poly),
+], ids=["kernel_polytope", "lift_slice_faces", "quotient_fan",
+        "quotient_fan_on_a_slice", "descend_linear_functional"])
+def test_the_quotient_route_refuses_a_cone_of_another_tower(
+        route, towers, chambers_by_name):
+    # z2z2's rank-6 cone on spp's rank-5 tower: dot products would stop
+    # at the shorter vector and slice a cone that is not spp's
+    _, _, shifted, _ = first_chamber_shift(towers, chambers_by_name, "z2z2")
+    slice_poly = bt.kernel_polytope(towers["z2z2"], shifted)
+    with pytest.raises(ValueError) as exc:
+        route(towers["spp"], shifted, slice_poly)
+    assert str(exc.value) == ("shifted polyhedron has ambient dimension 6, "
+                              "not the tower's rank 5")
+
+
 def test_quotient_fan_refuses_ray_labels_that_name_two_rays(
         spp, matchings_by_name, chambers_by_name):
     tower = bt.build_lattice_tower(spp)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -303,6 +304,16 @@ def test_make_weak_path_empty_needs_source(spp):
         bt.make_weak_path(spp, [])
     with pytest.raises(ValueError):
         bt.make_weak_path(spp, [], source="ghost")
+
+
+@pytest.mark.parametrize("exponent", [1.0, -1.0, True, Fraction(1)],
+                         ids=repr)
+def test_make_weak_path_accepts_only_int_exponents(spp, exponent):
+    # 1.0 == 1 and True == 1, but their weights would not be integers
+    with pytest.raises(ValueError) as exc:
+        bt.make_weak_path(spp, [("11", exponent)])
+    assert str(exc.value) == (
+        f"path exponent must be +1 or -1, got {exponent!r}")
 
 
 def test_make_weak_path_rejects_bad_steps(spp):

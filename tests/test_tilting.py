@@ -13,7 +13,7 @@ from branetile.stability import is_theta_stable
 from branetile.tilting import (picard_presentation, stable_matchings,
                                weak_path_weight)
 
-from conftest import QUIVER_FIXTURES
+from conftest import ALL_FIXTURES, QUIVER_FIXTURES
 
 # free rank of the divisor class group at the first chamber
 EXPECTED_RANK = {"honeycomb": 0, "conifold": 1, "spp": 2, "z2z2": 3}
@@ -40,6 +40,16 @@ def test_default_paths_reach_every_vertex(name, tilings):
         for v, path in paths.items():
             assert path.source == base
             assert path.target == v
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_default_paths_are_their_steps_checked_by_make_weak_path(name,
+                                                                 tilings):
+    # the breadth-first search builds each path without a second walk
+    tiling = tilings[name]
+    for base in tiling.vertices:
+        for path in bt.default_paths(tiling, base).values():
+            assert path == bt.make_weak_path(tiling, path.steps, source=base)
 
 
 def test_default_paths_default_base_is_the_first_vertex(spp):
