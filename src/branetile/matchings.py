@@ -184,21 +184,22 @@ def _field_bias(width: int, count: int) -> int:
     return sum(1 << width * j + width - 1 for j in range(count))
 
 
+def subset_sums(values: Sequence) -> list:
+    """The sum over every subset of ``values`` by bitmask (bit i is
+    ``values[i]``): each value doubles the table, so r values give 2^r."""
+    sums = [0]
+    for v in values:
+        sums += [x + v for x in sums]
+    return sums
+
+
 def _byte_tables(rows: list) -> list:
-    """One table per byte of an arrow mask, for ``rows`` indexed by
-    arrow bit: entry ``b`` of table ``i`` is the sum of the rows at bits
-    ``8 * i + j`` for the set bits ``j`` of ``b``.  So the sum of the
-    rows at a mask's bits is one lookup per byte of
-    ``mask.to_bytes(len(tables), "little")``.  Each table is built by
-    doubling, so a byte holding r arrows has 2^r entries: the last byte
-    of a mask sets no bit past the last arrow."""
-    tables = []
-    for start in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[start:start + 8]:
-            table += [x + row for x in table]
-        tables.append(table)
-    return tables
+    """One :func:`subset_sums` table per byte of an arrow mask, for
+    ``rows`` indexed by arrow bit: entry ``b`` of table ``i`` is the sum
+    of the rows at bits ``8 * i + j`` for the set bits ``j`` of ``b``, so
+    the rows at a mask's bits sum to one lookup per byte of
+    ``mask.to_bytes(len(tables), "little")`` (the last table is short)."""
+    return [subset_sums(rows[i:i + 8]) for i in range(0, len(rows), 8)]
 
 
 def _functional_table(tower: "lattice.LatticeTower") -> tuple:

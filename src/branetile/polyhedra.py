@@ -211,15 +211,16 @@ class _TowerRecord:
     tuples ``lift_slice_faces`` ranks; ``splitters``, ``(kernel_rows,
     factors)`` by a vertex's ambient active normals; and
     ``valid_fans``, the frozensets of ``(dim, rays)`` cones that passed
-    ``validate_fan``.  ``last`` is the one slice entry, ``(key, (fan,
-    splitters))`` of the last ``_slice`` call, its key that call's
-    ``(shifted, slice_poly, labels)`` as given, compared by equality.
+    ``validate_fan``.  ``last`` is the one slice entry, ``(key, (cones,
+    splitters), labels, fan)`` of the last ``_slice`` call: its key that
+    call's ``(shifted, slice_poly)`` as given, compared by equality, and
+    its fan the cones named by its labels.
     """
 
     def __init__(self) -> None:
         self.cone: "Polyhedron | None" = None
         self.ranks, self.splitters, self.valid_fans = {}, {}, set()
-        self.last = (None, None)
+        self.last = (None, None, None, None)
 
 
 # Towers compare by identity, so a record is freed with its tower.
@@ -469,16 +470,20 @@ def _slice(tower, shifted: Polyhedron, slice_poly: "Polyhedron | None",
            ray_labels: "dict | None") -> tuple:
     """``(fan, splitters)`` of a slice, from :func:`_slice_cones` and
     :func:`_named_fan`, kept as the tower's one slice entry keyed by the
-    arguments as given, so a repeated call computes nothing.  Raises
+    slice arguments as given, so a repeated call computes nothing and a
+    call with other labels only names the cones anew.  Raises
     ValueError as :func:`kernel_polytope` does."""
     record = _record(tower)
-    key = (shifted, slice_poly, dict(ray_labels or {}))
-    if record.last[0] != key:
+    key, labels = (shifted, slice_poly), dict(ray_labels or {})
+    held, sliced, named, fan = record.last
+    if held != key:
         if slice_poly is None:
             slice_poly = kernel_polytope(tower, shifted)
-        cones, splitters = _slice_cones(tower, shifted, slice_poly)
-        record.last = (key, (_named_fan(cones, key[2]), splitters))
-    return record.last[1]
+        sliced, named = _slice_cones(tower, shifted, slice_poly), None
+    if named != labels:
+        fan = _named_fan(sliced[0], labels)
+        record.last = (key, sliced, labels, fan)
+    return fan, sliced[1]
 
 
 def quotient_fan(tower, shifted: Polyhedron,

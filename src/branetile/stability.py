@@ -13,17 +13,17 @@ The chambers of the generic locus are the leaves of a sign tree over
 the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
 Genericity, the signs of the stable unions' supports and a chamber's
-sign vector are read in place from one table of the parameter's sums
-over all vertex subsets, by bitmask, of at most 25 vertices; no call
-copies or slices it, or builds another structure of that size but the
-sign vector a chamber is named by.  Arrow sets are the integer masks
-of ``QuiverOnTorus.arrow_bits``, as a perfect matching's ``mask`` is.
-One record, which does not depend on the parameter, is kept on the
-tiling and freed with it: the lifted record of the last matchings list,
-in its ``lifted_cache`` (see :func:`_lifted`), which every stable
-structure of that list reads, with the support masks of each hull
-structure.  :func:`submodule_supports` closes the supports of its arrow
-set on every call, and nothing else is kept between calls.
+sign vector are read in place from the parameter's sums over the
+subsets of each half of at most 36 vertices, by bitmask (see
+:func:`_halves`); no call builds the 2ⁿ sums over all vertex subsets.
+Arrow sets are the integer masks of ``QuiverOnTorus.arrow_bits``, as a
+perfect matching's ``mask`` is.  One record, which does not depend on
+the parameter, is kept on the tiling and freed with it: the lifted
+record of the last matchings list, in its ``lifted_cache`` (see
+:func:`_lifted`), which every stable structure of that list reads,
+with the support masks of each hull structure.
+:func:`submodule_supports` closes the supports of its arrow set on
+every call, and nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import rational
 from .errors import ConsistencyError, DegenerateInputError
 from .lattice import dot
-from .matchings import convex_hull_2d, cross, doubled_area, matching_id_key, set_bits
+from .matchings import (convex_hull_2d, cross, doubled_area, matching_id_key,
+                        set_bits, subset_sums)
 from .tiling import QuiverOnTorus, default_paths
 
 
@@ -54,28 +56,33 @@ def _theta_check(vertices: Sequence, theta: Sequence) -> None:
         raise ValueError("stability parameter entries must sum to zero")
 
 
-_MAX_SUBSET_SUM_VERTICES = 25  # a 5×5 moduli_fan (25 vertices) peaks at 1.5 GB
+_MAX_SUBSET_SUM_VERTICES = 36  # 6×6: two half tables of 2^18 sums
 
 
-def _subset_sums(values: Sequence) -> list:
-    """The sum over every vertex subset, indexed by bitmask (bit i is
-    vertex i): each vertex doubles the table, so past 25 vertices it
-    raises DegenerateInputError instead."""
-    if len(values) > _MAX_SUBSET_SUM_VERTICES:
+def _halves(theta: Sequence) -> tuple:
+    """``(h, low, high)``, the :func:`subset_sums` of θ[:h] and θ[h:] for
+    h = n // 2: mask s sums to ``low[s & len(low) - 1] + high[s >> h]``."""
+    h = len(theta) // 2
+    return h, subset_sums(theta[:h]), subset_sums(theta[h:])
+
+
+def _checked_halves(tiling: QuiverOnTorus, theta: Sequence) -> tuple:
+    """The :func:`_halves` of a checked θ, refused past the budget, and
+    whether it is generic: only the empty and the full set (one pair with
+    no vertices) meet in the middle at zero (Horowitz & Sahni, 1974)."""
+    _theta_check(tiling.vertices, theta)
+    if len(theta) > _MAX_SUBSET_SUM_VERTICES:
         raise DegenerateInputError(
             f"stability parameter sums support at most "
-            f"{_MAX_SUBSET_SUM_VERTICES} vertices; this tiling has {len(values)}")
-    sums = [0]
-    for t in values:
-        sums += [x + t for x in sums]
-    return sums
+            f"{_MAX_SUBSET_SUM_VERTICES} vertices; this tiling has {len(theta)}")
+    halves = _halves(theta)
+    negated = Counter(-x for x in halves[1])
+    return halves, sum(map(negated.__getitem__, halves[2])) <= 2
 
 
 def is_generic(tiling: QuiverOnTorus, theta: Sequence) -> bool:
     """Whether no proper nonempty vertex subset sums to zero."""
-    _theta_check(tiling.vertices, theta)
-    sums = _subset_sums(theta)
-    return all(itertools.islice(sums, 1, len(sums) - 1))
+    return _checked_halves(tiling, theta)[1]
 
 
 def _arrow_mask(tiling: QuiverOnTorus, arrows: Iterable) -> int:
@@ -148,14 +155,13 @@ _ON_A_WALL = ("stability parameter lies on a wall (some proper vertex "
               "subset sums to zero)")
 
 
-def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> list:
-    """The subset-sum table (:func:`_subset_sums`) of a checked
-    parameter; raises DegenerateInputError when it lies on a wall."""
-    _theta_check(tiling.vertices, theta)
-    sums = _subset_sums(theta)
-    if not all(itertools.islice(sums, 1, len(sums) - 1)):
+def _require_generic(tiling: QuiverOnTorus, theta: Sequence) -> tuple:
+    """The :func:`_checked_halves` of a parameter; raises
+    DegenerateInputError when it lies on a wall."""
+    halves, generic = _checked_halves(tiling, theta)
+    if not generic:
         raise DegenerateInputError(_ON_A_WALL)
-    return sums
+    return halves
 
 
 def is_theta_stable(tiling: QuiverOnTorus, arrows: Iterable,
@@ -194,8 +200,8 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
     """All stable unions of up to three perfect matchings, plus the
     empty set, at a generic parameter, checked as by
     :func:`is_theta_stable`."""
-    sums = _require_generic(tiling, theta)
-    return _stable_subsets_at(tiling, _lifted(tiling, matchings), theta, sums)
+    halves = _require_generic(tiling, theta)
+    return _stable_subsets_at(tiling, _lifted(tiling, matchings), theta, halves)
 
 
 class _LiftedRecord:
@@ -283,10 +289,10 @@ def _lifted(tiling: QuiverOnTorus, matchings: Sequence) -> _LiftedRecord:
 
 
 def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
-                       theta: Sequence, sums: Sequence) -> list:
+                       theta: Sequence, halves: tuple) -> list:
     """:func:`enumerate_stable_subsets` from the tiling's lifted record
-    (:func:`_lifted`), a generic parameter θ and its subset-sum table
-    (:func:`_subset_sums`), read in place at the structure's supports.
+    (:func:`_lifted`), a generic parameter θ and its :func:`_halves`,
+    read in place at the structure's supports.
 
     Each matching M lifts its point to h(M) = Σ_v θ_v·c_v(M), where
     c_v(M) is the signed count of M's arrows on the default path to v.
@@ -303,9 +309,12 @@ def _stable_subsets_at(tiling: QuiverOnTorus, record: _LiftedRecord,
     """
     out, supports = record.structure(
         tiling, record.hull([dot(c, theta) for c in record.counts]))
-    if any(sums[s] <= 0 for s in supports):
+    h, low, high = halves
+    cut = len(low) - 1
+    if any(low[s & cut] + high[s >> h] <= 0 for s in supports):
         subset = next(subset for subset, mask in out[1:] if any(
-            sums[s] <= 0 for s in _close_supports(tiling, mask)))
+            low[s & cut] + high[s >> h] <= 0
+            for s in _close_supports(tiling, mask)))
         raise ConsistencyError(f"{' + '.join(subset.matching_ids)} "
                                "on the lower hull is not stable")
     return [subset for subset, _ in out]
@@ -410,8 +419,10 @@ def _proper_subsets(vertices: Sequence) -> list:
     return sorted(out, key=lambda entry: (len(entry[1]), entry[1]))
 
 
-def _sign_vector(subsets: Sequence, sums: Sequence) -> tuple:
-    return tuple((subset, 1 if sums[mask] > 0 else -1)
+def _sign_vector(subsets: Sequence, halves: tuple) -> tuple:
+    h, low, high = halves
+    cut = len(low) - 1
+    return tuple((subset, 1 if low[mask & cut] + high[mask >> h] > 0 else -1)
                  for mask, subset in subsets)
 
 
@@ -508,12 +519,12 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     record = _lifted(tiling, matchings)
     out = []
     for i, theta in enumerate(chambers):
-        sums = _subset_sums(theta)
+        halves = _halves(theta)
         out.append(Chamber(
             index=i + 1, representative=theta,
-            sign_vector=_sign_vector(order, sums),
+            sign_vector=_sign_vector(order, halves),
             stable_subsets=tuple(_stable_subsets_at(tiling, record, theta,
-                                                    sums))))
+                                                    halves))))
     return out
 
 

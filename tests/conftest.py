@@ -20,7 +20,7 @@ from hypothesis import settings
 
 import branetile as bt
 from branetile import lattice, rational, stability
-from branetile.matchings import matching_id_key
+from branetile.matchings import matching_id_key, subset_sums
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
@@ -287,7 +287,7 @@ def reference_stable_subsets(tiling, theta, matchings) -> list:
     of three whose three pairs are stable (supports grow with the arrow
     set, so a sub-union of a stable union is stable).  Each subset
     lists every matching whose arrows it contains."""
-    sums = stability._subset_sums(theta)
+    sums = subset_sums(theta)
     unstable = {mask for mask, total in enumerate(sums) if total <= 0}
     masks = [m.mask for m in matchings]
 
@@ -368,17 +368,33 @@ def chambers_by_name(tilings, matchings_by_name) -> dict:
             for name in QUIVER_FIXTURES}
 
 
-@pytest.fixture(scope="session")
-def four_by_five() -> tuple:
-    """C^3/(Z_4 x Z_5) with its tower, its 1 537 matchings and the
-    parameter theta_i = (-1)^i 2^i for i < 19, the last entry balancing:
+def powers_of_two_theta(count: int) -> tuple:
+    """theta_i = (-1)^i 2^i for i < count - 1, the last entry balancing:
     generic, as a sum of distinct powers of two is zero only when
     empty."""
-    tiling = bt.load_document(orbifold_text(4, 5))
+    head = [(-1) ** i * 2 ** i for i in range(count - 1)]
+    return (*head, -sum(head))
+
+
+def powers_of_two_orbifold(n: int, m: int) -> tuple:
+    """C^3/(Z_n x Z_m) with its tower, its matchings and
+    :func:`powers_of_two_theta`."""
+    tiling = bt.load_document(orbifold_text(n, m))
     tower = bt.build_lattice_tower(tiling)
-    head = [(-1) ** i * 2 ** i for i in range(len(tiling.vertices) - 1)]
     return (tiling, tower, bt.enumerate_perfect_matchings(tiling, tower),
-            (*head, -sum(head)))
+            powers_of_two_theta(len(tiling.vertices)))
+
+
+@pytest.fixture(scope="session")
+def four_by_five() -> tuple:
+    """:func:`powers_of_two_orbifold` at 4 x 5, with 1 537 matchings."""
+    return powers_of_two_orbifold(4, 5)
+
+
+@pytest.fixture(scope="session")
+def five_by_five() -> tuple:
+    """:func:`powers_of_two_orbifold` at 5 x 5, with 7 623 matchings."""
+    return powers_of_two_orbifold(5, 5)
 
 
 @pytest.fixture(scope="session")

@@ -351,16 +351,30 @@ def test_chambers_of_seven_vertices_exit_four(tmp_path, capsys):
     assert "this tiling has 7" in err
 
 
-def test_a_fan_of_twenty_six_vertices_exits_four(tmp_path, capsys):
+def run_twenty_six_vertex_fan(tmp_path, capsys):
     path = tmp_path / "z2z13.json"
     path.write_text(orbifold_text(2, 13), encoding="utf-8")
     theta = [*range(1, 26), -sum(range(1, 26))]
-    code, out, err = run(["fan", str(path),
-                          f"--theta={','.join(map(str, theta))}"], capsys)
+    return run(["fan", str(path),
+                f"--theta={','.join(map(str, theta))}"], capsys)
+
+
+def test_a_fan_of_twenty_six_vertices_exits_four(tmp_path, capsys,
+                                                 monkeypatch):
+    # No document past the budget of 36 enumerates quickly, so the
+    # budget is lowered to check the exit code and message.
+    monkeypatch.setattr(stability, "_MAX_SUBSET_SUM_VERTICES", 25)
+    code, out, err = run_twenty_six_vertex_fan(tmp_path, capsys)
     assert code == 4
     assert out == ""
     assert err == ("error[fan:degenerate] stability parameter sums support "
                    "at most 25 vertices; this tiling has 26\n")
+
+
+def test_a_fan_of_twenty_six_vertices_exits_zero(tmp_path, capsys):
+    code, out, err = run_twenty_six_vertex_fan(tmp_path, capsys)
+    assert code == 0
+    assert out and err == ""
 
 
 def test_bad_vertex_order_exits_two(capsys):

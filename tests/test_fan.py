@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 import branetile as bt
 from branetile import fan as fan_module, polyhedra, rational
 from branetile.fan import Fan, FanCone, FanRay
-from branetile.matchings import matching_id_key
+from branetile.matchings import lattice_points_in_hull, matching_id_key
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
-                      orbifold_text, reference_validate_fan)
+                      orbifold_text, powers_of_two_orbifold,
+                      reference_validate_fan)
 
 EXPECTED_GIT_CLASSES = {
     "honeycomb": [[1]],
@@ -486,6 +487,31 @@ def test_a_four_by_five_moduli_fan_is_pinned(four_by_five):
     assert (len(fan.rays), len(fan.cones)) == (16, 72)
     assert hashlib.sha256(repr(form).encode()).hexdigest() == (
         "fefec84383eccbdc58d29890f44959720d206cd15ac73704b423c93344c32bbe")
+
+
+def test_a_five_by_five_moduli_fan_is_pinned(five_by_five):
+    # As built from one table of all 2^25 subset sums of theta.
+    tiling, _, matchings, theta = five_by_five
+    fan = bt.moduli_fan(tiling, theta, matchings)
+    form = (tuple((r.ray_id, r.vector) for r in fan.rays),
+            tuple((tuple(sorted(c.ray_ids, key=matching_id_key)), c.dim)
+                  for c in fan.cones))
+    assert (len(fan.rays), len(fan.cones)) == (21, 92)
+    assert hashlib.sha256(repr(form).encode()).hexdigest() == (
+        "b5458b7f7dc516dfd1de89c1412e3f84f0eea603ac12ecb8ae40f9d6a6ab29af")
+
+
+def test_a_five_by_six_moduli_fan_triangulates_its_diagram():
+    # 30 vertices: past the 25 that one table of all 2^n subset sums
+    # allowed.
+    tiling, tower, matchings, theta = powers_of_two_orbifold(5, 6)
+    fan = bt.moduli_fan(tiling, theta, matchings)
+    assert bt.check_smooth(fan)
+    diagram = bt.toric_diagram(tiling, tower, matchings)
+    tri = bt.triangulation(fan, diagram)
+    assert len(tri.triangles) == 30
+    assert {p for _, p in tri.ray_points} == set(
+        lattice_points_in_hull(list(diagram.hull)))
 
 
 @pytest.mark.parametrize("n, m, classes", [(2, 2, 4), (1, 5, 1)])

@@ -773,6 +773,25 @@ def test_the_quotient_side_validates_one_fan_per_git_class(monkeypatch):
     assert len(calls) == len(classes) == 4
 
 
+def test_switching_labels_only_renames_the_slice(monkeypatch):
+    tiling, tower, found, chambers = tower_and_chambers("z2z2")
+    calls = []
+    real = polyhedra.lift_slice_faces
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "lift_slice_faces", counting)
+    for chamber in chambers:
+        theta = chamber.representative
+        labels = {ray.vector: ray.ray_id
+                  for ray in bt.moduli_fan(tiling, theta, found).rays}
+        for switched in (None, labels, None):
+            routes_on(tiling, tower, theta, switched)
+    assert len(chambers) == len(calls) == 32
+
+
 def test_lift_slice_faces_ranks_each_row_tuple_once(monkeypatch):
     _, tower, _, chambers = tower_and_chambers((2, 2))
     slices = []

@@ -18,8 +18,9 @@ from branetile.matchings import matching_id_key
 from branetile.tilting import stable_matchings
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, canonical_structure,
-                      document_text, orbifold_text, recursion_headroom,
-                      reference_stable_subsets, seeded_generic_thetas)
+                      document_text, orbifold_text, powers_of_two_theta,
+                      recursion_headroom, reference_stable_subsets,
+                      seeded_generic_thetas)
 
 EXPECTED_CHAMBERS = {"honeycomb": 1, "conifold": 2, "spp": 6, "z2z2": 32}
 
@@ -231,12 +232,28 @@ def test_stability_rejects_wall_parameters(spp, matchings_by_name):
     lambda tiling, theta: bt.is_theta_stable(tiling, [], theta),
 ], ids=["is_generic", "is_theta_stable"])
 def test_subset_sums_past_the_vertex_budget_are_refused(check):
-    # 26 vertices: the table would hold 2^26 sums
-    tiling = bt.load_document(orbifold_text(2, 13))
-    theta = (*range(1, 26), -sum(range(1, 26)))
+    # 38 vertices: each half table would hold 2^19 sums
+    tiling = bt.load_document(orbifold_text(2, 19))
+    theta = (*range(1, 38), -sum(range(1, 38)))
     with pytest.raises(bt.DegenerateInputError,
-                       match="at most 25 vertices; this tiling has 26"):
+                       match="at most 36 vertices; this tiling has 38"):
         check(tiling, theta)
+
+
+@pytest.mark.parametrize("a, b", [(2, 20), (2, 5)],
+                         ids=["across-the-halves", "inside-one-half"])
+def test_a_planted_zero_sum_pair_is_a_wall_at_twenty_six_vertices(a, b):
+    # The first 13 vertices make the low half, so a pair's sum is met in
+    # the middle or found inside one half table.
+    tiling = bt.load_document(orbifold_text(2, 13))
+    theta = powers_of_two_theta(26)
+    assert bt.is_generic(tiling, theta)
+    head = list(theta[:-1])
+    head[b] = -head[a]
+    planted = (*head, -sum(head))
+    assert not bt.is_generic(tiling, planted)
+    with pytest.raises(bt.DegenerateInputError, match="wall"):
+        bt.is_theta_stable(tiling, [], planted)
 
 
 class GuardedTable(list):
@@ -266,16 +283,17 @@ class GuardedTable(list):
 
 def test_a_stability_call_reads_its_table_in_place(monkeypatch, tilings,
                                                    towers):
-    # The subset-sum table is the only structure of size 2^n a stability
-    # call holds: no call slices or copies it, and none walks it twice.
+    # The half tables of subset sums are the only structures of their
+    # size a stability call holds: no call slices or copies one, and
+    # none walks one twice.
     tables = []
 
     def guarded(values):
         tables.append(GuardedTable(real(values)))
         return tables[-1]
 
-    real = stability._subset_sums
-    monkeypatch.setattr(stability, "_subset_sums", guarded)
+    real = stability.subset_sums
+    monkeypatch.setattr(stability, "subset_sums", guarded)
     three = bt.load_document(orbifold_text(3, 3))
     cases = [(tilings["z2z2"], towers["z2z2"]),
              (three, bt.build_lattice_tower(three))]
@@ -293,6 +311,8 @@ def test_a_stability_call_reads_its_table_in_place(monkeypatch, tilings,
             bt.tilting_collection(tiling, tower, theta, matchings)
     assert len(tables) > 32
     assert max(table.passes for table in tables) <= 1
+    # no table holds more than a half's sums: 2^5 for 3x3's 9 vertices
+    assert max(map(len, tables)) == 1 << 5
 
 
 def test_stability_rejects_wrong_parameter_length(spp):

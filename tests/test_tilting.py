@@ -365,3 +365,14 @@ def test_a_four_by_five_tilting_collection_is_pinned(four_by_five):
     assert len(collection.ray_ids) == 16
     assert hashlib.sha256(repr(form).encode()).hexdigest() == (
         "d7e21a6a641d4dce40583cfc6fed9de8596affa0c8b1d0bb5a121513546748e4")
+
+
+def test_a_five_by_five_tilting_collection_is_pinned(five_by_five):
+    # As built from one table of all 2^25 subset sums of theta.
+    tiling, tower, matchings, theta = five_by_five
+    collection = bt.tilting_collection(tiling, tower, theta, matchings)
+    form = (collection.ray_ids, collection.divisors, collection.classes,
+            collection.presentation.torsion, collection.presentation.rank)
+    assert len(collection.ray_ids) == 21
+    assert hashlib.sha256(repr(form).encode()).hexdigest() == (
+        "1dd146cb1144d2ec7b5d226e9784c6356f9ae559a9e9753a5218a1f77b4f1767")
