@@ -17,8 +17,8 @@ from .lattice import (LatticeTower, build_lattice_tower, integer_kernel,
                       invariant_factors, smith_normal_form, solve_integer)
 from .matchings import (PerfectMatching, ToricDiagram,
                         canonical_point_multiset, convex_hull_2d,
-                        enumerate_perfect_matchings, extremal_matchings,
-                        matching_arrow_sets, toric_diagram)
+                        enumerate_perfect_matchings, matching_arrow_sets,
+                        toric_diagram)
 from .polyhedra import (DescendedSupport, LiftedFace, PolyFace, Polyhedron,
                         cone_of_arrow_weights, descend_linear_functional,
                         enumerate_faces, integer_points, kernel_polytope,
@@ -50,7 +50,7 @@ __all__ = [
     "cone_of_arrow_weights", "convex_hull_2d", "default_paths",
     "descend_linear_functional", "dualize_dimer",
     "enumerate_faces", "enumerate_perfect_matchings",
-    "enumerate_stable_subsets", "extract_dimer", "extremal_matchings",
+    "enumerate_stable_subsets", "extract_dimer",
     "fans_equal", "find_chamber", "git_equivalence_classes",
     "graded_sections_count", "integer_kernel", "integer_points",
     "invariant_factors", "is_generic", "is_theta_stable", "is_w_compatible",

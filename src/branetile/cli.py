@@ -29,8 +29,8 @@ from .errors import (BraneTileError, ConsistencyError, DegenerateInputError,
                      TilingFormatError)
 from .fan import check_smooth, git_equivalence_classes, moduli_fan, triangulation
 from .lattice import build_lattice_tower
-from .matchings import (enumerate_perfect_matchings, matching_id_key,
-                        toric_diagram)
+from .matchings import (_MAX_PARTIAL_MATCHINGS, enumerate_perfect_matchings,
+                        matching_id_key, toric_diagram)
 from .stability import (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES,
                         chamber_decomposition)
 from .svg import render_diagram_svg
@@ -43,13 +43,15 @@ exit codes:
   1  unexpected internal error
   2  usage error or malformed input document
   3  validation failure (structural rules, or an arrow in no matching)
-  4  degenerate input (parameter on a wall, a singular fan, or more
+  4  degenerate input (parameter on a wall, a singular fan, more than
+     %d partial matchings held by the matching search, or more
      than %d vertices for chambers or %d for a parameter's subset sums)
   5  internal consistency violation
   6  input file unreadable
 
 errors print one stderr line:  error[<verb>:<class>] message
-""" % (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES)
+""" % (_MAX_PARTIAL_MATCHINGS, _MAX_CHAMBER_VERTICES,
+       _MAX_SUBSET_SUM_VERTICES)
 
 _RULES = ("arrow-face-incidence", "face-cycle", "euler", "face-length",
           "connected")

@@ -8,10 +8,11 @@ the kernel lattice is a point at height one; dropping the height gives
 the matching's point in the plane, and the collection of these points
 is the toric diagram of the tiling.
 
-The matchings are found by an exact-cover search whose state is one
-int, the mask of the faces already met (see :func:`matching_arrow_sets`),
-and each is kept as one int too, the mask of its arrows in the order of
-``QuiverOnTorus.arrow_bits``, from which its arrow ids are decoded.
+The matchings are found by an exact-cover search, one layer of states
+at a time, whose state is one int, the mask of the faces already met
+(see :func:`matching_arrow_sets`), and each is kept as one int too, the
+mask of its arrows in the order of ``QuiverOnTorus.arrow_bits``, from
+which its arrow ids are decoded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice, rational
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DegenerateInputError
 from .tiling import QuiverOnTorus
 
 
@@ -69,23 +70,34 @@ def set_bits(mask: int) -> list:
 # byte -> the byte with its 8 bits in reverse order
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+# partial matchings the search may hold at once: above 6x6's peak of
+# 1 822 102; C^3/Z_22 reaches it at about 200 MB of RSS
+_MAX_PARTIAL_MATCHINGS = 1 << 21
+
 
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     """All perfect matchings as arrow masks (``QuiverOnTorus.arrow_bits``),
     sorted by their set bits: the order of their sorted arrow-id tuples.
 
-    An exact cover of the faces by arrows, without recursion.  An arrow
-    that a face cycle passes more than once is never chosen; every other
-    arrow meets a mask of face bits.  The faces take their bits in
-    breadth-first order over shared arrows from face 0.  A search state
-    is one int, the mask of the faces already met: it branches on its
-    lowest unmet face, over the arrows that meet it and no met face.
-    Whether a state completes to a matching depends on its mask alone,
-    so the masks that completed to none are kept in a set and never
-    walked again.  Each met face above the lowest unmet one shares an
+    An exact cover of the faces by arrows, built layer by layer with no
+    recursion and no backtracking.  An arrow that a face cycle passes
+    more than once is never chosen; every other arrow meets a mask of
+    face bits.  The faces take their bits in breadth-first order over
+    shared arrows from face 0.  A search state is one int, the mask of
+    the faces already met, and it holds the arrow masks of all partial
+    matchings that meet exactly those faces.  Layer f is the states
+    whose lowest unmet face is f.  Each state of it is extended by every
+    arrow that meets face f and no met face, its whole list in one
+    comprehension, into a state whose lowest unmet face is later: so a
+    state's list is complete when its layer comes up, each layer is
+    dropped once it is done, and the full mask's list is the answer.
+    Branching on the lowest unmet face alone reaches each partial
+    matching once.  Each met face above the lowest unmet one shares an
     arrow with a face below it, so in breadth-first order it lies at
-    most one layer further on: the states are bounded by the widths of
-    two layers, and not by the order a document lists its faces in.
+    most one level further on: the states are bounded by the widths of
+    two levels, and not by the order a document lists its faces in.
+    More than ``_MAX_PARTIAL_MATCHINGS`` partial matchings held in the
+    layers to come raise ``DegenerateInputError``.
     The set of exact covers does not depend on the branching order, so
     one sort at the end gives the order of any other search; its key
     reads each mask with bit 0 most significant, through a byte table.
@@ -118,29 +130,32 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     # per face bit: (face mask, arrow bit) of each arrow meeting the face
     choices = [[(mask[i], 1 << i) for i in members[j]] for j in bit_of]
 
-    full = (1 << len(members)) - 1
-    found: list = []
-    dead: set = set()  # met masks that no matching completes
-    # frame: (met mask, its arrow bits, len(found) on entry, untried
-    # choices); the root's one choice, no arrow, leads to state 0
-    frames = [(0, 0, 0, iter([(0, 0)]))]
-    while frames:
-        met, chosen, before, options = frames[-1]
-        for m, a in options:
-            if m & met:
-                continue
-            state = met | m
-            if state == full:
-                found.append(chosen | a)
-            elif state not in dead:
-                low = (state ^ state + 1).bit_length() - 1  # lowest 0 bit
-                frames.append((state, chosen | a, len(found),
-                               iter(choices[low])))
-                break
-        else:
-            frames.pop()
-            if len(found) == before:
-                dead.add(met)
+    # layer f: each met mask whose lowest unmet face is f -> the arrow
+    # masks of the partial matchings that meet exactly its faces
+    layers = [{} for _ in range(len(members) + 1)]
+    layers[0][0] = [0]
+    held = 1  # masks in the layers not yet processed
+    for f in range(len(members)):
+        layer, layers[f] = layers[f], None
+        held -= sum(map(len, layer.values()))
+        for met, prefixes in layer.items():
+            for m, a in choices[f]:
+                if not m & met:
+                    state = met | m
+                    low = (state ^ state + 1).bit_length() - 1  # lowest 0 bit
+                    extended = [p | a for p in prefixes]
+                    bucket = layers[low]
+                    if state in bucket:
+                        bucket[state] += extended
+                    else:
+                        bucket[state] = extended
+                    held += len(prefixes)
+                    if held > _MAX_PARTIAL_MATCHINGS:
+                        raise DegenerateInputError(
+                            f"the matching search holds at most "
+                            f"{_MAX_PARTIAL_MATCHINGS} partial matchings; "
+                            f"this tiling needs more")
+    found = layers[-1].get((1 << len(members)) - 1, [])
     # No cover contains another, so of two set-bit lists the smaller has
     # the lowest bit they do not share: it is the larger mask read with
     # bit 0 most significant.  Bytes taken high first, each with its bits
@@ -438,8 +453,3 @@ def toric_diagram(tiling: QuiverOnTorus,
     canonical = canonical_point_multiset(p for _, p in points)
     return ToricDiagram(points=points, hull=hull, extremal_ids=extremal,
                         canonical=canonical)
-
-
-def extremal_matchings(matchings: Sequence, diagram: ToricDiagram) -> list:
-    ids = set(diagram.extremal_ids)
-    return [m for m in matchings if m.matching_id in ids]

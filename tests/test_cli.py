@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from branetile import stability
+from branetile import matchings, stability
 from branetile.cli import main
 
 from conftest import QUIVER_FIXTURES, fixture_path, fixture_text, orbifold_text
@@ -201,6 +201,24 @@ def test_the_exit_code_help_names_the_vertex_limits(capsys):
     assert (f"more than {stability._MAX_CHAMBER_VERTICES} vertices for "
             f"chambers or {stability._MAX_SUBSET_SUM_VERTICES} for a "
             f"parameter's subset sums") in " ".join(out.split())
+
+
+def test_the_exit_code_help_names_the_partial_matching_limit(capsys):
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0
+    assert (f"more than {matchings._MAX_PARTIAL_MATCHINGS} partial matchings "
+            f"held by the matching search") in " ".join(out.split())
+
+
+def test_too_many_partial_matchings_exit_four(capsys, monkeypatch):
+    # A document past the real limit takes about 200 MB before it is
+    # refused, so the limit is lowered below spp's six matchings.
+    monkeypatch.setattr(matchings, "_MAX_PARTIAL_MATCHINGS", 5)
+    code, out, err = run(["matchings", SPP], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == ("error[matchings:degenerate] the matching search holds "
+                   "at most 5 partial matchings; this tiling needs more\n")
 
 
 def test_missing_input_exits_six(capsys):

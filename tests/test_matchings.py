@@ -8,6 +8,7 @@ import json
 import math
 import random
 import struct
+import time
 from collections import Counter
 
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import branetile as bt
 from branetile import lattice, rational
-from branetile.errors import ConsistencyError
-from branetile.matchings import (_FIELD_CODES, _byte_tables, _field_bias,
+from branetile.errors import ConsistencyError, DegenerateInputError
+from branetile.matchings import (_FIELD_CODES, _MAX_PARTIAL_MATCHINGS,
+                                 _byte_tables, _field_bias,
                                  _pack_rows, convex_hull_2d,
                                  doubled_area, lattice_points_in_hull)
 from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
@@ -264,6 +266,35 @@ def test_five_by_five_matchings_are_pinned():
     digest = hashlib.sha256(repr([tuple(sorted(s)) for s in found]).encode())
     assert digest.hexdigest() == (
         "f9c599cea2bc1cae7614cac5de86cf5f5984a5b050956764f8ca6f65c3f55697")
+
+
+def test_five_by_six_matchings_are_pinned():
+    # the same digest, recorded from the depth-first search with a set
+    # of dead met masks that the layered search replaced
+    found = arrow_sets(bt.load_document(orbifold_text(5, 6)))
+    assert len(found) == 38405
+    digest = hashlib.sha256(repr([tuple(sorted(s)) for s in found]).encode())
+    assert digest.hexdigest() == (
+        "86d321353fd4f149a7bdecc385b0fc0ce60d91d913eb4b65a52a06fabb93b6a9")
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_one_by_k_orbifold_has_two_to_the_k_plus_one_matchings(k):
+    # C^3/Z_k: the k + 1 lattice points of one diagram edge carry the
+    # binomial counts C(k, i), and the hull vertex opposite it one
+    masks = bt.matching_arrow_sets(bt.load_document(orbifold_text(1, k)))
+    assert len(set(masks)) == len(masks) == 2 ** k + 1
+
+
+def test_exponentially_many_matchings_are_refused_quickly():
+    # 1x22 has 2^22 + 1 matchings, more than the search may hold; the
+    # refusal comes while the partial matchings are still growing
+    tiling = bt.load_document(orbifold_text(1, 22))
+    start = time.process_time()
+    with pytest.raises(DegenerateInputError,
+                       match=f"at most {_MAX_PARTIAL_MATCHINGS} partial"):
+        bt.matching_arrow_sets(tiling)
+    assert time.process_time() - start < 1.0
 
 
 def renamed_orbifold_text(n: int, m: int, seed: int) -> str:
@@ -790,8 +821,6 @@ def test_extremal_matchings_sit_on_hull_vertices(name, tilings, towers,
                                                  matchings_by_name):
     matchings = matchings_by_name[name]
     diagram = bt.toric_diagram(tilings[name], towers[name], matchings)
-    extremal = bt.extremal_matchings(matchings, diagram)
-    assert {m.matching_id for m in extremal} == set(diagram.extremal_ids)
     hull = set(diagram.hull)
     for m in matchings:
         assert (m.point in hull) == (m.matching_id in diagram.extremal_ids)
