@@ -33,8 +33,9 @@ from .tiling import (Arrow, DimerGraph, Face, QuiverOnTorus, ValidationReport,
                      load_document, make_weak_path, parse_dimer,
                      parse_tiling, serialize_tiling, validate)
 from .tilting import (PicardPresentation, SectionCount, TiltingCollection,
-                      class_path_independence, graded_sections_count,
-                      path_divisor, picard_presentation, tilting_collection)
+                      graded_sections_count, path_divisor,
+                      picard_presentation, tilting_collection,
+                      weak_path_weight)
 
 __version__ = "0.1.0"
 
@@ -46,7 +47,7 @@ __all__ = [
     "SectionCount", "StableSubset", "TiltingCollection", "TilingFormatError",
     "ToricDiagram", "Triangulation", "ValidationReport", "WeakPath",
     "build_lattice_tower", "canonical_point_multiset",
-    "chamber_decomposition", "check_smooth", "class_path_independence",
+    "chamber_decomposition", "check_smooth",
     "cone_of_arrow_weights", "convex_hull_2d", "default_paths",
     "descend_linear_functional", "dualize_dimer",
     "enumerate_faces", "enumerate_perfect_matchings",
@@ -62,4 +63,5 @@ __all__ = [
     "serialize_tiling", "shift_by_stability", "smith_normal_form",
     "solve_integer", "submodule_supports", "tilting_collection",
     "toric_diagram", "triangulation", "validate", "validate_fan",
+    "weak_path_weight",
 ]

@@ -309,9 +309,6 @@ class LatticeTower:
         self.check_weight(weight)
         return tuple(mat_vec(self.degree_matrix, weight))
 
-    def in_kernel(self, weight: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.degree(weight))
-
 
 def build_lattice_tower(tiling) -> LatticeTower:
     """Compute the lattice tower of a validated quiver tiling.

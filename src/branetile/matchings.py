@@ -12,7 +12,7 @@ The matchings are found by an exact-cover search, one layer of states
 at a time, whose state is one int, the mask of the faces already met
 (see :func:`matching_arrow_sets`), and each is kept as one int too, the
 mask of its arrows in the order of ``QuiverOnTorus.arrow_bits``, from
-which its arrow ids are decoded.
+which its arrow ids are decoded and the functional read on any path.
 """
 
 from __future__ import annotations
@@ -27,22 +27,21 @@ from .tiling import QuiverOnTorus
 
 
 class PerfectMatching(NamedTuple):
-    """A perfect matching with its weight-lattice functional.
+    """A perfect matching as its arrow mask.  Its functional χ, 1 on its
+    arrows' weights and on the face-cycle weight, is not kept: on a
+    path's weight it counts the mask's arrows on the path, with sign.
 
     Attributes:
         matching_id: ``m1``, ``m2``, ... in enumeration order.
         mask: the matching's arrows, bit k for ``arrow_order[k]``.
         arrow_order: the tiling's sorted arrow ids, in a shared tuple.
-        chi: functional on the weight lattice — 1 on arrows in the
-            matching, 0 on the rest, and 1 on the face-cycle weight.
-        chi_kernel: restriction of ``chi`` to the kernel lattice; its
-            last coordinate is always 1.
+        chi_kernel: restriction of χ to the kernel lattice; its last
+            coordinate is always 1.
     """
 
     matching_id: str
     mask: int
     arrow_order: tuple
-    chi: tuple
     chi_kernel: tuple
 
     @property
@@ -219,25 +218,24 @@ def _byte_tables(rows: list) -> list:
 
 def _functional_table(tower: "lattice.LatticeTower") -> tuple:
     """One row per ambient generator — the face-cycle symbol, then the
-    arrows in tower order.  A row holds the generator's ``section`` row,
-    its value on every arrow weight and on the face-cycle weight, and
-    its kernel coordinates, so by linearity the column sums over a
-    matching's generators are its functional and everything checked
-    about it.  Returned packed, as ``(width, rows)`` of
-    :func:`_pack_rows`: the field width bounds every such column sum."""
+    arrows in tower order.  A row holds the generator's value, through
+    its ``section`` row, on every arrow weight and on the face-cycle
+    weight, and its kernel coordinates, so by linearity the column sums
+    over a matching's generators are everything checked about its
+    functional, and its kernel restriction.  Returned packed, as
+    ``(width, rows)`` of :func:`_pack_rows`: the field width bounds
+    every such column sum."""
     columns = ([tower.weights[aid] for aid in tower.arrow_ids]
                + [tower.face_cycle_weight] + list(zip(*tower.kernel_basis)))
     # a section row has about one nonzero entry: its values are the
     # product with the columns as a k-row matrix, which skips the zeros
-    values = lattice.mat_mul(tower.section, list(zip(*columns)))
-    return _pack_rows([row + tuple(vals)
-                       for row, vals in zip(tower.section, values)])
+    return _pack_rows(lattice.mat_mul(tower.section, list(zip(*columns))))
 
 
 def enumerate_perfect_matchings(tiling: QuiverOnTorus,
                                 tower: "lattice.LatticeTower | None" = None) -> list:
-    """All perfect matchings with their functionals, in a deterministic
-    order (sorted arrow-id tuples); ids are assigned in that order.
+    """All perfect matchings with their kernel functionals, in a
+    deterministic order (sorted arrow-id tuples), as ids are assigned.
 
     A matching's columns of :func:`_functional_table` are one sum of
     packed rows, read from :func:`_byte_tables` with one lookup per byte
@@ -245,11 +243,10 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     in the arrow block, so the sum's arrow block is the matching's values
     on the arrow weights less its indicator, and the arrow check is that
     the block is zero.  Then its value on the face-cycle weight and its
-    height are checked, each raising ``ConsistencyError``.  ``chi``, the
+    height are checked, each raising ``ConsistencyError``.  The
     face-cycle value and ``chi_kernel`` are read out in one unpack."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
-    k = tower.rank
     n_arrows = len(tower.arrow_ids)
     width, (cycle_row, *arrow_rows) = _functional_table(tower)
     bits = tiling.arrow_bits
@@ -258,16 +255,15 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     # field of a matching's sum is at least -2^(width-1) and still fits.
     rows = [0] * n_arrows  # by arrow bit
     for i, aid in enumerate(tower.arrow_ids):
-        rows[bits[aid]] = arrow_rows[i] - (1 << width * (k + i))
+        rows[bits[aid]] = arrow_rows[i] - (1 << width * i)
     tables = _byte_tables(rows)
     size = len(tables)
-    arrow_block = (1 << width * (k + n_arrows)) - (1 << width * k)
-    count = k + n_arrows + 4
+    arrow_block = (1 << width * n_arrows) - 1
+    count = n_arrows + 4
     bias = _field_bias(width, count)
     code = _FIELD_CODES[width]
-    # chi, then past the arrow block, the face-cycle value and chi_kernel
-    unpack = struct.Struct(
-        f"<{k}{code}{n_arrows * width // 8}x4{code}").unpack
+    # past the arrow block, the face-cycle value and chi_kernel
+    unpack = struct.Struct(f"<{n_arrows * width // 8}x4{code}").unpack
     length = count * width // 8
     order = tuple(bits)
     result = []
@@ -279,15 +275,15 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
         values = unpack(fields.to_bytes(length, "little"))
-        if values[k] != 1:
+        if values[0] != 1:
             raise ConsistencyError(
                 "matching functional is not 1 on the face-cycle weight")
-        chi_kernel = values[k + 1:]
+        chi_kernel = values[1:]
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")
         result.append(PerfectMatching(matching_id=f"m{n + 1}", mask=mask,
-                                      arrow_order=order, chi=values[:k],
+                                      arrow_order=order,
                                       chi_kernel=chi_kernel))
     return result
 

@@ -1,17 +1,17 @@
 """Tilting data over a stability chamber.
 
 Choosing one weak path from a base vertex to every other vertex endows
-the quotient with a collection of line bundles: each path's weight
-pairs with the stable matchings' functionals to give a divisor, and
-divisor classes live in the cokernel of the matching-functional matrix
+the quotient with a collection of line bundles: each path's divisor
+counts each stable matching's arrows on it, with sign, and divisor
+classes live in the cokernel of the matching-functional matrix
 on the kernel lattice (the divisor class group).  Classes do not
 depend on the chosen paths, only on their endpoints.
 
 Sections are counted in two independent ways and compared: lattice
 points of the shifted polytope cut out by the stable functionals,
 versus weights of actual quiver paths — bucketed by the height
-functional, the total of *all* matching functionals (the arrow count
-weighted by how many matchings use each arrow).
+functional, the total of *all* matching functionals (on an arrow,
+the number of matchings through it).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import lattice
 from .errors import ConsistencyError
 from .polyhedra import integer_points, polyhedron_from_inequalities
 from .stability import enumerate_stable_subsets, is_theta_stable
-from .tiling import QuiverOnTorus, WeakPath, default_paths
+from .tiling import QuiverOnTorus, WeakPath, default_paths, make_weak_path
 
 
 def weak_path_weight(tower, path: WeakPath) -> tuple:
@@ -58,10 +58,26 @@ def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
     return stable
 
 
-def path_divisor(tower, path: WeakPath, stable: Sequence) -> tuple:
-    """Pair the path's weight with each stable matching's functional."""
-    weight = weak_path_weight(tower, path)
-    return tuple((m.matching_id, lattice.dot(m.chi, weight)) for m in stable)
+def path_divisor(tiling: QuiverOnTorus, path: WeakPath,
+                 stable: Sequence) -> tuple:
+    """``(matching_id, coefficient)`` per stable matching M: the path's
+    weight paired with M's functional, which by linearity is Σ e·[a ∈ M]
+    over the path's steps (a, e), read from M's mask through one arrow
+    mask per net exponent.  Raises ValueError unless ``make_weak_path``
+    rebuilds the path from its steps and source."""
+    if make_weak_path(tiling, path.steps, path.source) != path:
+        raise ValueError(f"{path!r} is not the weak path of its steps")
+    bits = tiling.arrow_bits
+    net: dict = {}  # arrow bit -> net exponent
+    for aid, exp in path.steps:
+        net[bits[aid]] = net.get(bits[aid], 0) + exp
+    masks: dict = {}  # nonzero net exponent -> its arrows' mask
+    for k, e in net.items():
+        if e:
+            masks[e] = masks.get(e, 0) | 1 << k
+    return tuple((m.matching_id, sum(e * (m.mask & mask).bit_count()
+                                     for e, mask in masks.items()))
+                 for m in stable)
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +125,6 @@ def picard_presentation(stable: Sequence) -> PicardPresentation:
         projection=projection, torsion=torsion, rank=len(projection))
 
 
-def class_path_independence(tower, first: WeakPath, second: WeakPath,
-                            stable: Sequence) -> bool:
-    """Verify that two weak paths with equal endpoints give the same
-    divisor class, in two independent ways.
-
-    The weight difference must lie in the kernel lattice, and the
-    divisor difference must be the image of its kernel coordinates;
-    both always hold for equal endpoints, and any disagreement between
-    the two computations raises ConsistencyError.
-    """
-    if (first.source, first.target) != (second.source, second.target):
-        raise ValueError("paths do not share endpoints")
-    diff = tuple(a - b for a, b in zip(weak_path_weight(tower, first),
-                                       weak_path_weight(tower, second)))
-    in_kernel = tower.in_kernel(diff)
-    delta = [lattice.dot(m.chi, diff) for m in stable]
-    rows = [list(m.chi_kernel) for m in stable]
-    in_image = lattice.solve_integer(rows, delta) is not None
-    if in_kernel != in_image:
-        raise ConsistencyError(
-            "kernel membership and divisor-image membership disagree")
-    if not in_kernel:
-        raise ConsistencyError(
-            "equal endpoints should force a kernel weight difference")
-    return True
-
-
 # ---------------------------------------------------------------------------
 # tilting collections
 # ---------------------------------------------------------------------------
@@ -154,8 +143,11 @@ class TiltingCollection(NamedTuple):
 def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
                        matchings: Sequence, base: "str | None" = None,
                        paths: "dict | None" = None) -> TiltingCollection:
-    """Raises ValueError unless the paths run from one vertex, the base
-    if one is given, to every vertex."""
+    """Raises ValueError unless the tower is the tiling's and the paths
+    run from one vertex, the base if one is given, to every vertex."""
+    if (tower.vertex_ids, tower.arrow_ids) != (
+            tiling.vertices, tuple(a.arrow_id for a in tiling.arrows)):
+        raise ValueError("the lattice tower is not the tiling's")
     stable = stable_matchings(tiling, theta, matchings)
     presentation = picard_presentation(stable)
     if paths is None:
@@ -171,7 +163,7 @@ def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
     divisors = []
     classes = []
     for v, path in path_items:
-        coeffs = tuple(c for _, c in path_divisor(tower, path, stable))
+        coeffs = tuple(c for _, c in path_divisor(tiling, path, stable))
         divisors.append((v, coeffs))
         classes.append((v, presentation.class_of(coeffs)))
     return TiltingCollection(
@@ -218,19 +210,21 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
     stable = stable_matchings(tiling, theta, matchings)
     if not stable:
         raise ConsistencyError("no stable matchings: the fan is empty")
-    weight = weak_path_weight(tower, path)
+    divisor = path_divisor(tiling, path, stable)
 
-    # Total-height functional, on the weight lattice and on the kernel,
-    # and the path's own height.
-    total_chi = tuple(sum(m.chi[i] for m in matchings)
-                      for i in range(tower.rank))
+    # The total-height functional: on the kernel, the sum of all kernel
+    # functionals; on an arrow, N_a, the number of matchings through it,
+    # by arrow bit the '1's in each column of the n-digit binary masks.
+    bits = tiling.arrow_bits
+    n, spec = len(bits), f"0{len(bits)}b"
+    digits = "".join([format(m.mask, spec) for m in matchings])
+    through = [digits[j::n].count("1") for j in range(n)][::-1]
     height_vec = tuple(
         sum(m.chi_kernel[j] for m in matchings) for j in range(3))
-    path_height = lattice.dot(total_chi, weight)
+    path_height = sum(exp * through[bits[aid]] for aid, exp in path.steps)
 
-    # Lattice count: chi_I . y >= -chi_I(weight), total height capped.
-    inequalities = [
-        (m.chi_kernel, -lattice.dot(m.chi, weight)) for m in stable]
+    # Lattice count: chi_I . y >= -chi_I(path), total height capped.
+    inequalities = [(m.chi_kernel, -c) for m, (_, c) in zip(stable, divisor)]
     inequalities.append(
         (tuple(-h for h in height_vec), path_height - max_height))
     poly = polyhedron_from_inequalities(inequalities, 3)
@@ -248,7 +242,7 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
     # plus the arrow's, kept beside it in ``seen``.
     outgoing: dict = {v: [] for v in tiling.vertices}
     for a in tiling.arrows:
-        h = lattice.dot(total_chi, tower.weights[a.arrow_id])
+        h = through[bits[a.arrow_id]]
         if h <= 0:
             raise ConsistencyError(
                 f"arrow {a.arrow_id!r} lies in no perfect matching; the "

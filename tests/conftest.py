@@ -276,6 +276,25 @@ def reference_validate_fan(fan) -> None:
 
 
 # ---------------------------------------------------------------------------
+# a matching's functional, kept as a reference
+# ---------------------------------------------------------------------------
+
+def vec_mat_functionals(tower, arrows) -> tuple:
+    """A matching's functional χ on the weight lattice and its kernel
+    restriction, by the first route: the ambient indicator vector times
+    the section matrix, then the product with the kernel basis."""
+    def vec_mat(v, a):
+        return [lattice.dot(v, col) for col in zip(*a)]
+
+    ambient = [1] + [1 if aid in arrows else 0 for aid in tower.arrow_ids]
+    chi = tuple(vec_mat(ambient, [list(row) for row in tower.section]))
+    chi_kernel = tuple(
+        sum(chi[i] * tower.kernel_basis[i][j] for i in range(tower.rank))
+        for j in range(3))
+    return chi, chi_kernel
+
+
+# ---------------------------------------------------------------------------
 # stable unions by a pair and triple search over support masks, kept as a
 # reference
 # ---------------------------------------------------------------------------

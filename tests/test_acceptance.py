@@ -303,8 +303,7 @@ def test_07_spp_tilting_divisors_and_classes(spp, towers,
         by_id = {m.matching_id: m for m in stable}
         ordered = [by_id[coll.ray_ids[i]] for i in order]
         for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            weight = lattice.mat_vec(tower.kernel_basis, coords)
-            linear = [lattice.dot(m.chi, weight) for m in ordered]
+            linear = [lattice.dot(m.chi_kernel, coords) for m in ordered]
             assert all(lattice.dot(row, linear) == 0
                        for row in PINNED_PROJECTION)
         assert lattice.invariant_factors(

@@ -550,7 +550,7 @@ def test_classes_refuse_chambers_of_another_tiling(
 
 def hand_matching(matching_id: str, chi_kernel: tuple):
     return bt.PerfectMatching(matching_id=matching_id, mask=0,
-                              arrow_order=(), chi=(), chi_kernel=chi_kernel)
+                              arrow_order=(), chi_kernel=chi_kernel)
 
 
 @pytest.mark.parametrize("kernels, message", [

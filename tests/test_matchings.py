@@ -24,7 +24,8 @@ from branetile.matchings import (_FIELD_CODES, _MAX_PARTIAL_MATCHINGS,
 from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
 
 from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, orbifold_text,
-                      recursion_headroom, shuffled_orbifold_text)
+                      recursion_headroom, shuffled_orbifold_text,
+                      vec_mat_functionals)
 
 EXPECTED_COUNT = {"honeycomb": 3, "conifold": 4, "spp": 6, "z2z2": 9,
                   "honeycomb_dimer": 3, "spp_dimer": 6, "square_dimer": 4}
@@ -115,21 +116,6 @@ def union_nondegenerate(tiling) -> bool:
     for arrows in recursive_matching_arrow_sets(tiling):
         covered |= arrows
     return covered == set(amap)
-
-
-def vec_mat_functionals(tower, arrows) -> tuple:
-    """The previous route to a matching's functional: the ambient
-    indicator vector times the section matrix, then the kernel
-    restriction."""
-    def vec_mat(v, a):
-        return [lattice.dot(v, col) for col in zip(*a)]
-
-    ambient = [1] + [1 if aid in arrows else 0 for aid in tower.arrow_ids]
-    chi = tuple(vec_mat(ambient, [list(row) for row in tower.section]))
-    chi_kernel = tuple(
-        sum(chi[i] * tower.kernel_basis[i][j] for i in range(tower.rank))
-        for j in range(3))
-    return chi, chi_kernel
 
 
 def incidence_tiling(faces: list, n_arrows: int) -> QuiverOnTorus:
@@ -347,13 +333,13 @@ def test_functionals_match_the_section_product(name, tilings):
               if name in ORBIFOLD_DOCUMENTS else tilings[name])
     tower = bt.build_lattice_tower(tiling)
     for m in bt.enumerate_perfect_matchings(tiling, tower):
-        assert (m.chi, m.chi_kernel) == vec_mat_functionals(tower, m.arrows)
+        assert m.chi_kernel == vec_mat_functionals(tower, m.arrows)[1]
 
 
 def perturbed(tower, section=False, face_cycle=False, kernel=False):
     """``tower`` with some of its functional data off by design:
     ``section`` adds 1 to the face-cycle generator's row at the first
-    coordinate some arrow weight uses, so every matching's ``chi`` moves
+    coordinate some arrow weight uses, so every matching's functional moves
     off its arrows; ``face_cycle`` doubles the face-cycle weight;
     ``kernel`` doubles the kernel basis column that gives the height.
     The arrow check alone sees a wrong section: the face-cycle weight
@@ -555,10 +541,11 @@ def test_matching_functionals_indicate_their_arrows(name, tilings, towers,
                                                     matchings_by_name):
     tiling, tower = tilings[name], towers[name]
     for m in matchings_by_name[name]:
+        chi, _ = vec_mat_functionals(tower, m.arrows)
         for aid in tower.arrow_ids:
             expected = 1 if aid in m.arrows else 0
-            assert lattice.dot(m.chi, tower.weights[aid]) == expected
-        assert lattice.dot(m.chi, tower.face_cycle_weight) == 1
+            assert lattice.dot(chi, tower.weights[aid]) == expected
+        assert lattice.dot(chi, tower.face_cycle_weight) == 1
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -566,8 +553,9 @@ def test_kernel_restriction_sits_at_height_one(name, towers,
                                                matchings_by_name):
     tower = towers[name]
     for m in matchings_by_name[name]:
+        chi, _ = vec_mat_functionals(tower, m.arrows)
         restricted = tuple(
-            sum(m.chi[i] * tower.kernel_basis[i][j]
+            sum(chi[i] * tower.kernel_basis[i][j]
                 for i in range(tower.rank))
             for j in range(3))
         assert restricted == m.chi_kernel

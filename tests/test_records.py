@@ -38,7 +38,7 @@ PINNED_REPRS = {
     "ValidationReport":
         "ValidationReport(ok=True, violations=(), nondegenerate=True)",
     "PerfectMatching":
-        "5e2027a6dae5f041bf8be5afa7c1b7d31187f82a10fb9b8636ecc7c2c8124065",
+        "7aa1e62826857ed4f02cbfbb5a202ea23794e7c0eccc7a2b01f30d0bf715d5b5",
     "ToricDiagram":
         "e02a8f3019e65686dd1bf2895ed23abd8eb4119f4b23eea01717edf5179d975f",
     "StableSubset": "StableSubset(arrows=frozenset({'11', '23'}), "

@@ -201,7 +201,6 @@ THETA_ENTRY_POINTS = {
 }
 WEIGHT_ENTRY_POINTS = {
     "degree": lambda t, tw, ms, cs, w: tw.degree(w),
-    "in_kernel": lambda t, tw, ms, cs, w: tw.in_kernel(w),
     "descend_linear_functional": lambda t, tw, ms, cs, w:
         bt.descend_linear_functional(
             tw, bt.shift_by_stability(tw, cs[0].representative)[0], w),

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import branetile as bt
-from branetile import lattice
+from branetile import lattice, stability
 from branetile.stability import is_theta_stable
 from branetile.tilting import (picard_presentation, stable_matchings,
                                weak_path_weight)
 
-from conftest import ALL_FIXTURES, QUIVER_FIXTURES
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, document_text,
+                      powers_of_two_theta, vec_mat_functionals)
 
 # free rank of the divisor class group at the first chamber
 EXPECTED_RANK = {"honeycomb": 0, "conifold": 1, "spp": 2, "z2z2": 3}
@@ -82,18 +85,97 @@ def test_inverse_steps_cancel_in_the_path_weight(spp, towers):
 # divisors and the class group presentation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", QUIVER_FIXTURES)
-def test_path_divisor_evaluates_stable_functionals(name, tilings, towers,
-                                                   matchings_by_name,
-                                                   chambers_by_name):
-    tiling = tilings[name]
-    tower, theta = first_chamber(name, towers, chambers_by_name)
-    stable = stable_matchings(tiling, theta, matchings_by_name[name])
-    for path in bt.default_paths(tiling).values():
-        weight = weak_path_weight(tower, path)
-        divisor = bt.path_divisor(tower, path, stable)
-        assert divisor == tuple(
-            (m.matching_id, lattice.dot(m.chi, weight)) for m in stable)
+PAIRING_DOCUMENTS = ALL_FIXTURES + ("2x2", "3x3")
+
+
+@functools.cache
+def stable_setting(name: str) -> tuple:
+    """A document with its tower and its matchings stable at
+    :func:`powers_of_two_theta`, each with its reference functional χ."""
+    tiling = bt.load_document(document_text(name))
+    tower = bt.build_lattice_tower(tiling)
+    theta = powers_of_two_theta(len(tiling.vertices))
+    stable = stable_matchings(
+        tiling, theta, bt.enumerate_perfect_matchings(tiling, tower))
+    chis = [vec_mat_functionals(tower, m.arrows)[0] for m in stable]
+    return tiling, tower, stable, chis
+
+
+def assert_divisor_is_the_reference(name: str, path) -> None:
+    tiling, tower, stable, chis = stable_setting(name)
+    weight = weak_path_weight(tower, path)
+    assert bt.path_divisor(tiling, path, stable) == tuple(
+        (m.matching_id, lattice.dot(chi, weight))
+        for m, chi in zip(stable, chis))
+
+
+@pytest.mark.parametrize("name", PAIRING_DOCUMENTS)
+def test_path_divisor_evaluates_stable_functionals(name):
+    # every default path from every base, and each face cycle walked
+    # twice, forward and inverted: arrows repeated with one sign
+    tiling = stable_setting(name)[0]
+    for base in tiling.vertices:
+        for path in bt.default_paths(tiling, base).values():
+            assert_divisor_is_the_reference(name, path)
+    for face in tiling.faces:
+        for exp in (1, -1):
+            steps = [(aid, exp) for aid in face.arrows[::exp]] * 2
+            assert_divisor_is_the_reference(
+                name, bt.make_weak_path(tiling, steps))
+
+
+@st.composite
+def walks(draw) -> tuple:
+    """A document and a random weak path on it, built by
+    ``make_weak_path``: each move takes an arrow out of or into the
+    current vertex, or steps back along the last move, so arrows repeat
+    and paths go back and forth."""
+    name = draw(st.sampled_from(PAIRING_DOCUMENTS))
+    tiling = stable_setting(name)[0]
+    at = draw(st.sampled_from(tiling.vertices))
+    steps = []
+    for move in draw(st.lists(st.integers(0, 99), max_size=12)):
+        if move < 25 and steps:
+            aid, exp = steps[-1]
+            steps.append((aid, -exp))
+        else:
+            options = sorted(
+                [(a.arrow_id, 1) for a in tiling.arrows if a.source == at]
+                + [(a.arrow_id, -1) for a in tiling.arrows if a.target == at])
+            steps.append(options[move % len(options)])
+        arrow = tiling.arrow_map[steps[-1][0]]
+        at = arrow.target if steps[-1][1] == 1 else arrow.source
+    source = None if steps else at
+    return name, bt.make_weak_path(tiling, steps, source)
+
+
+@given(walks())
+def test_path_divisor_of_a_random_walk_evaluates_stable_functionals(walk):
+    assert_divisor_is_the_reference(*walk)
+
+
+MALFORMED_SPP_PATHS = [
+    (bt.WeakPath("1", "2", (("nope", 1),)), "unknown arrow 'nope'"),
+    (bt.WeakPath("1", "1", (("11", 2),)), "exponent must be"),
+    (bt.WeakPath("1", "3", (("12", 1),)), "not the weak path of its steps"),
+]
+
+
+@pytest.mark.parametrize("path, message", MALFORMED_SPP_PATHS,
+                         ids=["unknown-arrow", "exponent-two", "wrong-target"])
+def test_a_malformed_weak_path_is_refused(path, message, spp, towers,
+                                          matchings_by_name,
+                                          chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    matchings = matchings_by_name["spp"]
+    stable = stable_matchings(spp, theta, matchings)
+    paths = {**bt.default_paths(spp), path.target: path}
+    with pytest.raises(ValueError, match=message):
+        bt.path_divisor(spp, path, stable)
+    with pytest.raises(ValueError, match=message):
+        bt.tilting_collection(spp, tower, theta, matchings, paths=paths)
+    with pytest.raises(ValueError, match=message):
+        bt.graded_sections_count(spp, tower, theta, path, matchings)
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -142,8 +224,7 @@ def test_kernel_image_classes_vanish(name, tilings, towers,
     stable = stable_matchings(tiling, theta, matchings_by_name[name])
     pres = picard_presentation(stable)
     for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -2, 1)]:
-        weight = lattice.mat_vec(tower.kernel_basis, coords)
-        divisor = tuple(lattice.dot(m.chi, weight) for m in stable)
+        divisor = tuple(lattice.dot(m.chi_kernel, coords) for m in stable)
         assert pres.class_of(divisor) == ((0,) * pres.rank, ())
 
 
@@ -165,10 +246,15 @@ def test_collection_is_internally_consistent(name, tilings, towers,
     paths = dict(coll.paths)
     divisors = dict(coll.divisors)
     classes = dict(coll.classes)
-    for v in tiling.vertices:
+    # the default paths' divisors are the signed counts c_v(M) that
+    # the stability record lifts each matching's point by
+    counts = stability._lifted(tiling, matchings).counts
+    lifted = [counts[matchings.index(m)] for m in stable]
+    for i, v in enumerate(tiling.vertices):
         expected = tuple(
-            c for _, c in bt.path_divisor(tower, paths[v], stable))
+            c for _, c in bt.path_divisor(tiling, paths[v], stable))
         assert divisors[v] == expected
+        assert divisors[v] == tuple(row[i] for row in lifted)
         assert classes[v] == coll.presentation.class_of(divisors[v])
     assert divisors[coll.base] == (0,) * len(stable)
     assert classes[coll.base] == ((0,) * coll.presentation.rank, ())
@@ -231,17 +317,12 @@ def test_collection_classes_are_path_independent(spp, towers,
     assert dict(other.divisors) != dict(default.divisors)
 
 
-def test_class_path_independence_verifies_and_rejects(spp, towers,
-                                                      matchings_by_name,
-                                                      chambers_by_name):
-    tower, theta = first_chamber("spp", towers, chambers_by_name)
-    stable = stable_matchings(spp, theta, matchings_by_name["spp"])
-    first = bt.make_weak_path(spp, [("12", 1)])
-    second = bt.make_weak_path(spp, [("13", 1), ("32", 1)])
-    assert bt.class_path_independence(tower, first, second, stable)
-    loop = bt.make_weak_path(spp, [], source="1")
-    with pytest.raises(ValueError):
-        bt.class_path_independence(tower, first, loop, stable)
+def test_collection_refuses_the_tower_of_another_tiling(
+        spp, towers, matchings_by_name, chambers_by_name):
+    _, theta = first_chamber("spp", towers, chambers_by_name)
+    with pytest.raises(ValueError, match="tower is not the tiling's"):
+        bt.tilting_collection(spp, towers["conifold"], theta,
+                              matchings_by_name["spp"])
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +347,16 @@ def test_section_counts_agree_between_lattice_and_paths(
         name, tilings, towers, matchings_by_name, chambers_by_name):
     tiling = tilings[name]
     tower, theta = first_chamber(name, towers, chambers_by_name)
+    matchings = matchings_by_name[name]
+    chis = [vec_mat_functionals(tower, m.arrows)[0] for m in matchings]
     for path in bt.default_paths(tiling).values():
         count = bt.graded_sections_count(tiling, tower, theta, path,
-                                         matchings_by_name[name],
-                                         max_height=3)
+                                         matchings, max_height=3)
         assert count.matches
         assert [h for h, _, _ in count.heights] == [0, 1, 2, 3]
+        weight = weak_path_weight(tower, path)
+        assert count.path_height == sum(lattice.dot(chi, weight)
+                                        for chi in chis)
 
 
 def test_empty_path_has_the_trivial_section(conifold, towers,
