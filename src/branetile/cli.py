@@ -333,22 +333,16 @@ def _cmd_sections(args) -> int:
     paths = default_paths(tiling, base)
     lines = [f"# sections {args.input} theta={_vec(theta)} "
              f"max-height={args.max_height}"]
-    rows = []
-    agree = True
-    for src in tiling.vertices:
-        back = [(aid, -e) for aid, e in reversed(paths[src].steps)]
-        for tgt in tiling.vertices:
-            steps = back + list(paths[tgt].steps)
-            path = make_weak_path(tiling, steps, source=src)
-            count = graded_sections_count(tiling, tower, theta, path,
-                                          matchings,
-                                          max_height=args.max_height)
-            agree = agree and count.matches
-            for h, lat, pat in count.heights:
-                rows.append([src, tgt, str(h), str(lat), str(pat),
-                             "yes" if lat == pat else "NO"])
-    lines += _table(["from", "to", "height", "lattice", "paths", "equal"],
-                    rows)
+    counts = graded_sections_count(tiling, tower, theta, [
+        make_weak_path(tiling, [(a, -e) for a, e in paths[src].steps[::-1]]
+                       + list(paths[tgt].steps), src)
+        for src in tiling.vertices for tgt in tiling.vertices],
+        matchings, max_height=args.max_height)
+    agree = all(count.matches for count in counts)
+    lines += _table(["from", "to", "height", "lattice", "paths", "equal"], [
+        [count.path.source, count.path.target, str(h), str(lat), str(pat),
+         "yes" if lat == pat else "NO"]
+        for count in counts for h, lat, pat in count.heights])
     lines.append(f"# all heights agree: {'true' if agree else 'false'}")
     _emit(lines)
     if not agree:

@@ -11,12 +11,15 @@ Sections are counted in two independent ways and compared: lattice
 points of the shifted polytope cut out by the stable functionals,
 versus weights of actual quiver paths — bucketed by the height
 functional, the total of *all* matching functionals (on an arrow,
-the number of matchings through it).
+the number of matchings through it).  One call counts many paths:
+every lattice side, with its box refusal, runs before one path search
+per distinct source.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import lattice
@@ -33,6 +36,12 @@ def weak_path_weight(tower, path: WeakPath) -> tuple:
         w = tower.weights[aid]
         total = [t + exp * x for t, x in zip(total, w)]
     return tuple(total)
+
+
+def _check_tower(tiling: QuiverOnTorus, tower) -> None:
+    if (tower.vertex_ids, tower.arrow_ids) != (
+            tiling.vertices, tuple(a.arrow_id for a in tiling.arrows)):
+        raise ValueError("the lattice tower is not the tiling's")
 
 
 def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
@@ -145,9 +154,7 @@ def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
                        paths: "dict | None" = None) -> TiltingCollection:
     """Raises ValueError unless the tower is the tiling's and the paths
     run from one vertex, the base if one is given, to every vertex."""
-    if (tower.vertex_ids, tower.arrow_ids) != (
-            tiling.vertices, tuple(a.arrow_id for a in tiling.arrows)):
-        raise ValueError("the lattice tower is not the tiling's")
+    _check_tower(tiling, tower)
     stable = stable_matchings(tiling, theta, matchings)
     presentation = picard_presentation(stable)
     if paths is None:
@@ -191,26 +198,28 @@ class SectionCount(NamedTuple):
 
 
 def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
-                          path: WeakPath, matchings: Sequence,
-                          max_height: int = 4) -> SectionCount:
-    """Count sections of the path's divisor, graded by height.
+                          paths: Sequence, matchings: Sequence,
+                          max_height: int = 4) -> tuple:
+    """One :class:`SectionCount` per weak path, in the given order: the
+    sections of the path's divisor, graded by height.
 
     Lattice side: integer points of ``{y : <chi_I, y> >= -chi_I(path)
     for stable I}`` capped at the height bound, bucketed by total
     height.  Path side: distinct weights of forward paths between the
-    path's endpoints, bucketed the same way.  The two must agree when
-    the quotient construction represents the sections faithfully; the
-    result records both so a mismatch is visible.  A ``max_height``
-    that is negative or not an integer raises ValueError.
+    path's endpoints, bucketed the same way; the two agree when the
+    quotient represents the sections faithfully.  Every path's lattice
+    side (with its box refusal) runs before the path searches, one per
+    distinct source.  A negative or non-integer ``max_height``, or
+    another tiling's tower, raises ValueError.
     """
     if not isinstance(max_height, numbers.Integral):
         raise ValueError(f"max_height must be an integer, got {max_height!r}")
     if max_height < 0:
         raise ValueError(f"max_height must be nonnegative, got {max_height}")
+    _check_tower(tiling, tower)
     stable = stable_matchings(tiling, theta, matchings)
     if not stable:
         raise ConsistencyError("no stable matchings: the fan is empty")
-    divisor = path_divisor(tiling, path, stable)
 
     # The total-height functional: on the kernel, the sum of all kernel
     # functionals; on an arrow, N_a, the number of matchings through it,
@@ -221,25 +230,26 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
     through = [digits[j::n].count("1") for j in range(n)][::-1]
     height_vec = tuple(
         sum(m.chi_kernel[j] for m in matchings) for j in range(3))
-    path_height = sum(exp * through[bits[aid]] for aid, exp in path.steps)
+    below = tuple(-h for h in height_vec)
 
     # Lattice count: chi_I . y >= -chi_I(path), total height capped.
-    inequalities = [(m.chi_kernel, -c) for m, (_, c) in zip(stable, divisor)]
-    inequalities.append(
-        (tuple(-h for h in height_vec), path_height - max_height))
-    poly = polyhedron_from_inequalities(inequalities, 3)
-    if poly.rays or poly.lineality:
-        raise ConsistencyError("capped section polytope is unbounded")
-    lattice_buckets: dict = {}
-    for y in integer_points(poly):
-        h = lattice.dot(height_vec, y) + path_height
-        if 0 <= h <= max_height:
-            lattice_buckets[h] = lattice_buckets.get(h, 0) + 1
+    lattice_sides = []  # of (path, path height, Counter of heights)
+    for path in paths:
+        inequalities = [(m.chi_kernel, -c) for m, (_, c) in
+                        zip(stable, path_divisor(tiling, path, stable))]
+        path_height = sum(exp * through[bits[aid]] for aid, exp in path.steps)
+        inequalities.append((below, path_height - max_height))
+        poly = polyhedron_from_inequalities(inequalities, 3)
+        if poly.rays or poly.lineality:
+            raise ConsistencyError("capped section polytope is unbounded")
+        heights = (lattice.dot(height_vec, y) + path_height
+                   for y in integer_points(poly))
+        lattice_sides.append((path, path_height, Counter(
+            h for h in heights if 0 <= h <= max_height)))
 
-    # Path count: distinct forward-path weights, by height.  The height
-    # functional is positive on every arrow weight (nondegeneracy), so
-    # capping it bounds the search.  A state's height is its parent's
-    # plus the arrow's, kept beside it in ``seen``.
+    # Path count: distinct forward-path weights from each source, by
+    # (target, height).  Every arrow's height is positive, so the cap
+    # bounds the search; ``seen`` keeps each state's height.
     outgoing: dict = {v: [] for v in tiling.vertices}
     for a in tiling.arrows:
         h = through[bits[a.arrow_id]]
@@ -248,28 +258,24 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
                 f"arrow {a.arrow_id!r} lies in no perfect matching; the "
                 "path search would not terminate")
         outgoing[a.source].append((a.target, tower.weights[a.arrow_id], h))
-    start = (path.source, (0,) * tower.rank)
-    seen = {start: 0}
-    frontier = [start]
-    path_buckets: dict = {0: 1} if path.source == path.target else {}
-    while frontier:
-        fresh = []
-        for vertex, w in frontier:
+    path_sides = {}  # source -> Counter of (target, height)
+    for source in dict.fromkeys(path.source for path, _, _ in lattice_sides):
+        seen = {(source, (0,) * tower.rank): 0}
+        queue = list(seen)  # grows while it is read
+        for vertex, w in queue:
             base = seen[vertex, w]
-            for target, arrow_weight, arrow_height in outgoing[vertex]:
-                h = base + arrow_height
+            for target, weight, height in outgoing[vertex]:
+                h = base + height
                 if h > max_height:
                     continue
-                found = (target, tuple(x + y for x, y in zip(w, arrow_weight)))
+                found = (target, tuple(x + y for x, y in zip(w, weight)))
                 if found not in seen:
                     seen[found] = h
-                    fresh.append(found)
-                    if target == path.target:
-                        path_buckets[h] = path_buckets.get(h, 0) + 1
-        frontier = fresh
+                    queue.append(found)
+        path_sides[source] = Counter((v, h) for (v, _), h in seen.items())
 
-    rows = tuple(
-        (h, lattice_buckets.get(h, 0), path_buckets.get(h, 0))
-        for h in range(max_height + 1))
-    return SectionCount(path=path, max_height=max_height,
-                        path_height=path_height, heights=rows)
+    return tuple(
+        SectionCount(path, max_height, path_height, tuple(
+            (h, lat[h], path_sides[path.source][path.target, h])
+            for h in range(max_height + 1)))
+        for path, path_height, lat in lattice_sides)

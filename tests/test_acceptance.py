@@ -424,15 +424,15 @@ def test_10_section_counts_agree_and_are_eventually_positive(
         tiling, tower = tilings[name], towers[name]
         matchings = matchings_by_name[name]
         for chamber in chambers_by_name[name]:
-            theta = chamber.representative
-            for u in tiling.vertices:
-                paths = bt.default_paths(tiling, u)
-                for v in tiling.vertices:
-                    count = bt.graded_sections_count(
-                        tiling, tower, theta, paths[v], matchings,
-                        max_height=4)
-                    assert count.matches
-                    assert any(n >= 1 for _, n, _ in count.heights)
+            paths = [bt.default_paths(tiling, u)[v]
+                     for u in tiling.vertices for v in tiling.vertices]
+            counts = bt.graded_sections_count(
+                tiling, tower, chamber.representative, paths, matchings,
+                max_height=4)
+            assert [count.path for count in counts] == paths
+            for count in counts:
+                assert count.matches
+                assert any(n >= 1 for _, n, _ in count.heights)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def moduli_answers(tiling, tower, theta, matchings, chamber) -> tuple:
         outcome(bt.moduli_fan, tiling, theta, matchings),
         outcome(bt.enumerate_stable_subsets, tiling, theta, matchings),
         outcome(bt.tilting_collection, tiling, tower, theta, matchings),
-        outcome(bt.graded_sections_count, tiling, tower, theta, path,
+        outcome(bt.graded_sections_count, tiling, tower, theta, [path],
                 matchings, 1),
         [bt.submodule_supports(tiling, s.arrows)
          for s in chamber.stable_subsets])
@@ -206,7 +206,7 @@ def test_the_hull_candidates_are_built_once(monkeypatch):
         bt.moduli_fan(tiling, theta, matchings)
         bt.enumerate_stable_subsets(tiling, theta, matchings)
         bt.tilting_collection(tiling, tower, theta, matchings)
-        bt.graded_sections_count(tiling, tower, theta, path, matchings, 1)
+        bt.graded_sections_count(tiling, tower, theta, [path], matchings, 1)
     bt.git_equivalence_classes(tiling, chambers, matchings)
 
     assert len(chambers) == 32
@@ -231,3 +231,26 @@ def test_each_stable_matching_is_certified_once_per_call(
         assert [m.matching_id for m in stable] == sorted(
             chamber.stable_matchings, key=matching_id_key)
         assert certified == [m.arrows for m in stable]
+
+
+def test_one_sections_call_certifies_each_stable_matching_once(
+        monkeypatch, tilings, towers, matchings_by_name, chambers_by_name):
+    certified = []
+    is_theta_stable = tilting.is_theta_stable
+
+    def counting(tiling, arrows, theta):
+        certified.append(frozenset(arrows))
+        return is_theta_stable(tiling, arrows, theta)
+
+    monkeypatch.setattr(tilting, "is_theta_stable", counting)
+    tiling, tower = tilings["z2z2"], towers["z2z2"]
+    matchings = matchings_by_name["z2z2"]
+    paths = [bt.default_paths(tiling, u)[v]
+             for u in tiling.vertices for v in tiling.vertices]
+    assert len(paths) == 16
+    for chamber in chambers_by_name["z2z2"]:
+        certified.clear()
+        counts = bt.graded_sections_count(
+            tiling, tower, chamber.representative, paths, matchings, 2)
+        assert len(counts) == 16
+        assert len(certified) == len(chamber.stable_matchings)

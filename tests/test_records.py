@@ -100,8 +100,8 @@ def records(spp, towers, matchings_by_name, chambers_by_name) -> dict:
             slice_poly),
         "PicardPresentation": collection.presentation,
         "TiltingCollection": collection,
-        "SectionCount": bt.graded_sections_count(spp, tower, theta, path,
-                                                 matchings, 1),
+        "SectionCount": bt.graded_sections_count(spp, tower, theta, [path],
+                                                 matchings, 1)[0],
         "QuiverOnTorus": spp, "LatticeTower": tower,
     }
 

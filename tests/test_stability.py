@@ -197,7 +197,7 @@ THETA_ENTRY_POINTS = {
     "tilting_collection":
         lambda t, tw, ms, cs, th: bt.tilting_collection(t, tw, th, ms),
     "graded_sections_count": lambda t, tw, ms, cs, th:
-        bt.graded_sections_count(t, tw, th, bt.default_paths(t)["2"], ms),
+        bt.graded_sections_count(t, tw, th, [bt.default_paths(t)["2"]], ms),
 }
 WEIGHT_ENTRY_POINTS = {
     "degree": lambda t, tw, ms, cs, w: tw.degree(w),

@@ -175,7 +175,7 @@ def test_a_malformed_weak_path_is_refused(path, message, spp, towers,
     with pytest.raises(ValueError, match=message):
         bt.tilting_collection(spp, tower, theta, matchings, paths=paths)
     with pytest.raises(ValueError, match=message):
-        bt.graded_sections_count(spp, tower, theta, path, matchings)
+        bt.graded_sections_count(spp, tower, theta, [path], matchings)
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -319,10 +319,16 @@ def test_collection_classes_are_path_independent(spp, towers,
 
 def test_collection_refuses_the_tower_of_another_tiling(
         spp, towers, matchings_by_name, chambers_by_name):
+    # both entry points run one check, before any lookup by arrow id
     _, theta = first_chamber("spp", towers, chambers_by_name)
-    with pytest.raises(ValueError, match="tower is not the tiling's"):
-        bt.tilting_collection(spp, towers["conifold"], theta,
-                              matchings_by_name["spp"])
+    matchings = matchings_by_name["spp"]
+    path = bt.default_paths(spp)["2"]
+    for other in ("conifold", "z2z2"):
+        with pytest.raises(ValueError, match="tower is not the tiling's"):
+            bt.tilting_collection(spp, towers[other], theta, matchings)
+        with pytest.raises(ValueError, match="tower is not the tiling's"):
+            bt.graded_sections_count(spp, towers[other], theta, [path],
+                                     matchings)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +340,8 @@ def test_honeycomb_section_counts_are_the_plane_count(honeycomb, towers,
                                                       chambers_by_name):
     tower, theta = first_chamber("honeycomb", towers, chambers_by_name)
     path = bt.make_weak_path(honeycomb, [], source="1")
-    count = bt.graded_sections_count(honeycomb, tower, theta, path,
-                                     matchings_by_name["honeycomb"])
+    (count,) = bt.graded_sections_count(honeycomb, tower, theta, [path],
+                                        matchings_by_name["honeycomb"])
     assert count.heights == HONEYCOMB_SECTION_COUNTS
     assert count.matches
     assert count.path_height == 0
@@ -349,9 +355,11 @@ def test_section_counts_agree_between_lattice_and_paths(
     tower, theta = first_chamber(name, towers, chambers_by_name)
     matchings = matchings_by_name[name]
     chis = [vec_mat_functionals(tower, m.arrows)[0] for m in matchings]
-    for path in bt.default_paths(tiling).values():
-        count = bt.graded_sections_count(tiling, tower, theta, path,
-                                         matchings, max_height=3)
+    paths = list(bt.default_paths(tiling).values())
+    counts = bt.graded_sections_count(tiling, tower, theta, paths,
+                                      matchings, max_height=3)
+    assert [count.path for count in counts] == paths
+    for path, count in zip(paths, counts):
         assert count.matches
         assert [h for h, _, _ in count.heights] == [0, 1, 2, 3]
         weight = weak_path_weight(tower, path)
@@ -364,10 +372,42 @@ def test_empty_path_has_the_trivial_section(conifold, towers,
                                             chambers_by_name):
     tower, theta = first_chamber("conifold", towers, chambers_by_name)
     path = bt.make_weak_path(conifold, [], source="1")
-    count = bt.graded_sections_count(conifold, tower, theta, path,
-                                     matchings_by_name["conifold"],
-                                     max_height=2)
+    (count,) = bt.graded_sections_count(conifold, tower, theta, [path],
+                                        matchings_by_name["conifold"],
+                                        max_height=2)
     assert count.heights[0] == (0, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["spp", "z2z2"])
+def test_a_batch_of_paths_counts_as_its_paths_one_by_one(
+        name, tilings, towers, matchings_by_name, chambers_by_name):
+    # paths from several sources, out of source order, one repeated
+    tiling, tower = tilings[name], towers[name]
+    matchings = matchings_by_name[name]
+    vertices = tiling.vertices
+    paths = [bt.default_paths(tiling, u)[v]
+             for u in reversed(vertices) for v in vertices[::2]]
+    paths.insert(1, paths[-1])
+    assert len({path.source for path in paths}) == len(vertices) > 1
+    for chamber in chambers_by_name[name]:
+        theta = chamber.representative
+        batch = bt.graded_sections_count(tiling, tower, theta, paths,
+                                         matchings, max_height=3)
+        assert batch == tuple(
+            bt.graded_sections_count(tiling, tower, theta, [path],
+                                     matchings, max_height=3)[0]
+            for path in paths)
+
+
+def test_no_paths_count_as_the_empty_tuple_after_the_checks(
+        spp, towers, matchings_by_name, chambers_by_name):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    matchings = matchings_by_name["spp"]
+    assert bt.graded_sections_count(spp, tower, theta, (), matchings) == ()
+    with pytest.raises(ValueError, match="max_height"):
+        bt.graded_sections_count(spp, tower, theta, (), matchings, -1)
+    with pytest.raises(bt.ConsistencyError):
+        bt.graded_sections_count(spp, tower, theta, (), [])
 
 
 def test_sections_reject_a_negative_height_bound(spp, towers,
@@ -376,7 +416,7 @@ def test_sections_reject_a_negative_height_bound(spp, towers,
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
     with pytest.raises(ValueError, match="max_height"):
-        bt.graded_sections_count(spp, tower, theta, path,
+        bt.graded_sections_count(spp, tower, theta, [path],
                                  matchings_by_name["spp"], max_height=-1)
 
 
@@ -386,7 +426,7 @@ def test_sections_reject_a_height_bound_that_is_not_an_integer(
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
     with pytest.raises(ValueError, match="max_height must be an integer"):
-        bt.graded_sections_count(spp, tower, theta, path,
+        bt.graded_sections_count(spp, tower, theta, [path],
                                  matchings_by_name["spp"], max_height=bound)
 
 
@@ -394,7 +434,7 @@ def test_sections_reject_an_empty_stable_set(spp, towers, chambers_by_name):
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
     with pytest.raises(bt.ConsistencyError):
-        bt.graded_sections_count(spp, tower, theta, path, [])
+        bt.graded_sections_count(spp, tower, theta, [path], [])
 
 
 def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
@@ -405,7 +445,7 @@ def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
     path = bt.make_weak_path(spp, [], source="1")
     matchings = matchings_by_name["spp"]
     with pytest.raises(bt.ConsistencyError):
-        bt.graded_sections_count(spp, tower, theta, path, matchings[:1])
+        bt.graded_sections_count(spp, tower, theta, [path], matchings[:1])
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
