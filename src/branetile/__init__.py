@@ -29,9 +29,8 @@ from .stability import (Chamber, StableSubset, chamber_decomposition,
                         is_theta_stable, is_w_compatible, submodule_supports)
 from .svg import render_diagram_svg
 from .tiling import (Arrow, DimerGraph, Face, QuiverOnTorus, ValidationReport,
-                     WeakPath, default_paths, dualize_dimer, extract_dimer,
-                     load_document, make_weak_path, parse_dimer,
-                     parse_tiling, serialize_tiling, validate)
+                     WeakPath, default_paths, dualize_dimer, load_document,
+                     make_weak_path, validate)
 from .tilting import (PicardPresentation, SectionCount, TiltingCollection,
                       graded_sections_count, path_divisor,
                       picard_presentation, tilting_collection,
@@ -51,16 +50,16 @@ __all__ = [
     "cone_of_arrow_weights", "convex_hull_2d", "default_paths",
     "descend_linear_functional", "dualize_dimer",
     "enumerate_faces", "enumerate_perfect_matchings",
-    "enumerate_stable_subsets", "extract_dimer",
+    "enumerate_stable_subsets",
     "fans_equal", "find_chamber", "git_equivalence_classes",
     "graded_sections_count", "integer_kernel", "integer_points",
     "invariant_factors", "is_generic", "is_theta_stable", "is_w_compatible",
     "kernel_polytope", "lift_slice_faces", "load_document",
     "make_weak_path", "matching_arrow_sets",
-    "moduli_fan", "parse_dimer", "parse_tiling", "path_divisor",
+    "moduli_fan", "path_divisor",
     "picard_presentation", "polyhedron_from_inequalities", "quotient_fan",
     "render_diagram_svg",
-    "serialize_tiling", "shift_by_stability", "smith_normal_form",
+    "shift_by_stability", "smith_normal_form",
     "solve_integer", "submodule_supports", "tilting_collection",
     "toric_diagram", "triangulation", "validate", "validate_fan",
     "weak_path_weight",

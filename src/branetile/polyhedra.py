@@ -64,6 +64,9 @@ class Polyhedron(NamedTuple):
                             range(len(self.rays)))
 
     def contains(self, point: Sequence) -> bool:
+        if len(point) != self.ambient_dim:
+            raise ValueError(f"point has {len(point)} entries, not "
+                             f"ambient dimension {self.ambient_dim}")
         return all(lattice.dot(a, point) >= b for a, b in self.inequalities)
 
 

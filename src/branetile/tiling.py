@@ -249,18 +249,10 @@ def _records(doc: dict, key: str, noun: str, *fields: str):
         yield values
 
 
-def parse_tiling(text: str) -> QuiverOnTorus:
-    """Parse a quiver document.
-
-    Referential integrity (unique ids, no dangling references) is
-    enforced here; the torus axioms are checked separately by
-    :func:`validate`.
-    """
-    return _tiling_from_doc(_load_json(text))
-
-
 def _tiling_from_doc(doc: dict) -> QuiverOnTorus:
-    for key in ("vertices", "arrows", "faces"):
+    """A quiver document's tiling, with unique ids and no dangling
+    references; the torus axioms are left to :func:`validate`."""
+    for key in ("arrows", "faces"):
         if key not in doc:
             raise TilingFormatError(f"missing key {key!r}")
 
@@ -308,22 +300,6 @@ def _check_cycle(n: int, cycle: Sequence, known) -> None:
                 f"face {n} references unknown arrow {aid!r}")
 
 
-def serialize_tiling(tiling: QuiverOnTorus) -> str:
-    """Serialize to the quiver document form; stable byte-for-byte."""
-    doc = {
-        "vertices": list(tiling.vertices),
-        "arrows": [
-            {"id": a.arrow_id, "src": a.source, "tgt": a.target}
-            for a in tiling.arrows
-        ],
-        "faces": [
-            {"sign": "+" if f.sign == 1 else "-", "cycle": list(f.arrows)}
-            for f in tiling.faces
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # dimer documents
 # ---------------------------------------------------------------------------
@@ -350,10 +326,6 @@ class DimerGraph(NamedTuple):
 
     def rotation_map(self) -> dict:
         return {node: cycle for node, cycle in self.rotation}
-
-
-def parse_dimer(text: str) -> DimerGraph:
-    return _dimer_from_doc(_load_json(text))
 
 
 def _dimer_from_doc(doc: dict) -> DimerGraph:
@@ -410,10 +382,10 @@ def dualize_dimer(graph: DimerGraph) -> QuiverOnTorus:
     the step ``(edge, entering node) -> (next edge around that node,
     its other endpoint)``.  Every edge crosses two strips and becomes an
     arrow from the one alongside its white end to the one alongside its
-    black end.  A node of degree < 2 raises TilingFormatError.  As with
-    :func:`parse_tiling`, the dual is returned unvalidated: the torus
-    axioms, such as the traced surface's vanishing Euler count, are
-    checked by :func:`validate`.
+    black end.  A node of degree < 2 raises TilingFormatError.  As with a
+    quiver document read by :func:`load_document`, the dual is returned
+    unvalidated: the torus axioms, such as the traced surface's
+    vanishing Euler count, are checked by :func:`validate`.
     """
     rotation = graph.rotation_map()
     for node, cycle in rotation.items():
@@ -467,45 +439,6 @@ def dualize_dimer(graph: DimerGraph) -> QuiverOnTorus:
                          faces=tuple(faces))
 
 
-def extract_dimer(tiling: QuiverOnTorus) -> DimerGraph:
-    """Inverse of :func:`dualize_dimer` up to relabeling of nodes."""
-    whites = [f for f in tiling.faces if f.sign == 1]
-    blacks = [f for f in tiling.faces if f.sign == -1]
-    white_ids = [f"w{i + 1}" for i in range(len(whites))]
-    black_ids = [f"b{i + 1}" for i in range(len(blacks))]
-
-    white_of = {}
-    black_of = {}
-    for wid, face in zip(white_ids, whites):
-        for aid in face.arrows:
-            if aid in white_of:
-                raise ConsistencyError(
-                    f"arrow {aid!r} lies in two positive faces")
-            white_of[aid] = wid
-    for bid, face in zip(black_ids, blacks):
-        for aid in face.arrows:
-            if aid in black_of:
-                raise ConsistencyError(
-                    f"arrow {aid!r} lies in two negative faces")
-            black_of[aid] = bid
-    for a in tiling.arrows:
-        if a.arrow_id not in white_of or a.arrow_id not in black_of:
-            raise ConsistencyError(
-                f"arrow {a.arrow_id!r} is missing a face of some sign")
-
-    edges = tuple(
-        DimerEdge(edge_id=a.arrow_id, white=white_of[a.arrow_id],
-                  black=black_of[a.arrow_id])
-        for a in tiling.arrows
-    )
-    rotation = (
-        [(wid, tuple(face.arrows)) for wid, face in zip(white_ids, whites)]
-        + [(bid, tuple(reversed(face.arrows))) for bid, face in zip(black_ids, blacks)]
-    )
-    return DimerGraph(white=tuple(white_ids), black=tuple(black_ids),
-                      edges=edges, rotation=tuple(rotation))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -541,7 +474,7 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
     Mendelsohn).  With no perfect matching at all, only a tiling
     without arrows counts as nondegenerate.  A passing report certifies
     these axioms and nothing more.  A dangling reference raises
-    TilingFormatError, as in :func:`parse_tiling`.
+    TilingFormatError, as in :func:`load_document`.
     """
     for arrow in tiling.arrows:
         _check_arrow(arrow, tiling.vertices)

@@ -109,6 +109,9 @@ class PicardPresentation(NamedTuple):
 
     def class_of(self, coefficients: Sequence) -> tuple:
         vec = list(coefficients)
+        if len(vec) != len(self.matching_ids):
+            raise ValueError(f"divisor has {len(vec)} entries, not "
+                             f"{len(self.matching_ids)} stable matchings")
         free = tuple(lattice.dot(row, vec) for row in self.projection)
         tors = tuple(lattice.dot(row, vec) % mod
                      for row, mod in self.torsion)

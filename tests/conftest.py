@@ -21,6 +21,7 @@ from hypothesis import settings
 import branetile as bt
 from branetile import lattice, rational, stability
 from branetile.matchings import matching_id_key, subset_sums
+from branetile.tiling import DimerEdge
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
@@ -100,6 +101,30 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+# ---------------------------------------------------------------------------
+# the dimer graph of a quiver tiling, kept as a reference
+# ---------------------------------------------------------------------------
+
+def extract_dimer(tiling) -> bt.DimerGraph:
+    """The inverse of ``bt.dualize_dimer`` up to the names of the nodes:
+    a white node ``w<k>`` per positive face and a black node ``b<k>``
+    per negative one, each listing its face's arrows as its rotation,
+    a black node against the face's cycle.  The tiling must have every
+    arrow in one face of each sign."""
+    whites = [f.arrows for f in tiling.faces if f.sign == 1]
+    blacks = [f.arrows[::-1] for f in tiling.faces if f.sign == -1]
+    white_ids = tuple(f"w{k + 1}" for k in range(len(whites)))
+    black_ids = tuple(f"b{k + 1}" for k in range(len(blacks)))
+    white_of = {aid: w for w, cycle in zip(white_ids, whites) for aid in cycle}
+    black_of = {aid: b for b, cycle in zip(black_ids, blacks) for aid in cycle}
+    edges = tuple(DimerEdge(edge_id=a.arrow_id, white=white_of[a.arrow_id],
+                            black=black_of[a.arrow_id])
+                  for a in tiling.arrows)
+    return bt.DimerGraph(white=white_ids, black=black_ids, edges=edges,
+                         rotation=(*zip(white_ids, whites),
+                                   *zip(black_ids, blacks)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ name, no invariant is left to an ``assert`` statement (which
 parameter is unread, no module-level function keeps an unbounded
 cache, no import statement sits in a function body, no module imports
 ``dataclasses`` (whose import and class generation cost every command
-about 20 ms of start-up), and every exported name resolves and is exported
-once."""
+about 20 ms of start-up), and every exported name resolves, is exported
+once, and is used by the program or named in the README's library
+section."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,10 +122,13 @@ def test_every_function_in_the_package_is_referenced_or_exported():
 
 def unreferenced_methods(trees: dict, program) -> list:
     """``module.Class.method`` for every method or property, dunders
-    aside, whose name no tree in ``program`` uses.  As with functions,
-    a same-named attribute anywhere keeps a method, so the guard can
-    miss dead code but never flags live code."""
-    referenced = referenced_names(program)
+    aside, whose name no tree in ``program`` uses as an attribute.  A
+    method is reached through an instance or a class, so a bare name,
+    such as a local variable, does not keep it; a same-named attribute
+    anywhere does, so the guard can miss dead code but never flags live
+    code."""
+    referenced = {node.attr for tree in program for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     return [f"{module}.{cls.name}.{fn.name}"
             for module, tree in trees.items()
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -163,20 +168,33 @@ def test_the_guard_sees_dead_methods_and_unread_parameters():
         "        return self.x\n"
         "    def dead(self, unused):\n"
         "        return 0\n"
+        "    def degree(self):\n"
+        "        return 1\n"
         "def scale(a, b, *rest, c=1, **extra):\n"
         "    def inner(d):\n"
         "        return a * d\n"
         "    c = 2\n"
         "    return inner(c) + len(rest)\n")
-    user = ast.parse("def area(box):\n    return box.size ** 2\n")
-    assert unreferenced_methods({"m": tree}, [tree, user]) == ["m.Box.dead"]
+    # a local variable named as a method does not keep the method
+    user = ast.parse("def area(box):\n"
+                     "    degree = 2\n"
+                     "    return box.size ** degree\n")
+    assert unreferenced_methods({"m": tree}, [tree, user]) == [
+        "m.Box.dead", "m.Box.degree"]
     assert unread_parameters(tree) == [
         ("dead", "unused"), ("scale", "b"), ("scale", "extra")]
 
 
+# methods that no program code calls, each with its reason
+UNCALLED_BY_DESIGN = [
+    "lattice.LatticeTower.degree",  # offered by the README's library section
+]
+
+
 def test_every_method_in_the_package_is_referenced():
     trees = {path.stem: parse(path) for path in SOURCES}
-    assert unreferenced_methods(trees, map(parse, PROGRAM)) == []
+    assert unreferenced_methods(trees, map(parse, PROGRAM)) \
+        == UNCALLED_BY_DESIGN
 
 
 # parameters left unread on purpose, each with its reason
@@ -194,6 +212,46 @@ def test_every_exported_name_resolves_and_is_listed_once():
     repeated = sorted({name for name in bt.__all__
                        if bt.__all__.count(name) > 1})
     assert (missing, repeated) == ([], [])
+
+
+def library_names(readme: str) -> set:
+    """The names that a README's ``## Library`` section gives: every
+    dotted part of a name in backticks, and every ``bt.<name>``."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return ({part for span in re.findall(r"`([\w.]+)`", section)
+             for part in span.split(".")}
+            | set(re.findall(r"\bbt\.(\w+)", section)))
+
+
+def unused_exports(exported, program: list, named: set) -> list:
+    """Sorted names in ``exported`` that no tree in ``program`` uses as a
+    name, an attribute or an import, and that ``named`` does not hold."""
+    used = referenced_names(program) | {
+        part for tree in program for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names for part in alias.name.split(".")}
+    return sorted(set(exported) - used - named)
+
+
+def test_the_guard_sees_exports_nothing_uses_or_names():
+    program = [ast.parse("from .a import imported, called\n"
+                         "def f(m):\n"
+                         "    return called(m.read)\n")]
+    readme = ("# pkg\n## Library\n\n"
+              "```python\nbt.in_code(1)\n```\n\n"
+              "See `mod.in_ticks` and `Box.method`.\n"
+              "## Other\n\n`elsewhere` and bt.later\n")
+    exported = ["imported", "called", "read", "in_code", "in_ticks", "Box",
+                "method", "elsewhere", "later", "dead"]
+    assert unused_exports(exported, program, library_names(readme)) == [
+        "dead", "elsewhere", "later"]
+
+
+def test_every_exported_name_is_used_by_the_program_or_documented():
+    init = ROOT / "src" / "branetile" / "__init__.py"
+    program = [parse(path) for path in PROGRAM if path != init]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unused_exports(bt.__all__, program, library_names(readme)) == []
 
 
 def unbounded_caches(tree: ast.Module) -> list:

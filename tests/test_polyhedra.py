@@ -44,6 +44,15 @@ def test_square_from_inequalities():
     assert not poly.contains((2, 0))
 
 
+@pytest.mark.parametrize("point", [(), (0,), (0, 0, 99)], ids=repr)
+def test_contains_refuses_a_point_of_another_dimension(point):
+    poly = bt.polyhedron_from_inequalities(UNIT_SQUARE_INEQS, 2)
+    with pytest.raises(ValueError) as exc:
+        poly.contains(point)
+    assert str(exc.value) == (
+        f"point has {len(point)} entries, not ambient dimension 2")
+
+
 def test_quadrant_cone_from_inequalities():
     poly = bt.polyhedron_from_inequalities([((1, 0), 0), ((0, 1), 0)], 2)
     assert poly.vertices == ((0, 0),)

@@ -20,6 +20,8 @@ import pytest
 import branetile as bt
 from branetile import tilting
 
+from conftest import extract_dimer
+
 VALUE_RECORDS = (
     "Arrow", "Face", "WeakPath", "DimerEdge", "DimerGraph",
     "ValidationReport", "PerfectMatching", "ToricDiagram", "StableSubset",
@@ -83,7 +85,7 @@ def records(spp, towers, matchings_by_name, chambers_by_name) -> dict:
     slice_poly = bt.kernel_polytope(tower, shifted)
     collection = bt.tilting_collection(spp, tower, theta, matchings)
     path = dict(collection.paths)[spp.vertices[-1]]
-    dimer = bt.extract_dimer(spp)
+    dimer = extract_dimer(spp)
     return {
         "Arrow": spp.arrows[0], "Face": spp.faces[0], "WeakPath": path,
         "DimerEdge": dimer.edges[0], "DimerGraph": dimer,

@@ -9,7 +9,10 @@ import pytest
 
 import branetile as bt
 
-from conftest import ALL_FIXTURES, QUIVER_FIXTURES, fixture_text
+from branetile.tiling import _dimer_from_doc, _tiling_from_doc
+
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, extract_dimer,
+                      fixture_text)
 
 # (dimer document, quiver document it dualizes to)
 DIMER_PAIRS = (("honeycomb_dimer", "honeycomb"), ("spp_dimer", "spp"))
@@ -43,7 +46,7 @@ def same_up_to_vertex_names(first: bt.QuiverOnTorus,
 
 
 # ---------------------------------------------------------------------------
-# parsing and serialization
+# parsing
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -52,14 +55,6 @@ def test_every_bundled_document_loads_and_validates(name, tilings):
     assert report.ok
     assert report.nondegenerate
     assert report.violations == ()
-
-
-@pytest.mark.parametrize("name", QUIVER_FIXTURES)
-def test_serialize_parse_round_trip(name, tilings):
-    tiling = tilings[name]
-    text = bt.serialize_tiling(tiling)
-    assert bt.parse_tiling(text) == tiling
-    assert bt.serialize_tiling(tiling) == text  # byte-stable
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -113,21 +108,23 @@ MALFORMED_QUIVERS = [
 @pytest.mark.parametrize("bad", MALFORMED_QUIVERS)
 def test_parse_tiling_rejects_malformed_documents(bad):
     with pytest.raises(bt.TilingFormatError):
-        bt.parse_tiling(json.dumps(bad))
+        bt.load_document(json.dumps(bad))
 
 
 @pytest.mark.parametrize("bad", MALFORMED_QUIVERS[1:])
 def test_load_document_reports_parse_tiling_errors(bad):
+    # the dispatch passes the quiver parser's message on unchanged
     text = json.dumps(bad)
     with pytest.raises(bt.TilingFormatError) as direct:
-        bt.parse_tiling(text)
+        _tiling_from_doc(bad)
     with pytest.raises(bt.TilingFormatError) as loaded:
         bt.load_document(text)
     assert str(loaded.value) == str(direct.value)
 
 
 MALFORMED_QUIVER_MESSAGES = [
-    "missing key 'vertices'",
+    "document is neither a quiver (no 'vertices' key) "
+    "nor a dimer graph (no 'white'/'black' keys)",
     "duplicate vertex id",
     "'arrows' must be a list",
     "arrow missing key 'tgt'",
@@ -143,7 +140,7 @@ MALFORMED_QUIVER_MESSAGES = [
                          zip(MALFORMED_QUIVERS, MALFORMED_QUIVER_MESSAGES))
 def test_parse_tiling_names_the_first_fault(bad, message):
     with pytest.raises(bt.TilingFormatError) as exc:
-        bt.parse_tiling(json.dumps(bad))
+        bt.load_document(json.dumps(bad))
     assert str(exc.value) == message
 
 
@@ -206,32 +203,8 @@ def test_dimer_documents_dualize_to_the_quiver_documents(
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
 def test_extract_then_dualize_round_trips(name, tilings):
     tiling = tilings[name]
-    back = bt.dualize_dimer(bt.extract_dimer(tiling))
+    back = bt.dualize_dimer(extract_dimer(tiling))
     assert same_up_to_vertex_names(tiling, back)
-
-
-def test_extract_dimer_splits_faces_by_sign(spp):
-    graph = bt.extract_dimer(spp)
-    assert len(graph.white) == sum(1 for f in spp.faces if f.sign == 1)
-    assert len(graph.black) == sum(1 for f in spp.faces if f.sign == -1)
-    assert sorted(e.edge_id for e in graph.edges) \
-        == sorted(a.arrow_id for a in spp.arrows)
-
-
-@pytest.mark.parametrize("perturb,message", [
-    (lambda faces: faces + (bt.Face(1, ("11",)),),
-     "arrow '11' lies in two positive faces"),
-    (lambda faces: faces + (bt.Face(-1, ("12",)),),
-     "arrow '12' lies in two negative faces"),
-    (lambda faces: faces[:3],
-     "arrow '13' is missing a face of some sign"),
-], ids=["two-positive", "two-negative", "missing-sign"])
-def test_extract_dimer_rejects_an_arrow_without_one_face_per_sign(
-        spp, perturb, message):
-    tiling = bt.QuiverOnTorus(vertices=spp.vertices, arrows=spp.arrows,
-                              faces=perturb(spp.faces))
-    with pytest.raises(bt.ConsistencyError, match=message):
-        bt.extract_dimer(tiling)
 
 
 def test_dualize_rejects_non_toroidal_embeddings():
@@ -244,7 +217,7 @@ def test_dualize_rejects_non_toroidal_embeddings():
                   {"id": "e2", "white": "w", "black": "b"}],
         "rotation": {"w": ["e1", "e2"], "b": ["e1", "e2"]},
     }
-    report = bt.validate(bt.dualize_dimer(bt.parse_dimer(json.dumps(doc))))
+    report = bt.validate(bt.load_document(json.dumps(doc)))
     assert report.violations == (
         ("euler", "#vertices - #arrows + #faces = 2, expected 0"),)
 
@@ -261,7 +234,7 @@ def test_parse_dimer_rejects_malformed_rotations():
                       "ghost": []}):                  # unknown node
         doc = dict(base, rotation=rotation)
         with pytest.raises(bt.TilingFormatError):
-            bt.parse_dimer(json.dumps(doc))
+            bt.load_document(json.dumps(doc))
 
 
 def test_load_document_reports_parse_dimer_errors():
@@ -272,7 +245,7 @@ def test_load_document_reports_parse_dimer_errors():
     }
     text = json.dumps(doc)
     with pytest.raises(bt.TilingFormatError) as direct:
-        bt.parse_dimer(text)
+        _dimer_from_doc(doc)
     with pytest.raises(bt.TilingFormatError) as loaded:
         bt.load_document(text)
     assert str(loaded.value) == str(direct.value) \
@@ -332,7 +305,7 @@ def test_make_weak_path_rejects_bad_steps(spp):
 # ---------------------------------------------------------------------------
 
 def broken_rules(doc: dict) -> set:
-    report = bt.validate(bt.parse_tiling(json.dumps(doc)))
+    report = bt.validate(bt.load_document(json.dumps(doc)))
     assert not report.ok
     return {rule for rule, _ in report.violations}
 
@@ -348,8 +321,8 @@ def test_validate_flags_missing_face_coverage():
     assert "face-length" in rules
 
 
-def test_validate_flags_non_cyclic_faces(conifold):
-    doc = json.loads(bt.serialize_tiling(conifold))
+def test_validate_flags_non_cyclic_faces():
+    doc = json.loads(fixture_text("conifold"))
     cycle = doc["faces"][0]["cycle"]
     # the cycle alternates between the two vertices; swapping the middle
     # pair breaks head-to-tail composition without changing the counts
@@ -357,17 +330,17 @@ def test_validate_flags_non_cyclic_faces(conifold):
     assert "face-cycle" in broken_rules(doc)
 
 
-def test_validate_flags_euler_violation(conifold):
-    doc = json.loads(bt.serialize_tiling(conifold))
+def test_validate_flags_euler_violation():
+    doc = json.loads(fixture_text("conifold"))
     doc["vertices"].append("extra")
     rules = broken_rules(doc)
     assert "euler" in rules
     assert "connected" in rules
 
 
-def test_validate_flags_disconnected_documents(conifold):
-    doc = json.loads(bt.serialize_tiling(conifold))
-    other = json.loads(bt.serialize_tiling(conifold))
+def test_validate_flags_disconnected_documents():
+    doc = json.loads(fixture_text("conifold"))
+    other = json.loads(fixture_text("conifold"))
     doc["vertices"] += [v + "'" for v in other["vertices"]]
     doc["arrows"] += [{"id": a["id"] + "'", "src": a["src"] + "'",
                        "tgt": a["tgt"] + "'"} for a in other["arrows"]]
@@ -388,7 +361,7 @@ def test_validate_reports_degenerate_arrows():
                       {"id": "c", "src": "1", "tgt": "1"}],
            "faces": [{"sign": "+", "cycle": ["a", "b", "c"]},
                      {"sign": "-", "cycle": ["a", "c", "b"]}]}
-    report = bt.validate(bt.parse_tiling(json.dumps(doc)))
+    report = bt.validate(bt.load_document(json.dumps(doc)))
     assert report.ok
     assert report.nondegenerate
 

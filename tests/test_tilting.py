@@ -208,6 +208,19 @@ def test_presentation_class_of_is_linear(towers, matchings_by_name,
     assert ts == ()
 
 
+@pytest.mark.parametrize("length", [1, 4, 6, 9])
+def test_presentation_class_of_refuses_a_divisor_of_another_length(
+        length, towers, matchings_by_name, chambers_by_name, tilings):
+    # one coefficient per stable matching: spp has five at this chamber
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    stable = stable_matchings(tilings["spp"], theta, matchings_by_name["spp"])
+    pres = picard_presentation(stable)
+    with pytest.raises(ValueError) as exc:
+        pres.class_of((1,) * length)
+    assert str(exc.value) == (
+        f"divisor has {length} entries, not 5 stable matchings")
+
+
 def test_presentation_rejects_rank_deficient_functionals(matchings_by_name):
     # a single matching spans one line, not the full kernel dual
     with pytest.raises(bt.ConsistencyError):
