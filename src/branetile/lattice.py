@@ -310,6 +310,14 @@ class LatticeTower:
         return tuple(mat_vec(self.degree_matrix, weight))
 
 
+def _check_tower(tiling, tower: LatticeTower) -> None:
+    """Raise ValueError unless the tower has the tiling's vertex and
+    arrow ids, in input order."""
+    if (tower.vertex_ids, tower.arrow_ids) != (
+            tiling.vertices, tuple(a.arrow_id for a in tiling.arrows)):
+        raise ValueError("the lattice tower is not the tiling's")
+
+
 def build_lattice_tower(tiling) -> LatticeTower:
     """Compute the lattice tower of a validated quiver tiling.
 

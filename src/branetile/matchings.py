@@ -236,6 +236,7 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
                                 tower: "lattice.LatticeTower | None" = None) -> list:
     """All perfect matchings with their kernel functionals, in a
     deterministic order (sorted arrow-id tuples), as ids are assigned.
+    Another tiling's tower raises ValueError.
 
     A matching's columns of :func:`_functional_table` are one sum of
     packed rows, read from :func:`_byte_tables` with one lookup per byte
@@ -247,6 +248,8 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     face-cycle value and ``chi_kernel`` are read out in one unpack."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
+    else:
+        lattice._check_tower(tiling, tower)
     n_arrows = len(tower.arrow_ids)
     width, (cycle_row, *arrow_rows) = _functional_table(tower)
     bits = tiling.arrow_bits

@@ -12,10 +12,12 @@ triangles (see :func:`_stable_subsets_at`).
 The chambers of the generic locus are the leaves of a sign tree over
 the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
-Genericity, the signs of the stable unions' supports and a chamber's
-sign vector are read in place from the parameter's sums over the
-subsets of each half of at most 36 vertices, by bitmask (see
-:func:`_halves`); no call builds the 2ⁿ sums over all vertex subsets.
+Genericity and the signs of the stable unions' supports are read in
+place from the parameter's sums over the subsets of each half of at
+most 36 vertices, by bitmask (see :func:`_halves`); no call builds the
+2ⁿ sums over all vertex subsets.  A chamber is its representative and
+its stable structure, and :func:`find_chamber` compares a parameter's
+subset signs with each representative's.
 Arrow sets are the integer masks of ``QuiverOnTorus.arrow_bits``, as a
 perfect matching's ``mask`` is.  One record, which does not depend on
 the parameter, is kept on the tiling and freed with it: the lifted
@@ -206,12 +208,11 @@ def enumerate_stable_subsets(tiling: QuiverOnTorus, theta: Sequence,
 
 class _LiftedRecord:
     """What the stable structures of one matchings list on one tiling
-    share at every parameter: ``key``, each matching's ``(matching_id,
-    mask, chi_kernel, arrow_order)``; the tiling's arrow ``order``;
-    ``counts``, each matching's signed counts c_v(M) per vertex;
-    ``hull``, the :func:`_lower_hull` of their points; and the memos
-    ``faces``, a hull face's ``(StableSubset, arrow mask)`` by its
-    matching indices, ``closed``, a hull triangle's support masks by
+    share at every parameter: ``key``, the list itself; the tiling's
+    arrow ``order``; ``counts``, each matching's signed counts c_v(M)
+    per vertex; ``hull``, the :func:`_lower_hull` of their points; and
+    the memos ``faces``, a hull face's ``(StableSubset, arrow mask)`` by
+    its matching indices, ``closed``, a hull triangle's support masks by
     its arrow mask, and ``structures``, each ``(least, triangles)``'s
     sorted faces and the union of its triangles' supports (with no
     triangle, its least matching's): as supports grow with the arrow
@@ -228,10 +229,10 @@ class _LiftedRecord:
     def subset_of(self, face: tuple) -> tuple:
         found = self.faces.get(face)
         if found is None:
-            ids = tuple(sorted((self.key[i][0] for i in face),
+            ids = tuple(sorted((self.key[i].matching_id for i in face),
                                key=matching_id_key))
             mask = functools.reduce(int.__or__,
-                                    (self.key[i][1] for i in face), 0)
+                                    (self.key[i].mask for i in face), 0)
             arrows = frozenset(self.order[k] for k in set_bits(mask))
             found = StableSubset(arrows, ids, len(ids)), mask
             self.faces[face] = found
@@ -261,12 +262,10 @@ class _LiftedRecord:
 def _lifted(tiling: QuiverOnTorus, matchings: Sequence) -> _LiftedRecord:
     """The tiling's lifted record of a matchings list.  The tiling keeps
     the record of the last list it was asked about, in its
-    ``lifted_cache``, and builds a new one when some matching's
-    ``(matching_id, mask, chi_kernel, arrow_order)`` differs.  Raises
-    ValueError on a matching over other arrow ids, naming its first
-    unknown one."""
-    key = [(m.matching_id, m.mask, m.chi_kernel, m.arrow_order)
-           for m in matchings]
+    ``lifted_cache``, and builds a new one when some matching differs
+    (matchings compare by their fields).  Raises ValueError on a
+    matching over other arrow ids, naming its first unknown one."""
+    key = list(matchings)
     held = tiling.lifted_cache
     if held and held[0].key == key:
         return held[0]
@@ -383,15 +382,13 @@ def _lower_hull(points: Sequence):
 class Chamber(NamedTuple):
     """A connected component of the generic locus.
 
-    ``sign_vector`` records, for every proper nonempty vertex subset,
-    the sign of its parameter sum; it is constant on the chamber and
-    identifies it.  ``stable_subsets`` is the stable structure at the
-    representative (hence on the whole chamber).
+    The signs of the representative's proper subset sums are constant
+    on the chamber and identify it.  ``stable_subsets`` is the stable
+    structure at the representative (hence on the whole chamber).
     """
 
     index: int
     representative: tuple
-    sign_vector: tuple  # of ((sorted vertex tuple), +1 or -1)
     stable_subsets: tuple
 
     @property
@@ -410,20 +407,13 @@ class Chamber(NamedTuple):
                      if s.dim == 3)
 
 
-def _proper_subsets(vertices: Sequence) -> list:
-    """Every proper nonempty vertex subset as (bitmask, sorted vertex
-    tuple), ordered by (size, sorted ids)."""
-    out = [(mask, tuple(sorted(v for i, v in enumerate(vertices)
-                               if mask >> i & 1)))
-           for mask in range(1, (1 << len(vertices)) - 1)]
-    return sorted(out, key=lambda entry: (len(entry[1]), entry[1]))
-
-
-def _sign_vector(subsets: Sequence, halves: tuple) -> tuple:
+def _positive(halves: tuple) -> list:
+    """Whether each proper nonempty vertex mask, in order, has a positive
+    sum under a parameter's :func:`_halves`."""
     h, low, high = halves
     cut = len(low) - 1
-    return tuple((subset, 1 if low[mask & cut] + high[mask >> h] > 0 else -1)
-                 for mask, subset in subsets)
+    return [low[s & cut] + high[s >> h] > 0
+            for s in range(1, len(low) * len(high) - 1)]
 
 
 # The resonance arrangement has 11 292 chambers at 6 vertices and over a
@@ -465,7 +455,7 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     t = n - 1
     if t == 0:
         subsets = enumerate_stable_subsets(tiling, (0,), matchings)
-        return [Chamber(index=1, representative=(0,), sign_vector=(),
+        return [Chamber(index=1, representative=(0,),
                         stable_subsets=tuple(subsets))]
 
     # Coordinates: theta_i = x_{i-1} for i >= 1, theta_0 = -sum(x).
@@ -515,25 +505,20 @@ def chamber_decomposition(tiling: QuiverOnTorus,
 
     # Each representative is generic: its witness is strict on every
     # wall.
-    order = _proper_subsets(tiling.vertices)
     record = _lifted(tiling, matchings)
-    out = []
-    for i, theta in enumerate(chambers):
-        halves = _halves(theta)
-        out.append(Chamber(
-            index=i + 1, representative=theta,
-            sign_vector=_sign_vector(order, halves),
-            stable_subsets=tuple(_stable_subsets_at(tiling, record, theta,
-                                                    halves))))
-    return out
+    return [Chamber(index=i + 1, representative=theta,
+                    stable_subsets=tuple(_stable_subsets_at(
+                        tiling, record, theta, _halves(theta))))
+            for i, theta in enumerate(chambers)]
 
 
 def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
-    """The chamber containing a generic parameter."""
-    signs = _sign_vector(_proper_subsets(tiling.vertices),
-                         _require_generic(tiling, theta))
+    """The chamber containing a generic parameter: the first whose
+    representative, checked as θ is, has θ's subset signs."""
+    signs = _positive(_require_generic(tiling, theta))
     for chamber in chambers:
-        if chamber.sign_vector == signs:
+        _theta_check(tiling.vertices, chamber.representative)
+        if _positive(_halves(chamber.representative)) == signs:
             return chamber
     raise ValueError("no chamber matches the given parameter")

@@ -38,12 +38,6 @@ def weak_path_weight(tower, path: WeakPath) -> tuple:
     return tuple(total)
 
 
-def _check_tower(tiling: QuiverOnTorus, tower) -> None:
-    if (tower.vertex_ids, tower.arrow_ids) != (
-            tiling.vertices, tuple(a.arrow_id for a in tiling.arrows)):
-        raise ValueError("the lattice tower is not the tiling's")
-
-
 def stable_matchings(tiling: QuiverOnTorus, theta: Sequence,
                      matchings: Sequence) -> list:
     """The matchings stable at a generic parameter, in the given order.
@@ -157,7 +151,7 @@ def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
                        paths: "dict | None" = None) -> TiltingCollection:
     """Raises ValueError unless the tower is the tiling's and the paths
     run from one vertex, the base if one is given, to every vertex."""
-    _check_tower(tiling, tower)
+    lattice._check_tower(tiling, tower)
     stable = stable_matchings(tiling, theta, matchings)
     presentation = picard_presentation(stable)
     if paths is None:
@@ -219,7 +213,7 @@ def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
         raise ValueError(f"max_height must be an integer, got {max_height!r}")
     if max_height < 0:
         raise ValueError(f"max_height must be nonnegative, got {max_height}")
-    _check_tower(tiling, tower)
+    lattice._check_tower(tiling, tower)
     stable = stable_matchings(tiling, theta, matchings)
     if not stable:
         raise ConsistencyError("no stable matchings: the fan is empty")

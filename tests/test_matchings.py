@@ -375,6 +375,20 @@ def test_functional_checks_fire_in_order(faults, message, spp, towers):
         bt.enumerate_perfect_matchings(spp, perturbed(towers["spp"], **faults))
 
 
+def test_the_matching_search_refuses_the_tower_of_another_tiling(spp,
+                                                                towers):
+    # the search reads the tiling's arrow bits by the tower's arrow ids,
+    # so it checks the tower first; ids in another order are refused too
+    spp_tower = towers["spp"]
+    reordered = bt.LatticeTower(**{**vars(spp_tower), "vertex_ids": tuple(
+        reversed(spp_tower.vertex_ids))})
+    for other in (towers["conifold"], towers["z2z2"], reordered):
+        with pytest.raises(ValueError, match="tower is not the tiling's"):
+            bt.enumerate_perfect_matchings(spp, other)
+        with pytest.raises(ValueError, match="tower is not the tiling's"):
+            bt.toric_diagram(spp, other)
+
+
 def test_a_wrong_section_row_at_the_top_arrow_bit_is_seen():
     # 27 arrows: the last arrow bit is the top of the last, partial byte
     tiling = bt.load_document(orbifold_text(3, 3))

@@ -90,8 +90,7 @@ def test_a_shorter_list_replaces_the_record_and_answers_as_fresh():
     # the short list is refused at some chambers and answered at others
     assert refused == {True, False}
     assert len(shared.lifted_cache) == 1
-    assert full.key == [(m.matching_id, m.mask, m.chi_kernel, m.arrow_order)
-                        for m in matchings]
+    assert full.key == matchings
 
 
 def test_the_record_keeps_refusing_another_arrow_order(spp, matchings_by_name):

@@ -46,7 +46,7 @@ PINNED_REPRS = {
     "StableSubset": "StableSubset(arrows=frozenset({'11', '23'}), "
                     "matching_ids=('m1',), dim=1)",
     "Chamber":
-        "0083f334255c74a456db652fdd6bf5e860b2b7a69699b85de9da8c468ebc6fe6",
+        "d49703ea78b54337173de81b7b4fa16275f56e60fc179659825cf87f0271c170",
     "FanRay": "FanRay(ray_id='m1', vector=(1, 0, 1))",
     "FanCone": "FanCone(ray_ids=frozenset({'m2', 'm5', 'm6'}), dim=3)",
     "Fan": "813535f7ea517edef6d6a92a1039496dc69e6f39158eef50d3f638119ebeac30",

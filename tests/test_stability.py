@@ -410,7 +410,8 @@ def test_subset_sums_agree_with_brute_force_on_cyclic_orbifolds(n, data):
         for s in brute_force_supports(tiling, arrows))
     if chambers is not None:
         chamber = bt.find_chamber(tiling, chambers, theta)
-        assert chamber.sign_vector == signs
+        assert brute_force_signs(tiling.vertices,
+                                 chamber.representative) == signs
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -753,9 +754,11 @@ def test_chamber_representatives_are_generic_and_sum_to_zero(
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
-def test_chambers_have_distinct_sign_vectors(name, chambers_by_name):
-    chambers = chambers_by_name[name]
-    assert len({c.sign_vector for c in chambers}) == len(chambers)
+def test_chambers_have_distinct_sign_vectors(name, tilings,
+                                             chambers_by_name):
+    vertices, chambers = tilings[name].vertices, chambers_by_name[name]
+    assert len({brute_force_signs(vertices, c.representative)
+                for c in chambers}) == len(chambers)
     assert [c.index for c in chambers] \
         == list(range(1, len(chambers) + 1))
 
@@ -789,19 +792,12 @@ def test_find_chamber_rejects_wall_parameters(spp, chambers_by_name):
         bt.find_chamber(spp, chambers_by_name["spp"], (0, 1, -1))
 
 
-def test_chamber_sign_vector_matches_the_representative(spp,
-                                                        chambers_by_name):
-    # one sign per proper nonempty subset, as a sorted tuple, and none
-    # for the whole vertex set
-    for chamber in chambers_by_name["spp"]:
-        by_vertex = dict(zip(spp.vertices, chamber.representative))
-        expected = {}
-        for r in (1, 2):
-            for subset in itertools.combinations(sorted(spp.vertices), r):
-                total = sum(by_vertex[v] for v in subset)
-                expected[subset] = 1 if total > 0 else -1
-        assert len(chamber.sign_vector) == len(expected)
-        assert dict(chamber.sign_vector) == expected
+def test_find_chamber_checks_each_representative(spp, chambers_by_name):
+    chambers = chambers_by_name["spp"]
+    short = chambers[0]._replace(representative=(1, -1))
+    with pytest.raises(ValueError,
+                       match="stability parameter has 2 entries for 3"):
+        bt.find_chamber(spp, [short], chambers[0].representative)
 
 
 
@@ -879,17 +875,16 @@ def reference_representatives(tiling) -> list:
 
 
 def reference_chamber_decomposition(tiling, matchings) -> list:
-    """Chambers from :func:`reference_representatives`, each with its
-    brute-force sign vector and the stable subsets of a fresh
-    :func:`bt.enumerate_stable_subsets` call."""
+    """Chambers from :func:`reference_representatives`, each with the
+    stable subsets of a fresh :func:`bt.enumerate_stable_subsets`
+    call."""
     if len(tiling.vertices) == 1:
         return [bt.Chamber(
-            index=1, representative=(0,), sign_vector=(),
+            index=1, representative=(0,),
             stable_subsets=tuple(bt.enumerate_stable_subsets(
                 tiling, (0,), matchings)))]
     return [bt.Chamber(
         index=i + 1, representative=theta,
-        sign_vector=brute_force_signs(tiling.vertices, theta),
         stable_subsets=tuple(bt.enumerate_stable_subsets(
             tiling, theta, matchings)))
         for i, theta in enumerate(reference_representatives(tiling))]
@@ -925,8 +920,6 @@ def test_five_vertex_sign_tree_matches_the_reference_with_fewer_checks(
     calls.clear()
     chambers = bt.chamber_decomposition(tiling, matchings)
     assert [c.representative for c in chambers] == reference
-    assert [c.sign_vector for c in chambers] \
-        == [brute_force_signs(tiling.vertices, theta) for theta in reference]
     assert unpruned == 3026
     assert len(calls) < unpruned
 
