@@ -264,11 +264,9 @@ def _cmd_chambers(args) -> int:
     lines += _table(["index", "representative", "stable", "pairs", "triples"],
                     rows)
     lines.append(f"# {len(chambers)} chambers")
-    if chambers:
-        classes = git_equivalence_classes(tiling, chambers, matchings)
-        lines.append("# equivalent fans: "
-                     + " | ".join(",".join(str(i) for i in g)
-                                  for g in classes))
+    classes = git_equivalence_classes(tiling, chambers, matchings)
+    lines.append("# equivalent fans: "
+                 + " | ".join(",".join(str(i) for i in g) for g in classes))
     _emit(lines)
     return 0
 

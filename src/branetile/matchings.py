@@ -301,9 +301,10 @@ def cross(o: Sequence[int], p: Sequence[int], q: Sequence[int]) -> int:
 
 def convex_hull_2d(points: Iterable) -> list:
     """Strict convex hull, counterclockwise from the lexicographic
-    smallest vertex; collinear boundary points are dropped."""
+    smallest vertex; collinear boundary points are dropped, so a
+    collinear set gives its two end points."""
     pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 2:
+    if len(pts) <= 1:
         return pts
     lower: list = []
     for p in pts:
@@ -315,10 +316,7 @@ def convex_hull_2d(points: Iterable) -> list:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:  # all points collinear
-        return [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def doubled_area(polygon: Sequence) -> int:
@@ -406,27 +404,14 @@ def canonical_point_multiset(points: Iterable) -> tuple:
     per directed hull edge, on the multiset and on its mirror image,
     each with the shear freedom normalized — so equivalent multisets
     enumerate identical candidate forms and the minimum is a true
-    canonical form.  Degenerate multisets (one point, or collinear) are
-    normalized on their affine line instead.
+    canonical form.  A collinear multiset has a two-point hull, whose
+    two directed edges put it on the x-axis read from either end; a
+    multiset on one point goes to the origin.
     """
     pts = [tuple(p) for p in points]
-    if not pts:
-        return ()
     hull = convex_hull_2d(pts)
-    if len(hull) == 1:
+    if len(hull) <= 1:  # no edge direction to frame
         return tuple((0, 0) for _ in pts)
-    if len(hull) == 2:
-        (x0, y0), (x1, y1) = hull
-        u = rational.integerize((x1 - x0, y1 - y0))
-        # Integer coordinate of each point along the primitive direction.
-        if u[0] != 0:
-            ts = [(x - x0) // u[0] for x, _ in pts]
-        else:
-            ts = [(y - y0) // u[1] for _, y in pts]
-        top = max(ts)
-        forward = sorted(ts)
-        backward = sorted(top - t for t in ts)
-        return tuple((t, 0) for t in min(forward, backward))
     counts = Counter(pts)
     best = None
     for mirrored in (False, True):

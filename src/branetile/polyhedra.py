@@ -92,15 +92,8 @@ def polyhedron_from_inequalities(inequalities: Sequence,
     """
     ineqs = tuple((tuple(a), Fraction(b)) for a, b in inequalities)
 
-    rows = [(-b,) + a for a, b in ineqs if any(a) or b != 0]
+    rows = [(-b,) + a for a, b in ineqs]
     rows.append((1,) + (0,) * ambient_dim)
-    # Unsatisfiable constant constraints (0 >= b with b > 0) poison the
-    # homogenization unless handled: they force t <= 0.
-    for a, b in ineqs:
-        if not any(a) and b > 0:
-            rows.append((-1,) + (0,) * ambient_dim)
-            break
-
     krays, klin = rational.dual_cone(rows, ambient_dim + 1)
     vertices = []
     recession = []
@@ -114,8 +107,7 @@ def polyhedron_from_inequalities(inequalities: Sequence,
         if t > 0:
             vertices.append(tuple(Fraction(x, t) for x in r[1:]))
         elif t == 0:
-            if any(r[1:]):
-                recession.append(rational.integerize(r[1:]))
+            recession.append(rational.integerize(r[1:]))
         else:
             raise ConsistencyError("homogenization produced t < 0")
     if not vertices:

@@ -140,8 +140,6 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
     start, basis = _echelon(cleaned)
     lineality = _free_column_basis(basis, dim)
     d = len(start)
-    if d == 0:
-        return [], lineality
 
     rays = []  # (vector, zero-set bitmask)
     for i in start:
@@ -189,19 +187,18 @@ def describe_cone(gens: Sequence, dim: int) -> tuple:
     The facets are the dual's sorted rays: inner normals within the
     span of the generators, so with the dual's lineality (the span's
     orthogonal complement) as equalities they cut the cone out.  The
-    lineality is the nullspace of the facets and that complement.  A
-    cone with lineality has no extreme ray, so ``rays`` is empty then;
-    for a pointed cone it is the sorted distinct primitive generators
-    that are extreme.  Such a generator is extreme iff no other one
-    vanishes on every facet it vanishes on: the generators in a face
-    span it, so a face of dimension two or more has at least two
-    extreme generators, each vanishing where the face does.
+    lineality is the nullspace of the facets and that complement.
+    ``rays`` is the sorted distinct primitive generators that are
+    extreme.  Such a generator is extreme iff no other one vanishes on
+    every facet it vanishes on: the generators in a face span it, so a
+    face of dimension two or more has at least two extreme generators,
+    each vanishing where the face does.  A cone with lineality has no
+    extreme ray: its lineality space is a face, spanned by at least two
+    generators that vanish on every facet, so ``rays`` is empty then.
     """
     cleaned = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
     facets, orthogonal = dual_cone(cleaned, dim)
     lineality = nullspace(facets + orthogonal, dim)
-    if lineality:
-        return facets, [], lineality
     zeros = [sum(1 << i for i, f in enumerate(facets) if not dot(f, g))
              for g in cleaned]
     rays = sorted(g for i, (g, z) in enumerate(zip(cleaned, zeros))
@@ -367,8 +364,6 @@ def strict_feasible_point(strict: Sequence, eqs: Sequence, nvars: int):
         found = _fm_strict(strict, nvars)
         return found and tuple(Fraction(x, found[1]) for x in found[0])
     basis = nullspace(eqs, nvars)
-    if not basis:
-        return None  # x = 0 satisfies no strict inequality
     found = _fm_strict(
         [tuple(dot(row, b) for b in basis) for row in strict], len(basis))
     if found is None:

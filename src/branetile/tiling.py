@@ -460,7 +460,8 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
     * ``face-cycle`` — every face is a directed cycle in the quiver;
     * ``euler`` — #vertices - #arrows + #faces = 0;
     * ``face-length`` — total face length is twice the number of arrows;
-    * ``connected`` — the underlying graph is connected.
+    * ``connected`` — the underlying graph is one component, so the
+      empty quiver, with none, fails.
 
     ``nondegenerate`` reports whether every arrow lies in at least one
     perfect matching; it is only computed when the structural rules all
@@ -471,10 +472,9 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
     matching iff its two faces are in the same strongly connected
     component of the graph orienting matched arrows from the positive
     to the negative face and all other arrows back (Dulmage and
-    Mendelsohn).  With no perfect matching at all, only a tiling
-    without arrows counts as nondegenerate.  A passing report certifies
-    these axioms and nothing more.  A dangling reference raises
-    TilingFormatError, as in :func:`load_document`.
+    Mendelsohn).  A passing report certifies these axioms and nothing
+    more.  A dangling reference raises TilingFormatError, as in
+    :func:`load_document`.
     """
     for arrow in tiling.arrows:
         _check_arrow(arrow, tiling.vertices)
@@ -512,16 +512,14 @@ def validate(tiling: QuiverOnTorus, check_nondegeneracy: bool = True) -> Validat
             f"total face length {total} differs from twice #arrows "
             f"{2 * len(tiling.arrows)}"))
 
-    if tiling.vertices:
-        # with each arrow both ways, connected is one strong component
-        node = {v: n for n, v in enumerate(tiling.vertices)}
-        succ = [[] for _ in tiling.vertices]
-        for a in tiling.arrows:
-            succ[node[a.source]].append(node[a.target])
-            succ[node[a.target]].append(node[a.source])
-        if len(set(_strong_components(succ))) != 1:
-            violations.append(("connected",
-                               "underlying graph is not connected"))
+    # with each arrow both ways, connected is one strong component
+    node = {v: n for n, v in enumerate(tiling.vertices)}
+    succ = [[] for _ in tiling.vertices]
+    for a in tiling.arrows:
+        succ[node[a.source]].append(node[a.target])
+        succ[node[a.target]].append(node[a.source])
+    if len(set(_strong_components(succ))) != 1:
+        violations.append(("connected", "underlying graph is not connected"))
 
     nondegenerate = False
     if not violations and check_nondegeneracy:
@@ -536,7 +534,10 @@ def _nondegenerate(tiling: QuiverOnTorus) -> bool:
     in which every arrow lies in one positive and one negative face.
 
     Nodes are the faces, positive ones first; each arrow is an edge
-    ``(positive face, negative face)``.
+    ``(positive face, negative face)``.  With no perfect matching at
+    all, only a tiling without arrows, where the claim is vacuous,
+    counts as nondegenerate; no such tiling passes :func:`validate`'s
+    rules.
     """
     plus = [j for j, f in enumerate(tiling.faces) if f.sign == 1]
     minus = [j for j, f in enumerate(tiling.faces) if f.sign == -1]

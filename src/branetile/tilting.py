@@ -74,10 +74,9 @@ def path_divisor(tiling: QuiverOnTorus, path: WeakPath,
     net: dict = {}  # arrow bit -> net exponent
     for aid, exp in path.steps:
         net[bits[aid]] = net.get(bits[aid], 0) + exp
-    masks: dict = {}  # nonzero net exponent -> its arrows' mask
+    masks: dict = {}  # net exponent -> its arrows' mask
     for k, e in net.items():
-        if e:
-            masks[e] = masks.get(e, 0) | 1 << k
+        masks[e] = masks.get(e, 0) | 1 << k
     return tuple((m.matching_id, sum(e * (m.mask & mask).bit_count()
                                      for e, mask in masks.items()))
                  for m in stable)
@@ -93,7 +92,8 @@ class PicardPresentation(NamedTuple):
 
     A divisor vector indexed by the stable matchings maps to a free
     part (length = #stable - 3) and a torsion part; two vectors name
-    the same divisor class iff both parts agree.
+    the same divisor class iff both parts agree.  ``class_of`` takes
+    integer coefficients only and refuses any other entry.
     """
 
     matching_ids: tuple
@@ -106,6 +106,7 @@ class PicardPresentation(NamedTuple):
         if len(vec) != len(self.matching_ids):
             raise ValueError(f"divisor has {len(vec)} entries, not "
                              f"{len(self.matching_ids)} stable matchings")
+        vec = lattice._exact(vec, "divisor")
         free = tuple(lattice.dot(row, vec) for row in self.projection)
         tors = tuple(lattice.dot(row, vec) % mod
                      for row, mod in self.torsion)

@@ -268,6 +268,31 @@ def test_invalid_documents_stop_other_verbs(tmp_path, capsys):
     assert err.startswith("error[matchings:invalid]")
 
 
+EMPTY_QUIVER = {"vertices": [], "arrows": [], "faces": []}
+
+
+def test_the_empty_quiver_is_not_connected(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(EMPTY_QUIVER))
+    code, out, err = run(["validate", str(empty)], capsys)
+    assert code == 3
+    assert err == "error[validate:invalid] 1 structural violations\n"
+    assert ("  connected             FAIL: underlying graph is not "
+            "connected\n") in out
+    assert "  nondegenerate         skipped\n" in out
+
+
+@pytest.mark.parametrize("verb",
+                         ["matchings", "diagram", "chambers", "dump-lattice"])
+def test_the_empty_quiver_stops_other_verbs(verb, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(EMPTY_QUIVER))
+    code, out, err = run([verb, str(empty)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error[{verb}:invalid]")
+
+
 SPHERE_DIMER = {  # two parallel edges trace a sphere, not a torus
     "white": ["w"], "black": ["b"],
     "edges": [{"id": "e1", "white": "w", "black": "b"},

@@ -608,6 +608,14 @@ def test_hull_fixed_examples():
     assert bt.convex_hull_2d([(5, 5), (5, 5)]) == [(5, 5)]
 
 
+def test_the_hull_of_collinear_points_is_their_two_end_points():
+    for step in [(1, 0), (0, 1), (1, 1), (2, -3), (-1, 2)]:
+        for count in range(2, 8):
+            line = [(1 + t * step[0], -2 + t * step[1]) for t in range(count)]
+            shuffled = line[1::2] + line[::2][::-1]
+            assert bt.convex_hull_2d(shuffled) == sorted([line[0], line[-1]])
+
+
 def test_doubled_area_fixed_examples():
     assert doubled_area([(0, 0), (1, 0), (0, 1)]) == 1
     assert doubled_area([(0, 0), (1, 0), (1, 1), (0, 1)]) == 2
@@ -739,6 +747,28 @@ def repeated_points(draw):
 @settings(max_examples=300)
 @given(repeated_points())
 def test_canonical_form_matches_the_previous_route(pts):
+    assert bt.canonical_point_multiset(pts) \
+        == previous_canonical_point_multiset(pts)
+
+
+@st.composite
+def collinear_repeated_points(draw):
+    """Three to six distinct points on one line, each repeated two to
+    five times, shuffled."""
+    x, y = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    dx, dy = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                  .filter(any))
+    steps = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=6,
+                          unique=True))
+    pts = [(x + t * dx, y + t * dy) for t in steps
+           for _ in range(draw(st.integers(2, 5)))]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=200)
+@given(collinear_repeated_points())
+def test_canonical_form_of_a_collinear_multiset_matches_the_previous_route(
+        pts):
     assert bt.canonical_point_multiset(pts) \
         == previous_canonical_point_multiset(pts)
 

@@ -77,6 +77,26 @@ def test_empty_and_unsatisfiable_systems():
     assert poisoned.is_empty
 
 
+@pytest.mark.parametrize("offset", [-2, Fraction(-1, 2), 0, Fraction(1, 2), 1],
+                         ids=str)
+@pytest.mark.parametrize("position", [0, 1, 4])
+def test_a_constant_row_cuts_nothing_or_everything(offset, position):
+    # 0 >= b holds everywhere for b <= 0 and nowhere for b > 0
+    for rows in (UNIT_SQUARE_INEQS, [((1, 0), 0)]):
+        ineqs = list(rows)
+        ineqs.insert(position, ((0, 0), offset))
+        poly = bt.polyhedron_from_inequalities(ineqs, 2)
+        assert poly.inequalities == tuple(
+            (a, Fraction(b)) for a, b in ineqs)
+        if offset > 0:
+            assert poly.is_empty
+            assert (poly.rays, poly.lineality) == ((), ())
+        else:
+            base = bt.polyhedron_from_inequalities(rows, 2)
+            assert poly._replace(inequalities=()) \
+                == base._replace(inequalities=())
+
+
 def test_equalities_cut_a_segment():
     # an equality is a pair of opposite inequalities
     poly = bt.polyhedron_from_inequalities(

@@ -174,10 +174,24 @@ def test_a_corank_one_nullspace_is_the_signed_minor_line(case, data):
     ([(1,), (-2,)], 1),
     ([(Fraction(1, 2), Fraction(1, 3))], 2),
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], 3),
+    ([], 1),
+    ([], 2),
+    ([], 4),
+    ([(0,)], 1),
+    ([(0, 0)] * 3, 2),
+    ([(0, 0, 0, Fraction(0))], 4),
 ])
 def test_dual_cone_degenerate_cases(gens, dim):
     assert _identical(rational.dual_cone(gens, dim),
                       minor_enumeration_dual_cone(gens, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("zeros", [0, 1, 3])
+def test_a_cone_without_a_nonzero_generator_is_the_origin(dim, zeros):
+    # no facet inside the span {0}, no extreme ray and no lineality
+    gens = [(0,) * dim] * zeros
+    assert rational.describe_cone(gens, dim) == ([], [], [])
 
 
 def test_dual_cone_combines_only_adjacent_rays():
@@ -534,6 +548,17 @@ def test_fourier_motzkin_eliminates_integer_rows(monkeypatch, strict, eqs):
     monkeypatch.setattr(rational, "_fm_strict", checked)
     got = rational.strict_feasible_point(strict, eqs, 3)
     assert got == fraction_strict_feasible_point(strict, eqs, 3)
+
+
+@pytest.mark.parametrize("strict", [
+    [(1, 0)], [(1, 1), (-1, 2)], [(0, 0)], [(Fraction(1, 2), 3), (2, 1)]])
+@pytest.mark.parametrize("eqs", [
+    [(1, 0), (0, 1)], [(1, 1), (1, -1), (2, 0)], [(Fraction(1, 2), 0), (0, 3)]])
+def test_equalities_that_leave_only_zero_admit_no_strict_row(strict, eqs):
+    assert rational.strict_feasible_point(strict, eqs, 2) is None
+    assert fraction_strict_feasible_point(strict, eqs, 2) is None
+    # without strict rows the zero vector satisfies the equalities
+    assert rational.strict_feasible_point([], eqs, 2) == (0, 0)
 
 
 def test_fourier_motzkin_needs_no_deep_recursion():

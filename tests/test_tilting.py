@@ -221,6 +221,18 @@ def test_presentation_class_of_refuses_a_divisor_of_another_length(
         f"divisor has {length} entries, not 5 stable matchings")
 
 
+@pytest.mark.parametrize("entry", [0.5, Fraction(1, 2), Fraction(2, 1)],
+                         ids=repr)
+def test_presentation_class_of_refuses_a_coefficient_that_is_not_an_int(
+        entry, towers, matchings_by_name, chambers_by_name, tilings):
+    tower, theta = first_chamber("spp", towers, chambers_by_name)
+    stable = stable_matchings(tilings["spp"], theta, matchings_by_name["spp"])
+    pres = picard_presentation(stable)
+    with pytest.raises(ValueError) as exc:
+        pres.class_of((1, 0, entry, 0, 0))
+    assert str(exc.value) == f"divisor entry 2 is {entry!r}, not an integer"
+
+
 def test_presentation_rejects_rank_deficient_functionals(matchings_by_name):
     # a single matching spans one line, not the full kernel dual
     with pytest.raises(bt.ConsistencyError):
