@@ -9,10 +9,12 @@ the matching's point in the plane, and the collection of these points
 is the toric diagram of the tiling.
 
 The matchings are found by an exact-cover search, one layer of states
-at a time, whose state is one int, the mask of the faces already met
-(see :func:`matching_arrow_sets`), and each is kept as one int too, the
-mask of its arrows in the order of ``QuiverOnTorus.arrow_bits``, from
-which its arrow ids are decoded and the functional read on any path.
+at a time, whose state is one int, the mask of the faces already met;
+the faces take their bits in an order that keeps the frontier of the
+placed faces narrow (see :func:`matching_arrow_sets`).  Each matching
+is kept as one int too, the mask of its arrows in the order of
+``QuiverOnTorus.arrow_bits``, from which its arrow ids are decoded and
+the functional read on any path.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def set_bits(mask: int) -> list:
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 # partial matchings the search may hold at once: above 6x6's peak of
-# 1 822 102; C^3/Z_22 reaches it at about 200 MB of RSS
+# 306 652 in generator and shuffled face orders; C^3/Z_22 reaches it at
+# about 220 MB of RSS
 _MAX_PARTIAL_MATCHINGS = 1 << 21
 
 
@@ -81,22 +84,28 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     An exact cover of the faces by arrows, built layer by layer with no
     recursion and no backtracking.  An arrow that a face cycle passes
     more than once is never chosen; every other arrow meets a mask of
-    face bits.  The faces take their bits in breadth-first order over
-    shared arrows from face 0.  A search state is one int, the mask of
-    the faces already met, and it holds the arrow masks of all partial
-    matchings that meet exactly those faces.  Layer f is the states
-    whose lowest unmet face is f.  Each state of it is extended by every
-    arrow that meets face f and no met face, its whole list in one
-    comprehension, into a state whose lowest unmet face is later: so a
-    state's list is complete when its layer comes up, each layer is
-    dropped once it is done, and the full mask's list is the answer.
-    Branching on the lowest unmet face alone reaches each partial
-    matching once.  Each met face above the lowest unmet one shares an
-    arrow with a face below it, so in breadth-first order it lies at
-    most one level further on: the states are bounded by the widths of
-    two levels, and not by the order a document lists its faces in.
-    More than ``_MAX_PARTIAL_MATCHINGS`` partial matchings held in the
-    layers to come raise ``DegenerateInputError``.
+    face bits.  The faces take their bits in the order they are placed
+    in, from face 0.  The frontier is the unplaced faces that share a
+    usable arrow with a placed face, and the next face placed is the
+    frontier face that adds the fewest new faces to it; ties go to the
+    face with the most placed neighbours, then to the lowest index.  An
+    empty frontier starts again at the lowest unplaced face.  A face
+    keeps its counts of neighbours not yet seen and already placed,
+    updated as faces join the frontier and are placed, so a choice reads
+    only the frontier.  A search state is one int, the mask of the faces
+    already met, and it holds the arrow masks of all partial matchings
+    that meet exactly those faces.  Layer f is the states whose lowest
+    unmet face is f.  Each state of it is extended by every arrow that
+    meets face f and no met face, its whole list in one comprehension,
+    into a state whose lowest unmet face is later: so a state's list is
+    complete when its layer comes up, each layer is dropped once it is
+    done, and the full mask's list is the answer.  Branching on the
+    lowest unmet face alone reaches each partial matching once.  Every
+    met face above the lowest unmet one shares an arrow with a placed
+    face, so it is on the frontier: the states are bounded by the
+    frontier's width, and not by the order a document lists its faces
+    in.  More than ``_MAX_PARTIAL_MATCHINGS`` partial matchings held in
+    the layers to come raise ``DegenerateInputError``.
     The set of exact covers does not depend on the branching order, so
     one sort at the end gives the order of any other search; its key
     reads each mask with bit 0 most significant, through a byte table.
@@ -115,16 +124,31 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
             if i not in banned:
                 members[j].append(i)
 
-    bit_of: dict = {}  # face -> its bit, in breadth-first order
-    for start in range(len(members)):
-        if start not in bit_of:
-            bit_of[start] = len(bit_of)
-            queue = [start]
-            for j in queue:  # also walks the faces appended below
-                for k in sorted({k for i in members[j] for k in covers[i]}):
-                    if k not in bit_of:
-                        bit_of[k] = len(bit_of)
-                        queue.append(k)
+    # face -> the other faces it shares a usable arrow with
+    near = [{k for i in arrows for k in covers[i]} - {j}
+            for j, arrows in enumerate(members)]
+    unseen = [len(ks) for ks in near]  # face -> its neighbours not yet seen
+    placed = [0] * len(near)  # face -> its neighbours already placed
+    seen = [False] * len(near)  # placed or on the frontier
+    bit_of: dict = {}  # face -> its bit, in placing order
+    for start in range(len(near)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier = [start]
+        for k in near[start]:
+            unseen[k] -= 1
+        while frontier:
+            f = min(frontier, key=lambda k: (unseen[k], -placed[k], k))
+            frontier.remove(f)
+            bit_of[f] = len(bit_of)
+            for k in near[f]:
+                placed[k] += 1
+                if not seen[k]:
+                    seen[k] = True
+                    frontier.append(k)
+                    for l in near[k]:
+                        unseen[l] -= 1
     mask = [sum(1 << bit_of[j] for j in js) for js in covers]
     # per face bit: (face mask, arrow bit) of each arrow meeting the face
     choices = [[(mask[i], 1 << i) for i in members[j]] for j in bit_of]

@@ -14,10 +14,12 @@ the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
 Genericity and the signs of the stable unions' supports are read in
 place from the parameter's sums over the subsets of each half of at
-most 36 vertices, by bitmask (see :func:`_halves`); no call builds the
-2ⁿ sums over all vertex subsets.  A chamber is its representative and
-its stable structure, and :func:`find_chamber` compares a parameter's
-subset signs with each representative's.
+most 36 vertices, by bitmask (see :func:`_halves`); no call but
+:func:`find_chamber`, whose chambers have at most six vertices, builds
+the 2ⁿ sums over all vertex subsets.  A chamber is its representative
+and its stable structure, and :func:`find_chamber` compares a
+parameter's subset signs with each representative's, mask by mask up to
+the first that differs.
 Arrow sets are the integer masks of ``QuiverOnTorus.arrow_bits``, as a
 perfect matching's ``mask`` is.  One record, which does not depend on
 the parameter, is kept on the tiling and freed with it: the lifted
@@ -33,8 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import operator
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import rational
 from .errors import ConsistencyError, DegenerateInputError
@@ -407,13 +410,16 @@ class Chamber(NamedTuple):
                      if s.dim == 3)
 
 
-def _positive(halves: tuple) -> list:
+def _positive(theta: Sequence) -> Iterator:
     """Whether each proper nonempty vertex mask, in order, has a positive
-    sum under a parameter's :func:`_halves`."""
-    h, low, high = halves
-    cut = len(low) - 1
-    return [low[s & cut] + high[s >> h] > 0
-            for s in range(1, len(low) * len(high) - 1)]
+    sum under θ, one mask at a time: a mask's sum is that of the mask
+    without its lowest vertex, met earlier, plus that vertex's entry, so
+    the sums are built only as far as they are read."""
+    sums = [0]
+    for s in range(1, (1 << len(theta)) - 1):
+        low = s & -s
+        sums.append(sums[s ^ low] + theta[low.bit_length() - 1])
+        yield sums[s] > 0
 
 
 # The resonance arrangement has 11 292 chambers at 6 vertices and over a
@@ -444,10 +450,15 @@ def chamber_decomposition(tiling: QuiverOnTorus,
     cut out, so the representatives are those of checking every node
     on the full list of wall rows.
 
-    Raises DegenerateInputError on more than six vertices: the
-    resonance arrangement then has over a million chambers.
+    Raises DegenerateInputError on a tiling with no vertex, which has
+    no parameter space, and on more than six vertices: the resonance
+    arrangement then has over a million chambers.
     """
     n = len(tiling.vertices)
+    if not n:
+        raise DegenerateInputError(
+            "chamber decomposition needs at least one vertex; this tiling "
+            "has none")
     if n > _MAX_CHAMBER_VERTICES:
         raise DegenerateInputError(
             f"chamber decomposition supports at most {_MAX_CHAMBER_VERTICES} "
@@ -516,9 +527,11 @@ def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
     """The chamber containing a generic parameter: the first whose
     representative, checked as θ is, has θ's subset signs."""
-    signs = _positive(_require_generic(tiling, theta))
+    _require_generic(tiling, theta)
+    signs = list(_positive(theta))
     for chamber in chambers:
         _theta_check(tiling.vertices, chamber.representative)
-        if _positive(_halves(chamber.representative)) == signs:
+        # compared mask by mask, up to the first sign that differs
+        if all(map(operator.eq, _positive(chamber.representative), signs)):
             return chamber
     raise ValueError("no chamber matches the given parameter")

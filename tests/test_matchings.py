@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import branetile as bt
-from branetile import lattice, rational
+from branetile import lattice, matchings, rational
 from branetile.errors import ConsistencyError, DegenerateInputError
 from branetile.matchings import (_FIELD_CODES, _MAX_PARTIAL_MATCHINGS,
                                  _byte_tables, _field_bias,
@@ -281,6 +281,22 @@ def test_exponentially_many_matchings_are_refused_quickly():
                        match=f"at most {_MAX_PARTIAL_MATCHINGS} partial"):
         bt.matching_arrow_sets(tiling)
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_six_by_six_fits_a_quarter_of_the_partial_matching_limit(
+        monkeypatch, seed):
+    # The face order keeps the frontier narrow: 6x6 holds at most 306 652
+    # partial matchings at once in each of these face orders.  Breadth-
+    # first order held 1 822 102 in generator order and was refused at
+    # 2^20.  SHA-256 of the mask list, as breadth-first order gave it.
+    monkeypatch.setattr(matchings, "_MAX_PARTIAL_MATCHINGS", 1 << 19)
+    text = (orbifold_text(6, 6) if seed is None
+            else shuffled_orbifold_text(6, 6, seed))
+    masks = bt.matching_arrow_sets(bt.load_document(text))
+    assert len(masks) == 263640
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == (
+        "4a52f048b6012d6c00c78ff5936873ccba8a2b2c65bf5a4c9a97c7f6cb9891f0")
 
 
 def renamed_orbifold_text(n: int, m: int, seed: int) -> str:

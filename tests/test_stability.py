@@ -787,6 +787,26 @@ def test_find_chamber_round_trips_the_representatives(
                 == chamber.index
 
 
+@pytest.mark.parametrize("document", ["2x2", "1x4"])
+def test_find_chamber_finds_the_chamber_with_the_parameters_signs(document):
+    # every sign of every chamber, against find_chamber's comparison up to
+    # the first sign that differs
+    tiling, matchings = loaded_with_matchings(document)
+    chambers = bt.chamber_decomposition(tiling, matchings)
+    for chamber in chambers:
+        assert bt.find_chamber(tiling, chambers,
+                               chamber.representative).index == chamber.index
+    representatives = {tuple(c.representative) for c in chambers}
+    thetas = [theta for theta in seeded_generic_thetas(tiling, 20, 5)
+              if tuple(theta) not in representatives]
+    assert thetas
+    for theta in thetas:
+        signs = brute_force_signs(tiling.vertices, theta)
+        [want] = [c.index for c in chambers if brute_force_signs(
+            tiling.vertices, c.representative) == signs]
+        assert bt.find_chamber(tiling, chambers, theta).index == want
+
+
 def test_find_chamber_rejects_wall_parameters(spp, chambers_by_name):
     with pytest.raises(bt.DegenerateInputError):
         bt.find_chamber(spp, chambers_by_name["spp"], (0, 1, -1))
@@ -824,6 +844,12 @@ def test_five_vertex_stable_structures_are_pinned():
     digest = hashlib.sha256(repr(stable_structures(chambers)).encode())
     assert digest.hexdigest() == (
         "fc301cf6eb1fb27668fa264912543ea33544ac6482f6fc9f46577303f3deb003")
+
+
+def test_chamber_decomposition_refuses_a_tiling_with_no_vertex():
+    with pytest.raises(bt.DegenerateInputError,
+                       match="needs at least one vertex; this tiling has none"):
+        bt.chamber_decomposition(bt.QuiverOnTorus((), (), ()), [])
 
 
 def test_chamber_decomposition_needs_no_recursion():
