@@ -30,7 +30,7 @@ from .errors import (BraneTileError, ConsistencyError, DegenerateInputError,
 from .fan import check_smooth, git_equivalence_classes, moduli_fan, triangulation
 from .lattice import build_lattice_tower
 from .matchings import (_MAX_PARTIAL_MATCHINGS, enumerate_perfect_matchings,
-                        matching_id_key, toric_diagram)
+                        matching_id_key, set_bits, toric_diagram)
 from .stability import (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES,
                         chamber_decomposition)
 from .svg import render_diagram_svg
@@ -206,7 +206,10 @@ def _cmd_matchings(args) -> int:
     tiling = _load_tiling(args)
     matchings = enumerate_perfect_matchings(tiling)
     lines = [f"# matchings {args.input}"]
-    rows = [[m.matching_id, _vec(m.point), ",".join(sorted(m.arrows))]
+    # the arrow bits are numbered in sorted id order, so a mask's ids
+    # in bit order are sorted
+    rows = [[m.matching_id, _vec(m.point),
+             ",".join([m.arrow_order[k] for k in set_bits(m.mask)])]
             for m in matchings]
     lines += _table(["id", "point", "arrows"], rows)
     lines.append(f"# total {len(matchings)}")

@@ -63,9 +63,18 @@ def matching_id_key(matching_id: str) -> tuple:
     return (len(matching_id), matching_id)
 
 
+# byte -> the positions of its set bits, ascending
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1)
+                   for b in range(256))
+
+
 def set_bits(mask: int) -> list:
-    """The set bits of a nonnegative int, ascending."""
-    return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+    """The set bits of a nonnegative int, ascending: one table lookup
+    per byte of the mask, low byte first."""
+    size = (mask.bit_length() + 7) // 8
+    return [k + base for base, byte in zip(range(0, 8 * size, 8),
+                                           mask.to_bytes(size, "little"))
+            for k in _BYTE_BITS[byte]]
 
 
 # byte -> the byte with its 8 bits in reverse order
@@ -264,12 +273,15 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
 
     A matching's columns of :func:`_functional_table` are one sum of
     packed rows, read from :func:`_byte_tables` with one lookup per byte
-    of its arrow mask.  Each arrow's row carries its indicator, negated,
-    in the arrow block, so the sum's arrow block is the matching's values
-    on the arrow weights less its indicator, and the arrow check is that
-    the block is zero.  Then its value on the face-cycle weight and its
-    height are checked, each raising ``ConsistencyError``.  The
-    face-cycle value and ``chi_kernel`` are read out in one unpack."""
+    of its arrow mask; the sum starts from the face-cycle row plus the
+    bias of :func:`_field_bias`, so every field of it is a nonnegative
+    digit.  Each arrow's row carries its indicator, negated, in the
+    arrow block, so the sum's arrow block is the matching's values on
+    the arrow weights less its indicator, and the arrow check is that
+    the block is the bias alone.  Only the four fields past the block
+    are shifted out and unbiased: the face-cycle value, checked in place,
+    and ``chi_kernel``, unpacked and its height checked, each check
+    raising ``ConsistencyError``."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
     else:
@@ -285,33 +297,35 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
         rows[bits[aid]] = arrow_rows[i] - (1 << width * i)
     tables = _byte_tables(rows)
     size = len(tables)
-    arrow_block = (1 << width * n_arrows) - 1
-    count = n_arrows + 4
-    bias = _field_bias(width, count)
-    code = _FIELD_CODES[width]
-    # past the arrow block, the face-cycle value and chi_kernel
-    unpack = struct.Struct(f"<{n_arrows * width // 8}x4{code}").unpack
-    length = count * width // 8
+    shift = width * n_arrows
+    bias = _field_bias(width, n_arrows + 4)
+    start = cycle_row + bias
+    arrow_block = (1 << shift) - 1
+    arrow_bias = bias & arrow_block
+    tail_bias = bias >> shift
+    field = (1 << width) - 1
+    # chi_kernel, past the face-cycle value
+    unpack = struct.Struct(f"<{width // 8}x3{_FIELD_CODES[width]}").unpack
+    length = width // 2  # bytes in the 4 fields
     order = tuple(bits)
+    new = tuple.__new__
     result = []
-    for n, mask in enumerate(matching_arrow_sets(tiling)):
-        b = mask.to_bytes(size, "little")
-        fields = (sum(map(list.__getitem__, tables, b), cycle_row)
-                  + bias) ^ bias
-        if fields & arrow_block:
+    append = result.append
+    for n, mask in enumerate(matching_arrow_sets(tiling), 1):
+        fields = sum(map(list.__getitem__, tables,
+                         mask.to_bytes(size, "little")), start)
+        if fields & arrow_block != arrow_bias:
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
-        values = unpack(fields.to_bytes(length, "little"))
-        if values[0] != 1:
+        tail = (fields >> shift) ^ tail_bias
+        if tail & field != 1:
             raise ConsistencyError(
                 "matching functional is not 1 on the face-cycle weight")
-        chi_kernel = values[1:]
+        chi_kernel = unpack(tail.to_bytes(length, "little"))
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")
-        result.append(PerfectMatching(matching_id=f"m{n + 1}", mask=mask,
-                                      arrow_order=order,
-                                      chi_kernel=chi_kernel))
+        append(new(PerfectMatching, (f"m{n}", mask, order, chi_kernel)))
     return result
 
 
@@ -431,12 +445,16 @@ def canonical_point_multiset(points: Iterable) -> tuple:
     canonical form.  A collinear multiset has a two-point hull, whose
     two directed edges put it on the x-axis read from either end; a
     multiset on one point goes to the origin.
+
+    ``points`` is an iterable of points, or a ``Counter`` of them, which
+    maps each distinct point to its multiplicity: either way each
+    distinct point is framed once and its repeats are counted.
     """
-    pts = [tuple(p) for p in points]
-    hull = convex_hull_2d(pts)
+    counts = (points if isinstance(points, Counter)
+              else Counter(map(tuple, points)))
+    hull = convex_hull_2d(counts)
     if len(hull) <= 1:  # no edge direction to frame
-        return tuple((0, 0) for _ in pts)
-    counts = Counter(pts)
+        return ((0, 0),) * counts.total()
     best = None
     for mirrored in (False, True):
         image = ({(x, -y): c for (x, y), c in counts.items()} if mirrored
@@ -452,12 +470,16 @@ def canonical_point_multiset(points: Iterable) -> tuple:
 def toric_diagram(tiling: QuiverOnTorus,
                   tower: "lattice.LatticeTower | None" = None,
                   matchings: "list | None" = None) -> ToricDiagram:
+    """The toric diagram of the matchings, by default all of the
+    tiling's.  Each distinct point is counted once, and the hull and the
+    canonical form are worked out on the distinct points."""
     if matchings is None:
         matchings = enumerate_perfect_matchings(tiling, tower)
-    points = tuple((m.matching_id, m.point) for m in matchings)
-    hull = tuple(convex_hull_2d(p for _, p in points))
+    points = tuple((m.matching_id, m.chi_kernel[:2]) for m in matchings)
+    counts = Counter(p for _, p in points)
+    hull = tuple(convex_hull_2d(counts))
     hull_set = set(hull)
     extremal = tuple(mid for mid, p in points if p in hull_set)
-    canonical = canonical_point_multiset(p for _, p in points)
+    canonical = canonical_point_multiset(counts)
     return ToricDiagram(points=points, hull=hull, extremal_ids=extremal,
                         canonical=canonical)

@@ -287,6 +287,79 @@ def test_the_tower_makes_four_smith_forms(monkeypatch):
     assert shapes[1] == (len(tower.vertex_ids), tower.rank)
 
 
+def with_relation_transforms_edited(monkeypatch, edit) -> None:
+    """Patch ``lattice._smith_form`` so that its first call, the one on
+    the tower's relations, returns its ``(U, S, V, W)`` after
+    ``edit(u, w, rank)`` has changed ``U`` or ``W`` in place; ``rank``
+    is the relations' rank, so rows ``rank + c`` of ``U`` and ``W`` are
+    the projection's row ``c`` and the section's column ``c``."""
+    real = lattice._smith_form
+    calls = []
+
+    def edited(mat):
+        u, s, v, w = real(mat)
+        if not calls:
+            edit(u, w, sum(1 for i in range(min(len(s), len(s[0])))
+                           if s[i][i]))
+        calls.append(mat)
+        return u, s, v, w
+
+    monkeypatch.setattr(lattice, "_smith_form", edited)
+
+
+def moved_section_column(tower, tiling, face_cycle: bool) -> tuple:
+    """``(c, j)``: a section column ``c`` whose projection row is nonzero
+    on some arrow and, iff ``face_cycle``, on the face-cycle symbol, and
+    the ambient index ``j`` of an arrow that is not a loop.  Adding 1 at
+    row ``j`` of section column ``c`` adds the arrow's boundary times
+    projection row ``c`` to the degrees of the generators, so the arrow
+    check fails, and the face-cycle check too iff ``face_cycle``."""
+    c = next(c for c, row in enumerate(tower.projection)
+             if any(row[1:]) and bool(row[0]) == face_cycle)
+    j = 1 + next(i for i, a in enumerate(tiling.arrows)
+                 if a.source != a.target)
+    return c, j
+
+
+@pytest.mark.parametrize("name", ["spp", "z2z2"])
+@pytest.mark.parametrize("face_cycle", [False, True])
+def test_a_section_off_its_arrows_fails_the_arrow_degree_check(
+        name, face_cycle, tilings, towers, monkeypatch):
+    # with face_cycle, both degree checks would fail: the arrow one wins
+    tiling = tilings[name]
+    c, j = moved_section_column(towers[name], tiling, face_cycle)
+
+    def edit(u, w, rank):
+        w[rank + c][j] += 1
+
+    with_relation_transforms_edited(monkeypatch, edit)
+    with pytest.raises(bt.ConsistencyError,
+                       match="^degree map disagrees with arrow boundaries$"):
+        bt.build_lattice_tower(tiling)
+
+
+# honeycomb has one vertex, so every degree is zero
+@pytest.mark.parametrize("name", ["conifold", "spp", "z2z2"])
+def test_a_face_cycle_weight_off_the_kernel_fails_its_degree_check(
+        name, tilings, towers, monkeypatch):
+    # No edit of W reaches this check alone: the projection kills the
+    # relations, so its column 0 is the sum of a face's arrow columns,
+    # whose degrees are a closed walk once the arrow check passes.  Moving
+    # column 0 of U's projection rows by a section column of nonzero
+    # degree leaves every arrow weight and the degree map as they were.
+    tiling, tower = tilings[name], towers[name]
+    c = next(c for c in range(tower.rank)
+             if any(row[c] for row in tower.degree_matrix))
+
+    def edit(u, w, rank):
+        u[rank + c][0] += 1
+
+    with_relation_transforms_edited(monkeypatch, edit)
+    with pytest.raises(bt.ConsistencyError,
+                       match="^face-cycle weight has nonzero degree$"):
+        bt.build_lattice_tower(tiling)
+
+
 # SHA-256 of every tower field, as the tower gave them when it still
 # inverted the relations' transform by a second Smith form.  Face order
 # leaves the tower unchanged, so the shuffled 4x4 pins the same digest

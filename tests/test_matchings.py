@@ -593,6 +593,51 @@ def test_kernel_restriction_sits_at_height_one(name, towers,
         assert m.point == m.chi_kernel[:2]
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURES + tuple(ORBIFOLD_DOCUMENTS))
+def test_enumerated_records_are_perfect_matchings_equal_to_the_reference(
+        name, tilings):
+    # the records are built positionally; each must be the named tuple
+    # that the keyword constructor builds from the reference functional
+    tiling = (bt.load_document(ORBIFOLD_DOCUMENTS[name]())
+              if name in ORBIFOLD_DOCUMENTS else tilings[name])
+    tower = bt.build_lattice_tower(tiling)
+    order = tuple(sorted(tiling.arrow_map))
+    found = bt.enumerate_perfect_matchings(tiling, tower)
+    assert len(found) == len(bt.matching_arrow_sets(tiling))
+    for n, (m, arrows) in enumerate(zip(found, arrow_sets(tiling)), 1):
+        assert type(m) is bt.PerfectMatching
+        assert m == bt.PerfectMatching(
+            matching_id=f"m{n}",
+            mask=sum(1 << tiling.arrow_bits[aid] for aid in arrows),
+            arrow_order=order,
+            chi_kernel=vec_mat_functionals(tower, arrows)[1])
+
+
+def bin_set_bits(mask: int) -> list:
+    """The previous ``set_bits``, kept as a reference: the positions of
+    the ones in the binary string, read from its low end."""
+    return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+
+
+@given(st.integers(0, 1 << 130))
+@example(0)
+@example(1)
+@example(255 << 8)
+@example((1 << 108) - 1)
+def test_set_bits_reads_the_bits_of_the_binary_string(mask):
+    assert matchings.set_bits(mask) == bin_set_bits(mask)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("4x4",))
+def test_a_masks_ids_in_bit_order_are_its_sorted_arrows(name, tilings):
+    # what the matchings verb prints, with no sort of its own
+    tiling = (bt.load_document(ORBIFOLD_DOCUMENTS[name]())
+              if name in ORBIFOLD_DOCUMENTS else tilings[name])
+    for m in bt.enumerate_perfect_matchings(tiling):
+        assert [m.arrow_order[k] for k in matchings.set_bits(m.mask)] \
+            == sorted(m.arrows)
+
+
 # ---------------------------------------------------------------------------
 # hulls and areas
 # ---------------------------------------------------------------------------
@@ -872,3 +917,45 @@ def test_extremal_matchings_sit_on_hull_vertices(name, tilings, towers,
     hull = set(diagram.hull)
     for m in matchings:
         assert (m.point in hull) == (m.matching_id in diagram.extremal_ids)
+
+
+def point_matchings(points) -> list:
+    """Hand-made records at ``points``, with ids ``m1``, ``m2``, ...:
+    :func:`bt.toric_diagram` reads only their ids and kernel points."""
+    return [bt.PerfectMatching(matching_id=f"m{i}", mask=0, arrow_order=(),
+                               chi_kernel=(x, y, 1))
+            for i, (x, y) in enumerate(points, 1)]
+
+
+POINT_MULTISETS = {
+    "shuffled": random.Random(3).sample(
+        [(0, 0)] * 3 + [(1, 0)] * 2 + [(2, 1), (0, 2), (1, 1), (1, 1)], 9),
+    "one-point": [(4, -1)] * 5,
+    "collinear": [(2, 2), (0, 0), (1, 1), (1, 1), (3, 3)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_MULTISETS))
+def test_the_diagram_counts_each_distinct_point_once(name, spp):
+    points = POINT_MULTISETS[name]
+    diagram = bt.toric_diagram(spp, None, point_matchings(points))
+    ids = tuple(f"m{i}" for i in range(1, len(points) + 1))
+    assert diagram.points == tuple(zip(ids, points))
+    assert diagram.hull == tuple(bt.convex_hull_2d(points))
+    assert diagram.canonical == bt.canonical_point_multiset(points)
+    assert diagram.canonical == previous_canonical_point_multiset(points)
+    assert bt.canonical_point_multiset(Counter(points)) == diagram.canonical
+    hull = set(diagram.hull)
+    assert diagram.extremal_ids == tuple(
+        i for i, p in zip(ids, points) if p in hull)
+
+
+@given(pts=points_strategy(), rng=st.randoms(use_true_random=False))
+def test_the_diagram_of_shuffled_points_is_their_hull_and_form(spp, pts,
+                                                               rng):
+    points = pts * 2
+    rng.shuffle(points)
+    diagram = bt.toric_diagram(spp, None, point_matchings(points))
+    assert diagram.hull == tuple(bt.convex_hull_2d(points))
+    assert diagram.canonical == bt.canonical_point_multiset(points)
