@@ -107,7 +107,9 @@ def _table(header, rows) -> list:
 
 
 def _emit(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+    # in blocks: never the whole text at once, nor one write per line
+    for i in range(0, len(lines), 1000):
+        sys.stdout.write("\n".join(lines[i:i + 1000]) + "\n")
 
 
 def _error(verb: str, kind: str, message) -> None:

@@ -166,19 +166,16 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
                 row_swap(t, piv[0])
             if piv[1] != t:
                 col_swap(t, piv[1])
+            # the pivot is least in the window, so no quotient is zero
             dirty = False
             for i in range(t + 1, rmax):
                 if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        row_sub(i, t, q)
+                    row_sub(i, t, m[i][t] // m[t][t])
                     if m[i][t]:
                         dirty = True
             for j in range(t + 1, cmax):
                 if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        col_sub(j, t, q)
+                    col_sub(j, t, m[t][j] // m[t][t])
                     if m[t][j]:
                         dirty = True
             if not dirty:

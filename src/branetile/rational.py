@@ -163,18 +163,17 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
                 neg.append((vec, zs, s))
             else:
                 kept.append((vec, zs | bit))
-        if neg:
-            masks = [zs for _, zs in rays]
-            for pv, pz, ps in pos:
-                for nv, nz, ns in neg:
-                    common = pz & nz
-                    if common.bit_count() < d - 2 or any(
-                            z & common == common and z != pz and z != nz
-                            for z in masks):
-                        continue
-                    kept.append((integerize(
-                        [ps * b - ns * a for a, b in zip(pv, nv)]),
-                        common | bit))
+        masks = [zs for _, zs in rays]
+        for pv, pz, ps in pos:
+            for nv, nz, ns in neg:
+                common = pz & nz
+                if common.bit_count() < d - 2 or any(
+                        z & common == common and z != pz and z != nz
+                        for z in masks):
+                    continue
+                kept.append((integerize(
+                    [ps * b - ns * a for a, b in zip(pv, nv)]),
+                    common | bit))
         rays = kept
     return sorted(vec for vec, _ in rays), lineality
 
@@ -250,7 +249,7 @@ class StrictElimination:
     a zero last entry passes, truncated, to the next level.  A new row
     is combined, through a work list, only with the opposite-sign rows
     already on its level.  A zero row (``0 > 0``) makes the system
-    empty.
+    empty, and rows added after it leave it so.
     """
 
     __slots__ = ("levels", "empty")
@@ -270,8 +269,6 @@ class StrictElimination:
 
     def add(self, row: tuple) -> None:
         """Add the strict row ``row . x > 0``, a tuple of integers."""
-        if self.empty:
-            return
         work = [(0, row)]
         while work:
             j, r = work.pop()
@@ -338,34 +335,25 @@ class StrictElimination:
         return tuple(nums), den
 
 
-def _fm_strict(rows: list, nvars: int):
-    """Interior point of ``{x : r . x > 0 for all r}`` for integer rows,
-    or None: :meth:`StrictElimination.point` after adding every row."""
-    system = StrictElimination(nvars)
-    for row in rows:
-        system.add(row)
-    return system.point()
-
-
 def strict_feasible_point(strict: Sequence, eqs: Sequence, nvars: int):
     """Witness of ``{x : s . x > 0, e . x == 0}`` or None.
 
     The input rows are integer or rational; each nonzero one is made a
     primitive integer row once, which changes neither the set nor the
-    witness, and with equalities the rows are projected onto the
-    integer nullspace basis.  The witness is a tuple of Fractions.
-    With no strict rows the zero vector is returned (it satisfies the
-    equalities vacuously).
+    witness, and the rows are projected onto the integer nullspace
+    basis of the equalities (the unit basis when there are none) and
+    eliminated by one :class:`StrictElimination`.  The witness is a
+    tuple of Fractions.  With no strict rows the zero vector is
+    returned (it satisfies the equalities vacuously).
     """
     strict = [integerize(r) if any(r) else tuple(r) for r in strict]
     if not strict:
         return tuple(Fraction(0) for _ in range(nvars))
-    if not eqs:
-        found = _fm_strict(strict, nvars)
-        return found and tuple(Fraction(x, found[1]) for x in found[0])
     basis = nullspace(eqs, nvars)
-    found = _fm_strict(
-        [tuple(dot(row, b) for b in basis) for row in strict], len(basis))
+    system = StrictElimination(len(basis))
+    for row in strict:
+        system.add(tuple(dot(row, b) for b in basis))
+    found = system.point()
     if found is None:
         return None
     nums, den = found

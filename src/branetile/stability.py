@@ -12,14 +12,13 @@ triangles (see :func:`_stable_subsets_at`).
 The chambers of the generic locus are the leaves of a sign tree over
 the walls, where proper vertex subsets sum to zero, walked with an
 explicit stack and pruned exactly (see :func:`chamber_decomposition`).
-Genericity and the signs of the stable unions' supports are read in
-place from the parameter's sums over the subsets of each half of at
-most 36 vertices, by bitmask (see :func:`_halves`); no call but
-:func:`find_chamber`, whose chambers have at most six vertices, builds
-the 2ⁿ sums over all vertex subsets.  A chamber is its representative
-and its stable structure, and :func:`find_chamber` compares a
-parameter's subset signs with each representative's, mask by mask up to
-the first that differs.
+Genericity, the signs of the stable unions' supports and every subset
+sign :func:`find_chamber` compares are read in place from the
+parameter's sums over the subsets of each half of at most 36 vertices,
+by bitmask (see :func:`_halves`); no call builds the 2ⁿ sums over all
+vertex subsets.  A chamber is its representative and its stable
+structure, and :func:`find_chamber` compares a parameter's subset signs
+with each representative's, mask by mask up to the first that differs.
 Arrow sets are the integer masks of ``QuiverOnTorus.arrow_bits``, as a
 perfect matching's ``mask`` is.  One record, which does not depend on
 the parameter, is kept on the tiling and freed with it: the lifted
@@ -410,16 +409,13 @@ class Chamber(NamedTuple):
                      if s.dim == 3)
 
 
-def _positive(theta: Sequence) -> Iterator:
+def _positive(halves: tuple) -> Iterator:
     """Whether each proper nonempty vertex mask, in order, has a positive
-    sum under θ, one mask at a time: a mask's sum is that of the mask
-    without its lowest vertex, met earlier, plus that vertex's entry, so
-    the sums are built only as far as they are read."""
-    sums = [0]
-    for s in range(1, (1 << len(theta)) - 1):
-        low = s & -s
-        sums.append(sums[s ^ low] + theta[low.bit_length() - 1])
-        yield sums[s] > 0
+    sum, read from the parameter's :func:`_halves` one mask at a time."""
+    h, low, high = halves
+    cut = len(low) - 1
+    return (low[s & cut] + high[s >> h] > 0
+            for s in range(1, len(low) * len(high) - 1))
 
 
 # The resonance arrangement has 11 292 chambers at 6 vertices and over a
@@ -526,12 +522,19 @@ def chamber_decomposition(tiling: QuiverOnTorus,
 def find_chamber(tiling: QuiverOnTorus, chambers: Sequence,
                  theta: Sequence) -> Chamber:
     """The chamber containing a generic parameter: the first whose
-    representative, checked as θ is, has θ's subset signs."""
-    _require_generic(tiling, theta)
-    signs = list(_positive(theta))
+    representative, checked as θ is, has θ's subset signs.  Raises
+    DegenerateInputError, before any sign is read, on more than six
+    vertices, where :func:`chamber_decomposition` lists no chamber."""
+    halves = _require_generic(tiling, theta)
+    if len(theta) > _MAX_CHAMBER_VERTICES:
+        raise DegenerateInputError(
+            f"chamber lookup supports at most {_MAX_CHAMBER_VERTICES} "
+            f"vertices; this tiling has {len(theta)}")
+    signs = list(_positive(halves))
     for chamber in chambers:
         _theta_check(tiling.vertices, chamber.representative)
         # compared mask by mask, up to the first sign that differs
-        if all(map(operator.eq, _positive(chamber.representative), signs)):
+        if all(map(operator.eq,
+                   _positive(_halves(chamber.representative)), signs)):
             return chamber
     raise ValueError("no chamber matches the given parameter")

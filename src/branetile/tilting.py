@@ -137,7 +137,7 @@ def picard_presentation(stable: Sequence) -> PicardPresentation:
 # ---------------------------------------------------------------------------
 
 class TiltingCollection(NamedTuple):
-    """One divisor class per vertex, from default (or given) paths."""
+    """One divisor class per vertex, from the default paths."""
 
     base: str
     ray_ids: tuple       # stable matching ids — divisor coordinate order
@@ -148,23 +148,15 @@ class TiltingCollection(NamedTuple):
 
 
 def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
-                       matchings: Sequence, base: "str | None" = None,
-                       paths: "dict | None" = None) -> TiltingCollection:
-    """Raises ValueError unless the tower is the tiling's and the paths
-    run from one vertex, the base if one is given, to every vertex."""
+                       matchings: Sequence,
+                       base: "str | None" = None) -> TiltingCollection:
+    """One divisor and class per vertex, along :func:`default_paths` from
+    ``base``.  Raises ValueError unless the tower is the tiling's and the
+    base is one of its vertices."""
     lattice._check_tower(tiling, tower)
     stable = stable_matchings(tiling, theta, matchings)
     presentation = picard_presentation(stable)
-    if paths is None:
-        paths = default_paths(tiling, base)
-    sources = {path.source for path in paths.values()}
-    if len(sources) != 1 or any(v not in paths or paths[v].target != v
-                                for v in tiling.vertices):
-        raise ValueError("paths must run from one vertex to every vertex")
-    if base not in (None, *sources):
-        raise ValueError(f"base {base!r} is not the paths' source")
-    (base,) = sources
-    path_items = tuple((v, paths[v]) for v in tiling.vertices)
+    path_items = tuple(default_paths(tiling, base).items())
     divisors = []
     classes = []
     for v, path in path_items:
@@ -172,7 +164,8 @@ def tilting_collection(tiling: QuiverOnTorus, tower, theta: Sequence,
         divisors.append((v, coeffs))
         classes.append((v, presentation.class_of(coeffs)))
     return TiltingCollection(
-        base=base, ray_ids=tuple(m.matching_id for m in stable),
+        base=path_items[0][1].source,
+        ray_ids=tuple(m.matching_id for m in stable),
         paths=path_items, divisors=tuple(divisors), classes=tuple(classes),
         presentation=presentation)
 

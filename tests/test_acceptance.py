@@ -280,8 +280,8 @@ def test_07_spp_tilting_divisors_and_classes(spp, towers,
     }
 
     for j, theta in enumerate(SPP_REFERENCE_THETAS, start=1):
-        coll = bt.tilting_collection(spp, tower, theta, matchings,
-                                     base="1", paths=paths)
+        coll = bt.tilting_collection(spp, tower, theta, matchings, base="1")
+        assert dict(coll.paths) == paths
         order = sorted(range(len(coll.ray_ids)),
                        key=lambda i: label_of[coll.ray_ids[i]])
         labels = tuple(label_of[coll.ray_ids[i]] for i in order)

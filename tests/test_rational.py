@@ -533,19 +533,32 @@ def test_a_grown_elimination_matches_the_fraction_reference(case):
     assert system.point() == found
 
 
+def test_rows_added_to_an_empty_elimination_leave_it_empty():
+    # x > 0 and -x > 0 combine to the zero row, and no row added after
+    # that, nor a copy, brings a point back
+    system = rational.StrictElimination(2)
+    system.add((1, 0))
+    system.add((-1, 0))
+    assert system.empty and system.point() is None
+    for row in [(0, 1), (1, 1), (-1, 0), (0, 0)]:
+        system.add(row)
+        assert system.point() is None
+    assert system.copy().point() is None
+
+
 @pytest.mark.parametrize("strict, eqs", [
     ([(Fraction(1, 2), 1, 0), (1, Fraction(-1, 3), 2), (0, 0, 1)], []),
     ([(Fraction(1, 2), 1, 0), (-1, 1, 1)], [(Fraction(1, 3), 0, -1)]),
     ([(1, 1, 1), (0, 0, 0)], []),
 ])
 def test_fourier_motzkin_eliminates_integer_rows(monkeypatch, strict, eqs):
-    real = rational._fm_strict
+    real = rational.StrictElimination.add
 
-    def checked(rows, nvars):
-        assert all(type(x) is int for row in rows for x in row)
-        return real(rows, nvars)
+    def checked(self, row):
+        assert all(type(x) is int for x in row)
+        return real(self, row)
 
-    monkeypatch.setattr(rational, "_fm_strict", checked)
+    monkeypatch.setattr(rational.StrictElimination, "add", checked)
     got = rational.strict_feasible_point(strict, eqs, 3)
     assert got == fraction_strict_feasible_point(strict, eqs, 3)
 

@@ -812,6 +812,16 @@ def test_find_chamber_rejects_wall_parameters(spp, chambers_by_name):
         bt.find_chamber(spp, chambers_by_name["spp"], (0, 1, -1))
 
 
+def test_find_chamber_refuses_past_the_chamber_budget(monkeypatch):
+    # seven vertices: no chamber list comes from chamber_decomposition,
+    # so the refusal comes before any subset sign is read
+    tiling = bt.load_document(orbifold_text(1, 7))
+    monkeypatch.setattr(stability, "_positive", None)
+    with pytest.raises(bt.DegenerateInputError,
+                       match="at most 6 vertices; this tiling has 7"):
+        bt.find_chamber(tiling, [], powers_of_two_theta(7))
+
+
 def test_find_chamber_checks_each_representative(spp, chambers_by_name):
     chambers = chambers_by_name["spp"]
     short = chambers[0]._replace(representative=(1, -1))

@@ -169,11 +169,8 @@ def test_a_malformed_weak_path_is_refused(path, message, spp, towers,
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     matchings = matchings_by_name["spp"]
     stable = stable_matchings(spp, theta, matchings)
-    paths = {**bt.default_paths(spp), path.target: path}
     with pytest.raises(ValueError, match=message):
         bt.path_divisor(spp, path, stable)
-    with pytest.raises(ValueError, match=message):
-        bt.tilting_collection(spp, tower, theta, matchings, paths=paths)
     with pytest.raises(ValueError, match=message):
         bt.graded_sections_count(spp, tower, theta, [path], matchings)
 
@@ -293,37 +290,9 @@ def test_collection_honors_an_explicit_base(spp, towers, matchings_by_name,
     assert coll.base == "2"
     assert all(path.source == "2" for _, path in coll.paths)
     assert dict(coll.divisors)["2"] == (0,) * len(coll.ray_ids)
-
-
-def test_collection_takes_its_base_from_the_given_paths(
-        spp, towers, matchings_by_name, chambers_by_name):
-    tower, theta = first_chamber("spp", towers, chambers_by_name)
-    matchings = matchings_by_name["spp"]
-    paths = bt.default_paths(spp, "2")
-    coll = bt.tilting_collection(spp, tower, theta, matchings, paths=paths)
-    assert coll.base == "2"
-    same = bt.tilting_collection(spp, tower, theta, matchings, base="2",
-                                 paths=paths)
-    assert same == coll
-    with pytest.raises(ValueError, match="base '1' is not the paths' source"):
-        bt.tilting_collection(spp, tower, theta, matchings, base="1",
-                              paths=paths)
-
-
-@pytest.mark.parametrize("fault", ["missing", "two sources", "wrong end"])
-def test_collection_refuses_paths_that_miss_a_vertex_or_a_source(
-        fault, spp, towers, matchings_by_name, chambers_by_name):
-    tower, theta = first_chamber("spp", towers, chambers_by_name)
-    paths = dict(bt.default_paths(spp, "1"))
-    if fault == "missing":
-        del paths["3"]
-    elif fault == "two sources":
-        paths["3"] = bt.default_paths(spp, "2")["3"]
-    else:
-        paths["3"] = paths["2"]
-    with pytest.raises(ValueError, match="from one vertex to every vertex"):
+    with pytest.raises(ValueError, match="unknown base vertex '9'"):
         bt.tilting_collection(spp, tower, theta, matchings_by_name["spp"],
-                              paths=paths)
+                              base="9")
 
 
 def test_collection_classes_are_path_independent(spp, towers,
@@ -332,14 +301,18 @@ def test_collection_classes_are_path_independent(spp, towers,
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     matchings = matchings_by_name["spp"]
     default = bt.tilting_collection(spp, tower, theta, matchings)
+    stable = stable_matchings(spp, theta, matchings)
     detour = {
         "1": bt.make_weak_path(spp, [], source="1"),
         "2": bt.make_weak_path(spp, [("13", 1), ("32", 1)]),
         "3": bt.make_weak_path(spp, [("12", 1), ("23", 1)]),
     }
-    other = bt.tilting_collection(spp, tower, theta, matchings, paths=detour)
-    assert dict(other.classes) == dict(default.classes)
-    assert dict(other.divisors) != dict(default.divisors)
+    divisors = {v: tuple(c for _, c in bt.path_divisor(spp, path, stable))
+                for v, path in detour.items()}
+    classes = {v: default.presentation.class_of(d)
+               for v, d in divisors.items()}
+    assert classes == dict(default.classes)
+    assert divisors != dict(default.divisors)
 
 
 def test_collection_refuses_the_tower_of_another_tiling(
