@@ -1,10 +1,11 @@
 """Exact integer linear algebra and the weight-lattice tower of a tiling.
 
 Matrices are plain lists of row lists of Python ints; exactness is
-non-negotiable.  The matrices of a tiling are mostly zeros:
-:func:`mat_mul` spends work only on nonzero entries, and the Smith form
-carries the inverse of its row transform, so the tower eliminates its
-relations once.
+non-negotiable.  The matrices of a tiling are mostly zeros, so
+:func:`mat_mul` and each row and column operation of the Smith form
+spend work only on nonzero entries; the Smith form also carries the
+inverse of its row transform, so the tower eliminates its relations
+once.
 
 The second half of the module builds, from a quiver tiling, the tower of
 lattices used everywhere else in the package:
@@ -25,7 +26,8 @@ lattices used everywhere else in the package:
 from __future__ import annotations
 
 import numbers
-from operator import index, mul
+from itertools import compress
+from operator import index, itemgetter, mul
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -38,7 +40,10 @@ Matrix = list[list[int]]
 # ---------------------------------------------------------------------------
 
 def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -50,16 +55,25 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """``a @ b``, each output row a combination of ``b``'s rows over the
-    nonzero entries of ``a``'s row, so zeros cost nothing.  Raises
-    ValueError when a row of ``a`` and ``b`` differ in length."""
+    """``a @ b``, each output row a sum over the nonzero entries of
+    ``a``'s row of the nonzero entries of ``b``'s rows, both listed at C
+    speed, so zeros cost nothing.  Raises ValueError when a row of ``a``
+    and ``b`` differ in length."""
     width = len(b[0]) if b else 0
+    cols = range(width)
+    inner = range(len(b))
+    b_nonzeros = [list(zip(compress(cols, row), compress(row, row)))
+                  for row in b]
     out = []
-    for row in a:
+    for i, row in enumerate(a):
+        if len(row) != len(b):
+            raise ValueError(f"row {i} of the left factor has {len(row)} "
+                             f"entries, the right factor {len(b)} rows")
         acc = [0] * width
-        for x, b_row in zip(row, b, strict=True):
-            if x:
-                acc = [s + x * t for s, t in zip(acc, b_row)]
+        for k in compress(inner, row):
+            x = row[k]
+            for j, t in b_nonzeros[k]:
+                acc[j] += x * t
         out.append(acc)
     return out
 
@@ -105,82 +119,97 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
     ``W``: ``U[i] -= q U[j]`` becomes ``W[j] += q W[i]``, and swaps and
     negations act on the same rows.  So ``U @ W^T == I`` throughout,
     with no second elimination to invert ``U``.  Raises ValueError on an
-    entry that is not an integer.
+    entry that is not an integer or a row whose length differs from
+    row 0's.
+
+    The matrices are dense lists, ``V`` kept as its columns, but each
+    operation runs only over the nonzero entries of the row or column
+    it adds, listed once per pass at C speed: a face relation has two
+    or three nonzeros in a row of fifty.
     """
     m = [_exact(row, f"matrix row {i}") for i, row in enumerate(mat)]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if len(set(map(len, m))) > 1:
+        i = next(i for i, row in enumerate(m) if len(row) != ncols)
+        raise ValueError(f"matrix row {i} has length {len(m[i])}, "
+                         f"row 0 has length {ncols}")
     u = identity(nrows)
-    v = identity(ncols)
     w = identity(nrows)
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-        w[j] = [a + q * b for a, b in zip(w[j], w[i])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def row_swap(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        w[i], w[j] = w[j], w[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i: int) -> None:
-        m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-        w[i] = [-a for a in w[i]]
+    vc = identity(ncols)  # the columns of V
+    all_rows = range(nrows)
+    all_cols = range(ncols)
 
     def eliminate(t: int, rmax: int, cmax: int) -> bool:
         """Clear row/column ``t`` within the window, pivot at ``(t, t)``.
 
         Returns False when the window is entirely zero.
         """
+        at_t = itemgetter(t)
         while True:
             # the row-major first smallest entry; a unit is the least
             # possible, so the scan stops at the first one
-            piv = None
+            piv = -1
             best = 0
             for i in range(t, rmax):
-                for j in range(t, cmax):
-                    a = abs(m[i][j])
-                    if a and (piv is None or a < best):
-                        piv, best = (i, j), a
-                        if a == 1:
-                            break
-                if best == 1:
-                    break
-            if piv is None:
+                a = min(filter(None, map(abs, m[i][t:cmax])), default=0)
+                if a and (piv < 0 or a < best):
+                    piv, best = i, a
+                    if a == 1:
+                        break
+            if piv < 0:
                 return False
-            if piv[0] != t:
-                row_swap(t, piv[0])
-            if piv[1] != t:
-                col_swap(t, piv[1])
-            # the pivot is least in the window, so no quotient is zero
+            if piv != t:
+                m[t], m[piv] = m[piv], m[t]
+                u[t], u[piv] = u[piv], u[t]
+                w[t], w[piv] = w[piv], w[t]
+            mt = m[t]
+            j = t + list(map(abs, mt[t:cmax])).index(best)
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+                vc[t], vc[j] = vc[j], vc[t]
+            p = mt[t]
+            # Row t of M and U is fixed while rows below subtract it, and
+            # column t of M and V while columns to the right do, so each
+            # pass lists their nonzeros once.  The pivot is least in the
+            # window, so no quotient is zero.
+            m_cols = list(compress(all_cols, mt))
+            ut = u[t]
+            u_cols = list(compress(all_rows, ut))
+            wt = w[t]
             dirty = False
-            for i in range(t + 1, rmax):
-                if m[i][t]:
-                    row_sub(i, t, m[i][t] // m[t][t])
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, cmax):
-                if m[t][j]:
-                    col_sub(j, t, m[t][j] // m[t][t])
-                    if m[t][j]:
+            for i in compress(range(t + 1, rmax), map(at_t, m[t + 1:rmax])):
+                mi = m[i]
+                ui = u[i]
+                wi = w[i]
+                q = mi[t] // p
+                for c in m_cols:
+                    mi[c] -= q * mt[c]
+                for c in u_cols:
+                    ui[c] -= q * ut[c]
+                for c in compress(all_rows, wi):
+                    wt[c] += q * wi[c]
+                if mi[t]:
+                    dirty = True
+            right = [j for j in m_cols if t < j < cmax]
+            if right:
+                m_rows = list(compress(m, map(at_t, m)))
+                vt = vc[t]
+                v_rows = list(compress(all_cols, vt))
+                for j in right:
+                    vj = vc[j]
+                    q = mt[j] // p
+                    for row in m_rows:
+                        row[j] -= q * row[t]
+                    for r in v_rows:
+                        vj[r] -= q * vt[r]
+                    if mt[j]:
                         dirty = True
             if not dirty:
-                if m[t][t] < 0:
-                    row_neg(t)
+                if p < 0:
+                    for rows in (m, u, w):
+                        rows[t] = [-a for a in rows[t]]
                 return True
 
     rank = 0
@@ -195,11 +224,14 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
         changed = False
         for t in range(rank - 1):
             if m[t + 1][t + 1] % m[t][t] != 0:
-                col_sub(t, t + 1, -1)  # add column t+1 to column t
+                # add column t+1 to column t
+                for row in m:
+                    row[t] += row[t + 1]
+                vc[t] = [a + b for a, b in zip(vc[t], vc[t + 1])]
                 eliminate(t, t + 2, t + 2)
                 eliminate(t + 1, t + 2, t + 2)
                 changed = True
-    return u, m, v, w
+    return u, m, list(map(list, zip(*vc))), w
 
 
 def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -343,10 +375,13 @@ def build_lattice_tower(tiling) -> LatticeTower:
         boundary[vertex_index[a.target]][col] += 1
         boundary[vertex_index[a.source]][col] -= 1
 
-    # Face cycles must be closed, i.e. the degree rows kill every relation.
-    closed = mat_mul(boundary, relations)
-    if any(x for row in closed for x in row):
-        raise ConsistencyError("some face cycle is not a closed walk")
+    # Face cycles must be closed, i.e. the degree rows kill every
+    # relation: each face's arrows enter the vertices they leave.
+    arrow_map = tiling.arrow_map
+    for face in tiling.faces:
+        ends = [arrow_map[aid] for aid in face.arrows]
+        if sorted(a.target for a in ends) != sorted(a.source for a in ends):
+            raise ConsistencyError("some face cycle is not a closed walk")
 
     u, s, _, w = _smith_form(relations)
     factors = [s[i][i] for i in range(min(n_amb, len(tiling.faces))) if s[i][i]]
@@ -365,11 +400,8 @@ def build_lattice_tower(tiling) -> LatticeTower:
     projection = u[rank_rel:]
     section = [list(col) for col in zip(*w[rank_rel:])]
 
-    weights = {
-        aid: tuple(projection[i][1 + arrow_index[aid]] for i in range(k))
-        for aid in arrow_ids
-    }
-    face_cycle_weight = tuple(projection[i][0] for i in range(k))
+    face_cycle_weight, *arrow_weights = zip(*projection)
+    weights = dict(zip(arrow_ids, arrow_weights))
 
     degree_matrix = mat_mul(boundary, section)
     # Sanity: the degree of an arrow weight is target - source, and the

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice, rational
@@ -212,12 +213,19 @@ def _pack_rows(table: list) -> tuple:
     range holds every column's sum of absolute values over all rows.
     No sum over a subset of the rows then leaves the range of a field,
     so adding packed rows adds every column at once, no field carries
-    into the next, and a packed sum has only one reading as fields."""
-    bound = max((sum(map(abs, column)) for column in zip(*table)), default=0)
+    into the next, and a packed sum has only one reading as fields.
+    Both passes run over the nonzero entries only."""
+    nonzeros = [list(zip(compress(count(), row), compress(row, row)))
+                for row in table]
+    sums = [0] * (len(table[0]) if table else 0)
+    for pairs in nonzeros:
+        for j, v in pairs:
+            sums[j] += abs(v)
+    bound = max(sums, default=0)
     for width in _FIELD_CODES:
         if bound < 1 << width - 1:
-            return width, [sum(v << width * j for j, v in enumerate(row))
-                           for row in table]
+            return width, [sum(v << width * j for j, v in pairs)
+                           for pairs in nonzeros]
     raise ConsistencyError(
         f"matching functional column sums reach {bound}, "
         "beyond a 64-bit field")

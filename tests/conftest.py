@@ -181,6 +181,92 @@ def dense_product(a: Sequence, b: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the dense Smith form: every row and column operation over whole rows,
+# kept as a reference for lattice._smith_form's pivots and operations
+# ---------------------------------------------------------------------------
+
+def reference_smith_form(mat: Sequence) -> tuple:
+    """``(U, S, V, W)`` of ``lattice._smith_form`` by the same pivot rule
+    and the same sequence of operations, each applied to whole dense
+    rows and columns: ``U @ mat @ V == S`` and ``W = (U^-1)^T``."""
+    m = [list(row) for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+
+    def unit(n: int) -> list:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    u, v, w = unit(nrows), unit(ncols), unit(nrows)
+
+    def row_sub(i: int, j: int, q: int) -> None:
+        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        w[j] = [a + q * b for a, b in zip(w[j], w[i])]
+
+    def col_sub(i: int, j: int, q: int) -> None:
+        for row in m + v:
+            row[i] -= q * row[j]
+
+    def row_swap(i: int, j: int) -> None:
+        for rows in (m, u, w):
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def col_swap(i: int, j: int) -> None:
+        for row in m + v:
+            row[i], row[j] = row[j], row[i]
+
+    def eliminate(t: int, rmax: int, cmax: int) -> bool:
+        while True:
+            # the row-major first smallest entry of the window; a unit is
+            # the least possible, so the scan stops at the first one
+            piv = None
+            best = 0
+            for i in range(t, rmax):
+                for j in range(t, cmax):
+                    a = abs(m[i][j])
+                    if a and (piv is None or a < best):
+                        piv, best = (i, j), a
+                        if a == 1:
+                            break
+                if best == 1:
+                    break
+            if piv is None:
+                return False
+            if piv[0] != t:
+                row_swap(t, piv[0])
+            if piv[1] != t:
+                col_swap(t, piv[1])
+            dirty = False
+            for i in range(t + 1, rmax):
+                if m[i][t]:
+                    row_sub(i, t, m[i][t] // m[t][t])
+                    dirty = dirty or bool(m[i][t])
+            for j in range(t + 1, cmax):
+                if m[t][j]:
+                    col_sub(j, t, m[t][j] // m[t][t])
+                    dirty = dirty or bool(m[t][j])
+            if not dirty:
+                if m[t][t] < 0:
+                    for rows in (m, u, w):
+                        rows[t] = [-a for a in rows[t]]
+                return True
+
+    rank = 0
+    while rank < min(nrows, ncols) and eliminate(rank, nrows, ncols):
+        rank += 1
+    changed = True
+    while changed:
+        changed = False
+        for t in range(rank - 1):
+            if m[t + 1][t + 1] % m[t][t] != 0:
+                col_sub(t, t + 1, -1)
+                eliminate(t, t + 2, t + 2)
+                eliminate(t + 1, t + 2, t + 2)
+                changed = True
+    return u, m, v, w
+
+
+# ---------------------------------------------------------------------------
 # the double dual: a cone's extreme rays by a second duality, kept as a
 # reference
 # ---------------------------------------------------------------------------

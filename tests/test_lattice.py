@@ -6,14 +6,15 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import branetile as bt
 from branetile import lattice, matchings, rational
 from branetile.tilting import weak_path_weight
 
-from conftest import (QUIVER_FIXTURES, dense_product, document_text,
-                      int_det, shuffled_orbifold_text)
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, dense_product,
+                      document_text, int_det, reference_smith_form,
+                      shuffled_orbifold_text)
 
 # weight-lattice rank is #vertices + 2
 EXPECTED_RANK = {"honeycomb": 3, "conifold": 4, "spp": 5, "z2z2": 6}
@@ -79,6 +80,75 @@ def test_the_divisibility_fix_keeps_the_inverse_transform():
     u, s, _, w = lattice._smith_form([[2, 0], [0, 3]])
     assert s == [[1, 0], [0, 6]]
     assert dense_product(u, list(zip(*w))) == lattice.identity(2)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 8, each entry nonzero with one drawn chance from 5% to
+    100%, so rows range from nearly empty, as in a face relation, to
+    dense."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    percent = draw(st.integers(5, 100))
+    entry = st.integers(0, 99).flatmap(
+        lambda r: st.integers(-12, 12) if r < percent else st.just(0))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300)
+@given(sparse_matrices())
+@example([[2, 0], [0, 3]])  # the divisibility fix runs
+@example([[4, 0, 0], [0, 6, 0], [0, 0, 9]])  # and runs twice
+@example([[0, 0, 0], [3, 0, -6], [0, 2, 4]])  # an all-zero row
+@example([[0, 2, 4], [0, 0, 6], [0, -3, 1]])  # an all-zero column
+@example([[], []])
+@example([])
+def test_smith_form_matches_the_dense_reference(mat):
+    assert lattice._smith_form(mat) == reference_smith_form(mat)
+
+
+TOWER_DOCUMENTS = (list(ALL_FIXTURES)
+                   + [f"{n}x{m}" for m in range(1, 7) for n in range(1, m + 1)]
+                   + ["4x5-shuffled", "5x5-shuffled"])
+
+
+@pytest.mark.parametrize("document", TOWER_DOCUMENTS)
+def test_every_smith_form_of_a_tower_matches_the_dense_reference(
+        document, monkeypatch):
+    if document.endswith("-shuffled"):
+        text = shuffled_orbifold_text(*map(int, document[:3].split("x")), 0)
+    else:
+        text = document_text(document)
+    tiling = bt.load_document(text)
+    real = lattice._smith_form
+    seen = []
+
+    def recording(mat):
+        seen.append([list(row) for row in mat])
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "_smith_form", recording)
+    bt.build_lattice_tower(tiling)
+    monkeypatch.undo()
+    assert len(seen) == 4
+    for mat in seen:
+        assert lattice._smith_form(mat) == reference_smith_form(mat)
+
+
+@pytest.mark.parametrize("call", [
+    bt.smith_normal_form, bt.invariant_factors, bt.integer_kernel,
+    lambda mat: bt.solve_integer(mat, [0, 0]),
+], ids=["smith_normal_form", "invariant_factors", "integer_kernel",
+        "solve_integer"])
+@pytest.mark.parametrize("mat, message", [
+    ([[1], [2, 3]], "matrix row 1 has length 2, row 0 has length 1"),
+    ([[1, 2], [3]], "matrix row 1 has length 1, row 0 has length 2"),
+], ids=["longer", "shorter"])
+def test_exact_routines_refuse_a_ragged_matrix(call, mat, message):
+    # neither cut to row 0's length nor read past a short row
+    with pytest.raises(ValueError) as exc:
+        call(mat)
+    assert str(exc.value) == message
 
 
 @given(matrices())

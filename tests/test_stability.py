@@ -6,6 +6,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -805,6 +806,19 @@ def test_find_chamber_finds_the_chamber_with_the_parameters_signs(document):
         [want] = [c.index for c in chambers if brute_force_signs(
             tiling.vertices, c.representative) == signs]
         assert bt.find_chamber(tiling, chambers, theta).index == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_positive_reads_the_sign_of_each_subset_sum(n):
+    # find_chamber maps θ and every representative through _positive, so
+    # a wrong reading that still separates chambers finds the same one;
+    # only each mask's own subset sum tells a dropped vertex apart
+    rng = random.Random(n)
+    for _ in range(5):
+        theta = [rng.randint(-50, 50) for _ in range(n)]
+        want = [sum(x for i, x in enumerate(theta) if s >> i & 1) > 0
+                for s in range(1, 2 ** n - 1)]
+        assert list(stability._positive(stability._halves(theta))) == want
 
 
 def test_find_chamber_rejects_wall_parameters(spp, chambers_by_name):
