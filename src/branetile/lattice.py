@@ -152,9 +152,10 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
             piv = -1
             best = 0
             for i in range(t, rmax):
-                a = min(filter(None, map(abs, m[i][t:cmax])), default=0)
+                sizes = list(map(abs, m[i][t:cmax]))
+                a = min(filter(None, sizes), default=0)
                 if a and (piv < 0 or a < best):
-                    piv, best = i, a
+                    piv, best, j = i, a, t + sizes.index(a)
                     if a == 1:
                         break
             if piv < 0:
@@ -164,7 +165,6 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
                 u[t], u[piv] = u[piv], u[t]
                 w[t], w[piv] = w[piv], w[t]
             mt = m[t]
-            j = t + list(map(abs, mt[t:cmax])).index(best)
             if j != t:
                 for row in m:
                     row[t], row[j] = row[j], row[t]
