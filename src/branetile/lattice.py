@@ -124,8 +124,9 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
 
     The matrices are dense lists, ``V`` kept as its columns, but each
     operation runs only over the nonzero entries of the row or column
-    it adds, listed once per pass at C speed: a face relation has two
-    or three nonzeros in a row of fifty.
+    it adds, listed once per pass at C speed: an arrow's row of a
+    tiling's face relations has two nonzero entries, one per face it
+    bounds.
     """
     m = [_exact(row, f"matrix row {i}") for i, row in enumerate(mat)]
     nrows = len(m)
@@ -155,7 +156,7 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
                 sizes = list(map(abs, m[i][t:cmax]))
                 a = min(filter(None, sizes), default=0)
                 if a and (piv < 0 or a < best):
-                    piv, best, j = i, a, t + sizes.index(a)
+                    piv, best, pcol = i, a, t + sizes.index(a)
                     if a == 1:
                         break
             if piv < 0:
@@ -165,10 +166,10 @@ def _smith_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, M
                 u[t], u[piv] = u[piv], u[t]
                 w[t], w[piv] = w[piv], w[t]
             mt = m[t]
-            if j != t:
+            if pcol != t:
                 for row in m:
-                    row[t], row[j] = row[j], row[t]
-                vc[t], vc[j] = vc[j], vc[t]
+                    row[t], row[pcol] = row[pcol], row[t]
+                vc[t], vc[pcol] = vc[pcol], vc[t]
             p = mt[t]
             # Row t of M and U is fixed while rows below subtract it, and
             # column t of M and V while columns to the right do, so each
