@@ -62,8 +62,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     width = len(b[0]) if b else 0
     cols = range(width)
     inner = range(len(b))
-    b_nonzeros = [list(zip(compress(cols, row), compress(row, row)))
-                  for row in b]
     out = []
     for i, row in enumerate(a):
         if len(row) != len(b):
@@ -72,8 +70,9 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
         acc = [0] * width
         for k in compress(inner, row):
             x = row[k]
-            for j, t in b_nonzeros[k]:
-                acc[j] += x * t
+            b_row = b[k]
+            for j in compress(cols, b_row):
+                acc[j] += x * b_row[j]
         out.append(acc)
     return out
 
