@@ -57,10 +57,6 @@ _RULES = ("arrow-face-incidence", "face-cycle", "euler", "face-length",
           "connected")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _InvalidDocument(Exception):
     def __init__(self, report):
         super().__init__("document fails structural validation")
@@ -140,20 +136,20 @@ def _load_tiling(args):
 
 def _parse_theta(args, tiling) -> tuple:
     if getattr(args, "theta", None) is None:
-        raise _UsageError("this verb needs --theta")
+        raise ValueError("this verb needs --theta")
     try:
         values = [int(p) for p in args.theta.split(",")]
     except ValueError:
-        raise _UsageError(
+        raise ValueError(
             f"--theta must be comma-separated integers, got {args.theta!r}")
     order = list(tiling.vertices)
     if getattr(args, "vertex_order", None):
         order = args.vertex_order.split(",")
         if sorted(order) != sorted(tiling.vertices):
-            raise _UsageError(
+            raise ValueError(
                 "--vertex-order must be a permutation of the vertex ids")
     if len(values) != len(order):
-        raise _UsageError(
+        raise ValueError(
             f"--theta has {len(values)} entries for {len(order)} vertices")
     by_vertex = dict(zip(order, values))
     return tuple(by_vertex[v] for v in tiling.vertices)
@@ -162,7 +158,7 @@ def _parse_theta(args, tiling) -> tuple:
 def _parse_base(args, tiling):
     base = getattr(args, "base", None)
     if base is not None and base not in tiling.vertices:
-        raise _UsageError(f"--base {base!r} is not a vertex of the input")
+        raise ValueError(f"--base {base!r} is not a vertex of the input")
     return base
 
 
@@ -449,9 +445,6 @@ def main(argv=None) -> int:
     verb = args.verb
     try:
         return _HANDLERS[verb](args)
-    except _UsageError as exc:
-        _error(verb, "usage", exc)
-        return 2
     except TilingFormatError as exc:
         _error(verb, "format", exc)
         return 2

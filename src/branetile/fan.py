@@ -7,8 +7,9 @@ of matchings, spanned by the rays of the matchings the union contains.
 Those cones are certified where ``stability`` builds them, so only the
 quotient route (``polyhedra``) runs :func:`validate_fan`.
 
-Validation is structural and complete for the fans this package
-builds: every listed ray of a maximal cone must be extreme, every cone
+Validation is structural and complete for simplicial fans, which are
+all the fans this package builds (every crepant resolution is smooth):
+the rays of every maximal cone must be linearly independent, every cone
 must be a face of a maximal cone whose faces are all listed, and every two
 maximal cones must admit a separating functional vanishing exactly on
 their shared rays — which, for a face-closed collection, is exactly
@@ -123,12 +124,12 @@ def validate_fan(fan: Fan) -> None:
     """Raise ConsistencyError unless the cones form a fan.
 
     Checks: distinct primitive nonzero rays of one length; per maximal
-    cone, that it is strongly convex with every listed ray extreme and
-    each of its faces listed; every cone is a face of some maximal
-    cone, of that face's dimension; and every two maximal cones meet in
-    the cone of their shared rays (separation criterion).  Together
-    these are exactly the fan axioms; a face of a checked maximal cone
-    needs no check of its own.
+    cone, that its rays are linearly independent (a non-simplicial
+    cone is refused) and each of its faces listed; every cone is a face
+    of some maximal cone, of that face's dimension; and every two
+    maximal cones meet in the cone of their shared rays (separation
+    criterion).  For simplicial cones these are exactly the fan axioms;
+    a face of a checked maximal cone needs no check of its own.
     """
     dim = len(fan.rays[0].vector) if fan.rays else 0
     vectors = {}
@@ -163,29 +164,12 @@ def validate_fan(fan: Fan) -> None:
     max_sets = [c.ray_ids for c in fan.max_cones()]
     for m in max_sets:
         ids = sorted(m, key=matching_id_key)
-        vecs = [vectors[i] for i in ids]
-        if rational.frank(vecs) == len(vecs):
-            # simplicial: independent rays are extreme, the cone is
-            # strongly convex, and the faces are exactly the subsets
-            faces = {frozenset(sub): r for r in range(len(ids) + 1)
-                     for sub in itertools.combinations(ids, r)}
-        else:
-            normals, extreme, lineality = rational.describe_cone(vecs, dim)
-            if lineality:
-                raise ConsistencyError(
-                    f"cone {sorted(m)} is not strongly convex")
-            if set(extreme) != set(tuple(v) for v in vecs):
-                raise ConsistencyError(
-                    f"cone {sorted(m)} lists a non-extreme ray")
-            # the pointed cone as a polyhedron: its one vertex, the
-            # apex, is bit 0 and ray k is bit k + 1
-            incidences = [1 | sum(2 << k for k, v in enumerate(vecs)
-                                  if not lattice.dot(n, v))
-                          for n in normals]
-            faces = {frozenset(i for k, i in enumerate(ids)
-                               if face >> k + 1 & 1): d
-                     for face, d in rational.face_lattice(
-                         incidences, (2 << len(ids)) - 1, 1).items()}
+        if rational.frank([vectors[i] for i in ids]) != len(ids):
+            raise ConsistencyError(f"cone {sorted(m)} is not simplicial")
+        # independent rays are extreme, the cone is strongly convex,
+        # and its faces are exactly the subsets of its rays
+        faces = {frozenset(sub): r for r in range(len(ids) + 1)
+                 for sub in itertools.combinations(ids, r)}
         for face in faces:
             if face not in cone_sets:
                 raise ConsistencyError(

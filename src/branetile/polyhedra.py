@@ -355,18 +355,17 @@ def lift_slice_faces(tower, shifted: Polyhedron,
     return lifted
 
 
-def _named_fan(cones: Sequence, ray_labels: "dict | None") -> Fan:
+def _named_fan(cones: Sequence, ray_labels: dict) -> Fan:
     """The fan of ``(dim, rays)`` cones; ``ray_labels`` maps ray
     vectors to names and the other rays get ``r1``, ``r2``, ... in
     lexicographic order.  Raises ValueError when two rays get one
     name."""
-    labels = ray_labels or {}
     names = {}
     owners = {}  # name -> its ray
     counter = 0
     for vec in sorted({v for _, rays in cones for v in rays}):
-        if vec in labels:
-            name = labels[vec]
+        if vec in ray_labels:
+            name = ray_labels[vec]
         else:
             counter += 1
             name = f"r{counter}"
@@ -456,24 +455,22 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
         raise ConsistencyError("two transversal faces share one normal cone")
     geometry = frozenset(cones)
     if geometry not in record.valid_fans:
-        validate_fan(_named_fan(cones, None))
+        validate_fan(_named_fan(cones, {}))
         record.valid_fans.add(geometry)
     return tuple(cones), tuple(splitters)
 
 
-def _slice(tower, shifted: Polyhedron, slice_poly: "Polyhedron | None",
-           ray_labels: "dict | None") -> tuple:
+def _slice(tower, shifted: Polyhedron, slice_poly: Polyhedron,
+           ray_labels: dict) -> tuple:
     """``(fan, splitters)`` of a slice, from :func:`_slice_cones` and
     :func:`_named_fan`, kept as the tower's one slice entry keyed by the
     slice arguments as given, so a repeated call computes nothing and a
     call with other labels only names the cones anew.  Raises
     ValueError as :func:`kernel_polytope` does."""
     record = _record(tower)
-    key, labels = (shifted, slice_poly), dict(ray_labels or {})
+    key, labels = (shifted, slice_poly), dict(ray_labels)
     held, sliced, named, fan = record.last
     if held != key:
-        if slice_poly is None:
-            slice_poly = kernel_polytope(tower, shifted)
         sliced, named = _slice_cones(tower, shifted, slice_poly), None
     if named != labels:
         fan = _named_fan(sliced[0], labels)
@@ -481,9 +478,8 @@ def _slice(tower, shifted: Polyhedron, slice_poly: "Polyhedron | None",
     return fan, sliced[1]
 
 
-def quotient_fan(tower, shifted: Polyhedron,
-                 slice_poly: "Polyhedron | None" = None,
-                 ray_labels: "dict | None" = None) -> Fan:
+def quotient_fan(tower, shifted: Polyhedron, slice_poly: Polyhedron,
+                 ray_labels: dict) -> Fan:
     """Normal fan of the kernel slice, restricted to the transversal
     faces.  Each cone's rays are the normals of the slice facets that
     contain its face (see ``_slice_cones``).  Each fan geometry is
@@ -491,6 +487,7 @@ def quotient_fan(tower, shifted: Polyhedron,
     ``_slice``), so ``quotient_fan`` and ``descend_linear_functional``
     on the same arguments with equal labels return one shared ``Fan``.
 
+    ``slice_poly`` is ``kernel_polytope(tower, shifted)``, and
     ``ray_labels`` maps primitive ray vectors to names (matching ids);
     unlabeled rays get ``r1``, ``r2``, ... in lexicographic order.
     Raises ValueError when ``shifted`` is not in the tower's weight
@@ -523,8 +520,8 @@ class DescendedSupport(NamedTuple):
 
 
 def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
-                              slice_poly: "Polyhedron | None" = None,
-                              ray_labels: "dict | None" = None) -> DescendedSupport:
+                              slice_poly: Polyhedron,
+                              ray_labels: dict) -> DescendedSupport:
     """Descend the globally-linear support function of a weight to the
     quotient fan.
 

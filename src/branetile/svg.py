@@ -1,6 +1,6 @@
 """Deterministic SVG rendering of toric diagrams.
 
-Output depends only on the diagram (and optional triangulation and
+Output depends only on the diagram (and its title, triangulation and
 per-matching annotations), never on dict ordering or float formatting:
 all coordinates are integers in pixel space.
 """
@@ -23,12 +23,12 @@ def _pixel(point: Sequence, xmin: int, ymax: int) -> tuple:
 
 
 def render_diagram_svg(diagram: ToricDiagram,
-                       triangulation: "Triangulation | None" = None,
-                       annotations: "dict | None" = None,
-                       title: str = "") -> str:
-    """Render the diagram: lattice grid, hull, points with matching
-    labels and multiplicities, optional triangulation edges, optional
-    per-matching integer annotations (e.g. divisor coefficients)."""
+                       triangulation: "Triangulation | None", title: str,
+                       annotations: "dict | None" = None) -> str:
+    """Render the diagram: title, lattice grid, hull, points with
+    matching labels and multiplicities, triangulation edges unless
+    ``triangulation`` is None, optional per-matching integer annotations
+    (e.g. divisor coefficients)."""
     pts = [p for _, p in diagram.points]
     xmin = min(p[0] for p in pts)
     xmax = max(p[0] for p in pts)

@@ -132,42 +132,30 @@ class WeakPath(NamedTuple):
     steps: tuple
 
 
-def make_weak_path(tiling: QuiverOnTorus, steps: Sequence, source: str | None = None) -> WeakPath:
-    """Build a weak path from ``(arrow_id, exponent)`` pairs, checking that
-    consecutive steps compose.
-
-    An empty path needs an explicit ``source`` (and ends there too).
+def make_weak_path(tiling: QuiverOnTorus, steps: Sequence,
+                   source: str) -> WeakPath:
+    """Build a weak path from ``source`` by ``(arrow_id, exponent)``
+    pairs, checking that each step starts where the path is.  An empty
+    path ends at its source.
     """
+    if source not in tiling.vertices:
+        raise ValueError(f"unknown vertex {source!r}")
     amap = tiling.arrow_map
     norm = []
-    for step in steps:
-        aid, exp = step
+    at = source
+    for aid, exp in steps:
         if aid not in amap:
             raise ValueError(f"unknown arrow {aid!r} in path")
         if type(exp) is not int or exp not in (1, -1):
             raise ValueError(f"path exponent must be +1 or -1, got {exp!r}")
-        norm.append((aid, exp))
-    if not norm:
-        if source is None:
-            raise ValueError("empty path needs an explicit source vertex")
-        if source not in tiling.vertices:
-            raise ValueError(f"unknown vertex {source!r}")
-        return WeakPath(source=source, target=source, steps=())
-
-    def ends(aid: str, exp: int) -> tuple:
         a = amap[aid]
-        return (a.source, a.target) if exp == 1 else (a.target, a.source)
-
-    start, at = ends(*norm[0])
-    if source is not None and source != start:
-        raise ValueError(f"path starts at {start!r}, not {source!r}")
-    for aid, exp in norm[1:]:
-        s, t = ends(aid, exp)
+        s, t = (a.source, a.target) if exp == 1 else (a.target, a.source)
         if s != at:
             raise ValueError(
                 f"step {aid!r}^{exp} starts at {s!r} but the path is at {at!r}")
+        norm.append((aid, exp))
         at = t
-    return WeakPath(source=start, target=at, steps=tuple(norm))
+    return WeakPath(source=source, target=at, steps=tuple(norm))
 
 
 def default_paths(tiling: QuiverOnTorus, base: "str | None" = None) -> dict:

@@ -190,7 +190,7 @@ class SectionCount(NamedTuple):
 
 def graded_sections_count(tiling: QuiverOnTorus, tower, theta: Sequence,
                           paths: Sequence, matchings: Sequence,
-                          max_height: int = 4) -> tuple:
+                          max_height: int) -> tuple:
     """One :class:`SectionCount` per weak path, in the given order: the
     sections of the path's divisor, graded by height.
 

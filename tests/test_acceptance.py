@@ -275,8 +275,8 @@ def test_07_spp_tilting_divisors_and_classes(spp, towers,
     label_of = spp_labels(matchings)
     paths = {
         "1": bt.make_weak_path(spp, [], source="1"),
-        "2": bt.make_weak_path(spp, [("12", 1)]),
-        "3": bt.make_weak_path(spp, [("13", 1)]),
+        "2": bt.make_weak_path(spp, [("12", 1)], "1"),
+        "3": bt.make_weak_path(spp, [("13", 1)], "1"),
     }
 
     for j, theta in enumerate(SPP_REFERENCE_THETAS, start=1):

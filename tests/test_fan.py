@@ -147,23 +147,21 @@ def test_validate_rejects_a_non_extreme_listed_ray():
         bt.validate_fan(fan)
 
 
-def test_validate_names_a_non_extreme_ray_and_a_line_in_a_cone():
-    # each cone is listed with exactly its faces, so only the extreme
-    # rays and the lineality tell them from fans
+def test_validate_refuses_a_non_extreme_ray_and_a_line_as_not_simplicial():
+    # each cone is listed with exactly its faces; a cone with a
+    # non-extreme ray or a line has dependent rays, so it is refused
     def listed(vectors: dict, cones: list) -> Fan:
         return Fan(rays=tuple(FanRay(i, v) for i, v in vectors.items()),
                    cones=tuple(FanCone(frozenset(c), d) for c, d in cones))
 
     inside = listed({"a": (1, 0), "b": (1, 1), "c": (0, 1)},
                     [("", 0), ("a", 1), ("c", 1), ("abc", 2)])
-    with pytest.raises(bt.ConsistencyError,
-                       match=r"^cone \['a', 'b', 'c'\] lists a non-extreme"):
-        bt.validate_fan(inside)
     line = listed({"a": (1, 0), "b": (-1, 0), "c": (0, 1)},
                   [("", 0), ("ab", 1), ("abc", 2)])
-    with pytest.raises(bt.ConsistencyError,
-                       match=r"^cone \['a', 'b', 'c'\] is not strongly"):
-        bt.validate_fan(line)
+    for fan in (inside, line):
+        with pytest.raises(bt.ConsistencyError, match=r"^cone "
+                           r"\['a', 'b', 'c'\] is not simplicial$"):
+            bt.validate_fan(fan)
 
 
 def test_validate_rejects_a_cone_with_unknown_rays():
@@ -208,13 +206,12 @@ def square_cone_fan() -> Fan:
 
 
 def test_check_smooth_requires_simplicial_maximal_cones():
-    fan = square_cone_fan()
-    bt.validate_fan(fan)
-    assert not bt.check_smooth(fan)
+    assert not bt.check_smooth(square_cone_fan())
 
 
-def test_a_non_simplicial_cone_is_validated_with_one_duality(monkeypatch):
-    # its extreme rays and its faces both come from the one dual
+def test_a_non_simplicial_cone_is_refused_before_any_duality(monkeypatch):
+    # every fan the package builds is simplicial, so a cone with
+    # dependent rays is refused after one rank, with no dual
     calls = []
     real = rational.dual_cone
 
@@ -223,12 +220,15 @@ def test_a_non_simplicial_cone_is_validated_with_one_duality(monkeypatch):
         return real(gens, dim)
 
     monkeypatch.setattr(rational, "dual_cone", counting)
-    bt.validate_fan(square_cone_fan())
-    assert len(calls) == 1
+    with pytest.raises(bt.ConsistencyError, match=r"^cone "
+                       r"\['a', 'b', 'c', 'd'\] is not simplicial$"):
+        bt.validate_fan(square_cone_fan())
+    assert calls == []
 
 
-def test_a_face_of_a_non_simplicial_cone_keeps_its_dimension():
-    fan = square_cone_fan()
+def test_a_face_of_a_maximal_cone_keeps_its_dimension():
+    fan = make_fan({"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)},
+                   [("a", "b", "c")])
     cones = tuple(
         FanCone(ray_ids=c.ray_ids, dim=1) if c.ray_ids == {"a", "b"} else c
         for c in fan.cones)
@@ -324,11 +324,19 @@ def accepts(validate, fan: Fan) -> bool:
     return True
 
 
+def simplicial(fan: Fan) -> bool:
+    """Whether every maximal cone has independent, listed rays."""
+    vector = fan.vector_map()
+    return all(rational.frank([vector[i] for i in c.ray_ids if i in vector])
+               == len(c.ray_ids) for c in fan.max_cones())
+
+
 @settings(max_examples=300)
 @given(small_fans())
 def test_validation_accepts_the_fans_the_cone_by_cone_reference_accepts(fan):
-    assert accepts(bt.validate_fan, fan) == accepts(reference_validate_fan,
-                                                    fan)
+    # only simplicial fans: a maximal cone with dependent rays is refused
+    assert accepts(bt.validate_fan, fan) == (
+        accepts(reference_validate_fan, fan) and simplicial(fan))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +545,7 @@ def test_only_the_quotient_route_validates_fans(n, m, classes, monkeypatch):
         bt.moduli_fan(tiling, chamber.representative, matchings)
     assert calls == []
     shifted, _ = bt.shift_by_stability(tower, chambers[0].representative)
-    bt.quotient_fan(tower, shifted)
+    bt.quotient_fan(tower, shifted, bt.kernel_polytope(tower, shifted), {})
     assert calls
 
 

@@ -298,7 +298,9 @@ def test_arrow_weights_have_unit_degree(name, tilings, towers):
 def test_every_face_cycle_has_the_common_weight(name, tilings, towers):
     tiling, tower = tilings[name], towers[name]
     for face in tiling.faces:
-        cycle = bt.make_weak_path(tiling, [(aid, 1) for aid in face.arrows])
+        cycle = bt.make_weak_path(
+            tiling, [(aid, 1) for aid in face.arrows],
+            tiling.arrow_map[face.arrows[0]].source)
         assert weak_path_weight(tower, cycle) == tower.face_cycle_weight
 
 

@@ -4,9 +4,10 @@ name, no invariant is left to an ``assert`` statement (which
 parameter is unread, no module-level function keeps an unbounded
 cache, no import statement sits in a function body, no module imports
 ``dataclasses`` (whose import and class generation cost every command
-about 20 ms of start-up), and every exported name resolves, is exported
+about 20 ms of start-up), every exported name resolves, is exported
 once, and is used by the program or named in the README's library
-section."""
+section, and every default of an exported function is left out by some
+call in the program or the library section's code."""
 
 from __future__ import annotations
 
@@ -214,10 +215,14 @@ def test_every_exported_name_resolves_and_is_listed_once():
     assert (missing, repeated) == ([], [])
 
 
+def library_section(readme: str) -> str:
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_names(readme: str) -> set:
     """The names that a README's ``## Library`` section gives: every
     dotted part of a name in backticks, and every ``bt.<name>``."""
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = library_section(readme)
     return ({part for span in re.findall(r"`([\w.]+)`", section)
              for part in span.split(".")}
             | set(re.findall(r"\bbt\.(\w+)", section)))
@@ -252,6 +257,78 @@ def test_every_exported_name_is_used_by_the_program_or_documented():
     program = [parse(path) for path in PROGRAM if path != init]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unused_exports(bt.__all__, program, library_names(readme)) == []
+
+
+def library_code(readme: str) -> ast.Module:
+    """The Python block of a README's ``## Library`` section, parsed."""
+    block = library_section(readme).split("```python\n", 1)[1]
+    return ast.parse(block.split("```", 1)[0])
+
+
+def omits(call: ast.Call, index, param: str) -> bool:
+    """Whether a call leaves out a parameter: ``index`` is its position,
+    None when it is keyword-only.  Unpacking ``*args`` or ``**kwargs``
+    passes every parameter."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return False
+    if any(k.arg in (None, param) for k in call.keywords):
+        return False
+    return index is None or len(call.args) <= index
+
+
+def defaults_no_call_omits(functions, program) -> list:
+    """Sorted ``function(parameter)`` for every parameter default of the
+    ``functions`` that no call in the ``program`` trees leaves out.  A
+    call is matched by the name it calls, plainly or as an attribute;
+    a function nothing calls keeps none of its defaults."""
+    calls: dict = {}
+    for tree in program:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for fn in functions:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= first]
+        defaulted += [(None, a.arg) for a, default
+                      in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        found += [f"{fn.name}({param})" for index, param in defaulted
+                  if not any(omits(call, index, param)
+                             for call in calls.get(fn.name, ()))]
+    return sorted(found)
+
+
+def test_the_guard_sees_defaults_no_call_leaves_out():
+    functions = ast.parse(
+        "def area(w, h=1, *, scale=1, unit='m'):\n    return w\n"
+        "def spread(a, b=0):\n    return a\n"
+        "def keyed(a, b=0):\n    return a\n"
+        "def lonely(x=0):\n    return x\n"
+        "def ordered(a, b=0, /):\n    return a\n").body
+    program = [ast.parse("area(2, 3, unit='cm')\n"
+                         "m.area(2, h=3)\n"
+                         "spread(*pair)\n"
+                         "keyed(1, **options)\n"),
+               ast.parse("ordered(1)\n"
+                         "lonely.x\n")]
+    assert defaults_no_call_omits(functions, program) == [
+        "area(h)", "keyed(b)", "lonely(x)", "spread(b)"]
+
+
+def test_every_default_of_an_exported_function_is_left_out_by_some_call():
+    exported = [fn for path in SOURCES for fn in parse(path).body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name in bt.__all__]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    program = [parse(path) for path in PROGRAM] + [library_code(readme)]
+    assert defaults_no_call_omits(exported, program) == []
 
 
 def unbounded_caches(tree: ast.Module) -> list:

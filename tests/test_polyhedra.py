@@ -341,7 +341,8 @@ def test_shift_by_stability_refuses_a_fractional_parameter(
         tower, tuple(2 * t for t in theta))
     assert tower.degree(preimage) == (-3, 1, 2)
     assert bt.fans_equal(
-        bt.quotient_fan(tower, doubled),
+        bt.quotient_fan(tower, doubled, bt.kernel_polytope(tower, doubled),
+                        {}),
         bt.moduli_fan(spp, theta, matchings_by_name["spp"]))
     # an integral Fraction is an integer parameter
     _, same = bt.shift_by_stability(tower, (Fraction(-3), 1, 2))
@@ -389,7 +390,8 @@ def test_transversal_faces_have_matching_ranks(name, towers,
 def test_quotient_fan_validates_with_height_one_rays(
         name, towers, chambers_by_name):
     tower, _, shifted, _ = first_chamber_shift(towers, chambers_by_name, name)
-    fan = bt.quotient_fan(tower, shifted)
+    fan = bt.quotient_fan(tower, shifted, bt.kernel_polytope(tower, shifted),
+                          {})
     bt.validate_fan(fan)  # idempotent — already validated on the way out
     for ray in fan.rays:
         assert ray.vector[2] == 1
@@ -405,7 +407,8 @@ def test_descended_functionals_agree_on_shared_rays(
     paths = bt.default_paths(tiling)
     target = tiling.vertices[-1]
     weight = bt.tilting.weak_path_weight(tower, paths[target])
-    support = bt.descend_linear_functional(tower, shifted, weight)
+    support = bt.descend_linear_functional(
+        tower, shifted, weight, bt.kernel_polytope(tower, shifted), {})
     values = dict(support.ray_values)
     vectors = support.fan.vector_map()
     assert set(values) == set(vectors)
@@ -424,7 +427,8 @@ def test_descend_rejects_wrong_length_weights(towers, chambers_by_name):
     theta = chambers_by_name["conifold"][0].representative
     shifted, _ = bt.shift_by_stability(tower, theta)
     with pytest.raises(ValueError):
-        bt.descend_linear_functional(tower, shifted, (1, 2, 3))
+        bt.descend_linear_functional(tower, shifted, (1, 2, 3),
+                                     bt.kernel_polytope(tower, shifted), {})
 
 
 def test_five_vertex_orbifold_fan_routes_agree():
@@ -442,7 +446,8 @@ def test_five_vertex_orbifold_fan_routes_agree():
     direct = bt.moduli_fan(tiling, theta, matchings)
     labels = {ray.vector: ray.ray_id for ray in direct.rays}
     shifted, _ = bt.shift_by_stability(tower, theta)
-    quotient = bt.quotient_fan(tower, shifted, ray_labels=labels)
+    quotient = bt.quotient_fan(tower, shifted,
+                               bt.kernel_polytope(tower, shifted), labels)
     assert bt.fans_equal(quotient, direct)
     assert sum(1 for c in direct.cones if c.dim == 3) == 5
 
@@ -504,10 +509,10 @@ def test_one_slice_is_validated_once(monkeypatch):
         return real(fan)
 
     monkeypatch.setattr(polyhedra, "validate_fan", counting)
-    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    fan = bt.quotient_fan(tower, shifted, slice_poly, {})
     for weight in weights:
         support = bt.descend_linear_functional(tower, shifted, weight,
-                                               slice_poly)
+                                               slice_poly, {})
         assert support.fan == fan
     assert len(calls) == 1
 
@@ -588,7 +593,7 @@ def test_graded_face_dimensions_are_affine_ranks(poly):
 def reference_descent(tower, shifted, slice_poly, weight):
     """The descent with rays by double description and one Smith form
     per weight and vertex cone, through ``lattice.solve_integer``."""
-    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    fan = bt.quotient_fan(tower, shifted, slice_poly, {})
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
     functionals, values = [], {}
     for face in bt.lift_slice_faces(tower, shifted, slice_poly):
@@ -616,7 +621,7 @@ def test_descent_matches_the_per_weight_reference(document):
     for tiling, tower, shifted, slice_poly in chamber_slices(document):
         for weight in path_weights(tiling, tower):
             assert bt.descend_linear_functional(
-                tower, shifted, weight, slice_poly) == reference_descent(
+                tower, shifted, weight, slice_poly, {}) == reference_descent(
                     tower, shifted, slice_poly, weight)
 
 
@@ -641,7 +646,7 @@ def test_a_slice_that_is_not_full_dimensional_is_not_pointed():
     tower = FlatTower()
     assert any(face.stable for face in bt.lift_slice_faces(tower, flat, flat))
     with pytest.raises(bt.ConsistencyError, match="not pointed"):
-        bt.quotient_fan(tower, flat, flat)
+        bt.quotient_fan(tower, flat, flat, {})
 
 
 class SlopedTower:
@@ -689,16 +694,16 @@ def test_non_unit_factors_raise_from_descent_only(monkeypatch):
         return u, s, v
 
     monkeypatch.setattr(lattice, "smith_normal_form", doubled_on_splitters)
-    bt.quotient_fan(tower, shifted, slice_poly)
+    bt.quotient_fan(tower, shifted, slice_poly, {})
     with pytest.raises(bt.ConsistencyError,
                        match=r"do not complement.*factors \[1, .*2\]"):
         bt.descend_linear_functional(
-            tower, shifted, path_weights(tiling, tower)[0], slice_poly)
+            tower, shifted, path_weights(tiling, tower)[0], slice_poly, {})
 
 
 def test_descent_after_the_fan_factors_no_matrix(monkeypatch):
     tiling, tower, shifted, slice_poly = fresh_slice("z2z2")
-    bt.quotient_fan(tower, shifted, slice_poly)
+    bt.quotient_fan(tower, shifted, slice_poly, {})
     calls = []
     real = lattice.smith_normal_form
 
@@ -708,7 +713,7 @@ def test_descent_after_the_fan_factors_no_matrix(monkeypatch):
 
     monkeypatch.setattr(lattice, "smith_normal_form", counting)
     for weight in path_weights(tiling, tower):
-        bt.descend_linear_functional(tower, shifted, weight, slice_poly)
+        bt.descend_linear_functional(tower, shifted, weight, slice_poly, {})
     assert calls == []
 
 
@@ -723,7 +728,7 @@ def test_a_smooth_slice_needs_no_extreme_rays(monkeypatch):
         return real(gens, dim)
 
     monkeypatch.setattr(rational, "dual_cone", counting)
-    fan = bt.quotient_fan(tower, shifted, slice_poly)
+    fan = bt.quotient_fan(tower, shifted, slice_poly, {})
     assert bt.check_smooth(fan)
     assert calls == []
 
@@ -740,7 +745,7 @@ def document_tiling(document):
                             else orbifold_text(*document))
 
 
-def routes_on(tiling, tower, theta, labels=None) -> tuple:
+def routes_on(tiling, tower, theta, labels) -> tuple:
     """The quotient fan and every path weight's descent at one θ."""
     shifted, _ = bt.shift_by_stability(tower, theta)
     slice_poly = bt.kernel_polytope(tower, shifted)
@@ -767,7 +772,7 @@ def test_one_shared_tower_answers_as_a_fresh_tower_per_chamber(document):
     for chamber in bt.chamber_decomposition(tiling, found):
         theta = chamber.representative
         direct = bt.moduli_fan(tiling, theta, found)
-        for labels in (None, {ray.vector: ray.ray_id for ray in direct.rays}):
+        for labels in ({}, {ray.vector: ray.ray_id for ray in direct.rays}):
             fan, supports = routes_on(tiling, shared, theta, labels)
             want_fan, want_supports = routes_on(
                 tiling, bt.build_lattice_tower(tiling), theta, labels)
@@ -797,7 +802,7 @@ def test_the_quotient_side_validates_one_fan_per_git_class(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "validate_fan", counting)
     for chamber in chambers:
-        routes_on(tiling, tower, chamber.representative)
+        routes_on(tiling, tower, chamber.representative, {})
     assert len(chambers) == 32
     assert len(calls) == len(classes) == 4
 
@@ -816,7 +821,7 @@ def test_switching_labels_only_renames_the_slice(monkeypatch):
         theta = chamber.representative
         labels = {ray.vector: ray.ray_id
                   for ray in bt.moduli_fan(tiling, theta, found).rays}
-        for switched in (None, labels, None):
+        for switched in ({}, labels, {}):
             routes_on(tiling, tower, theta, switched)
     assert len(chambers) == len(calls) == 32
 
@@ -855,9 +860,9 @@ def test_lift_slice_faces_ranks_each_row_tuple_once(monkeypatch):
 
 def test_a_dropped_tower_is_freed_after_its_slice_routes():
     tiling, tower, shifted, slice_poly = fresh_slice("spp")
-    bt.quotient_fan(tower, shifted, slice_poly)
+    bt.quotient_fan(tower, shifted, slice_poly, {})
     bt.descend_linear_functional(
-        tower, shifted, path_weights(tiling, tower)[0], slice_poly)
+        tower, shifted, path_weights(tiling, tower)[0], slice_poly, {})
     tower_ref = weakref.ref(tower)
     del tiling, tower, shifted, slice_poly
     gc.collect()
@@ -868,13 +873,12 @@ def test_a_dropped_tower_is_freed_after_its_slice_routes():
     lambda tower, shifted, slice_poly: bt.kernel_polytope(tower, shifted),
     lambda tower, shifted, slice_poly: bt.lift_slice_faces(
         tower, shifted, slice_poly),
-    lambda tower, shifted, slice_poly: bt.quotient_fan(tower, shifted),
     lambda tower, shifted, slice_poly: bt.quotient_fan(
-        tower, shifted, slice_poly),
+        tower, shifted, slice_poly, {}),
     lambda tower, shifted, slice_poly: bt.descend_linear_functional(
-        tower, shifted, (0,) * tower.rank, slice_poly),
+        tower, shifted, (0,) * tower.rank, slice_poly, {}),
 ], ids=["kernel_polytope", "lift_slice_faces", "quotient_fan",
-        "quotient_fan_on_a_slice", "descend_linear_functional"])
+        "descend_linear_functional"])
 def test_the_quotient_route_refuses_a_cone_of_another_tower(
         route, towers, chambers_by_name):
     # z2z2's rank-6 cone on spp's rank-5 tower: dot products would stop
@@ -894,10 +898,11 @@ def test_quotient_fan_refuses_ray_labels_that_name_two_rays(
     direct = bt.moduli_fan(spp, theta, matchings_by_name["spp"])
     first, *_, last = sorted(ray.vector for ray in direct.rays)
     shifted, _ = bt.shift_by_stability(tower, theta)
+    slice_poly = bt.kernel_polytope(tower, shifted)
     # two labels alike, then a label that is the first default name
     for labels, name in (({first: "a", last: "a"}, "a"),
                          ({last: "r1"}, "r1")):
         with pytest.raises(ValueError) as exc:
-            bt.quotient_fan(tower, shifted, ray_labels=labels)
+            bt.quotient_fan(tower, shifted, slice_poly, labels)
         assert str(exc.value) == (f"ray label {name!r} names two rays, "
                                   f"{first} and {last}")

@@ -99,7 +99,7 @@ def records(spp, towers, matchings_by_name, chambers_by_name) -> dict:
         "LiftedFace": bt.lift_slice_faces(tower, shifted, slice_poly)[0],
         "DescendedSupport": bt.descend_linear_functional(
             tower, shifted, tilting.weak_path_weight(tower, path),
-            slice_poly),
+            slice_poly, {}),
         "PicardPresentation": collection.presentation,
         "TiltingCollection": collection,
         "SectionCount": bt.graded_sections_count(spp, tower, theta, [path],

@@ -198,14 +198,20 @@ THETA_ENTRY_POINTS = {
     "tilting_collection":
         lambda t, tw, ms, cs, th: bt.tilting_collection(t, tw, th, ms),
     "graded_sections_count": lambda t, tw, ms, cs, th:
-        bt.graded_sections_count(t, tw, th, [bt.default_paths(t)["2"]], ms),
+        bt.graded_sections_count(t, tw, th, [bt.default_paths(t)["2"]], ms,
+                                 4),
 }
 WEIGHT_ENTRY_POINTS = {
     "degree": lambda t, tw, ms, cs, w: tw.degree(w),
     "descend_linear_functional": lambda t, tw, ms, cs, w:
-        bt.descend_linear_functional(
-            tw, bt.shift_by_stability(tw, cs[0].representative)[0], w),
+        descend_on_the_first_chamber(tw, cs, w),
 }
+
+
+def descend_on_the_first_chamber(tower, chambers, weight):
+    shifted, _ = bt.shift_by_stability(tower, chambers[0].representative)
+    return bt.descend_linear_functional(
+        tower, shifted, weight, bt.kernel_polytope(tower, shifted), {})
 
 
 @pytest.mark.parametrize("entry, bad", [

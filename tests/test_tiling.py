@@ -252,14 +252,14 @@ def test_load_document_reports_parse_dimer_errors():
 # ---------------------------------------------------------------------------
 
 def test_make_weak_path_composes_steps(spp):
-    path = bt.make_weak_path(spp, [("12", 1), ("23", 1), ("31", 1)])
+    path = bt.make_weak_path(spp, [("12", 1), ("23", 1), ("31", 1)], "1")
     assert path.source == "1"
     assert path.target == "1"
     assert tuple(aid for aid, _ in path.steps) == ("12", "23", "31")
 
 
 def test_make_weak_path_inverse_steps_reverse_direction(spp):
-    path = bt.make_weak_path(spp, [("12", 1), ("12", -1)])
+    path = bt.make_weak_path(spp, [("12", 1), ("12", -1)], "1")
     assert path.source == "1"
     assert path.target == "1"
 
@@ -269,8 +269,6 @@ def test_make_weak_path_empty_needs_source(spp):
     assert path.source == path.target == "2"
     assert path.steps == ()
     with pytest.raises(ValueError):
-        bt.make_weak_path(spp, [])
-    with pytest.raises(ValueError):
         bt.make_weak_path(spp, [], source="ghost")
 
 
@@ -279,18 +277,18 @@ def test_make_weak_path_empty_needs_source(spp):
 def test_make_weak_path_accepts_only_int_exponents(spp, exponent):
     # 1.0 == 1 and True == 1, but their weights would not be integers
     with pytest.raises(ValueError) as exc:
-        bt.make_weak_path(spp, [("11", exponent)])
+        bt.make_weak_path(spp, [("11", exponent)], "1")
     assert str(exc.value) == (
         f"path exponent must be +1 or -1, got {exponent!r}")
 
 
 def test_make_weak_path_rejects_bad_steps(spp):
     with pytest.raises(ValueError):
-        bt.make_weak_path(spp, [("ghost", 1)])
+        bt.make_weak_path(spp, [("ghost", 1)], "1")
     with pytest.raises(ValueError):
-        bt.make_weak_path(spp, [("12", 2)])
+        bt.make_weak_path(spp, [("12", 2)], "1")
     with pytest.raises(ValueError):
-        bt.make_weak_path(spp, [("12", 1), ("12", 1)])  # does not compose
+        bt.make_weak_path(spp, [("12", 1), ("12", 1)], "1")  # no composing
     with pytest.raises(ValueError):
         bt.make_weak_path(spp, [("12", 1)], source="3")
 

@@ -77,7 +77,7 @@ def test_path_weights_have_the_endpoint_degree(name, tilings, towers):
 
 def test_inverse_steps_cancel_in_the_path_weight(spp, towers):
     tower = towers["spp"]
-    there_and_back = bt.make_weak_path(spp, [("12", 1), ("12", -1)])
+    there_and_back = bt.make_weak_path(spp, [("12", 1), ("12", -1)], "1")
     assert weak_path_weight(tower, there_and_back) == (0,) * tower.rank
 
 
@@ -120,8 +120,10 @@ def test_path_divisor_evaluates_stable_functionals(name):
     for face in tiling.faces:
         for exp in (1, -1):
             steps = [(aid, exp) for aid in face.arrows[::exp]] * 2
+            first = tiling.arrow_map[steps[0][0]]
+            start = first.source if exp == 1 else first.target
             assert_divisor_is_the_reference(
-                name, bt.make_weak_path(tiling, steps))
+                name, bt.make_weak_path(tiling, steps, start))
 
 
 @st.composite
@@ -132,7 +134,7 @@ def walks(draw) -> tuple:
     and paths go back and forth."""
     name = draw(st.sampled_from(PAIRING_DOCUMENTS))
     tiling = stable_setting(name)[0]
-    at = draw(st.sampled_from(tiling.vertices))
+    at = start = draw(st.sampled_from(tiling.vertices))
     steps = []
     for move in draw(st.lists(st.integers(0, 99), max_size=12)):
         if move < 25 and steps:
@@ -145,8 +147,7 @@ def walks(draw) -> tuple:
             steps.append(options[move % len(options)])
         arrow = tiling.arrow_map[steps[-1][0]]
         at = arrow.target if steps[-1][1] == 1 else arrow.source
-    source = None if steps else at
-    return name, bt.make_weak_path(tiling, steps, source)
+    return name, bt.make_weak_path(tiling, steps, start)
 
 
 @given(walks())
@@ -172,7 +173,7 @@ def test_a_malformed_weak_path_is_refused(path, message, spp, towers,
     with pytest.raises(ValueError, match=message):
         bt.path_divisor(spp, path, stable)
     with pytest.raises(ValueError, match=message):
-        bt.graded_sections_count(spp, tower, theta, [path], matchings)
+        bt.graded_sections_count(spp, tower, theta, [path], matchings, 4)
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
@@ -304,8 +305,8 @@ def test_collection_classes_are_path_independent(spp, towers,
     stable = stable_matchings(spp, theta, matchings)
     detour = {
         "1": bt.make_weak_path(spp, [], source="1"),
-        "2": bt.make_weak_path(spp, [("13", 1), ("32", 1)]),
-        "3": bt.make_weak_path(spp, [("12", 1), ("23", 1)]),
+        "2": bt.make_weak_path(spp, [("13", 1), ("32", 1)], "1"),
+        "3": bt.make_weak_path(spp, [("12", 1), ("23", 1)], "1"),
     }
     divisors = {v: tuple(c for _, c in bt.path_divisor(spp, path, stable))
                 for v, path in detour.items()}
@@ -326,7 +327,7 @@ def test_collection_refuses_the_tower_of_another_tiling(
             bt.tilting_collection(spp, towers[other], theta, matchings)
         with pytest.raises(ValueError, match="tower is not the tiling's"):
             bt.graded_sections_count(spp, towers[other], theta, [path],
-                                     matchings)
+                                     matchings, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ def test_honeycomb_section_counts_are_the_plane_count(honeycomb, towers,
     tower, theta = first_chamber("honeycomb", towers, chambers_by_name)
     path = bt.make_weak_path(honeycomb, [], source="1")
     (count,) = bt.graded_sections_count(honeycomb, tower, theta, [path],
-                                        matchings_by_name["honeycomb"])
+                                        matchings_by_name["honeycomb"], 4)
     assert count.heights == HONEYCOMB_SECTION_COUNTS
     assert count.matches
     assert count.path_height == 0
@@ -401,11 +402,12 @@ def test_no_paths_count_as_the_empty_tuple_after_the_checks(
         spp, towers, matchings_by_name, chambers_by_name):
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     matchings = matchings_by_name["spp"]
-    assert bt.graded_sections_count(spp, tower, theta, (), matchings) == ()
+    assert bt.graded_sections_count(spp, tower, theta, (), matchings,
+                                    4) == ()
     with pytest.raises(ValueError, match="max_height"):
         bt.graded_sections_count(spp, tower, theta, (), matchings, -1)
     with pytest.raises(bt.ConsistencyError):
-        bt.graded_sections_count(spp, tower, theta, (), [])
+        bt.graded_sections_count(spp, tower, theta, (), [], 4)
 
 
 def test_sections_reject_a_negative_height_bound(spp, towers,
@@ -432,7 +434,7 @@ def test_sections_reject_an_empty_stable_set(spp, towers, chambers_by_name):
     tower, theta = first_chamber("spp", towers, chambers_by_name)
     path = bt.make_weak_path(spp, [], source="1")
     with pytest.raises(bt.ConsistencyError):
-        bt.graded_sections_count(spp, tower, theta, [path], [])
+        bt.graded_sections_count(spp, tower, theta, [path], [], 4)
 
 
 def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
@@ -443,7 +445,8 @@ def test_sections_reject_uncovered_arrows(spp, towers, matchings_by_name,
     path = bt.make_weak_path(spp, [], source="1")
     matchings = matchings_by_name["spp"]
     with pytest.raises(bt.ConsistencyError):
-        bt.graded_sections_count(spp, tower, theta, [path], matchings[:1])
+        bt.graded_sections_count(spp, tower, theta, [path], matchings[:1],
+                                 4)
 
 
 @pytest.mark.parametrize("name", QUIVER_FIXTURES)
