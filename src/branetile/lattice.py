@@ -256,21 +256,24 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
 def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """One integer solution of ``mat @ x == target``, or None; raises
     ValueError unless ``target`` has one integer entry per row."""
-    nrows = len(mat)
-    if len(target) != nrows:
-        raise ValueError(f"right-hand side has {len(target)} entries, not {nrows}")
+    if len(target) != len(mat):
+        raise ValueError(f"right-hand side has {len(target)} entries, not {len(mat)}")
     target = _exact(target, "right-hand side")
-    ncols = len(mat[0]) if nrows else 0
-    u, s, v = smith_normal_form(mat)
-    ub = mat_vec(u, target)
-    y = [0] * ncols
-    for i in range(nrows):
-        d = s[i][i] if i < min(nrows, ncols) else 0
+    return _solve_by_smith(smith_normal_form(mat), target)
+
+
+def _solve_by_smith(smith: tuple, target: list[int]) -> list[int] | None:
+    """One integer solution of ``mat @ x == target``, or None, read from
+    ``mat``'s Smith form ``(U, S, V)`` by back-substitution."""
+    u, s, v = smith
+    y = [0] * len(v)
+    for i, b in enumerate(mat_vec(u, target)):
+        d = s[i][i] if i < len(v) else 0
         if d:
-            if ub[i] % d != 0:
+            if b % d:
                 return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
+            y[i] = b // d
+        elif b:
             return None
     return mat_vec(v, y)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, floor, lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
@@ -87,13 +88,15 @@ def polyhedron_from_inequalities(inequalities: Sequence,
     """Build the polyhedron ``{x : a . x >= b}``.
 
     The generator description is derived by dualizing the homogenized
-    constraint cone; the inequality list is stored as given (scaled row
-    by row), so callers can keep using their own indices.
+    constraint cone, its integer rows ``(-b, a)`` times b's denominator;
+    the inequality list is stored as given, so callers can keep using
+    their own indices.
     """
     ineqs = tuple((tuple(a), Fraction(b)) for a, b in inequalities)
 
-    rows = [(-b,) + a for a, b in ineqs]
-    rows.append((1,) + (0,) * ambient_dim)
+    # t >= 0 first, which keeps the double description's cones small
+    rows = [(1,) + (0,) * ambient_dim]
+    rows += [(-b.numerator, *(x * b.denominator for x in a)) for a, b in ineqs]
     krays, klin = rational.dual_cone(rows, ambient_dim + 1)
     vertices = []
     recession = []
@@ -140,35 +143,32 @@ def enumerate_faces(poly: Polyhedron) -> list:
     facet incidences, vertex bits first and ray bits above them; each
     face's dimension adds the lineality's.  Incidences are tested on
     integers: each vertex is scaled once by the lcm of its
-    denominators.  Sorted by (dimension, active set).
+    denominators, and a ray is a generator of scale zero.  Sorted by
+    (dimension, active set).
     """
     if poly.is_empty:
         return []
-    scaled = []
+    gens = []  # (integer point, scale): vertex v is point / scale
     for v in poly.vertices:
         den = lcm(*(x.denominator for x in v))
-        scaled.append((tuple(x.numerator * (den // x.denominator) for x in v),
-                       den))
-    nv, nr = len(scaled), len(poly.rays)
-    incidences = []  # per inequality: the generators on it
-    for a, b in poly.inequalities:
-        p, q = b.numerator, b.denominator
-        incidences.append(
-            sum(1 << i for i, (num, den) in enumerate(scaled)
-                if lattice.dot(a, num) * q == p * den)
-            | sum(1 << nv + j for j, r in enumerate(poly.rays)
-                  if lattice.dot(a, r) == 0))
-
+        gens.append(([x.numerator * (den // x.denominator) for x in v], den))
+    nv, nr = len(poly.vertices), len(poly.rays)
+    gens += ((r, 0) for r in poly.rays)
+    bits = range(nv + nr)
+    incidences = [  # per inequality: the generators on it
+        sum([1 << g for g, (num, den) in zip(bits, gens)
+             if sum(map(mul, a, num)) * q == p * den])
+        for a, p, q in [(a, b.numerator, b.denominator)
+                        for a, b in poly.inequalities]]
     lineality_dim = rational.frank(poly.lineality)
     faces = []
     for face, dim in rational.face_lattice(
             incidences, (1 << nv + nr) - 1, (1 << nv) - 1).items():
+        on = [g for g in bits if face >> g & 1]
         faces.append(PolyFace(
-            active=tuple(i for i, inc in enumerate(incidences)
-                         if face & inc == face),
-            vertex_ids=tuple(i for i in range(nv) if face >> i & 1),
-            ray_ids=tuple(j for j in range(nr) if face >> nv + j & 1),
-            dim=lineality_dim + dim))
+            tuple([i for i, c in enumerate(incidences) if face & c == face]),
+            tuple([g for g in on if g < nv]),
+            tuple([g - nv for g in on if g >= nv]), lineality_dim + dim))
     return sorted(faces, key=lambda f: (f.dim, f.active))
 
 
@@ -200,22 +200,25 @@ def integer_points(poly: Polyhedron) -> list:
 # ---------------------------------------------------------------------------
 
 class _TowerRecord:
-    """What the quotient route learns about one tower.  Each inner key
-    is the value of an input the stability shift does not change, so
-    an entry answers for every slice: ``ranks`` of the normal-row
-    tuples ``lift_slice_faces`` ranks; ``splitters``, ``(kernel_rows,
-    factors)`` by a vertex's ambient active normals; and
+    """What the quotient route learns about one tower: the weight
+    ``cone``, the degree matrix's Smith form ``degree_smith``, and what
+    the stability shift does not change, keyed by value: ``ranks`` of
+    the normal-row tuples ``lift_slice_faces`` ranks; ``splitters``,
+    ``(kernel_rows, factors)`` by a vertex's ambient active normals;
     ``valid_fans``, the frozensets of ``(dim, rays)`` cones that passed
-    ``validate_fan``.  ``last`` is the one slice entry, ``(key, (cones,
-    splitters), labels, fan)`` of the last ``_slice`` call: its key that
-    call's ``(shifted, slice_poly)`` as given, compared by equality, and
-    its fan the cones named by its labels.
+    ``validate_fan``.  Three entries hold one key, compared by equality:
+    ``restricted``, ``(normals, rows)``, the kernel restrictions of the
+    last shifted normals; ``face_ranks``, ``((ambient, slice normals),
+    ranks by active set)``; and ``last``, the last ``_slice`` call's
+    ``(key, (cones, splitters), labels, fan)``, its key that call's
+    ``(shifted, slice_poly)`` and its fan the cones named by its labels.
     """
 
     def __init__(self) -> None:
         self.cone: "Polyhedron | None" = None
+        self.degree_smith, self.restricted = None, (None, None)
         self.ranks, self.splitters, self.valid_fans = {}, {}, set()
-        self.last = (None, None, None, None)
+        self.face_ranks, self.last = (None, None), (None,) * 4
 
 
 # Towers compare by identity, so a record is freed with its tower.
@@ -265,19 +268,20 @@ def shift_by_stability(tower, theta: Sequence) -> tuple:
         raise ValueError(
             "the quotient route needs an integer stability parameter; "
             "a positive integer multiple gives the same fans")
-    degree = [list(row) for row in tower.degree_matrix]
-    lam = lattice.solve_integer(degree, [int(t) for t in theta])
+    record = _record(tower)
+    if record.degree_smith is None:
+        record.degree_smith = lattice.smith_normal_form(tower.degree_matrix)
+    lam = lattice._solve_by_smith(record.degree_smith, [int(t) for t in theta])
     if lam is None:
         raise ConsistencyError(
             "stability parameter is not a degree (the tiling should make "
             "the degree map surjective onto sum-zero vectors)")
     cone = cone_of_arrow_weights(tower)
     shift = tuple(-x for x in lam)
-    vertices = tuple(
-        tuple(Fraction(c) + s for c, s in zip(v, shift))
-        for v in cone.vertices)
+    # the cone's one vertex is the origin and its offsets are zero
+    vertices = (tuple(map(Fraction, shift)),)
     inequalities = tuple(
-        (a, b + lattice.dot(a, shift)) for a, b in cone.inequalities)
+        (a, Fraction(lattice.dot(a, shift))) for a, _ in cone.inequalities)
     shifted = Polyhedron(
         ambient_dim=cone.ambient_dim, vertices=vertices, rays=cone.rays,
         lineality=cone.lineality, inequalities=inequalities)
@@ -294,10 +298,13 @@ def kernel_polytope(tower, shifted: Polyhedron) -> Polyhedron:
     tower's weight lattice.
     """
     _check_ambient(tower, shifted)
-    columns = list(zip(*tower.kernel_basis))  # 3 columns of length k
-    restricted = [(tuple(lattice.dot(a, col) for col in columns), b)
-                  for a, b in shifted.inequalities]
-    return polyhedron_from_inequalities(restricted, 3)
+    record = _record(tower)
+    normals = tuple(a for a, _ in shifted.inequalities)
+    if record.restricted[0] != normals:
+        record.restricted = (normals, list(map(
+            tuple, lattice.mat_mul(normals, tower.kernel_basis))))
+    return polyhedron_from_inequalities(
+        zip(record.restricted[1], (b for _, b in shifted.inequalities)), 3)
 
 
 def _check_ambient(tower, shifted: Polyhedron) -> None:
@@ -326,26 +333,28 @@ class LiftedFace(NamedTuple):
     stable: bool
 
 
-def _rank(ranks: dict, rows: tuple) -> int:
-    if rows not in ranks:
-        ranks[rows] = rational.frank(rows)
-    return ranks[rows]
-
-
 def lift_slice_faces(tower, shifted: Polyhedron,
                      slice_poly: Polyhedron) -> list:
-    """The faces of a slice with their ambient lifts.  Each normal-row
-    tuple is ranked once per tower: the shift moves offsets, not
-    normals.  Raises ValueError as :func:`kernel_polytope` does."""
+    """The faces of a slice with their ambient lifts.  The shift moves
+    offsets, not normals, so each normal-row tuple is ranked once per
+    tower, and each active set's ranks are kept under the normals they
+    were read from.  Raises ValueError as :func:`kernel_polytope` does."""
     _check_ambient(tower, shifted)
     k = tower.rank
-    ranks = _record(tower).ranks
+    record = _record(tower)
+    normals = (tuple(a for a, _ in shifted.inequalities),
+               tuple(a for a, _ in slice_poly.inequalities))
+    if record.face_ranks[0] != normals:
+        record.face_ranks = (normals, {})
+    ranks, face_ranks = record.ranks, record.face_ranks[1]
     lifted = []
     for face in enumerate_faces(slice_poly):
-        ra = _rank(ranks, tuple(shifted.inequalities[i][0]
-                                for i in face.active))
-        rr = _rank(ranks, tuple(slice_poly.inequalities[i][0]
-                                for i in face.active))
+        if face.active not in face_ranks:
+            face_ranks[face.active] = tuple(
+                ranks[r] if r in ranks
+                else ranks.setdefault(r, rational.frank(r))
+                for r in (tuple(n[i] for i in face.active) for n in normals))
+        ra, rr = face_ranks[face.active]
         if 3 - rr != face.dim:
             raise ConsistencyError(
                 "slice face dimension disagrees with its active set")
@@ -389,9 +398,9 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     factors)``, for the splitting matrix whose first columns span the
     lift and whose last three columns are the kernel basis: the last
     three rows of its inverse when it is unimodular (else None), the
-    face's rays, and its invariant factors, all from one Smith normal
-    form.  The fan these cones form is validated under the default ray
-    names; labels only rename its rays.
+    face's rays, and its invariant factors, from the Smith forms of the
+    active normals and of one 3 x 3 block.  The fan these cones form is
+    validated under the default ray names; labels only rename its rays.
 
     Normal cones need no cone duality.  A face's normal cone is the
     cone of its active normals, and it is pointed exactly when the
@@ -408,7 +417,6 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
     """
     record = _record(tower)
     k = tower.rank
-    basis = tower.kernel_basis
     lifted = lift_slice_faces(tower, shifted, slice_poly)
     stable = [face for face in lifted if face.stable]
     # the last face is the slice itself
@@ -437,17 +445,16 @@ def _slice_cones(tower, shifted: Polyhedron, slice_poly: Polyhedron) -> tuple:
             continue
         normals = tuple(shifted.inequalities[i][0] for i in face.active)
         if normals not in record.splitters:
-            columns = lattice.integer_kernel(normals)
-            mat = [[col[i] for col in columns] + list(basis[i])
-                   for i in range(k)]
-            u, s, v = lattice.smith_normal_form(mat)
-            factors = [s[i][i] for i in range(min(k, len(mat[0])))
-                       if s[i][i]]
+            # N has rank 3: U N^T V = S puts a lift basis L in U[3:], so
+            # W = (U^-1)^T has W [L | basis] = [[0, T], [I, *]] for
+            # T = W[:3] basis, and inverse rows T^-1 W[:3], T^-1 = V' U'
+            w = lattice._smith_form(list(zip(*normals)))[3][:3]
+            u, s, v = lattice.smith_normal_form(
+                lattice.mat_mul(w, tower.kernel_basis))
+            factors = [1] * (k - 3) + [s[i][i] for i in range(3) if s[i][i]]
             kernel_rows = None
-            if len(factors) == k and all(d == 1 for d in factors):
-                # a transversal vertex has ambient rank 3, so the matrix
-                # is k x k; U mat V = I makes V U its inverse
-                kernel_rows = lattice.mat_mul(v[len(columns):], u)
+            if factors == [1] * k:
+                kernel_rows = lattice.mat_mul(lattice.mat_mul(v, u), w)
             record.splitters[normals] = (kernel_rows, factors)
         kernel_rows, factors = record.splitters[normals]
         splitters.append((kernel_rows, rays, factors))
@@ -535,7 +542,7 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     splitting matrix is unimodular, so every integer weight has exactly
     one integer preimage: the split cannot fail, and the kernel part is
     one product with the rows of the inverse that ``_slice_cones``
-    kept from its single Smith form per vertex and tower.  The factors
+    factored once per vertex and tower.  The factors
     are checked on every call.  Values on shared rays must agree across
     cones and are returned per ray.  The quotient fan and the splitters
     come from the tower's one slice entry (see ``_slice``), shared with
@@ -547,7 +554,7 @@ def descend_linear_functional(tower, shifted: Polyhedron, weight: Sequence,
     vector_to_id = {ray.vector: ray.ray_id for ray in fan.rays}
 
     for _, _, factors in splitters:
-        if len(factors) != tower.rank or any(d != 1 for d in factors):
+        if factors != [1] * tower.rank:
             raise ConsistencyError(
                 "face span and kernel lattice do not complement each "
                 "other (the stratum action is not free); invariant "

@@ -1,16 +1,16 @@
 """Exact linear algebra, cone duality and strict linear feasibility.
 
-No floating point anywhere in the package.  Rank and nullspace come
-from fraction-free Gauss–Jordan elimination of primitive integer rows,
-the module's only Gaussian elimination.
+No floating point anywhere in the package.  Rank, nullspace and
+inverse come from fraction-free Gauss–Jordan elimination of primitive
+integer rows, the module's only Gaussian elimination.
 
 Cone duality is the incremental double-description method (Motzkin et
 al. 1953; Fukuda and Prodon, "Double description method revisited",
 1996), in integers: the extreme rays of ``{y : g . y >= 0}`` start
 from a simplicial cone on the independent generators that the echelon
-picks, each start ray a nullspace line from that same elimination,
-and are updated one generator at a time, combining only adjacent pairs
-of rays; adjacency is decided on zero sets kept as bitmasks.
+picks, its rays the columns of one fraction-free inverse, and are
+updated one generator at a time, combining only adjacent pairs of
+rays; adjacency is decided on zero sets kept as bitmasks.
 :func:`describe_cone` reads a cone's facets, extreme rays and lineality
 from one dual.
 
@@ -45,17 +45,17 @@ from .lattice import dot
 
 def integerize(v: Sequence) -> tuple:
     """Primitive integer vector with the same direction as ``v``."""
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
+    try:
+        g = gcd(*v)
+    except TypeError:  # an entry that is not an integer
         # Fraction(x) on a Fraction pays for an abstract-base-class check
         fr = [x if type(x) in (int, Fraction) else Fraction(x) for x in v]
         scale = lcm(*(x.denominator for x in fr))
-        ints = [x.numerator * (scale // x.denominator) for x in fr]
-    g = gcd(*ints)
+        v = [x.numerator * (scale // x.denominator) for x in fr]
+        g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple([x // g for x in v])
 
 
 def _echelon(rows: Sequence) -> tuple:
@@ -64,10 +64,12 @@ def _echelon(rows: Sequence) -> tuple:
     Returns ``(chosen, basis)``: the indices of the first maximal
     independent subset of the rows, and a dict from lead column to a
     primitive row that is zero in the other lead columns — the reduced
-    row echelon form, up to one scale per row.
+    row echelon form, up to one scale per row.  It stops at a full basis.
     """
     chosen, basis = [], {}
     for i, g in enumerate(rows):
+        if len(basis) == len(g):
+            break
         r = list(g)
         for c, b in basis.items():
             if r[c]:
@@ -128,23 +130,30 @@ def dual_cone(gens: Sequence, dim: int) -> tuple:
 
     Double description: ``d`` independent generators, with the
     lineality rows as equalities, cut out a simplicial cone.  Its ray
-    opposite a generator is the one primitive :func:`nullspace` vector
-    of the other ``d - 1`` and the lineality rows, signed to be positive
-    on the generator left out.  Each remaining generator then keeps
-    the rays on its nonnegative side and adds one combination of every
-    adjacent positive/negative pair.  Zero sets are bitmasks over the
-    generators seen so far; two rays are adjacent when they share at
-    least ``d - 2`` zeros and no third ray vanishes on all of them.
+    opposite a generator, zero on the other ``d - 1`` and the lineality
+    rows and positive on the one left out, is a column of the inverse of
+    the square matrix M of the ``d`` over the lineality rows; all ``d``
+    are read from one elimination of ``[M^T | I]``.  Each remaining
+    generator then keeps the rays on its nonnegative side and adds one
+    combination of every adjacent positive/negative pair.  Zero sets
+    are bitmasks over the generators seen so far; two rays are adjacent
+    when they share at least ``d - 2`` zeros and no third ray vanishes
+    on all of them.
     """
     cleaned = list(dict.fromkeys(integerize(g) for g in gens if any(g)))
     start, basis = _echelon(cleaned)
     lineality = _free_column_basis(basis, dim)
     d = len(start)
 
+    # [M^T | I] reduces to [I | M^-T] up to row scales, M the start rows
+    # over the lineality: row c of M^-T is M^-1 e_c, start ray c
+    columns = zip(*[cleaned[i] for i in start], *lineality)
+    _, inverse = _echelon([col + (0,) * c + (1,) + (0,) * (dim - c - 1)
+                           for c, col in enumerate(columns)])
     rays = []  # (vector, zero-set bitmask)
-    for i in start:
-        y, = nullspace([cleaned[j] for j in start if j != i] + lineality, dim)
-        if dot(cleaned[i], y) < 0:
+    for c, i in enumerate(start):
+        y = integerize(inverse[c][dim:])
+        if inverse[c][c] < 0:
             y = tuple(-x for x in y)
         rays.append((y, sum(1 << j for j in start if j != i)))
 
@@ -223,8 +232,8 @@ def face_lattice(incidences: Sequence, full: int, vertices: int) -> dict:
     while frontier:
         fresh = set()
         for face in frontier:
-            below = {face & inc for inc in incidences}
-            below = {g for g in below if g & vertices and g != face}
+            below = {g for inc in incidences
+                     if (g := face & inc) != face and g & vertices}
             cuts[face] = below
             fresh |= below
         frontier = fresh - cuts.keys()

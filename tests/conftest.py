@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -266,6 +267,14 @@ def reference_smith_form(mat: Sequence) -> tuple:
     return u, m, v, w
 
 
+def canonical_repr(record) -> str:
+    """The repr, with each frozenset's members in sorted order."""
+    return re.sub(r"frozenset\(\{([^{}]*)\}\)",
+                  lambda m: "frozenset({%s})"
+                  % ", ".join(sorted(m[1].split(", "))),
+                  repr(record))
+
+
 # ---------------------------------------------------------------------------
 # the double dual: a cone's extreme rays by a second duality, kept as a
 # reference
@@ -279,6 +288,53 @@ def double_dual(gens: Sequence, dim: int) -> tuple:
     drays, dlin = rational.dual_cone(gens, dim)
     return rational.dual_cone(
         drays + dlin + [tuple(-x for x in l) for l in dlin], dim)
+
+
+def reference_dual_cone(gens: Sequence, dim: int) -> tuple:
+    """``rational.dual_cone`` with its start cone built as it first was:
+    the ray opposite each start generator is the one primitive
+    ``rational.nullspace`` vector of the other start generators and the
+    lineality rows, signed positive on the generator left out, one
+    elimination per ray.  The update loop is the same."""
+    cleaned = list(dict.fromkeys(
+        rational.integerize(g) for g in gens if any(g)))
+    start, basis = rational._echelon(cleaned)
+    lineality = rational._free_column_basis(basis, dim)
+    d = len(start)
+    rays = []
+    for i in start:
+        y, = rational.nullspace(
+            [cleaned[j] for j in start if j != i] + lineality, dim)
+        if lattice.dot(cleaned[i], y) < 0:
+            y = tuple(-x for x in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
+    for i, h in enumerate(cleaned):
+        if i in start:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for vec, zs in rays:
+            s = lattice.dot(h, vec)
+            if s > 0:
+                pos.append((vec, zs, s))
+                kept.append((vec, zs))
+            elif s < 0:
+                neg.append((vec, zs, s))
+            else:
+                kept.append((vec, zs | bit))
+        masks = [zs for _, zs in rays]
+        for pv, pz, ps in pos:
+            for nv, nz, ns in neg:
+                common = pz & nz
+                if common.bit_count() < d - 2 or any(
+                        z & common == common and z != pz and z != nz
+                        for z in masks):
+                    continue
+                kept.append((rational.integerize(
+                    [ps * b - ns * a for a, b in zip(pv, nv)]),
+                    common | bit))
+        rays = kept
+    return sorted(vec for vec, _ in rays), lineality
 
 
 # ---------------------------------------------------------------------------

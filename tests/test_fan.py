@@ -259,19 +259,22 @@ def test_a_smooth_fan_takes_one_rank_per_maximal_cone(
 @st.composite
 def small_fans(draw) -> Fan:
     """A random cone collection in 2 or 3 dimensions, often with its
-    rays at height one and its maximal cones drawn from four rays or
-    more: maximal cones of up to ``dim + 2`` rays, mostly cut to their
-    extreme rays when pointed, and closed under faces (a subset is a
-    face when a functional vanishes on it and is positive on the rest
-    of the cone), each cone declaring its rank; then, sometimes, a face
-    dropped, a dimension changed, an unknown ray used or a cone widened
-    by one more ray."""
+    rays at height one and its maximal cones drawn as triangles, or
+    now and then from four rays or more, which are never simplicial at
+    height one: maximal cones of up to ``dim + 2`` rays, mostly cut to
+    their extreme rays when pointed, and closed under faces (a subset
+    is a face when a functional vanishes on it and is positive on the
+    rest of the cone), each cone declaring its rank; then, sometimes, a
+    face dropped, a dimension changed, an unknown ray used or a cone
+    widened by one more ray."""
     dim = draw(st.sampled_from((2, 3)))
     coords = [st.integers(-2, 2)] * dim
-    least = 1  # the fewest rays a drawn maximal cone has
+    least, most = 1, dim + 2  # the fewest and most rays of a maximal cone
     if dim == 3 and draw(st.booleans()):
         coords[2] = st.just(1)
-        least = 4
+        least = most = 3
+        if not draw(st.integers(0, 3)):
+            least, most = 4, dim + 2
     vecs = draw(st.lists(
         st.tuples(*coords).filter(lambda v: math.gcd(*v) == 1),
         min_size=least, max_size=7, unique=True))
@@ -285,8 +288,7 @@ def small_fans(draw) -> Fan:
 
     cones = {frozenset()}
     for m in draw(st.lists(st.sets(st.sampled_from(ids),
-                                   min_size=least,
-                                   max_size=dim + 2),
+                                   min_size=least, max_size=most),
                            min_size=1, max_size=3)):
         if is_face((), m) and draw(st.integers(0, 3)):
             m = {i for i in m if is_face((i,), m)}

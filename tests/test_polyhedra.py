@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ import branetile as bt
 from branetile import lattice, polyhedra, rational
 from branetile.matchings import matching_id_key
 
-from conftest import ALL_FIXTURES, QUIVER_FIXTURES, fixture_text, orbifold_text
+from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, canonical_repr,
+                      fixture_text, orbifold_text)
 
 UNIT_SQUARE_INEQS = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
 
@@ -688,8 +690,9 @@ def test_non_unit_factors_raise_from_descent_only(monkeypatch):
     real = lattice.smith_normal_form
 
     def doubled_on_splitters(mat):
+        # a splitter's kernel block is the only 3 x 3 matrix factored here
         u, s, v = real(mat)
-        if [tuple(row[-3:]) for row in mat] == list(tower.kernel_basis):
+        if len(mat) == len(mat[0]) == 3:
             s[-1][-1] *= 2
         return u, s, v
 
@@ -788,6 +791,70 @@ def tower_and_chambers(document) -> tuple:
     tower = bt.build_lattice_tower(tiling)
     found = bt.enumerate_perfect_matchings(tiling, tower)
     return tiling, tower, found, bt.chamber_decomposition(tiling, found)
+
+
+# SHA-256 of the reprs of every chamber's shift with its preimage, slice,
+# quotient fan and path-weight descents, under the moduli fan's labels,
+# one repr a line, each frozenset sorted (``canonical_repr``)
+ROUTE_DIGESTS = {
+    "spp": "0881ba469ce77e4b3628d8beaa0fafdd91f3b293c1cfce9ff38590e0c87a7bba",
+    "z2z2": "d9839abcf6a19e0bc04a81cada5209b51a4e01d8ab4499efdd4617a71cccf6e0",
+    "2x2": "343a69674997af3d84a3a00425aea9544fe7535277bde2511f25760dd2319a04",
+    "1x4": "804ce4b1f9ebab6749a8d3f5b6c3e271a3c1bbd5c9d723793e2e0f126c70e34f",
+}
+
+
+@pytest.mark.parametrize("document", RECORD_DOCUMENTS, ids=document_id)
+def test_the_quotient_route_keeps_its_reprs_on_every_chamber(document):
+    tiling, tower, found, chambers = tower_and_chambers(document)
+    weights = path_weights(tiling, tower)
+    digest = hashlib.sha256()
+    for chamber in chambers:
+        theta = chamber.representative
+        labels = {ray.vector: ray.ray_id
+                  for ray in bt.moduli_fan(tiling, theta, found).rays}
+        shifted, preimage = bt.shift_by_stability(tower, theta)
+        slice_poly = bt.kernel_polytope(tower, shifted)
+        route = [(shifted, preimage), slice_poly,
+                 bt.quotient_fan(tower, shifted, slice_poly, labels)]
+        route += [bt.descend_linear_functional(tower, shifted, weight,
+                                               slice_poly, labels)
+                  for weight in weights]
+        for record in route:
+            digest.update(canonical_repr(record).encode() + b"\n")
+    assert digest.hexdigest() == ROUTE_DIGESTS[document_id(document)]
+
+
+@pytest.mark.parametrize("document", ["z2z2", (1, 4)], ids=document_id)
+def test_a_cone_of_another_tower_of_one_rank_gets_its_own_restriction(
+        document):
+    # z2z2's weight cone on 2x2's tower, both of rank 6 with nine facets,
+    # or 1x4's with 17, right after a 2x2 slice has filled the record:
+    # every answer is the one a fresh 2x2 tower, with an empty record,
+    # gives
+    tiling, tower, _, chambers = tower_and_chambers((2, 2))
+    _, other, _, other_chambers = tower_and_chambers(document)
+    own, _ = bt.shift_by_stability(tower, chambers[0].representative)
+    bt.quotient_fan(tower, own, bt.kernel_polytope(tower, own), {})
+    foreign, _ = bt.shift_by_stability(other,
+                                       other_chambers[0].representative)
+    assert foreign.ambient_dim == tower.rank
+    assert [a for a, _ in foreign.inequalities] != [
+        a for a, _ in own.inequalities]
+    fresh = bt.build_lattice_tower(tiling)
+    columns = list(zip(*tower.kernel_basis))
+    restricted = bt.polyhedron_from_inequalities(
+        [(tuple(lattice.dot(a, col) for col in columns), b)
+         for a, b in foreign.inequalities], 3)
+    got = bt.kernel_polytope(tower, foreign)
+    assert got == restricted == bt.kernel_polytope(fresh, foreign)
+    assert bt.lift_slice_faces(tower, foreign, got) == bt.lift_slice_faces(
+        fresh, foreign, got)
+    # and back on the tower's own cone, its own answers again
+    own_slice = bt.kernel_polytope(tower, own)
+    assert own_slice == bt.kernel_polytope(fresh, own)
+    assert bt.lift_slice_faces(tower, own, own_slice) == bt.lift_slice_faces(
+        fresh, own, own_slice)
 
 
 def test_the_quotient_side_validates_one_fan_per_git_class(monkeypatch):

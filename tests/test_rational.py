@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from branetile import rational
 from branetile.rational import integerize
 
-from conftest import double_dual, kernel_ray, recursion_headroom
+from conftest import (double_dual, kernel_ray, recursion_headroom,
+                      reference_dual_cone)
 
 
 def rref(rows_in, ncols: int) -> tuple:
@@ -142,6 +143,42 @@ def test_dual_cone_matches_minor_enumeration(case):
     assert _identical(rational.dual_cone(gens, dim), want)
 
 
+@st.composite
+def slice_sized_generators(draw):
+    """Generator lists of the shapes the quotient route dualizes, 7 to
+    18 rows in dimension 4 to 6: rows drawn in the span of a few random
+    vectors (so some lists have lineality), with zero rows, scaled
+    duplicates and Fraction rows mixed in."""
+    dim = draw(st.integers(min_value=4, max_value=6))
+    entry = st.integers(min_value=-2, max_value=2)
+    rank = draw(st.sampled_from((dim, dim, dim - 1, dim - 2)))
+    span = draw(st.lists(st.tuples(*[entry] * dim),
+                         min_size=rank, max_size=rank))
+    coefficients = st.tuples(*[st.integers(-1, 1)] * rank)
+    gens = [tuple(sum(c * v[j] for c, v in zip(cs, span))
+                  for j in range(dim))
+            for cs in draw(st.lists(coefficients, min_size=4,
+                                    max_size=15))]
+    for kind in draw(st.lists(st.sampled_from(
+            ("zero", "duplicate", "fraction")), min_size=3, max_size=3)):
+        i = draw(st.integers(min_value=0, max_value=len(gens) - 1))
+        if kind == "zero":
+            gens.append((0,) * dim)
+        elif kind == "duplicate":
+            gens.append(tuple(3 * x for x in gens[i]))
+        else:
+            gens.append(tuple(Fraction(x, 2) for x in gens[i]))
+    return gens, dim
+
+
+@settings(max_examples=100)
+@given(slice_sized_generators())
+def test_one_inverse_starts_the_cone_the_nullspace_lines_started(case):
+    gens, dim = case
+    assert _identical(rational.dual_cone(gens, dim),
+                      reference_dual_cone(gens, dim))
+
+
 @given(generator_lists())
 def test_fraction_free_rank_and_nullspace_match_fraction_rref(case):
     rows, dim = case
@@ -152,8 +189,9 @@ def test_fraction_free_rank_and_nullspace_match_fraction_rref(case):
 
 @given(generator_lists(), st.data())
 def test_a_corank_one_nullspace_is_the_signed_minor_line(case, data):
-    # dual_cone's start rays: dim - 1 independent rows have a nullspace
-    # of one primitive vector, on the line of their signed maximal minors
+    # the reference start rays (conftest.reference_dual_cone): dim - 1
+    # independent rows have a nullspace of one primitive vector, on the
+    # line of their signed maximal minors
     gens, dim = case
     rows = [integerize(g) for g in gens if any(g)]
     rows = [rows[i] for i in rational._echelon(rows)[0]]

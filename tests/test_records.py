@@ -20,7 +20,7 @@ import pytest
 import branetile as bt
 from branetile import tilting
 
-from conftest import extract_dimer
+from conftest import canonical_repr, extract_dimer
 
 VALUE_RECORDS = (
     "Arrow", "Face", "WeakPath", "DimerEdge", "DimerGraph",
@@ -106,14 +106,6 @@ def records(spp, towers, matchings_by_name, chambers_by_name) -> dict:
                                                  matchings, 1)[0],
         "QuiverOnTorus": spp, "LatticeTower": tower,
     }
-
-
-def canonical_repr(record) -> str:
-    """The repr, with each frozenset's members in sorted order."""
-    return re.sub(r"frozenset\(\{([^{}]*)\}\)",
-                  lambda m: "frozenset({%s})"
-                  % ", ".join(sorted(m[1].split(", "))),
-                  repr(record))
 
 
 def test_every_public_record_is_covered(records):
