@@ -19,7 +19,6 @@ the functional read on any path.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from itertools import compress, count
 from typing import Iterable, NamedTuple, Sequence
@@ -201,20 +200,16 @@ def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     return found
 
 
-# struct code of a signed field, by its width in bits
-_FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
-
-
 def _pack_rows(table: list) -> tuple:
     """``(width, rows)``: each row of an integer table as one int of
     signed ``width``-bit fields, column ``j`` at bit ``width * j``.
 
-    The width is the smallest of 8, 16, 32 and 64 bits whose signed
-    range holds every column's sum of absolute values over all rows.
-    No sum over a subset of the rows then leaves the range of a field,
-    so adding packed rows adds every column at once, no field carries
-    into the next, and a packed sum has only one reading as fields.
-    Both passes run over the nonzero entries only."""
+    The width starts at 8 bits and doubles until its signed range holds
+    every column's sum of absolute values over all rows.  No sum over a
+    subset of the rows then leaves the range of a field, so adding
+    packed rows adds every column at once, no field carries into the
+    next, and a packed sum has only one reading as fields.  Both passes
+    run over the nonzero entries only."""
     nonzeros = [list(zip(compress(count(), row), compress(row, row)))
                 for row in table]
     sums = [0] * (len(table[0]) if table else 0)
@@ -222,20 +217,17 @@ def _pack_rows(table: list) -> tuple:
         for j, v in pairs:
             sums[j] += abs(v)
     bound = max(sums, default=0)
-    for width in _FIELD_CODES:
-        if bound < 1 << width - 1:
-            return width, [sum(v << width * j for j, v in pairs)
-                           for pairs in nonzeros]
-    raise ConsistencyError(
-        f"matching functional column sums reach {bound}, "
-        "beyond a 64-bit field")
+    width = 8
+    while bound >= 1 << width - 1:
+        width *= 2
+    return width, [sum(v << width * j for j, v in pairs)
+                   for pairs in nonzeros]
 
 
 def _field_bias(width: int, count: int) -> int:
     """2^(width-1) in each of ``count`` fields.  Added to a packed sum
     it makes every field a nonnegative digit, so no borrow crosses a
-    field; xor-ing it back then leaves every field in two's complement,
-    the form ``struct`` reads."""
+    field, and a field's value is its digit less 2^(width-1)."""
     return sum(1 << width * j + width - 1 for j in range(count))
 
 
@@ -287,9 +279,9 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     arrow block, so the sum's arrow block is the matching's values on
     the arrow weights less its indicator, and the arrow check is that
     the block is the bias alone.  Only the four fields past the block
-    are shifted out and unbiased: the face-cycle value, checked in place,
-    and ``chi_kernel``, unpacked and its height checked, each check
-    raising ``ConsistencyError``."""
+    are shifted out, each read as its digit less 2^(width-1): the
+    face-cycle value and ``chi_kernel``, whose height is checked, each
+    check raising ``ConsistencyError``."""
     if tower is None:
         tower = lattice.build_lattice_tower(tiling)
     else:
@@ -310,11 +302,8 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
     start = cycle_row + bias
     arrow_block = (1 << shift) - 1
     arrow_bias = bias & arrow_block
-    tail_bias = bias >> shift
-    field = (1 << width) - 1
-    # chi_kernel, past the face-cycle value
-    unpack = struct.Struct(f"<{width // 8}x3{_FIELD_CODES[width]}").unpack
-    length = width // 2  # bytes in the 4 fields
+    field, half = (1 << width) - 1, 1 << width - 1
+    w1, w2, w3 = width, 2 * width, 3 * width  # chi_kernel's fields
     order = tuple(bits)
     new = tuple.__new__
     result = []
@@ -325,11 +314,13 @@ def enumerate_perfect_matchings(tiling: QuiverOnTorus,
         if fields & arrow_block != arrow_bias:
             raise ConsistencyError(
                 "matching functional disagrees with arrow weights")
-        tail = (fields >> shift) ^ tail_bias
-        if tail & field != 1:
+        tail = fields >> shift
+        if tail & field != half + 1:
             raise ConsistencyError(
                 "matching functional is not 1 on the face-cycle weight")
-        chi_kernel = unpack(tail.to_bytes(length, "little"))
+        chi_kernel = (((tail >> w1) & field) - half,
+                      ((tail >> w2) & field) - half,
+                      ((tail >> w3) & field) - half)
         if chi_kernel[2] != 1:
             raise ConsistencyError(
                 "matching functional is not at height one over the plane")

@@ -33,6 +33,19 @@ QUIVER_FIXTURES = ("honeycomb", "conifold", "spp", "z2z2")
 DIMER_FIXTURES = ("honeycomb_dimer", "spp_dimer", "square_dimer")
 ALL_FIXTURES = QUIVER_FIXTURES + DIMER_FIXTURES
 
+# One vertex with five loops that passes every structural rule, but a3
+# lies in no perfect matching: a matching meets the first positive face
+# at a1 or a2, which meets the first negative face too, so a3 would meet
+# that face twice.
+DEGENERATE_QUIVER = {
+    "vertices": ["1"],
+    "arrows": [{"id": f"a{k}", "src": "1", "tgt": "1"} for k in range(1, 6)],
+    "faces": [{"sign": "+", "cycle": ["a1", "a2"]},
+              {"sign": "+", "cycle": ["a3", "a4", "a5"]},
+              {"sign": "-", "cycle": ["a1", "a2", "a3"]},
+              {"sign": "-", "cycle": ["a4", "a5"]}],
+}
+
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.json"

@@ -13,7 +13,8 @@ import pytest
 from branetile import matchings, stability
 from branetile.cli import main
 
-from conftest import QUIVER_FIXTURES, fixture_path, fixture_text, orbifold_text
+from conftest import (DEGENERATE_QUIVER, QUIVER_FIXTURES, fixture_path,
+                      fixture_text, orbifold_text)
 
 SPP = str(fixture_path("spp"))
 
@@ -256,6 +257,19 @@ def test_structural_violations_exit_three(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error[validate:invalid]")
     assert "FAIL" in out  # the report still goes to stdout
+
+
+def test_a_degenerate_document_fails_validation(tmp_path, capsys):
+    # every structural rule holds, so only the matching probe fails
+    bad = tmp_path / "degenerate.json"
+    bad.write_text(json.dumps(DEGENERATE_QUIVER))
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert code == 3
+    assert err == ("error[validate:invalid] some arrow lies in no perfect "
+                   "matching\n")
+    assert out.count(" ok\n") == 5
+    assert ("  nondegenerate         FAIL: some arrow lies in no perfect "
+            "matching\n") in out
 
 
 def test_invalid_documents_stop_other_verbs(tmp_path, capsys):

@@ -188,6 +188,9 @@ def test_check_smooth_fixed_examples():
     assert bt.check_smooth(smooth)
     singular = make_fan({"a": (1, 0), "b": (1, 2)}, [("a", "b")])
     assert not bt.check_smooth(singular)
+    # a zero cone has no rays to be unimodular, whatever its dimension
+    zero = Fan(rays=(), cones=(FanCone(frozenset(), 1),))
+    assert bt.check_smooth(zero)
 
 
 def square_cone_fan() -> Fan:

@@ -17,9 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import branetile as bt
 from branetile import lattice, matchings, rational
 from branetile.errors import ConsistencyError, DegenerateInputError
-from branetile.matchings import (_FIELD_CODES, _MAX_PARTIAL_MATCHINGS,
-                                 _byte_tables, _field_bias,
-                                 _pack_rows, convex_hull_2d,
+from branetile.matchings import (_MAX_PARTIAL_MATCHINGS, _byte_tables,
+                                 _field_bias, _pack_rows, convex_hull_2d,
                                  doubled_area, lattice_points_in_hull)
 from branetile.tiling import Arrow, Face, QuiverOnTorus, _nondegenerate
 
@@ -422,22 +421,56 @@ def test_a_wrong_section_row_at_the_top_arrow_bit_is_seen():
         bt.enumerate_perfect_matchings(tiling, wrong)
 
 
-def test_a_table_beyond_64_bit_fields_raises(spp, towers):
+def test_a_table_past_64_bit_fields_is_read_exactly(spp, towers):
+    # fields double past 64 bits, and the sums of the rows read back
+    width, rows = _pack_rows([[1 << 62], [-(1 << 62)]])
+    assert width == 128
+    assert [signed_fields(row, width, 1) for row in rows] == [
+        [1 << 62], [-(1 << 62)]]
+    assert signed_fields(sum(rows), width, 1) == [0]
+    # a wrong section row far past 64 bits is seen by the arrow check
     tower = towers["spp"]
     rows = [list(row) for row in tower.section]
     rows[1][0] = 1 << 63
     wide = bt.LatticeTower(**{**vars(tower),
                               "section": tuple(map(tuple, rows))})
-    with pytest.raises(ConsistencyError, match="beyond a 64-bit field"):
+    assert matchings._functional_table(wide)[0] == 128
+    with pytest.raises(ConsistencyError,
+                       match="disagrees with arrow weights"):
         bt.enumerate_perfect_matchings(spp, wide)
-    with pytest.raises(ConsistencyError, match=str(1 << 63)):
-        _pack_rows([[1 << 62], [-(1 << 62)]])
+
+
+def sheared(tower, a: int, b: int):
+    """``tower`` with its kernel basis (K1, K2, f) changed to
+    (K1 + a f, K2 + b f, f): every matching's kernel point moves by
+    ``(a, b)`` and keeps its height."""
+    return bt.LatticeTower(**{**vars(tower), "kernel_basis": tuple(
+        (k1 + a * f, k2 + b * f, f) for k1, k2, f in tower.kernel_basis)})
+
+
+@pytest.mark.parametrize("a, b", [(1 << 70, -(1 << 70)),
+                                  (-(1 << 100), 3), (1 << 130, 0)])
+def test_kernel_points_past_64_bit_fields_are_read_exactly(
+        a, b, spp, towers, matchings_by_name):
+    tower = sheared(towers["spp"], a, b)
+    assert matchings._functional_table(tower)[0] > 64
+    want = [(x + a, y + b, 1)
+            for x, y, _ in (m.chi_kernel for m in matchings_by_name["spp"])]
+    assert [m.chi_kernel for m in
+            bt.enumerate_perfect_matchings(spp, tower)] == want
+    # the face-cycle and height checks hold at that width too
+    with pytest.raises(ConsistencyError,
+                       match="not 1 on the face-cycle weight"):
+        bt.enumerate_perfect_matchings(spp, perturbed(tower, face_cycle=True))
+    with pytest.raises(ConsistencyError,
+                       match="not at height one over the plane"):
+        bt.enumerate_perfect_matchings(spp, perturbed(tower, kernel=True))
 
 
 @pytest.mark.parametrize("table, width", [
     ([], 8), ([[0, 0]], 8), ([[127], [0]], 8), ([[100], [-28]], 16),
     ([[-(1 << 15) + 1]], 16), ([[1 << 15]], 32), ([[1, -(1 << 31)]], 64),
-    ([[(1 << 62) - 1], [-(1 << 62)]], 64),
+    ([[(1 << 62) - 1], [-(1 << 62)]], 64), ([[1 << 62], [-(1 << 62)]], 128),
 ])
 def test_field_width_is_the_smallest_that_holds_every_column(table, width):
     assert _pack_rows(table)[0] == width
@@ -459,9 +492,9 @@ def signed_fields(packed: int, width: int, count: int) -> list:
 @st.composite
 def packable_tables(draw):
     """Integer tables with negative entries and zero rows, at one of
-    four magnitudes, so that 1-, 2-, 4- and 8-byte fields all occur
-    (and tables too wide for any), with a subset of their rows."""
-    bits = draw(st.sampled_from((5, 13, 29, 61)))
+    five magnitudes, so that fields of 1 to 32 bytes all occur, with a
+    subset of their rows."""
+    bits = draw(st.sampled_from((5, 13, 29, 61, 125)))
     n_cols = draw(st.integers(1, 5))
     entries = st.lists(st.integers(-(1 << bits), 1 << bits),
                        min_size=n_cols, max_size=n_cols)
@@ -471,28 +504,33 @@ def packable_tables(draw):
                                max_size=len(rows)))
 
 
+# struct code of a signed field, by its width in bits: an independent
+# reader of the widths that struct has
+STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
 @settings(max_examples=300)
 @given(packable_tables())
+@example(([[1 << 62, 3], [-(1 << 62), -1]], [True, False]))
 def test_packed_sums_are_the_column_sums(case):
     table, chosen = case
     bound = max(sum(map(abs, column)) for column in zip(*table))
-    if bound >= 1 << 63:
-        with pytest.raises(ConsistencyError):
-            _pack_rows(table)
-        return
     width, packed = _pack_rows(table)
     assert bound < 1 << width - 1
     assert width == 8 or bound >= 1 << width // 2 - 1
+    if 1 << 63 <= bound < 1 << 127:
+        assert width == 128
     picked = [i for i, keep in enumerate(chosen) if keep]
     want = [sum(table[i][j] for i in picked) for j in range(len(table[0]))]
     total = sum(packed[i] for i in picked)
     count = len(want)
     assert signed_fields(total, width, count) == want
-    bias = _field_bias(width, count)
-    read = struct.unpack(f"<{count}{_FIELD_CODES[width]}",
-                         ((total + bias) ^ bias).to_bytes(count * width // 8,
-                                                          "little"))
-    assert list(read) == want
+    if width in STRUCT_CODES:
+        bias = _field_bias(width, count)
+        read = struct.unpack(f"<{count}{STRUCT_CODES[width]}",
+                             ((total + bias) ^ bias).to_bytes(
+                                 count * width // 8, "little"))
+        assert list(read) == want
 
 
 @st.composite
@@ -690,6 +728,7 @@ def test_lattice_points_fixed_examples():
     triangle = [(0, 0), (2, 0), (0, 2)]
     assert len(lattice_points_in_hull(triangle)) == 6
     assert lattice_points_in_hull([(3, 4)]) == [(3, 4)]
+    assert lattice_points_in_hull([]) == []
     assert sorted(lattice_points_in_hull([(0, 0), (2, 2)])) \
         == [(0, 0), (1, 1), (2, 2)]
 

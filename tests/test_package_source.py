@@ -2,7 +2,8 @@
 name, no invariant is left to an ``assert`` statement (which
 ``python -O`` strips), no module-level function or method is dead, no
 parameter is unread, no module-level function keeps an unbounded
-cache, no import statement sits in a function body, no module imports
+cache, no import statement sits in a function body, no module-level
+import binds a name its module never reads, no module imports
 ``dataclasses`` (whose import and class generation cost every command
 about 20 ms of start-up), every exported name resolves, is exported
 once, and is used by the program or named in the README's library
@@ -459,3 +460,48 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """Sorted names that a module-level import, ``__future__`` aside,
+    binds and that the module never loads: as a name, as the base of an
+    attribute, or inside a string annotation, where a quoted name such
+    as ``"Triangulation | None"`` is read too."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    annotations = [a for node in ast.walk(tree)
+                   for a in (getattr(node, "annotation", None),
+                             getattr(node, "returns", None)) if a is not None]
+    quoted = [ast.parse(node.value, mode="eval") for a in annotations
+              for node in ast.walk(a) if isinstance(node, ast.Constant)
+              and isinstance(node.value, str)]
+    read = {node.id for t in [tree, *quoted] for node in ast.walk(t)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_the_guard_sees_unread_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import xml.etree.ElementTree\n"
+        "from typing import Optional, Sequence\n"
+        "from . import lattice, stale\n"
+        "def f(x: \"Sequence | None\") -> int:\n"
+        "    import json\n"
+        "    return lattice.dot(x, os.sep)\n"
+        "class C:\n"
+        "    field: dict[str, \"xml.etree.ElementTree.Element\"]\n")
+    assert unread_imports(tree) == ["Optional", "stale", "system"]
+
+
+def test_every_module_level_import_in_the_package_is_read():
+    found = [f"{path.name} {name}" for path in SOURCES
+             if path.name != "__init__.py"
+             for name in unread_imports(parse(path))]
+    assert found == []

@@ -75,6 +75,7 @@ def test_empty_and_unsatisfiable_systems():
     assert empty.is_empty
     assert empty.dim == -1
     assert bt.integer_points(empty) == []
+    assert bt.enumerate_faces(empty) == []
     poisoned = bt.polyhedron_from_inequalities([((0, 0), 1)], 2)
     assert poisoned.is_empty
 

@@ -11,8 +11,8 @@ import branetile as bt
 
 from branetile.tiling import _dimer_from_doc, _tiling_from_doc
 
-from conftest import (ALL_FIXTURES, QUIVER_FIXTURES, extract_dimer,
-                      fixture_text)
+from conftest import (ALL_FIXTURES, DEGENERATE_QUIVER, QUIVER_FIXTURES,
+                      extract_dimer, fixture_text)
 
 # (dimer document, quiver document it dualizes to)
 DIMER_PAIRS = (("honeycomb_dimer", "honeycomb"), ("spp_dimer", "spp"))
@@ -102,6 +102,8 @@ MALFORMED_QUIVERS = [
      "faces": [{"sign": "+", "cycle": []}]},
     {"vertices": ["1"], "arrows": [],
      "faces": [{"sign": "+", "cycle": ["ghost"]}]},
+    {"vertices": ["1"], "faces": []},
+    {"vertices": ["1"], "arrows": []},
 ]
 
 
@@ -127,6 +129,8 @@ MALFORMED_QUIVER_MESSAGES = [
     "face 0 sign must be '+' or '-'",
     "face 0 cycle must be a nonempty list of arrow ids",
     "face 0 references unknown arrow 'ghost'",
+    "missing key 'arrows'",
+    "missing key 'faces'",
 ]
 
 
@@ -344,10 +348,10 @@ def test_validate_flags_disconnected_documents():
 
 
 def test_validate_reports_degenerate_arrows():
-    # gluing two squares into a torus so that the vertical edges can
-    # never be completed to a perfect matching is hard by hand; instead
-    # check the probe on a healthy document and trust the rule tests
-    # above for failures: every bundled tiling is nondegenerate.
+    # a3 lies in no perfect matching, though every structural rule holds
+    report = bt.validate(bt.load_document(json.dumps(DEGENERATE_QUIVER)))
+    assert report.ok and not report.nondegenerate
+    # three loops around two triangles: every arrow is in a matching
     doc = {"vertices": ["1"],
            "arrows": [{"id": "a", "src": "1", "tgt": "1"},
                       {"id": "b", "src": "1", "tgt": "1"},
@@ -357,6 +361,29 @@ def test_validate_reports_degenerate_arrows():
     report = bt.validate(bt.load_document(json.dumps(doc)))
     assert report.ok
     assert report.nondegenerate
+
+
+def test_default_paths_refuse_a_disconnected_quiver():
+    loop = bt.Arrow("a", "1", "1")
+    tiling = bt.QuiverOnTorus(vertices=("1", "2"), arrows=(loop,),
+                              faces=(bt.Face(1, ("a",)), bt.Face(-1, ("a",))))
+    with pytest.raises(bt.ConsistencyError, match="^quiver is not connected$"):
+        bt.default_paths(tiling)
+
+
+def test_faces_of_refuses_an_arrow_not_in_one_face_of_each_sign():
+    # a is in two positive faces, c in a negative face only, and b in
+    # one face of each sign
+    tiling = bt.QuiverOnTorus(
+        vertices=("1",),
+        arrows=tuple(bt.Arrow(aid, "1", "1") for aid in "abc"),
+        faces=(bt.Face(1, ("a",)), bt.Face(1, ("a", "b")),
+               bt.Face(-1, ("b", "c"))))
+    for aid in ("a", "c", "ghost"):
+        with pytest.raises(bt.ConsistencyError, match=(
+                f"^arrow '{aid}' is not in exactly one face of each sign$")):
+            tiling.faces_of(aid)
+    assert tiling.faces_of("b") == tiling.faces[1:]
 
 
 def test_validate_can_skip_the_matching_probe(spp):
