@@ -25,17 +25,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (BraneTileError, ConsistencyError, DegenerateInputError,
+from .errors import (_MAX_CHAMBER_VERTICES, _MAX_PARTIAL_MATCHINGS,
+                     _MAX_SUBSET_SUM_VERTICES, BraneTileError,
+                     ConsistencyError, DegenerateInputError,
                      TilingFormatError)
-from .fan import check_smooth, git_equivalence_classes, moduli_fan, triangulation
-from .lattice import build_lattice_tower
-from .matchings import (_MAX_PARTIAL_MATCHINGS, enumerate_perfect_matchings,
-                        matching_id_key, set_bits, toric_diagram)
-from .stability import (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES,
-                        chamber_decomposition)
-from .svg import render_diagram_svg
-from .tiling import load_document, make_weak_path, validate
-from .tilting import (default_paths, graded_sections_count, tilting_collection)
+from .tiling import default_paths, load_document, make_weak_path, validate
 
 _EXIT_DOC = """\
 exit codes:
@@ -71,8 +65,8 @@ def _vec(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _ids(ids) -> str:
-    ordered = sorted(ids, key=matching_id_key)
+def _ids(ids, id_key) -> str:
+    ordered = sorted(ids, key=id_key)
     return ",".join(ordered) if ordered else "-"
 
 
@@ -163,7 +157,8 @@ def _parse_base(args, tiling):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each opens by importing the stages it runs, so a verb
+# never compiles a stage module it does not use
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -201,6 +196,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_matchings(args) -> int:
+    from .matchings import enumerate_perfect_matchings, set_bits
     tiling = _load_tiling(args)
     matchings = enumerate_perfect_matchings(tiling)
     lines = [f"# matchings {args.input}"]
@@ -216,6 +212,11 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from .fan import moduli_fan, triangulation
+    from .lattice import build_lattice_tower
+    from .matchings import (enumerate_perfect_matchings, matching_id_key,
+                            toric_diagram)
+    from .svg import render_diagram_svg
     tiling = _load_tiling(args)
     tower = build_lattice_tower(tiling)
     matchings = enumerate_perfect_matchings(tiling, tower)
@@ -225,7 +226,7 @@ def _cmd_diagram(args) -> int:
     for mid, p in diagram.points:
         by_point.setdefault(p, []).append(mid)
     hull_set = set(diagram.hull)
-    rows = [[_vec(p), str(len(ids)), _ids(ids),
+    rows = [[_vec(p), str(len(ids)), _ids(ids, matching_id_key),
              "yes" if p in hull_set else "no"]
             for p, ids in sorted(by_point.items())]
     lines += _table(["point", "count", "matchings", "extremal"], rows)
@@ -238,9 +239,11 @@ def _cmd_diagram(args) -> int:
         fan = moduli_fan(tiling, theta, matchings)
         tri = triangulation(fan, diagram)
         lines.append(f"# triangulation for theta={_vec(theta)}")
-        rows = [[str(n + 1), _ids(t)] for n, t in enumerate(tri.triangles)]
+        rows = [[str(n + 1), _ids(t, matching_id_key)]
+                for n, t in enumerate(tri.triangles)]
         lines += _table(["triangle", "rays"], rows)
-        lines.append("# edges " + " ".join(_ids(e) for e in tri.edges))
+        lines.append("# edges " + " ".join(_ids(e, matching_id_key)
+                                           for e in tri.edges))
 
     if args.svg is not None:
         doc = render_diagram_svg(diagram, triangulation=tri,
@@ -252,6 +255,9 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_chambers(args) -> int:
+    from .fan import git_equivalence_classes
+    from .matchings import enumerate_perfect_matchings, matching_id_key
+    from .stability import chamber_decomposition
     tiling = _load_tiling(args)
     matchings = enumerate_perfect_matchings(tiling)
     chambers = chamber_decomposition(tiling, matchings)
@@ -261,7 +267,8 @@ def _cmd_chambers(args) -> int:
         pairs = ",".join("+".join(p) for p in c.stable_pairs) or "-"
         triples = ",".join("+".join(t) for t in c.stable_triples) or "-"
         rows.append([str(c.index), _vec(c.representative),
-                     _ids(c.stable_matchings), pairs, triples])
+                     _ids(c.stable_matchings, matching_id_key), pairs,
+                     triples])
     lines += _table(["index", "representative", "stable", "pairs", "triples"],
                     rows)
     lines.append(f"# {len(chambers)} chambers")
@@ -273,6 +280,8 @@ def _cmd_chambers(args) -> int:
 
 
 def _cmd_fan(args) -> int:
+    from .fan import check_smooth, moduli_fan
+    from .matchings import enumerate_perfect_matchings, matching_id_key
     tiling = _load_tiling(args)
     matchings = enumerate_perfect_matchings(tiling)
     theta = _parse_theta(args, tiling)
@@ -280,7 +289,7 @@ def _cmd_fan(args) -> int:
     lines = [f"# fan {args.input} theta={_vec(theta)}"]
     lines += _table(["ray", "vector"],
                     [[r.ray_id, _vec(r.vector)] for r in fan.rays])
-    rows = [[str(n + 1), str(c.dim), _ids(c.ray_ids)]
+    rows = [[str(n + 1), str(c.dim), _ids(c.ray_ids, matching_id_key)]
             for n, c in enumerate(fan.cones)]
     lines += _table(["cone", "dim", "rays"], rows)
     lines.append(f"# smooth {'true' if check_smooth(fan) else 'false'}")
@@ -289,6 +298,11 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_tilting(args) -> int:
+    from .fan import moduli_fan, triangulation
+    from .lattice import build_lattice_tower
+    from .matchings import enumerate_perfect_matchings, toric_diagram
+    from .svg import render_diagram_svg
+    from .tilting import tilting_collection
     tiling = _load_tiling(args)
     tower = build_lattice_tower(tiling)
     matchings = enumerate_perfect_matchings(tiling, tower)
@@ -324,6 +338,9 @@ def _cmd_tilting(args) -> int:
 
 
 def _cmd_sections(args) -> int:
+    from .lattice import build_lattice_tower
+    from .matchings import enumerate_perfect_matchings
+    from .tilting import graded_sections_count
     tiling = _load_tiling(args)
     tower = build_lattice_tower(tiling)
     matchings = enumerate_perfect_matchings(tiling, tower)
@@ -352,6 +369,7 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_dump_lattice(args) -> int:
+    from .lattice import build_lattice_tower
     tiling = _load_tiling(args)
     tower = build_lattice_tower(tiling)
     lines = [f"# dump-lattice {args.input}"]

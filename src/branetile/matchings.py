@@ -24,7 +24,8 @@ from itertools import compress, count
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lattice, rational
-from .errors import ConsistencyError, DegenerateInputError
+from .errors import (_MAX_PARTIAL_MATCHINGS, ConsistencyError,
+                     DegenerateInputError)
 from .tiling import QuiverOnTorus
 
 
@@ -79,12 +80,6 @@ def set_bits(mask: int) -> list:
 
 # byte -> the byte with its 8 bits in reverse order
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-# partial matchings the search may hold at once: above 6x6's peak of
-# 306 652 in generator and shuffled face orders; C^3/Z_22 reaches it at
-# about 220 MB of RSS
-_MAX_PARTIAL_MATCHINGS = 1 << 21
-
 
 def matching_arrow_sets(tiling: QuiverOnTorus) -> list:
     """All perfect matchings as arrow masks (``QuiverOnTorus.arrow_bits``),

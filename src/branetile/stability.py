@@ -39,7 +39,8 @@ from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import rational
-from .errors import ConsistencyError, DegenerateInputError
+from .errors import (_MAX_CHAMBER_VERTICES, _MAX_SUBSET_SUM_VERTICES,
+                     ConsistencyError, DegenerateInputError)
 from .lattice import dot
 from .matchings import (convex_hull_2d, cross, doubled_area, matching_id_key,
                         set_bits, subset_sums)
@@ -58,9 +59,6 @@ def _theta_check(vertices: Sequence, theta: Sequence) -> None:
                          "or Fractions")
     if sum(theta) != 0:
         raise ValueError("stability parameter entries must sum to zero")
-
-
-_MAX_SUBSET_SUM_VERTICES = 36  # 6×6: two half tables of 2^18 sums
 
 
 def _halves(theta: Sequence) -> tuple:
@@ -416,11 +414,6 @@ def _positive(halves: tuple) -> Iterator:
     cut = len(low) - 1
     return (low[s & cut] + high[s >> h] > 0
             for s in range(1, len(low) * len(high) - 1))
-
-
-# The resonance arrangement has 11 292 chambers at 6 vertices and over a
-# million at 7 (OEIS A034997), too many to list one by one.
-_MAX_CHAMBER_VERTICES = 6
 
 
 def chamber_decomposition(tiling: QuiverOnTorus,

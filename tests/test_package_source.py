@@ -2,8 +2,10 @@
 name, no invariant is left to an ``assert`` statement (which
 ``python -O`` strips), no module-level function or method is dead, no
 parameter is unread, no module-level function keeps an unbounded
-cache, no import statement sits in a function body, no module-level
-import binds a name its module never reads, no module imports
+cache, no import statement sits in a function body other than the
+stage loads of the package's ``__getattr__`` and of the command line's
+verb handlers, each verb loads exactly the stage modules it runs, no
+module-level import binds a name its module never reads, no module imports
 ``dataclasses`` (whose import and class generation cost every command
 about 20 ms of start-up), every exported name resolves, is exported
 once, and is used by the program or named in the README's library
@@ -13,11 +15,15 @@ call in the program or the library section's code."""
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import branetile as bt
 
@@ -94,27 +100,37 @@ def referenced_names(trees) -> set:
     return referenced
 
 
+# module-level functions that the interpreter calls (PEP 562)
+MODULE_DUNDERS = ("__getattr__", "__dir__")
+
+
 def unreferenced_functions(trees: dict, exported) -> list:
-    """``module.function`` for every module-level function that no
-    module refers to, by name or as an attribute, and that is not in
-    ``exported``.  A same-named variable elsewhere hides a function, so
-    the guard can miss dead code but never flags live code."""
+    """``module.function`` for every module-level function, the
+    ``MODULE_DUNDERS`` aside, that no module refers to, by name or as an
+    attribute, and that is not in ``exported``.  A same-named variable
+    elsewhere hides a function, so the guard can miss dead code but
+    never flags live code."""
     referenced = referenced_names(trees.values())
     return [f"{module}.{fn.name}" for module, tree in trees.items()
             for fn in tree.body
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and fn.name not in referenced and fn.name not in exported]
+            and fn.name not in referenced and fn.name not in exported
+            and fn.name not in MODULE_DUNDERS]
 
 
 def test_the_guard_sees_unreferenced_functions():
     trees = {
         "a": ast.parse("def used():\n    pass\n"
                        "def public():\n    pass\n"
-                       "def dead():\n    return used()\n"),
+                       "def dead():\n    return used()\n"
+                       "def __getattr__(name):\n    raise AttributeError\n"
+                       "def __dir__():\n    return []\n"
+                       "def __other__():\n    pass\n"),
         "b": ast.parse("from . import a\n"
                        "def caller():\n    return a.dead\n"),
     }
-    assert unreferenced_functions(trees, {"public"}) == ["b.caller"]
+    assert unreferenced_functions(trees, {"public"}) == ["a.__other__",
+                                                         "b.caller"]
 
 
 def test_every_function_in_the_package_is_referenced_or_exported():
@@ -414,9 +430,66 @@ def test_the_guard_sees_imports_inside_functions():
     assert imports_in_functions(tree) == [4, 6, 12]
 
 
+def stray_imports(module: str, tree: ast.Module) -> list:
+    """Sorted lines of the function-body imports of ``module`` other
+    than those that load stage modules on demand: every import in the
+    package's ``__getattr__``, and the ``from .<stage> import ...``
+    statements that open a ``cli._cmd_*`` verb handler, before its first
+    other statement."""
+    admitted = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if module == "__init__" and fn.name == "__getattr__":
+            admitted.update(node.lineno for node in ast.walk(fn)
+                            if isinstance(node, (ast.Import, ast.ImportFrom)))
+        elif module == "cli" and fn.name.startswith("_cmd_"):
+            for statement in fn.body:
+                if not (isinstance(statement, ast.ImportFrom)
+                        and statement.level == 1 and statement.module):
+                    break
+                admitted.add(statement.lineno)
+    return sorted(set(imports_in_functions(tree)) - admitted)
+
+
+def test_the_guard_admits_only_the_stage_loads():
+    init = ast.parse(
+        "def __getattr__(name):\n"
+        "    from .fan import Fan\n"
+        "    import json\n"
+        "    return Fan\n"
+        "def helper():\n"
+        "    from .fan import Fan\n")
+    cli = ast.parse(
+        "def _cmd_ok(args):\n"
+        "    from .fan import moduli_fan\n"
+        "    from .lattice import tower\n"
+        "    return moduli_fan(tower(args))\n"
+        "def _cmd_late(args):\n"
+        "    from .fan import moduli_fan\n"
+        "    tiling = args.tiling\n"
+        "    from .lattice import tower\n"
+        "    return moduli_fan(tower(tiling))\n"
+        "def _cmd_absolute(args):\n"
+        "    import json\n"
+        "    from . import fan\n"
+        "def _helper(args):\n"
+        "    from .matchings import matching_id_key\n"
+        "def __getattr__(name):\n"
+        "    from .fan import Fan\n")
+    library = ast.parse(
+        "def __getattr__(name):\n"
+        "    from .fan import Fan\n"
+        "def _cmd_x(args):\n"
+        "    from .fan import Fan\n")
+    assert stray_imports("__init__", init) == [6]
+    assert stray_imports("cli", cli) == [8, 11, 12, 14, 16]
+    assert stray_imports("stability", library) == [2, 4]
+
+
 def test_no_function_in_the_package_imports():
     found = [f"{path.name}:{line}" for path in SOURCES
-             for line in imports_in_functions(parse(path))]
+             for line in stray_imports(path.stem, parse(path))]
     assert found == []
 
 
@@ -451,15 +524,84 @@ def test_no_module_in_the_package_imports_dataclasses():
     assert found == []
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter without ``site``, so nothing but the package
-    # and what it imports is loaded
+def fresh(probe: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter without ``site``, so nothing
+    but the package and what it imports is loaded, from the repository
+    root with only the package's source on the path."""
     env = {**os.environ, "PYTHONPATH": str(Path(bt.__file__).parents[1])}
-    probe = ("import sys, branetile.cli\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-S", "-c", probe, *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    run = fresh("import sys, branetile.cli\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (run.returncode, run.stdout) == (0, "[]\n")
+
+
+STAGES = {"errors", "fan", "lattice", "matchings", "polyhedra", "rational",
+          "stability", "svg", "tiling", "tilting"}
+MATCHING_STAGES = {"lattice", "rational", "matchings"}
+FAN_STAGES = MATCHING_STAGES | {"stability", "fan"}
+TILTING_STAGES = FAN_STAGES | {"tilting", "polyhedra"}
+# the stage modules each verb loads besides ``cli``, ``errors`` and
+# ``tiling``
+STAGES_BY_VERB = {
+    "validate": set(),
+    "dump-lattice": {"lattice"},
+    "matchings": MATCHING_STAGES,
+    "chambers": FAN_STAGES,
+    "fan": FAN_STAGES,
+    "diagram": FAN_STAGES | {"svg"},
+    "tilting": TILTING_STAGES | {"svg"},
+    "sections": TILTING_STAGES,
+}
+# prints the loaded package modules, ``branetile.`` left off, to stderr
+LOADED = ("print(*sorted(m.removeprefix('branetile.') for m in sys.modules"
+          " if m.startswith('branetile.')), file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("verb", sorted(STAGES_BY_VERB))
+def test_each_verb_loads_only_the_stages_it_runs(verb):
+    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text(
+        encoding="utf-8"))["cli"]
+    call, = [c for c in goldens
+             if c["argv"][:2] == [verb, "fixtures/spp.json"]]
+    run = fresh("import sys\n"
+                "from branetile.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "sys.stdout.flush()\n"
+                + LOADED +
+                "sys.exit(code)", *call["argv"])
+    assert run.returncode == call["exit"]
+    assert (hashlib.sha256(run.stdout.encode()).hexdigest()
+            == call["stdout_sha256"])
+    assert set(run.stderr.split()) \
+        == {"cli", "errors", "tiling"} | STAGES_BY_VERB[verb]
+
+
+def test_a_public_name_loads_every_stage_and_binds_all_exports():
+    run = fresh("import sys, branetile as bt\n"
+                + LOADED +
+                "listed = set(bt.__all__) <= set(dir(bt))\n"
+                + LOADED +
+                "try:\n"
+                "    bt.no_such_name\n"
+                "except AttributeError:\n"
+                "    pass\n"
+                + LOADED +
+                "fan = bt.Fan\n"
+                + LOADED +
+                # each name bound here, to the object its home module holds
+                "away = [name for name in bt.__all__ if vars(bt).get(name)\n"
+                "        is not getattr(sys.modules[getattr(bt, name)"
+                ".__module__], name)]\n"
+                "print(listed, fan is bt.fan.Fan, away)")
+    assert run.returncode == 0, run.stderr
+    bare, after_dir, after_miss, after_use = run.stderr.splitlines()
+    assert (bare, after_dir, after_miss) == ("", "", "")
+    assert set(after_use.split()) == STAGES
+    assert run.stdout == "True True []\n"
 
 
 def unread_imports(tree: ast.Module) -> list:
